@@ -19,6 +19,7 @@ import numpy as np
 
 from motifkit.core import PatternOccurrence, PatternRecord, PointSet
 from motifkit.classifiers import train_classifier
+from motifkit.synthesis import _subseed
 
 FEATURE_NAMES = (
     # pitch statistics
@@ -288,13 +289,6 @@ class CvReport:
                 name: res.to_json_dict() for name, res in sorted(self.results.items())
             },
         }
-
-
-def _subseed(seed: int, *tags) -> int:
-    import hashlib
-
-    digest = hashlib.sha256(repr((seed,) + tags).encode()).digest()
-    return int.from_bytes(digest[:8], "big")
 
 
 def _balance(dataset: LabeledDataset, seed: int) -> LabeledDataset:

@@ -542,7 +542,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("discover", help="run a discovery algorithm over a piece")
     p.add_argument("--in", dest="input", required=True, help="piece (CSV or MIDI)")
-    p.add_argument("--alg", required=True, help="sia|siatec|cosiatec|siatec-compress:<key>|siar:<r>|siarct:<a>,<b>")
+    p.add_argument(
+        "--alg",
+        required=True,
+        help="sia|siatec|cosiatec[:<key>,<key>...]|siatec-compress:<key>|siar:<r>|siarct:<a>,<b>"
+        " (cosiatec keys: cr|comp|cov|size|comp>=<a>, e.g. cosiatec:comp,size)",
+    )
     p.add_argument("--out", required=True, help="interchange JSON output path")
     _add_common(p)
     p.set_defaults(func=cmd_discover)

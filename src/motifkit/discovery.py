@@ -8,16 +8,18 @@ and a compactness trawler, together with compression-ratio and
 compactness quality measures.
 
 Internally points are rescaled to integer coordinates (the LCM of the
-onset denominators) so the hot loops run on plain int tuples; results are
-mapped back to exact rational Points.
+onset denominators) so the hot loops run on plain int tuples.  COSIATEC
+and SIATECCompress score and rank their candidate TECs on that grid too;
+Points and Fractions appear only in the TECs they emit.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from motifkit.core import (
     PatternOccurrence,
@@ -33,9 +35,6 @@ class Vector2:
 
     dt: Fraction
     dp: int
-
-    def is_zero(self) -> bool:
-        return self.dt == 0 and self.dp == 0
 
 
 ZERO = Vector2(Fraction(0), 0)
@@ -93,29 +92,48 @@ class _Grid:
 
     def __init__(self, ps: PointSet):
         self.scale = math.lcm(*(p.onset.denominator for p in ps.points)) if len(ps) else 1
-        self.coords: list[_Coord] = []
-        self.by_coord: dict[_Coord, Point] = {}
-        # onset -> index of its first point, and one past its last point, in
-        # the sorted coords: set points with onsets in [lo, hi] number
-        # stop[hi] - first[lo]
+        self.by_coord: dict[_Coord, Point] = {
+            (int(p.onset * self.scale), p.pitch): p for p in ps.points
+        }
+        self._index(list(self.by_coord))
+
+    def _index(self, coords: list[_Coord]) -> None:
+        self.coords = coords  # sorted, as the PointSet's points are
+        self.coord_set = set(coords)
+        # onset -> index of its first point, and one past its last point
         self.first: dict[int, int] = {}
         self.stop: dict[int, int] = {}
-        for i, p in enumerate(ps.points):
-            c = (int(p.onset * self.scale), p.pitch)
-            self.coords.append(c)
-            self.by_coord[c] = p
-            self.first.setdefault(c[0], i)
-            self.stop[c[0]] = i + 1
-        self.coord_set = set(self.coords)
+        for i, (onset, _) in enumerate(coords):
+            self.first.setdefault(onset, i)
+            self.stop[onset] = i + 1
 
-    def point(self, c: _Coord) -> Point:
-        return self.by_coord[c]
+    def without(self, gone: set[_Coord]) -> _Grid:
+        """The grid of the coordinates not in `gone`, at the same scale."""
+        rest = copy.copy(self)
+        rest._index([c for c in self.coords if c not in gone])
+        return rest
+
+    def window(self, lo: int, hi: int) -> int:
+        """Number of set points with onsets in [lo, hi]; both must be set onsets."""
+        return self.stop[hi] - self.first[lo]
 
     def points(self, cs) -> tuple[Point, ...]:
         return tuple(self.by_coord[c] for c in sorted(cs))
 
     def vector(self, v: _Coord) -> Vector2:
         return Vector2(Fraction(v[0], self.scale), v[1])
+
+    def tec(self, shape: Sequence[_Coord], translators: Sequence[_Coord]) -> TEC:
+        """The TEC of a shape, represented by its lexicographically least occurrence.
+
+        `translators` are sorted, so the first one places that occurrence.
+        """
+        least = translators[0]
+        return TEC(
+            pattern=self.points(_add(q, least) for q in shape),
+            translators=tuple(self.vector(_sub(u, least)) for u in translators),
+            covered=self.points(_cover(shape, translators)),
+        )
 
 
 def _sub(a: _Coord, b: _Coord) -> _Coord:
@@ -124,6 +142,10 @@ def _sub(a: _Coord, b: _Coord) -> _Coord:
 
 def _add(a: _Coord, b: _Coord) -> _Coord:
     return (a[0] + b[0], a[1] + b[1])
+
+
+def _cover(shape: Sequence[_Coord], translators: Sequence[_Coord]) -> set[_Coord]:
+    return {_add(q, u) for q in shape for u in translators}
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +209,7 @@ def siar(ps: PointSet, r: int) -> list[MTP]:
 
 
 def _translators_of(shape: Sequence[_Coord], grid: _Grid) -> list[_Coord]:
-    """All u with shape + u inside the set; shape[0] is at the origin."""
+    """All u with shape + u inside the set, sorted; shape[0] is at the origin."""
     coord_set = grid.coord_set
     rest = shape[1:]
     out = []
@@ -212,7 +234,7 @@ def siatec(ps: PointSet) -> list[TEC]:
     if len(ps) < 2:
         return []
     grid = _Grid(ps)
-    tecs = [_tec(shape, grid) for shape in {_shape(o) for o in _mtp_table(grid).values()}]
+    tecs = [grid.tec(shape, _translators_of(shape, grid)) for shape in _siatec_shapes(grid)]
     tecs.sort(key=lambda t: (t.pattern, t.translators))
     return tecs
 
@@ -223,18 +245,9 @@ def _shape(origins: Sequence[_Coord]) -> tuple[_Coord, ...]:
     return tuple(sorted(_sub(c, base) for c in origins))
 
 
-def _tec(shape: tuple[_Coord, ...], grid: _Grid) -> TEC:
-    """The TEC of a shape, represented by its lexicographically least occurrence."""
-    translators = _translators_of(shape, grid)
-    least = min(translators)
-    pattern = [_add(q, least) for q in shape]
-    rel = sorted(_sub(u, least) for u in translators)
-    covered = {_add(q, u) for q in pattern for u in rel}
-    return TEC(
-        pattern=grid.points(pattern),
-        translators=tuple(grid.vector(u) for u in rel),
-        covered=grid.points(covered),
-    )
+def _siatec_shapes(grid: _Grid) -> set[tuple[_Coord, ...]]:
+    """SIATEC's patterns, translationally equivalent MTPs merged."""
+    return {_shape(o) for o in _mtp_table(grid).values()}
 
 
 def _compact_segments(origins: Sequence[_Coord], grid: _Grid) -> list[tuple[_Coord, ...]]:
@@ -244,11 +257,10 @@ def _compact_segments(origins: Sequence[_Coord], grid: _Grid) -> list[tuple[_Coo
     a run is compact when its length equals the number of set points whose
     onsets lie between its first and last onset.
     """
-    first, stop = grid.first, grid.stop
     out = []
     segment: list[_Coord] = []
     for c in sorted(origins):
-        if segment and len(segment) + 1 == stop[c[0]] - first[segment[0][0]]:
+        if segment and len(segment) + 1 == grid.window(segment[0][0], c[0]):
             segment.append(c)
             continue
         if len(segment) >= 2:
@@ -274,19 +286,21 @@ def compactness(
     pts = tuple(pattern)
     if not pts:
         raise ValueError("pattern must be nonempty")
-    coords = ps.coords()
-    for p in pts:
-        if p.coord not in coords:
+    grid = _Grid(ps)
+    # an integral Fraction equals and hashes like its int; others match nothing
+    scaled = [(p.onset * grid.scale, p.pitch) for p in pts]
+    for p, c in zip(pts, scaled):
+        if c not in grid.coord_set:
             raise ValueError(f"pattern point {p.coord} not in the point set")
-    lo = min(p.onset for p in pts)
-    hi = max(p.onset for p in pts)
+    lo = int(min(c[0] for c in scaled))
+    hi = int(max(c[0] for c in scaled))
     if mode == "temporal":
-        inside = sum(1 for d in ps.points if lo <= d.onset <= hi)
+        inside = grid.window(lo, hi)
     elif mode == "bbox":
         plo = min(p.pitch for p in pts)
         phi = max(p.pitch for p in pts)
         inside = sum(
-            1 for d in ps.points if lo <= d.onset <= hi and plo <= d.pitch <= phi
+            1 for o, pitch in grid.coords if lo <= o <= hi and plo <= pitch <= phi
         )
     else:
         raise ValueError(f"unknown compactness mode {mode!r}")
@@ -302,34 +316,60 @@ def tec_quality(tec: TEC, ps: PointSet, mode: str = "temporal") -> TecQuality:
     )
 
 
-_QUALITY_KEYS: dict[str, Callable[[TecQuality, TEC], object]] = {
-    "cr": lambda q, t: q.compression_ratio,
-    "comp": lambda q, t: q.compactness,
-    "cov": lambda q, t: q.coverage,
-    "size": lambda q, t: len(t.pattern),
+class _Candidate(NamedTuple):
+    """A TEC on the grid: `shape` (at the origin) placed at each translator."""
+
+    shape: tuple[_Coord, ...]
+    translators: tuple[_Coord, ...]
+    quality: TecQuality
+
+
+def _score(shape: tuple[_Coord, ...], grid: _Grid) -> _Candidate:
+    """The shape's TEC with the quality `tec_quality` gives it, in temporal mode."""
+    translators = tuple(_translators_of(shape, grid))
+    coverage = len(_cover(shape, translators))
+    start = translators[0][0]
+    return _Candidate(
+        shape,
+        translators,
+        TecQuality(
+            compression_ratio=Fraction(coverage, len(shape) + len(translators) - 1),
+            compactness=Fraction(len(shape), grid.window(start, start + shape[-1][0])),
+            coverage=coverage,
+        ),
+    )
+
+
+_QUALITY_KEYS: dict[str, Callable[[TecQuality, int], object]] = {
+    "cr": lambda q, size: q.compression_ratio,
+    "comp": lambda q, size: q.compactness,
+    "cov": lambda q, size: q.coverage,
+    "size": lambda q, size: size,
 }
 
 DEFAULT_ORDER = ("cr", "comp", "cov", "size")
 
 
-def _quality_key(name: str) -> Callable[[TecQuality, TEC], object]:
+def _quality_key(name: str) -> Callable[[TecQuality, int], object]:
     if name.startswith("comp>="):
         threshold = Fraction(name[len("comp>=") :])
-        return lambda q, t: int(q.compactness >= threshold)
+        return lambda q, size: int(q.compactness >= threshold)
     try:
         return _QUALITY_KEYS[name]
     except KeyError:
         raise ValueError(f"unknown quality key {name!r}") from None
 
 
-def _rank_key(order: Sequence[str]):
+def _rank_key(order: Sequence[str]) -> Callable[[_Candidate], tuple]:
     keys = [_quality_key(k) for k in order]
     keys += [_QUALITY_KEYS[k] for k in DEFAULT_ORDER if k not in order]
 
-    def key(item: tuple[TEC, TecQuality]):
-        tec, q = item
-        # descending quality, ascending pattern for full determinism
-        return tuple(-k(q, tec) for k in keys) + (tec.pattern,)
+    def key(c: _Candidate) -> tuple:
+        # descending quality, then ascending least occurrence: that
+        # occurrence is shape + translators[0], so comparing (translators[0],
+        # shape) orders candidates as comparing their patterns would
+        size = len(c.shape)
+        return tuple(-k(c.quality, size) for k in keys) + (c.translators[0], c.shape)
 
     return key
 
@@ -352,36 +392,28 @@ def cosiatec(ps: PointSet, tie_break: Sequence[str] = DEFAULT_ORDER) -> list[TEC
     give the occurrence a TEC of its own.
 
     The best TEC maximizes the `tie_break` quality ordering (defaults to
-    compression ratio, compactness, coverage, pattern size).  Once no TEC
+    compression ratio, compactness, coverage, pattern size), with
+    `tec_quality` measured against the remaining points.  Once no TEC
     compresses (best ratio <= 1) or fewer than two points remain, the
     residue is emitted as a single zero-translator TEC.  Covers partition
     the input exactly.
     """
     key = _rank_key(tie_break)
-    remaining = ps
+    grid = _Grid(ps)
     out = []
-    while len(remaining):
-        if len(remaining) < 2:
-            out.append(_residue_tec(remaining.points))
-            break
-        grid = _Grid(remaining)
+    while len(grid.coords) >= 2:
         shapes = set()
         for origins in _mtp_table(grid).values():
             shapes.add(_shape(origins))
             if len(origins) > 2:  # a 2-point MTP's only segment is itself
                 shapes.update(_shape(seg) for seg in _compact_segments(origins, grid))
-        tecs = [_tec(shape, grid) for shape in shapes]
-        ranked = sorted(((t, tec_quality(t, remaining)) for t in tecs), key=key)
-        best, best_q = ranked[0]
-        if best_q.compression_ratio <= 1:
-            out.append(_residue_tec(remaining.points))
+        best = min((_score(shape, grid) for shape in shapes), key=key)
+        if best.quality.compression_ratio <= 1:
             break
-        out.append(best)
-        gone = set(best.covered)
-        remaining = PointSet.build(
-            [p for p in remaining.points if p not in gone],
-            title=remaining.title,
-        )
+        out.append(grid.tec(best.shape, best.translators))
+        grid = grid.without(_cover(best.shape, best.translators))
+    if grid.coords:
+        out.append(_residue_tec(grid.points(grid.coords)))
     return out
 
 
@@ -400,18 +432,21 @@ def siatec_compress(ps: PointSet, sort_key: str = "cr") -> list[TEC]:
         return []
     if len(ps) < 2:
         return [_residue_tec(ps.points)]
+    grid = _Grid(ps)
     key = _rank_key((sort_key,))
-    ranked = sorted(((t, tec_quality(t, ps)) for t in siatec(ps)), key=key)
-    covered: set[Point] = set()
+    ranked = sorted((_score(shape, grid) for shape in _siatec_shapes(grid)), key=key)
+    covered: set[_Coord] = set()
     out = []
-    for tec, _ in ranked:
-        new = set(tec.covered) - covered
-        if new:
-            out.append(tec)
-            covered |= new
-    rest = [p for p in ps.points if p not in covered]
+    for c in ranked:
+        if len(covered) == len(grid.coords):
+            break
+        cover = _cover(c.shape, c.translators)
+        if not cover <= covered:
+            out.append(grid.tec(c.shape, c.translators))
+            covered |= cover
+    rest = [c for c in grid.coords if c not in covered]
     if rest:
-        out.append(_residue_tec(rest))
+        out.append(_residue_tec(grid.points(rest)))
     return out
 
 
@@ -513,8 +548,9 @@ def tecs_to_records(tecs: Sequence[TEC], algorithm_id: str) -> list[PatternRecor
 def run_algorithm(spec: str, ps: PointSet) -> list[PatternRecord]:
     """Run an algorithm given its id string.
 
-    Grammar: ``sia`` | ``siatec`` | ``cosiatec`` | ``siatec-compress:<key>``
-    | ``siar:<r>`` | ``siarct:<a>,<b>``.
+    Grammar: ``sia`` | ``siatec`` | ``cosiatec[:<key>,<key>...]``
+    | ``siatec-compress:<key>`` | ``siar:<r>`` | ``siarct:<a>,<b>``.
+    ``cosiatec``'s keys are its `tie_break` ordering, e.g. ``cosiatec:comp,size``.
     """
     name, _, arg = spec.partition(":")
     try:
@@ -525,7 +561,8 @@ def run_algorithm(spec: str, ps: PointSet) -> list[PatternRecord]:
         if name == "siatec":
             return tecs_to_records(siatec(ps), spec)
         if name == "cosiatec":
-            return tecs_to_records(cosiatec(ps), spec)
+            order = tuple(arg.split(",")) if arg else DEFAULT_ORDER
+            return tecs_to_records(cosiatec(ps, order), spec)
         if name == "siatec-compress":
             return tecs_to_records(siatec_compress(ps, arg or "cr"), spec)
         if name == "siarct":

@@ -14,10 +14,12 @@ and boundary positions are reproducible to the bit.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+from motifkit import evaluation
 from motifkit.core import PatternRecord, to_time
 
 BoundarySet = tuple[int, ...]
@@ -340,8 +342,6 @@ def train_pp(
     folds and the best one wins, ties broken by smaller window then
     smaller lambda.
     """
-    from motifkit.evaluation import boundary_prf
-
     if objective not in ("precision", "recall", "f1"):
         raise ValueError(f"objective must be precision|recall|f1, got {objective!r}")
     candidates = list(grid)
@@ -351,8 +351,6 @@ def train_pp(
         raise ValueError("k_folds must be >= 2")
     if len(pieces) < k_folds:
         raise ValueError(f"need at least {k_folds} pieces for {k_folds}-fold training")
-
-    import random
 
     order = list(range(len(pieces)))
     random.Random(seed).shuffle(order)
@@ -366,7 +364,7 @@ def train_pp(
         total = Fraction(0)
         for i in indices:
             predicted = extract_boundaries(curves[i], params)
-            prf = boundary_prf(predicted, pieces[i][1], tolerance)
+            prf = evaluation.boundary_prf(predicted, pieces[i][1], tolerance)
             total += getattr(prf, objective)
         return total / len(indices)
 

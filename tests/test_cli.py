@@ -4,6 +4,8 @@ from pathlib import Path
 import pytest
 
 from motifkit.cli import main
+from motifkit.core import dump_pattern_json, parse_points_csv
+from motifkit.discovery import cosiatec, tecs_to_records
 
 
 def run(*argv):
@@ -50,6 +52,24 @@ class TestDiscover:
             "--out", synth_dir / "x.json",
         )
         assert code == 3
+
+    def test_cosiatec_ordering_spec(self, tmp_path):
+        assert run("synth", "--seed", 0, "--name", "piece", "--out-dir", tmp_path, "--quiet") == 0
+        out = tmp_path / "patterns.json"
+        spec = "cosiatec:comp,size"
+        assert run("discover", "--in", tmp_path / "piece.csv", "--alg", spec, "--out", out) == 0
+        piece = parse_points_csv((tmp_path / "piece.csv").read_text(), title="piece")
+        records = tecs_to_records(cosiatec(piece, tie_break=("comp", "size")), spec)
+        assert out.read_text() == dump_pattern_json("piece", spec, records)
+
+    def test_bad_cosiatec_key_exit_3(self, synth_dir, capsys):
+        code = run(
+            "discover", "--in", synth_dir / "piece.csv", "--alg", "cosiatec:bogus",
+            "--out", synth_dir / "x.json",
+        )
+        assert code == 3
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (synth_dir / "x.json").exists()
 
     def test_unreadable_input_exit_2(self, tmp_path):
         code = run("discover", "--in", tmp_path / "missing.csv", "--alg", "sia",

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from motifkit.core import Point, PointSet
 from motifkit.discovery import (
@@ -23,6 +24,8 @@ from motifkit.discovery import (
     _compact_segments,
     _Grid,
     _mtp_table,
+    _score,
+    _shape,
 )
 
 import _oracles
@@ -335,6 +338,62 @@ class TestTecQuality:
         assert q.compression_ratio == F(2 * 3, 2 + 3 - 1)
 
 
+def tec_coords(tecs):
+    return [
+        (
+            tuple(p.coord for p in t.pattern),
+            tuple((u.dt, u.dp) for u in t.translators),
+            tuple(p.coord for p in t.covered),
+        )
+        for t in tecs
+    ]
+
+
+# pieces of up to 12 notes whose onsets include thirds or halves
+fractional_pieces = st.sets(
+    st.tuples(st.integers(0, 11), st.sampled_from([1, 2, 3]), st.integers(58, 63)),
+    min_size=1,
+    max_size=12,
+).map(lambda notes: PointSet.build(Point(F(n, d), p, F(d, 2)) for n, d, p in notes))
+
+
+class TestGridRanking:
+    @settings(max_examples=80, deadline=None)
+    @given(fractional_pieces)
+    def test_covers_match_oracle(self, ps):
+        assume(_Grid(ps).scale > 1)
+        coords = [p.coord for p in ps.points]
+        for order in (("cr", "comp", "cov", "size"), ("comp", "size"), ("comp>=1", "cov")):
+            assert tec_coords(cosiatec(ps, order)) == _oracles.brute_cosiatec(coords, order)
+        for key in ("cr", "comp", "cov"):
+            assert tec_coords(siatec_compress(ps, key)) == _oracles.brute_siatec_compress(coords, key)
+
+    def test_full_tie_goes_to_least_pattern(self):
+        # both pairs: ratio 4/3, compactness 1, coverage 4, size 2; the later
+        # pair has the smaller shape, the earlier one the smaller pattern
+        ps = pset((0, 60), (1, 62), (10, 60), (11, 62), (20, 70), (21, 71), (35, 70), (36, 71))
+        coords = [p.coord for p in ps.points]
+        for tecs, expected in (
+            (cosiatec(ps), _oracles.brute_cosiatec(coords)),
+            (siatec_compress(ps), _oracles.brute_siatec_compress(coords)),
+        ):
+            assert tec_coords(tecs) == expected
+            assert tecs[0].pattern == (pt(0, 60), pt(1, 62))
+
+    def test_grid_score_equals_tec_quality(self):
+        rng = random.Random(12)
+        for _ in range(40):
+            ps = PointSet.build(
+                pt(F(rng.randrange(0, 16), rng.choice([1, 2, 4])), 55 + rng.randrange(0, 8))
+                for _ in range(rng.randrange(2, 14))
+            )
+            grid = _Grid(ps)
+            for origins in _mtp_table(grid).values():
+                for shape in {_shape(origins)} | {_shape(s) for s in _compact_segments(origins, grid)}:
+                    c = _score(shape, grid)
+                    assert c.quality == tec_quality(grid.tec(c.shape, c.translators), ps)
+
+
 class TestPlantedRepeat:
     def test_mtp_contains_planted_subset(self):
         rng = random.Random(9)
@@ -354,7 +413,10 @@ class TestPlantedRepeat:
 
 class TestRunAlgorithm:
     def test_grammar(self):
-        for spec in ("sia", "siatec", "cosiatec", "siatec-compress:comp", "siar:2", "siarct:2/3,2"):
+        for spec in (
+            "sia", "siatec", "cosiatec", "cosiatec:comp,size", "siatec-compress:comp",
+            "siar:2", "siarct:2/3,2",
+        ):
             records = run_algorithm(spec, FOUR)
             assert all(r.algorithm_id == spec for r in records)
 

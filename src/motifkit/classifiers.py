@@ -239,9 +239,6 @@ class LinearDiscriminant:
         return self.classes_[np.argmax(scores, axis=1)]
 
 
-CLASSIFIER_KINDS = ("rf", "nb", "lda")
-
-
 def train_classifier(kind: str, X, y, params: dict | None = None):
     """Fit a classifier of the given kind (``rf``, ``nb`` or ``lda``)."""
     params = dict(params or {})

@@ -7,6 +7,15 @@ a rerun with the same configuration produces byte-identical files.
 
 Exit codes: 0 success, 2 input/parse error, 3 invalid configuration,
 4 inconsistent inputs.
+
+poll writes, for piece id <p>: <p>.curve.csv; <p>.presence.csv, 1 where an
+occurrence covers a grid point; <p>.boundaries.json; with --truth,
+<p>.scores.csv; and the signal the boundaries come from.  <p>.smoothed.csv
+is the curve padded with `window` edge values on each side and smoothed,
+so its first times are negative; <p>.deriv1.csv and <p>.deriv2.csv are its
+first and second differences, deriv1 row j at smoothed row j's time and
+deriv2 row j at row j + 1's, the grid point the second difference is
+centred on.
 """
 
 from __future__ import annotations
@@ -55,8 +64,41 @@ def _json_text(obj) -> str:
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8, NUL in the path
         raise CliError(EXIT_PARSE, f"cannot read {path}: {exc}") from exc
+
+
+# What interpreting a JSON document of the wrong shape raises: a missing
+# key, a value of the wrong type, or a number out of range.
+_SHAPE_ERRORS = (ArithmeticError, AttributeError, LookupError, TypeError, ValueError)
+
+
+def _json_object(doc) -> dict:
+    if not isinstance(doc, dict):
+        raise TypeError("expected a JSON object")
+    return doc
+
+
+def _read_json(path: str, shape_code: int, read=_json_object):
+    """The JSON document at `path`, interpreted by `read`.
+
+    Text that is not JSON exits 2; a document that `read` rejects with one
+    of `_SHAPE_ERRORS` exits `shape_code`.
+    """
+    try:
+        doc = json.loads(_read_text(path))
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise CliError(EXIT_PARSE, f"{path}: invalid JSON: {exc}") from exc
+    try:
+        return read(doc)
+    except _SHAPE_ERRORS as exc:
+        raise CliError(shape_code, f"{path}: {type(exc).__name__}: {exc}") from exc
+
+
+def _csv_text(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 def _read_piece(path: str) -> core.PointSet:
@@ -97,12 +139,7 @@ def _apply_config_file(args: argparse.Namespace):
     """Fill unset flags from the JSON config file; unknown keys are rejected."""
     if not getattr(args, "config", None):
         return
-    try:
-        doc = json.loads(_read_text(args.config))
-    except json.JSONDecodeError as exc:
-        raise CliError(EXIT_PARSE, f"{args.config}: invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise CliError(EXIT_CONFIG, f"{args.config}: config must be a JSON object")
+    doc = _read_json(args.config, EXIT_CONFIG)
     known = {k for k in vars(args) if k not in ("func", "config")}
     for key, value in doc.items():
         attr = key.replace("-", "_")
@@ -144,8 +181,11 @@ def cmd_discover(args) -> int:
 def _pp_params_from_args(args) -> polling.PpParams:
     base = {}
     if args.params_file:
-        doc = json.loads(_read_text(args.params_file))
-        base = doc.get("params", doc)
+        base = _read_json(
+            args.params_file,
+            EXIT_CONFIG,
+            lambda doc: _json_object(_json_object(doc).get("params", doc)),
+        )
     merged = {
         "window": args.window if args.window is not None else base.get("window", 3),
         "order": args.order if args.order is not None else base.get("order", 1),
@@ -158,7 +198,7 @@ def _pp_params_from_args(args) -> polling.PpParams:
         merged["use_second"] = args.derivatives in ("second", "both")
     try:
         return polling.PpParams.from_json_dict(merged)
-    except ValueError as exc:
+    except _SHAPE_ERRORS as exc:
         raise CliError(EXIT_CONFIG, str(exc)) from exc
 
 
@@ -175,30 +215,31 @@ def _parse_weights(texts) -> dict[str, Fraction]:
     return weights
 
 
-def _curve_csv(header: str, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["t", header])
-    for t, v in rows:
-        writer.writerow([core.format_time(t), core.format_time(v)])
-    return buf.getvalue()
+def _curve_csv(header: str, times, values) -> str:
+    rows = [[core.format_time(t), core.format_time(v)] for t, v in zip(times, values)]
+    return _csv_text([["t", header]] + rows)
 
 
-def _presence_csv(
-    curve: polling.PollingCurve, file_records: list[tuple[str, list[core.PatternRecord]]]
-) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["occurrence"] + [str(i) for i in range(len(curve))])
-    for _, records in file_records:
-        for rec in records:
-            for i, occ in enumerate(rec.occurrences):
-                s, e = occ.span
-                row = [
-                    1 if s <= curve.time_at(k) < e else 0 for k in range(len(curve))
-                ]
-                writer.writerow([f"{rec.algorithm_id}/{rec.pattern_id}/{i}"] + row)
-    return buf.getvalue()
+def _times(curve: polling.PollingCurve) -> list[Fraction]:
+    return [curve.time_at(k) for k in range(len(curve))]
+
+
+def _presence_csv(curve: polling.PollingCurve, span: polling.Span, records) -> str:
+    n = len(curve)
+    rows = [["occurrence"] + [str(k) for k in range(n)]]
+    for rec in records:
+        for i, occ in enumerate(rec.occurrences):
+            cells = polling.grid_cells(occ.span, span, curve.resolution)
+            row = [int(k in cells) for k in range(n)]
+            rows.append([f"{rec.algorithm_id}/{rec.pattern_id}/{i}"] + row)
+    return _csv_text(rows)
+
+
+def _scores_csv(piece_id: str, algorithm, prf: evaluation.PrfScore) -> str:
+    return _csv_text([
+        ["piece", "algorithm", "precision", "recall", "f1"],
+        [piece_id, algorithm, float(prf.precision), float(prf.recall), float(prf.f1)],
+    ])
 
 
 def cmd_poll(args) -> int:
@@ -219,66 +260,50 @@ def cmd_poll(args) -> int:
                 f"truth piece id {truth_piece!r} does not match {piece_id!r}",
             )
     records = [rec for _, recs in inputs for rec in recs]
+    all_records = records + (truth_records or [])
     weights = _parse_weights(args.weight)
     resolution = _fraction_arg(args.resolution if args.resolution is not None else 1)
-    span = None
     if args.span:
         parts = args.span.split(",")
         if len(parts) != 2:
             raise CliError(EXIT_CONFIG, "span must be start,end")
         span = (_fraction_arg(parts[0]), _fraction_arg(parts[1]))
-    all_records = records + (truth_records or [])
-    if span is None:
-        end = max(
-            (occ.span[1] for rec in all_records for occ in rec.occurrences),
-            default=resolution,
-        )
-        span = (Fraction(0), end)
+    else:
+        span = polling.default_span(all_records, resolution)
     params = _pp_params_from_args(args)
     try:
         curve = polling.polling_curve(
             records, weights, resolution, span, normalize=args.normalize
         )
-        boundaries = polling.extract_boundaries(curve, params)
-        smoothed = polling.savgol_smooth(curve, params.window, params.order)
-        p1, p2 = polling.derivatives(smoothed)
-        presence_curve = polling.polling_curve(all_records, weights, resolution, span)
+        trace = polling.boundary_trace(curve, params)
+        presence = _presence_csv(curve, span, all_records)
     except ValueError as exc:
         raise CliError(EXIT_CONFIG, str(exc)) from exc
 
     out = _out_dir(args)
-    times = [curve.time_at(k) for k in range(len(curve))]
-    _atomic_write(out / f"{piece_id}.curve.csv", _curve_csv("value", zip(times, curve.values)))
+    times = _times(trace.smoothed)
+    _atomic_write(out / f"{piece_id}.curve.csv", _curve_csv("value", _times(curve), curve.values))
     _atomic_write(
-        out / f"{piece_id}.smoothed.csv", _curve_csv("value", zip(times, smoothed.values))
+        out / f"{piece_id}.smoothed.csv", _curve_csv("value", times, trace.smoothed.values)
     )
-    _atomic_write(out / f"{piece_id}.deriv1.csv", _curve_csv("dvalue", zip(times, p1)))
-    _atomic_write(out / f"{piece_id}.deriv2.csv", _curve_csv("d2value", zip(times, p2)))
-    _atomic_write(
-        out / f"{piece_id}.presence.csv",
-        _presence_csv(presence_curve, inputs + ([("truth", truth_records)] if truth_records else [])),
-    )
+    _atomic_write(out / f"{piece_id}.deriv1.csv", _curve_csv("dvalue", times, trace.p1))
+    _atomic_write(out / f"{piece_id}.deriv2.csv", _curve_csv("d2value", times[1:], trace.p2))
+    _atomic_write(out / f"{piece_id}.presence.csv", presence)
     boundary_doc = {
         "piece": piece_id,
         "resolution": core.format_time(resolution),
         "params": params.to_json_dict(),
-        "boundaries": list(boundaries),
-        "times": [core.format_time(curve.time_at(i)) for i in boundaries],
+        "boundaries": list(trace.boundaries),
+        "times": [core.format_time(curve.time_at(i)) for i in trace.boundaries],
     }
     _atomic_write(out / f"{piece_id}.boundaries.json", _json_text(boundary_doc))
 
     if truth_records is not None:
         truth = evaluation.truth_boundaries(truth_records, curve.origin, resolution)
-        prf = evaluation.boundary_prf(boundaries, truth, args.tolerance)
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["piece", "algorithm", "precision", "recall", "f1"])
-        writer.writerow(
-            [piece_id, "pp", float(prf.precision), float(prf.recall), float(prf.f1)]
-        )
-        _atomic_write(out / f"{piece_id}.scores.csv", buf.getvalue())
+        prf = evaluation.boundary_prf(trace.boundaries, truth, args.tolerance)
+        _atomic_write(out / f"{piece_id}.scores.csv", _scores_csv(piece_id, "pp", prf))
         _say(args, f"precision={float(prf.precision):.4f} recall={float(prf.recall):.4f} f1={float(prf.f1):.4f}")
-    _say(args, f"boundaries={len(boundaries)} grid_points={len(curve)}")
+    _say(args, f"boundaries={len(trace.boundaries)} grid_points={len(curve)}")
     return 0
 
 
@@ -286,39 +311,40 @@ def cmd_poll(args) -> int:
 # train-pp
 
 
-def cmd_train_pp(args) -> int:
-    doc = json.loads(_read_text(args.manifest))
-    if not isinstance(doc, dict) or "pieces" not in doc:
-        raise CliError(EXIT_CONFIG, "manifest must be an object with a 'pieces' array")
-    pieces = []
-    for entry in doc["pieces"]:
-        records = []
-        for path in entry["patterns"]:
-            records.extend(_load_pattern_file(path)[1])
-        _, truth_records = _load_pattern_file(entry["truth"])
-        truth = evaluation.truth_boundaries(truth_records)
-        pieces.append((records, truth))
+def _paths(value) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(p, str) for p in value):
+        raise TypeError(f"expected a list of file paths, got {value!r}")
+    return value
+
+
+def _manifest(doc) -> tuple[list[tuple[list[str], str]], list[polling.PpParams]]:
+    """Each piece's (pattern file paths, truth file path), and the parameter grid."""
+    pieces = [(_paths(entry["patterns"]), _paths([entry["truth"]])[0]) for entry in doc["pieces"]]
     grid_spec = doc.get("grid", {})
-    windows = grid_spec.get("windows", [3, 5])
-    orders = grid_spec.get("orders", [1, 2])
-    lambdas = grid_spec.get("lambdas", [0])
-    flags = grid_spec.get("derivatives", ["both"])
-    grid = []
-    for w in windows:
-        for o in orders:
-            if o >= w:
-                continue
-            for lam in lambdas:
-                for flag in flags:
-                    grid.append(
-                        polling.PpParams(
-                            window=int(w),
-                            order=int(o),
-                            lam=core.to_time(lam),
-                            use_first=flag in ("first", "both"),
-                            use_second=flag in ("second", "both"),
-                        )
-                    )
+    grid = [
+        polling.PpParams(
+            window=int(w),
+            order=int(o),
+            lam=core.to_time(lam),
+            use_first=flag in ("first", "both"),
+            use_second=flag in ("second", "both"),
+        )
+        for w in grid_spec.get("windows", [3, 5])
+        for o in grid_spec.get("orders", [1, 2])
+        if o < w
+        for lam in grid_spec.get("lambdas", [0])
+        for flag in grid_spec.get("derivatives", ["both"])
+    ]
+    return pieces, grid
+
+
+def cmd_train_pp(args) -> int:
+    paths, grid = _read_json(args.manifest, EXIT_CONFIG, _manifest)
+    pieces = []
+    for pattern_paths, truth_path in paths:
+        records = [rec for path in pattern_paths for rec in _load_pattern_file(path)[1]]
+        truth = evaluation.truth_boundaries(_load_pattern_file(truth_path)[1])
+        pieces.append((records, truth))
     seed = args.seed if args.seed is not None else 0
     try:
         best = polling.train_pp(
@@ -346,23 +372,21 @@ def cmd_train_pp(args) -> int:
 # eval-boundaries
 
 
+def _boundaries_doc(doc) -> tuple[list[int], Fraction, object]:
+    """The predicted boundaries, grid resolution and algorithm of a poll output."""
+    resolution = core.to_time(doc.get("resolution", 1))
+    if resolution <= 0:
+        raise ValueError("resolution must be > 0")
+    return [int(b) for b in doc["boundaries"]], resolution, doc.get("algorithm", "pp")
+
+
 def cmd_eval_boundaries(args) -> int:
-    pred_doc = json.loads(_read_text(args.pred))
-    if not isinstance(pred_doc, dict) or "boundaries" not in pred_doc:
-        raise CliError(EXIT_PARSE, f"{args.pred}: expected a boundaries JSON document")
-    predicted = [int(b) for b in pred_doc["boundaries"]]
+    predicted, resolution, algorithm = _read_json(args.pred, EXIT_PARSE, _boundaries_doc)
     piece_id, truth_records = _load_pattern_file(args.truth)
-    resolution = _fraction_arg(pred_doc.get("resolution", 1))
     truth = evaluation.truth_boundaries(truth_records, resolution=resolution)
     prf = evaluation.boundary_prf(predicted, truth, args.tolerance)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["piece", "algorithm", "precision", "recall", "f1"])
-    writer.writerow(
-        [piece_id, pred_doc.get("algorithm", "pp"), float(prf.precision), float(prf.recall), float(prf.f1)]
-    )
     if args.out:
-        _atomic_write(Path(args.out), buf.getvalue())
+        _atomic_write(Path(args.out), _scores_csv(piece_id, algorithm, prf))
     print(
         f"precision={float(prf.precision):.4f} recall={float(prf.recall):.4f} "
         f"f1={float(prf.f1):.4f} matches={prf.matches}"
@@ -433,12 +457,8 @@ def cmd_features(args) -> int:
             rows.append((list(analysis.extract_features(occ)), "random"))
     if not rows:
         raise CliError(EXIT_CONFIG, "no occurrences to featurize")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(list(analysis.FEATURE_NAMES) + ["group"])
-    for values, label in rows:
-        writer.writerow([repr(float(v)) for v in values] + [label])
-    _atomic_write(Path(args.out), buf.getvalue())
+    table = [[repr(float(v)) for v in values] + [label] for values, label in rows]
+    _atomic_write(Path(args.out), _csv_text([list(analysis.FEATURE_NAMES) + ["group"]] + table))
     _say(args, f"rows={len(rows)} seed={seed}")
     return 0
 

@@ -12,14 +12,11 @@ All types are immutable after construction and every function is pure.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-Time = Fraction
-
-MIDDLE_C = 60  # note name C4
 
 
 class ParseError(ValueError):
@@ -243,14 +240,9 @@ def emit_points_csv(ps: PointSet) -> str:
 # Quantization
 
 
-def _snap(t: Fraction, grid: Fraction) -> Fraction:
-    """Nearest multiple of `grid`; exact halves round toward earlier time."""
-    q = t / grid
-    lo = q.numerator // q.denominator
-    frac = q - lo
-    if frac > Fraction(1, 2):
-        lo += 1
-    return lo * grid
+def nearest_index(q: Fraction) -> int:
+    """The integer nearest to `q`; exact halves go to the lower one."""
+    return math.ceil(q - Fraction(1, 2))
 
 
 def quantize(ps: PointSet, grid: Fraction) -> PointSet:
@@ -258,7 +250,7 @@ def quantize(ps: PointSet, grid: Fraction) -> PointSet:
     if grid <= 0:
         raise ValueError("grid must be > 0")
     return PointSet.build(
-        (Point(_snap(p.onset, grid), p.pitch, p.duration) for p in ps.points),
+        (Point(nearest_index(p.onset / grid) * grid, p.pitch, p.duration) for p in ps.points),
         title=ps.title,
         source=ps.source,
     )

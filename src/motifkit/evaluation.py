@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from motifkit.core import PatternOccurrence, PatternRecord
+from motifkit.core import PatternOccurrence, PatternRecord, nearest_index
 
 
 @dataclass(frozen=True)
@@ -96,16 +96,12 @@ def truth_boundaries(
     Starts and ends are pooled without distinction; snapping rounds to the
     nearest grid index with exact halves going to the earlier index.
     """
-    indices = set()
-    for rec in annotations:
-        for occ in rec.occurrences:
-            for t in occ.span:
-                q = (t - origin) / resolution
-                lo = q.numerator // q.denominator
-                if q - lo > Fraction(1, 2):
-                    lo += 1
-                indices.add(lo)
-    return tuple(sorted(indices))
+    return tuple(sorted({
+        nearest_index((t - origin) / resolution)
+        for rec in annotations
+        for occ in rec.occurrences
+        for t in occ.span
+    }))
 
 
 def occurrence_recovery(

@@ -24,6 +24,8 @@ from motifkit.core import PatternRecord, to_time
 
 BoundarySet = tuple[int, ...]
 
+Span = tuple[Fraction, Fraction]  # [start, end) in crotchets
+
 AlgorithmWeights = Mapping[str, Fraction | int | float]
 
 
@@ -99,11 +101,30 @@ class PpParams:
 # Curve construction
 
 
+def default_span(records: Sequence[PatternRecord], resolution: Fraction) -> Span:
+    """[0, latest occurrence end), or [0, resolution) without occurrences."""
+    ends = (occ.span[1] for rec in records for occ in rec.occurrences)
+    return (Fraction(0), max(ends, default=resolution))
+
+
+def grid_cells(span: Span, piece_span: Span, resolution: Fraction) -> range:
+    """Indices k of the grid points start + k * resolution inside [s, e).
+
+    Raises ValueError unless `span` lies inside `piece_span`, whose start
+    is the grid origin; the indices then stay below the grid length.
+    """
+    s, e = span
+    start, end = piece_span
+    if s < start or e > end:
+        raise ValueError(f"occurrence [{s}, {e}) outside piece span [{start}, {end})")
+    return range(math.ceil((s - start) / resolution), math.ceil((e - start) / resolution))
+
+
 def polling_curve(
     records: Sequence[PatternRecord],
     weights: AlgorithmWeights | None = None,
     resolution: Fraction = Fraction(1),
-    piece_span: tuple[Fraction, Fraction] | None = None,
+    piece_span: Span | None = None,
     normalize: bool = False,
 ) -> PollingCurve:
     """Sum weighted occurrence indicators over the grid.
@@ -127,29 +148,14 @@ def polling_curve(
                 )
             wmap[rec.algorithm_id] = w
 
-    if piece_span is None:
-        end = max(
-            (occ.span[1] for rec in records for occ in rec.occurrences),
-            default=resolution,
-        )
-        piece_span = (Fraction(0), end)
-    start, end = piece_span
+    start, end = piece_span or default_span(records, resolution)
     if end <= start:
         raise ValueError("piece span must be nonempty")
-    n = math.ceil((end - start) / resolution)
-    values = [Fraction(0)] * n
-
+    values = [Fraction(0)] * math.ceil((end - start) / resolution)
     for rec in records:
         w = wmap[rec.algorithm_id]
         for occ in rec.occurrences:
-            s, e = occ.span
-            if s < start or e > end:
-                raise ValueError(
-                    f"occurrence [{s}, {e}) outside piece span [{start}, {end})"
-                )
-            k0 = math.ceil((s - start) / resolution)
-            k1 = math.ceil((e - start) / resolution)
-            for k in range(k0, min(k1, n)):
+            for k in grid_cells(occ.span, (start, end), resolution):
                 values[k] += w
     if normalize:
         total = sum(wmap.values(), Fraction(0))
@@ -275,7 +281,22 @@ def _crossings(f: Sequence[Fraction]) -> list[tuple[int, Fraction]]:
     return out
 
 
-def extract_boundaries(curve: PollingCurve, params: PpParams) -> BoundarySet:
+@dataclass(frozen=True)
+class BoundaryTrace:
+    """The signal `boundary_trace` decides on, and its boundaries.
+
+    `smoothed` is the edge-padded curve after smoothing; its origin lies
+    `window` grid steps before the input's.  p1[j] sits at smoothed.time_at(j)
+    and p2[j] at smoothed.time_at(j + 1).  `boundaries` index the input curve.
+    """
+
+    smoothed: PollingCurve
+    p1: tuple[Fraction, ...]
+    p2: tuple[Fraction, ...]
+    boundaries: BoundarySet
+
+
+def boundary_trace(curve: PollingCurve, params: PpParams) -> BoundaryTrace:
     """Steep zero crossings of the smoothed curve's derivatives.
 
     The curve is extended on both sides with its edge values before
@@ -318,7 +339,12 @@ def extract_boundaries(curve: PollingCurve, params: PpParams) -> BoundarySet:
                 merged[-1] = (idx, steep)
         else:
             merged.append((idx, steep))
-    return tuple(i for i, _ in merged)
+    return BoundaryTrace(smoothed, p1, p2, tuple(i for i, _ in merged))
+
+
+def extract_boundaries(curve: PollingCurve, params: PpParams) -> BoundarySet:
+    """The boundaries of :func:`boundary_trace`, as grid indices of `curve`."""
+    return boundary_trace(curve, params).boundaries
 
 
 # ---------------------------------------------------------------------------

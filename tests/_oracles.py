@@ -189,3 +189,14 @@ def brute_siatec_compress(coords, sort_key="cr"):
     if rest:
         out.append(_residue(rest))
     return out
+
+
+def brute_presence(span, piece_span, resolution):
+    """1 where s <= origin + k * resolution < e, for every grid point before the end."""
+    (s, e), (origin, end) = span, piece_span
+    row = []
+    t = origin
+    while t < end:
+        row.append(1 if s <= t < e else 0)
+        t += resolution
+    return row

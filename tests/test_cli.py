@@ -1,15 +1,50 @@
+import csv
 import json
+import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from motifkit import polling
 from motifkit.cli import main
-from motifkit.core import dump_pattern_json, parse_points_csv
+from motifkit.core import (
+    PatternOccurrence,
+    PatternRecord,
+    Point,
+    dump_pattern_json,
+    load_pattern_file,
+    parse_points_csv,
+)
 from motifkit.discovery import cosiatec, tecs_to_records
+
+import _oracles
+
+F = Fraction
 
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def read_rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))[1:]
+
+
+def read_signal(path):
+    return [(F(t), F(v)) for t, v in read_rows(path)]
+
+
+def write_patterns(path, algorithm, *spans):
+    """One pattern whose occurrences fill each [start, end) with crotchets."""
+    occurrences = tuple(
+        PatternOccurrence(tuple(Point(F(s + i), 60) for i in range(e - s))) for s, e in spans
+    )
+    records = [PatternRecord(algorithm, "x", occurrences)]
+    path.write_text(dump_pattern_json("p", algorithm, records))
+    return path
 
 
 @pytest.fixture()
@@ -137,6 +172,57 @@ class TestPoll:
 
         assert values("w2") == [2 * v for v in values("w1")]
 
+    def test_diagnostics_are_the_boundary_signal(self, synth_dir, pattern_files):
+        a, b = pattern_files
+        out = synth_dir / "diag"
+        assert run("poll", "--in", a, b, "--resolution", "1/2", "--window", 5, "--order", 2,
+                   "--out-dir", out, "--quiet") == 0
+        values = read_signal(out / "piece.curve.csv")
+        curve = polling.PollingCurve(values[0][0], F(1, 2), tuple(v for _, v in values))
+        trace = polling.boundary_trace(curve, polling.PpParams(window=5, order=2))
+        smoothed = trace.smoothed
+        assert smoothed.origin == -F(5, 2)
+        assert read_signal(out / "piece.smoothed.csv") == [
+            (smoothed.time_at(j), v) for j, v in enumerate(smoothed.values)
+        ]
+        assert read_signal(out / "piece.deriv1.csv") == [
+            (smoothed.time_at(j), v) for j, v in enumerate(trace.p1)
+        ]
+        assert read_signal(out / "piece.deriv2.csv") == [
+            (smoothed.time_at(j + 1), v) for j, v in enumerate(trace.p2)
+        ]
+        doc = json.loads((out / "piece.boundaries.json").read_text())
+        assert tuple(doc["boundaries"]) == trace.boundaries
+
+    def test_one_curve_and_one_smoothing(self, synth_dir, pattern_files, monkeypatch):
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("polling_curve", "savgol_smooth"):
+            monkeypatch.setattr(polling, name, counted(name, getattr(polling, name)))
+        a, b = pattern_files
+        assert run("poll", "--in", a, b, "--truth", synth_dir / "piece.truth.json",
+                   "--out-dir", synth_dir / "once", "--quiet") == 0
+        assert sorted(calls) == ["polling_curve", "savgol_smooth"]
+
+    def test_window_wider_than_a_short_piece(self, tmp_path):
+        two = write_patterns(tmp_path / "two.json", "a", (0, 2))
+        assert run("poll", "--in", two, "--window", 5, "--order", 2,
+                   "--out-dir", tmp_path, "--quiet") == 0
+        assert len(read_rows(tmp_path / "p.curve.csv")) == 2
+        assert len(read_rows(tmp_path / "p.smoothed.csv")) == 2 + 2 * 5
+
+    def test_truth_outside_explicit_span_exit_3(self, tmp_path):
+        a = write_patterns(tmp_path / "a.json", "a", (0, 4))
+        truth = write_patterns(tmp_path / "t.json", "truth", (2, 9))
+        assert run("poll", "--in", a, "--truth", truth, "--span", "0,8",
+                   "--out-dir", tmp_path, "--quiet") == 3
+
     def test_conflicting_piece_ids_exit_4(self, synth_dir, tmp_path, pattern_files):
         a, _ = pattern_files
         other = tmp_path / "other.json"
@@ -144,6 +230,58 @@ class TestPoll:
         doc["piece"] = "another-piece"
         other.write_text(json.dumps(doc))
         assert run("poll", "--in", a, other, "--out-dir", tmp_path) == 4
+
+
+_times = st.builds(F, st.integers(-12, 12), st.integers(1, 4))
+_lengths = st.builds(F, st.integers(1, 8), st.integers(1, 4))
+
+
+class TestPresence:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        resolution=st.sampled_from([F(1, 3), F(1, 2), F(2, 3), F(1), F(3, 2)]),
+        notes=st.lists(st.tuples(_times, _lengths), min_size=1, max_size=6),
+        n_truth=st.integers(0, 5),
+        margins=st.none() | st.tuples(_lengths, _lengths),
+    )
+    def test_rows_follow_the_cell_rule(self, resolution, notes, n_truth, margins):
+        """Every presence row equals s <= origin + k * resolution < e, per grid point."""
+        if margins is None:  # default span [0, latest end) needs onsets >= 0
+            notes = [(abs(t), d) for t, d in notes]
+        occurrences = [PatternOccurrence((Point(t, 60, d),)) for t, d in notes]
+        cut = max(1, len(occurrences) - n_truth)
+        inputs, truths = occurrences[:cut], occurrences[cut:]
+        spans = [o.span for o in occurrences]
+        with tempfile.TemporaryDirectory() as tmp:
+            d = Path(tmp)
+            argv = ["poll", "--in", d / "a.json", "--resolution", resolution,
+                    "--out-dir", d, "--quiet"]
+            (d / "a.json").write_text(
+                dump_pattern_json("p", "a", [PatternRecord("a", "x", tuple(inputs))])
+            )
+            if truths:
+                (d / "t.json").write_text(
+                    dump_pattern_json("p", "t", [PatternRecord("t", "y", tuple(truths))])
+                )
+                argv += ["--truth", d / "t.json"]
+            if margins is None:
+                piece_span = (F(0), max(e for _, e in spans))
+            else:
+                piece_span = (min(s for s, _ in spans) - margins[0],
+                              max(e for _, e in spans) + margins[1])
+                argv.append(f"--span={piece_span[0]},{piece_span[1]}")
+            assert run(*argv) == 0
+            rows = read_rows(d / "p.presence.csv")
+            records = load_pattern_file((d / "a.json").read_text())[1]
+            if truths:
+                records += load_pattern_file((d / "t.json").read_text())[1]
+        expected = [
+            [f"{rec.algorithm_id}/{rec.pattern_id}/{i}"]
+            + [str(x) for x in _oracles.brute_presence(o.span, piece_span, resolution)]
+            for rec in records
+            for i, o in enumerate(rec.occurrences)
+        ]
+        assert rows == expected
 
 
 class TestEvalBoundaries:
@@ -281,3 +419,112 @@ class TestDeterminism:
                 p.name: p.read_bytes() for p in sorted(base.iterdir()) if p.is_file()
             }
         assert outputs["first"] == outputs["second"]
+
+
+# JSON leaves stay small: a window read from a document sets the length of
+# the padded curve, so a huge one only makes the run slow.
+_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(-8, 8)
+    | st.floats(-8, 8)
+    | st.sampled_from([float("inf"), float("-inf"), float("nan")])
+    | st.text(st.characters(blacklist_categories=("Nd",)), max_size=6)
+    | st.sampled_from(["", "3", "5", "1/2", "-1", "0", "nan", "both"])
+)
+_JSON = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _node_paths(node, prefix=()):
+    if isinstance(node, dict):
+        items = node.items()
+    else:
+        items = enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _node_paths(child, prefix + (key,))
+
+
+def _replaced(node, path, value):
+    if not path:
+        return value
+    copy = dict(node) if isinstance(node, dict) else list(node)
+    copy[path[0]] = _replaced(node[path[0]], path[1:], value)
+    return copy
+
+
+def _documents(template):
+    """Arbitrary bytes, text and JSON values, and `template` with one node replaced."""
+    return st.one_of(
+        st.binary(max_size=24),
+        st.text(max_size=24).map(lambda t: t.encode("utf-8", "surrogatepass")),
+        _JSON.map(lambda v: json.dumps(v).encode()),
+        st.tuples(st.sampled_from(list(_node_paths(template))), _JSON).map(
+            lambda pv: json.dumps(_replaced(template, *pv)).encode()
+        ),
+    )
+
+
+@pytest.fixture(scope="module")
+def json_case(tmp_path_factory):
+    """The command, valid document and argv of each JSON input, over small files."""
+    d = tmp_path_factory.mktemp("json-inputs")
+    a = str(write_patterns(d / "a.json", "a", (0, 3), (4, 7), (9, 12)))
+    truth = str(write_patterns(d / "t.json", "t", (0, 4), (4, 7), (9, 12)))
+    out = d / "out"
+    return d, {
+        "config": ({"window": 3, "quiet": True},
+                   ["poll", "--in", a, "--out-dir", out, "--config"]),
+        "params": ({"params": {"window": 3, "order": 1, "lambda": "0",
+                               "use_first": True, "use_second": True}},
+                   ["poll", "--in", a, "--truth", truth, "--out-dir", out, "--quiet",
+                    "--params-file"]),
+        "manifest": ({"pieces": [{"patterns": [a], "truth": truth}] * 3,
+                      "grid": {"windows": [3, 5], "orders": [1], "lambdas": [0],
+                               "derivatives": ["both"]}},
+                     ["train-pp", "--out", out / "params.json", "--quiet", "--manifest"]),
+        "pred": ({"boundaries": [0, 4, 7], "resolution": "1", "algorithm": "pp"},
+                 ["eval-boundaries", "--truth", truth, "--out", out / "eval.csv", "--pred"]),
+    }
+
+
+class TestJsonInputs:
+    @pytest.mark.parametrize("name", ["config", "params", "manifest", "pred"])
+    def test_valid_document_runs(self, json_case, name):
+        d, cases = json_case
+        doc, argv = cases[name]
+        (d / "doc.json").write_text(json.dumps(doc))
+        assert run(*argv, d / "doc.json") == 0
+
+    @pytest.mark.parametrize("name, text, code", [
+        ("params", "{", 2),
+        ("params", "[1]", 3),
+        ("params", '{"params": {"window": null}}', 3),
+        ("manifest", "{", 2),
+        ("manifest", '{"pieces": [{"patterns": []}]}', 3),
+        ("manifest", '{"pieces": 5}', 3),
+        ("manifest", '{"pieces": [], "grid": {"windows": [4]}}', 3),
+        ("pred", "{", 2),
+        ("pred", '{"boundaries": ["x"]}', 2),
+        ("pred", '{"boundaries": [1], "resolution": 0}', 2),
+        ("config", "{", 2),
+        ("config", "[]", 3),
+    ])
+    def test_malformed_document_exit_code(self, json_case, name, text, code):
+        d, cases = json_case
+        (d / "doc.json").write_text(text)
+        assert run(*cases[name][1], d / "doc.json") == code
+
+    @pytest.mark.parametrize("name", ["config", "params", "manifest", "pred"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_fuzz_exits_with_a_documented_code(self, json_case, name, data):
+        d, cases = json_case
+        template, argv = cases[name]
+        (d / "doc.json").write_bytes(data.draw(_documents(template)))
+        assert run(*argv, d / "doc.json") in (0, 2, 3, 4)

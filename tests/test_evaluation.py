@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from motifkit.core import PatternOccurrence, PatternRecord, Point
+from motifkit.core import PatternOccurrence, PatternRecord, Point, PointSet, quantize
 from motifkit.evaluation import (
     boundary_prf,
     occurrence_recovery,
@@ -111,6 +112,19 @@ class TestTruthBoundaries:
         rec = PatternRecord("t", "p", (occ((F(5, 2), 60)),))
         # span [5/2, 7/2): both ends snap with the half-down rule
         assert truth_boundaries([rec]) == (2, 3)
+
+
+    @given(
+        grid=st.sampled_from([F(1, 4), F(1, 3), F(1, 2), F(1), F(3, 2)]),
+        steps=st.integers(-20, 40),
+        offset=st.sampled_from([F(0), F(1, 2), F(1, 3), F(2, 3), F(1, 5), F(4, 5)]),
+    )
+    def test_snaps_like_quantize(self, grid, steps, offset):
+        """Onsets k*grid + offset*grid, exact halves included, go to one grid point."""
+        t = (steps + offset) * grid
+        rec = PatternRecord("t", "p", (occ((t, 60)),))
+        snapped = quantize(PointSet.build([Point(t, 60)]), grid).points[0].onset
+        assert truth_boundaries([rec], resolution=grid)[0] * grid == snapped
 
 
 class TestOccurrenceRecovery:

@@ -7,6 +7,7 @@ from motifkit.core import PatternOccurrence, PatternRecord, Point
 from motifkit.polling import (
     PollingCurve,
     PpParams,
+    boundary_trace,
     derivatives,
     extract_boundaries,
     polling_curve,
@@ -187,6 +188,7 @@ class TestExtractBoundaries:
             c = curve_of([rng.randrange(0, 5) for _ in range(n)])
             params = PpParams(window=3, order=rng.choice([1, 2]), lam=F(0))
             got = extract_boundaries(c, params)
+            assert boundary_trace(c, params).boundaries == got
             assert list(got) == sorted(set(got))
             assert all(0 <= i <= n for i in got)
 

@@ -135,19 +135,55 @@ def _say(args, message: str):
         print(message)
 
 
-def _apply_config_file(args: argparse.Namespace):
-    """Fill unset flags from the JSON config file; unknown keys are rejected."""
+def _config_arg(action: argparse.Action, value):
+    """One JSON string or number, parsed as the flag parses its command-line text."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise TypeError(f"expected a string or a number, got {value!r}")
+    parsed = (action.type or str)(value if isinstance(value, str) else json.dumps(value))
+    if action.choices is not None and parsed not in action.choices:
+        raise ValueError(f"{parsed!r} is not one of {list(action.choices)}")
+    return parsed
+
+
+def _config_value(action: argparse.Action, value):
+    """A config value as its flag would parse it from the command line.
+
+    A flag without arguments takes true or false, a flag that collects
+    several arguments a list of them, and any other flag one argument.
+    """
+    if action.nargs == 0:
+        if not isinstance(value, bool):
+            raise TypeError(f"expected true or false, got {value!r}")
+        return value
+    if action.nargs in ("+", "*") or isinstance(action, argparse._AppendAction):
+        if not isinstance(value, list):
+            raise TypeError(f"expected a list, got {value!r}")
+        return [_config_arg(action, v) for v in value]
+    return _config_arg(action, value)
+
+
+def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser):
+    """Fill unset flags from the JSON config file.
+
+    Unknown keys and values their flag's type or choices reject exit 3.
+    """
     if not getattr(args, "config", None):
         return
     doc = _read_json(args.config, EXIT_CONFIG)
-    known = {k for k in vars(args) if k not in ("func", "config")}
+    # argparse exposes a parser's flags and their types only through its actions
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {a.dest: a for a in commands.choices[args.command]._actions}
     for key, value in doc.items():
-        attr = key.replace("-", "_")
-        if attr not in known:
+        action = flags.get(key.replace("-", "_"))
+        if action is None or action.dest in ("help", "config"):
             raise CliError(EXIT_CONFIG, f"{args.config}: unknown config key {key!r}")
-        current = getattr(args, attr)
-        if current is None or (current is False and isinstance(value, bool)):
-            setattr(args, attr, value)
+        try:
+            value = _config_value(action, value)
+        except (TypeError, ValueError) as exc:
+            raise CliError(EXIT_CONFIG, f"{args.config}: {key}: {exc}") from exc
+        current = getattr(args, action.dest)
+        if current is None or current is False:
+            setattr(args, action.dest, value)
 
 
 def _fraction_arg(text) -> Fraction:
@@ -277,6 +313,9 @@ def cmd_poll(args) -> int:
         )
         trace = polling.boundary_trace(curve, params)
         presence = _presence_csv(curve, span, all_records)
+        if truth_records is not None:
+            truth = evaluation.truth_boundaries(truth_records, curve.origin, resolution)
+            prf = evaluation.boundary_prf(trace.boundaries, truth, args.tolerance)
     except ValueError as exc:
         raise CliError(EXIT_CONFIG, str(exc)) from exc
 
@@ -299,8 +338,6 @@ def cmd_poll(args) -> int:
     _atomic_write(out / f"{piece_id}.boundaries.json", _json_text(boundary_doc))
 
     if truth_records is not None:
-        truth = evaluation.truth_boundaries(truth_records, curve.origin, resolution)
-        prf = evaluation.boundary_prf(trace.boundaries, truth, args.tolerance)
         _atomic_write(out / f"{piece_id}.scores.csv", _scores_csv(piece_id, "pp", prf))
         _say(args, f"precision={float(prf.precision):.4f} recall={float(prf.recall):.4f} f1={float(prf.f1):.4f}")
     _say(args, f"boundaries={len(trace.boundaries)} grid_points={len(curve)}")
@@ -384,7 +421,10 @@ def cmd_eval_boundaries(args) -> int:
     predicted, resolution, algorithm = _read_json(args.pred, EXIT_PARSE, _boundaries_doc)
     piece_id, truth_records = _load_pattern_file(args.truth)
     truth = evaluation.truth_boundaries(truth_records, resolution=resolution)
-    prf = evaluation.boundary_prf(predicted, truth, args.tolerance)
+    try:
+        prf = evaluation.boundary_prf(predicted, truth, args.tolerance)
+    except ValueError as exc:
+        raise CliError(EXIT_CONFIG, str(exc)) from exc
     if args.out:
         _atomic_write(Path(args.out), _scores_csv(piece_id, algorithm, prf))
     print(
@@ -578,7 +618,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight", action="append", default=None, help="algorithm=weight (repeatable)")
     p.add_argument("--resolution", default=None, help="grid resolution in crotchets")
     p.add_argument("--span", default=None, help="piece span start,end")
-    p.add_argument("--window", type=int, default=None)
+    p.add_argument(
+        "--window", type=int, default=None,
+        help="odd smoothing window in grid steps (default 3); the cost grows with window"
+        " squared: on a 103-point curve 2001 took 0.4 s of CPU time and 6001 took 2.7 s"
+        " (Python 3.11, shared 2-CPU host)",
+    )
     p.add_argument("--order", type=int, default=None)
     p.add_argument("--lambda", dest="lam", default=None, help="steepness threshold")
     p.add_argument("--derivatives", choices=["first", "second", "both"], default=None)
@@ -589,7 +634,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_poll)
 
     p = sub.add_parser("train-pp", help="grid-search boundary parameters by cross-validation")
-    p.add_argument("--manifest", required=True, help="JSON manifest with pieces and grid")
+    p.add_argument(
+        "--manifest", required=True,
+        help="JSON manifest with pieces and grid; each piece is smoothed once per distinct"
+        " grid (window, order), at the cost poll --window states",
+    )
     p.add_argument("--objective", choices=["precision", "recall", "f1"], default="f1")
     p.add_argument("--folds", type=int, default=3)
     p.add_argument("--tolerance", type=int, default=1)
@@ -648,7 +697,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config_file(args)
+        _apply_config_file(args, parser)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,14 +6,22 @@ The curve is smoothed with a Savitzky-Golay filter, differenced twice,
 and the steep zero crossings of the derivatives become candidate pattern
 boundaries.
 
-All curve arithmetic is exact (Fractions): smoothing solves the
-least-squares systems in rational arithmetic, so polynomial reproduction
-and boundary positions are reproducible to the bit.
+All curve arithmetic is exact, so polynomial reproduction and boundary
+positions are reproducible to the bit.  Curves hold Fractions; smoothing
+scales a curve to integers over the least common multiple of its
+denominators and applies each least-squares fit as an integer kernel over
+one shared denominator, solved once per (offsets, order).  A fit whose
+samples are all equal is that value, so the constant edge padding of
+boundary extraction needs no solve.  Parameter training smooths each
+(piece, window, order) once and re-runs only the threshold-and-merge step
+per lambda and derivative choice.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -165,7 +173,11 @@ def polling_curve(
 
 
 # ---------------------------------------------------------------------------
-# Savitzky-Golay smoothing (exact rational least squares)
+# Savitzky-Golay smoothing (exact least squares on integers)
+
+# Distinct (offsets, order) fits kept; boundary extraction needs one per
+# (window, order), plain smoothing one more per truncated edge position.
+_FIT_CACHE_SIZE = 256
 
 
 def _solve_linear(a: list[list[Fraction]], rhs: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -186,21 +198,25 @@ def _solve_linear(a: list[list[Fraction]], rhs: list[list[Fraction]]) -> list[li
     return [row[k:] for row in m]
 
 
-def _fit_weights(offsets: Sequence[int], order: int) -> list[Fraction]:
-    """Weights w with fit(0) = sum w_j * y_j for a degree-`order` LS fit.
+@functools.lru_cache(maxsize=_FIT_CACHE_SIZE)
+def _fit_weights(offsets: tuple[int, ...], order: int) -> tuple[tuple[int, ...], int]:
+    """Integer weights w and denominator d with fit(0) = sum w_j * y_j / d.
 
-    `offsets` are the sample positions relative to the evaluation point.
-    The effective order drops when the window holds too few points.
+    The fit is the degree-`order` least-squares polynomial through the
+    samples y_j at positions `offsets`, relative to the evaluation point;
+    the effective order drops when the window holds too few points.  The
+    value at 0 is row 0 of the inverse normal matrix M applied to the
+    design, so w_j / d = sum_e c_e * x_j**e where M c = e_0.
     """
     k = min(order, len(offsets) - 1) + 1
-    design = [[Fraction(x**e) for e in range(k)] for x in offsets]
-    normal = [
-        [sum(design[i][r] * design[i][c] for i in range(len(offsets))) for c in range(k)]
-        for r in range(k)
-    ]
-    rhs = [[design[i][r] for i in range(len(offsets))] for r in range(k)]
-    beta = _solve_linear(normal, rhs)
-    return beta[0]  # value of the fitted polynomial at x = 0
+    moments = [sum(x**e for x in offsets) for e in range(2 * k - 1)]
+    normal = [[Fraction(moments[r + c]) for c in range(k)] for r in range(k)]
+    coeffs = [row[0] for row in _solve_linear(normal, [[Fraction(int(r == 0))] for r in range(k)])]
+    den = math.lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    weights = [sum(c * x**e for e, c in enumerate(ints)) for x in offsets]
+    common = math.gcd(den, *weights)
+    return tuple(w // common for w in weights), den // common
 
 
 def savgol_smooth(curve: PollingCurve, window: int, order: int) -> PollingCurve:
@@ -210,6 +226,14 @@ def savgol_smooth(curve: PollingCurve, window: int, order: int) -> PollingCurve:
     window, evaluated at the center; near the edges the window is
     truncated to the available one-sided samples and the fit is evaluated
     at the edge position itself.
+
+    The arithmetic is exact on integers: the curve is scaled by the least
+    common multiple of its denominators, each fit is a fixed integer
+    kernel over one shared denominator (memoised per offsets and order),
+    and every output value is one integer dot product turned into one
+    Fraction.  A window lying inside the run of equal samples at either
+    end of the curve gives that value without a fit, since a least-squares
+    polynomial reproduces a constant; so edge padding costs no solve.
     """
     n = len(curve)
     if window < 3 or window % 2 == 0:
@@ -219,17 +243,24 @@ def savgol_smooth(curve: PollingCurve, window: int, order: int) -> PollingCurve:
     if window > n:
         raise ValueError(f"window {window} exceeds curve length {n}")
     values = curve.values
+    scale = math.lcm(*(v.denominator for v in values))
+    ys = [v.numerator * (scale // v.denominator) for v in values]
+    head = next((j for j, y in enumerate(ys) if y != ys[0]), n)
+    tail = next((j for j in range(n - 1, -1, -1) if ys[j] != ys[-1]), -1)
     half = window // 2
-    interior = _fit_weights(range(-half, half + 1), order)
+    interior = _fit_weights(tuple(range(-half, half + 1)), order)
     out = []
     for i in range(n):
         lo = max(0, i - half)
         hi = min(n - 1, i + half)
+        if hi < head or lo > tail:
+            out.append(values[lo])
+            continue
         if hi - lo + 1 == window:
-            w = interior
+            weights, den = interior
         else:
-            w = _fit_weights(range(lo - i, hi - i + 1), order)
-        out.append(sum(c * values[lo + j] for j, c in enumerate(w)))
+            weights, den = _fit_weights(tuple(range(lo - i, hi - i + 1)), order)
+        out.append(Fraction(sum(map(operator.mul, weights, ys[lo : hi + 1])), den * scale))
     return PollingCurve(curve.origin, curve.resolution, tuple(out))
 
 
@@ -296,50 +327,69 @@ class BoundaryTrace:
     boundaries: BoundarySet
 
 
-def boundary_trace(curve: PollingCurve, params: PpParams) -> BoundaryTrace:
-    """Steep zero crossings of the smoothed curve's derivatives.
+# A crossing of the smoothed padded signal: (grid index of the input curve,
+# steepness, 1 or 2 for the derivative it comes from).
+_Crossing = tuple[int, Fraction, int]
 
-    The curve is extended on both sides with its edge values before
-    smoothing, so boundaries at the very start or end of the piece see
-    the same flat context as interior ones without inventing any slope.
-    Crossings of the first derivative mark peaks and dips, crossings of
-    the second mark the shoulders where occurrence coverage changes; both
-    are mapped back to grid indices, thresholded by lambda, merged within
-    one grid step (keeping the steeper), and clipped to [0, n].
+
+def _signal(
+    curve: PollingCurve, window: int, order: int
+) -> tuple[PollingCurve, tuple[Fraction, ...], tuple[Fraction, ...], list[_Crossing]]:
+    """The smoothed padded curve, p1, p2 and their crossings, sorted.
+
+    The curve is extended on both sides with `window` copies of its edge
+    values before smoothing, so boundaries at the very start or end of the
+    piece see the same flat context as interior ones without inventing any
+    slope.  Crossing positions are mapped back to grid indices of `curve`
+    and clipped to [0, n].
     """
     n = len(curve)
-    pad = params.window
+    pad = window
     padded = PollingCurve(
         origin=curve.origin - pad * curve.resolution,
         resolution=curve.resolution,
         values=(curve.values[0],) * pad + curve.values + (curve.values[-1],) * pad,
     )
-    smoothed = savgol_smooth(padded, params.window, params.order)
+    smoothed = savgol_smooth(padded, window, order)
     p1, p2 = derivatives(smoothed)
+    # P'[t] spans grid points t..t+1; runs already center it, direct flips
+    # at index t refer to the grid point t itself.  P''[t] is centered on
+    # grid point t+1.
+    crossings = sorted(
+        [(min(max(pos - pad, 0), n), steep, 1) for pos, steep in _crossings(p1)]
+        + [(min(max(pos + 1 - pad, 0), n), steep, 2) for pos, steep in _crossings(p2)]
+    )
+    return smoothed, p1, p2, crossings
 
-    candidates: list[tuple[int, Fraction]] = []
-    if params.use_first:
-        # P'[t] spans grid points t..t+1; runs already center it, direct
-        # flips at index t refer to the grid point t itself
-        for pos, steep in _crossings(p1):
-            if steep >= params.lam:
-                candidates.append((int(pos) - pad, steep))
-    if params.use_second:
-        # P''[t] is centered on grid point t+1
-        for pos, steep in _crossings(p2):
-            if steep >= params.lam:
-                candidates.append((int(pos) + 1 - pad, steep))
 
-    candidates = [(min(max(i, 0), n), s) for i, s in candidates]
-    candidates.sort()
+def _decide(crossings: Sequence[_Crossing], params: PpParams) -> BoundarySet:
+    """The boundaries among sorted crossings: those of the chosen derivatives
+    at least lambda steep, merged within one grid step (keeping the steeper)."""
+    use = {1: params.use_first, 2: params.use_second}
     merged: list[tuple[int, Fraction]] = []
-    for idx, steep in candidates:
+    for idx, steep, d in crossings:
+        if not use[d] or steep < params.lam:
+            continue
         if merged and idx - merged[-1][0] <= 1:
             if steep > merged[-1][1]:
                 merged[-1] = (idx, steep)
         else:
             merged.append((idx, steep))
-    return BoundaryTrace(smoothed, p1, p2, tuple(i for i, _ in merged))
+    return tuple(i for i, _ in merged)
+
+
+def boundary_trace(curve: PollingCurve, params: PpParams) -> BoundaryTrace:
+    """Steep zero crossings of the smoothed curve's derivatives.
+
+    The curve is padded with its edge values, smoothed and differenced
+    twice.  Crossings of the first derivative mark peaks and dips,
+    crossings of the second mark the shoulders where occurrence coverage
+    changes; both are mapped back to grid indices, clipped to [0, n],
+    thresholded by lambda, and merged within one grid step (keeping the
+    steeper).
+    """
+    smoothed, p1, p2, crossings = _signal(curve, params.window, params.order)
+    return BoundaryTrace(smoothed, p1, p2, _decide(crossings, params))
 
 
 def extract_boundaries(curve: PollingCurve, params: PpParams) -> BoundarySet:
@@ -385,11 +435,16 @@ def train_pp(
         folds[slot % k_folds].append(piece_idx)
 
     curves = [polling_curve(records, resolution=resolution) for records, _ in pieces]
+    # Only the decision step depends on lambda and the derivative flags.
+    crossings: dict[tuple[int, int, int], list[_Crossing]] = {}
 
     def score(params: PpParams, indices: Sequence[int]) -> Fraction:
         total = Fraction(0)
         for i in indices:
-            predicted = extract_boundaries(curves[i], params)
+            key = (i, params.window, params.order)
+            if key not in crossings:
+                crossings[key] = _signal(curves[i], params.window, params.order)[3]
+            predicted = _decide(crossings[key], params)
             prf = evaluation.boundary_prf(predicted, pieces[i][1], tolerance)
             total += getattr(prf, objective)
         return total / len(indices)

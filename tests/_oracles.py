@@ -4,8 +4,11 @@ These stay deliberately naive and independent of the library's code paths:
 plain set arithmetic over (onset, pitch) tuples and exhaustive searches.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations
+
+from motifkit import evaluation, polling
 
 
 def brute_mtps(coords):
@@ -72,6 +75,74 @@ def float_savgol(values, window, order):
         beta, *_ = np.linalg.lstsq(design, ys, rcond=None)
         out.append(beta[0])
     return out
+
+
+def _brute_solve(a, rhs):
+    """Gauss-Jordan solve A X = B over Fractions."""
+    k = len(a)
+    m = [row_a + row_b for row_a, row_b in zip(a, rhs)]
+    for col in range(k):
+        pivot = next(r for r in range(col, k) if m[r][col] != 0)
+        m[col], m[pivot] = m[pivot], m[col]
+        inv = 1 / m[col][col]
+        m[col] = [x * inv for x in m[col]]
+        for r in range(k):
+            if r != col and m[r][col]:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return [row[k:] for row in m]
+
+
+def brute_savgol(values, window, order):
+    """Savitzky-Golay smoothing with one exact least-squares solve per output.
+
+    Same contract as `float_savgol`, in Fractions: every window, edge or
+    interior, constant or not, builds its design and normal equations and
+    solves them for the fitted polynomial's value at the output position.
+    """
+    values = [Fraction(v) for v in values]
+    n = len(values)
+    half = window // 2
+    out = []
+    for i in range(n):
+        lo = max(0, i - half)
+        hi = min(n - 1, i + half)
+        xs = range(lo - i, hi - i + 1)
+        k = min(order, len(xs) - 1) + 1
+        design = [[Fraction(x**e) for e in range(k)] for x in xs]
+        normal = [[sum(row[r] * row[c] for row in design) for c in range(k)] for r in range(k)]
+        rhs = [[sum(row[r] * y for row, y in zip(design, values[lo : hi + 1]))] for r in range(k)]
+        out.append(_brute_solve(normal, rhs)[0][0])
+    return out
+
+
+def brute_train_pp(pieces, grid, objective="f1", k_folds=3, tolerance=1,
+                   resolution=Fraction(1), seed=0):
+    """`polling.train_pp` as a plain loop: extract and score every candidate on every piece.
+
+    It calls the library's `extract_boundaries`, whose smoothing the tests
+    check against `brute_savgol`, so it checks how `train_pp` shares that
+    work across candidates.
+    """
+    order = list(range(len(pieces)))
+    random.Random(seed).shuffle(order)
+    folds = [order[f::k_folds] for f in range(k_folds)]
+    curves = [polling.polling_curve(records, resolution=resolution) for records, _ in pieces]
+    best = None
+    for params in grid:
+        fold_scores = []
+        for fold in folds:
+            total = Fraction(0)
+            for i in fold:
+                predicted = polling.extract_boundaries(curves[i], params)
+                prf = evaluation.boundary_prf(predicted, pieces[i][1], tolerance)
+                total += getattr(prf, objective)
+            fold_scores.append(total / len(fold))
+        mean = sum(fold_scores, Fraction(0)) / len(fold_scores)
+        rank = (-mean, params.window, params.lam, params.order)
+        if best is None or rank < best[0]:
+            best = (rank, params)
+    return best[1]
 
 
 def brute_jaccard(a, b):

@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from motifkit import polling
 from motifkit.core import PatternOccurrence, PatternRecord, Point
 from motifkit.polling import (
     PollingCurve,
@@ -132,6 +134,52 @@ class TestSavgol:
                 assert smoothed[half:-half] == tuple(values[half:-half])
 
 
+_fractions = st.builds(F, st.integers(-9, 9), st.sampled_from([1, 1, 2, 3, 4, 6]))
+
+
+@st.composite
+def _curves(draw):
+    """Fractional values, often with runs of equal samples at either end."""
+    body = draw(st.lists(_fractions, min_size=1, max_size=14))
+    head, tail = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    return curve_of([body[0]] * head + body + [body[-1]] * tail)
+
+
+class TestExactSmoothing:
+    @settings(max_examples=150, deadline=None)
+    @given(curve=_curves(), data=st.data())
+    def test_equals_per_window_solve(self, curve, data):
+        """Integer kernels and the equal-samples rule give the per-window fit."""
+        if len(curve) < 3:
+            curve = curve_of(curve.values * 3)
+        window = data.draw(st.sampled_from(range(3, len(curve) + 1, 2)))
+        order = data.draw(st.integers(1, window - 1))
+        got = savgol_smooth(curve, window, order)
+        assert list(got.values) == _oracles.brute_savgol(curve.values, window, order)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        spans=st.lists(st.tuples(st.integers(0, 12), st.integers(1, 5)), min_size=1, max_size=5),
+        weights=st.tuples(st.sampled_from([F(1), F(1, 3), F(5, 2)]), st.sampled_from([F(2, 7), F(1)])),
+        resolution=st.sampled_from([F(1), F(1, 2)]),
+        normalize=st.booleans(),
+        window=st.sampled_from([3, 5, 7, 9, 15]),
+        order=st.integers(1, 4),
+    )
+    def test_boundary_signal_equals_per_window_solve(
+        self, spans, weights, resolution, normalize, window, order
+    ):
+        """The padded signal of weighted, normalized polls, at any window."""
+        records = [rec("a", *[(s, s + d) for s, d in spans[::2]]),
+                   rec("b", *[(s, s + d) for s, d in spans[1::2]] or [(0, 1)])]
+        curve = polling_curve(records, dict(zip("ab", weights)), resolution,
+                              normalize=normalize)
+        params = PpParams(window=window, order=min(order, window - 1))
+        trace = boundary_trace(curve, params)
+        padded = (curve.values[0],) * window + curve.values + (curve.values[-1],) * window
+        assert list(trace.smoothed.values) == _oracles.brute_savgol(padded, window, params.order)
+
+
 class TestDerivatives:
     def test_example(self):
         p1, p2 = derivatives(curve_of([0, 1, 3, 3, 2]))
@@ -212,7 +260,66 @@ class TestExtractBoundaries:
             PpParams(window=3, order=1, lam=F(-1))
 
 
+@st.composite
+def _training_sets(draw):
+    """Random pieces and a grid of few distinct values, so scores and ranks tie."""
+    pieces = []
+    for _ in range(draw(st.integers(2, 5))):
+        spans = draw(st.lists(st.tuples(st.integers(0, 14), st.integers(1, 6)),
+                              min_size=1, max_size=4))
+        records = [rec(f"a{j % 2}", (s, s + d)) for j, (s, d) in enumerate(spans)]
+        truth = sorted(draw(st.sets(st.integers(0, 20), max_size=5)))
+        pieces.append((records, truth))
+    params = st.builds(
+        PpParams,
+        window=st.sampled_from([3, 5, 7]),
+        order=st.sampled_from([1, 2]),
+        lam=st.sampled_from([F(0), F(1, 2), F(1)]),
+        use_first=st.booleans(),
+        use_second=st.booleans(),
+    )
+    return pieces, draw(st.lists(params, min_size=1, max_size=10))
+
+
 class TestTrainPp:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        case=_training_sets(),
+        objective=st.sampled_from(["precision", "recall", "f1"]),
+        resolution=st.sampled_from([F(1), F(1, 2)]),
+        seed=st.integers(0, 3),
+        folds=st.integers(2, 3),
+    )
+    def test_equals_extracting_every_candidate(self, case, objective, resolution, seed, folds):
+        pieces, grid = case
+        folds = min(folds, len(pieces))
+        kwargs = dict(objective=objective, k_folds=folds, resolution=resolution, seed=seed)
+        assert train_pp(pieces, grid, **kwargs) == _oracles.brute_train_pp(pieces, grid, **kwargs)
+
+    @pytest.mark.parametrize("lambdas, flags", [
+        ([F(0)], [(True, True)]),
+        ([F(0), F(1, 2), F(1), F(3)], [(True, True), (False, True), (True, False)]),
+    ])
+    def test_smooths_each_piece_once_per_window_and_order(self, monkeypatch, lambdas, flags):
+        calls = []
+        savgol = polling.savgol_smooth
+
+        def counted(curve, window, order):
+            calls.append((window, order))
+            return savgol(curve, window, order)
+
+        monkeypatch.setattr(polling, "savgol_smooth", counted)
+        grid = [
+            PpParams(window=w, order=o, lam=lam, use_first=first, use_second=second)
+            for w, o in [(3, 1), (3, 2), (5, 1), (7, 3)]
+            for lam in lambdas
+            for first, second in flags
+        ]
+        pieces = self.make_pieces()
+        train_pp(pieces, grid, k_folds=2)
+        assert len(calls) == len(pieces) * 4
+        assert set(calls) == {(3, 1), (3, 2), (5, 1), (7, 3)}
+
     def make_pieces(self):
         pieces = []
         for k in range(4):

@@ -162,17 +162,22 @@ def _config_value(action: argparse.Action, value):
     return _config_arg(action, value)
 
 
-def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser):
-    """Fill unset flags from the JSON config file.
+def _apply_config_file(args: argparse.Namespace, argv=None):
+    """Set every flag the command line `argv` does not give from the JSON config file.
 
     Unknown keys and values their flag's type or choices reject exit 3.
     """
     if not getattr(args, "config", None):
         return
     doc = _read_json(args.config, EXIT_CONFIG)
-    # argparse exposes a parser's flags and their types only through its actions
+    # argparse exposes a parser's flags and their types only through its
+    # actions; parsed again without defaults, argv yields just the flags it gives
+    parser = build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     flags = {a.dest: a for a in commands.choices[args.command]._actions}
+    for action in flags.values():
+        action.default = argparse.SUPPRESS
+    given = vars(parser.parse_args(argv))
     for key, value in doc.items():
         action = flags.get(key.replace("-", "_"))
         if action is None or action.dest in ("help", "config"):
@@ -181,8 +186,7 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
             value = _config_value(action, value)
         except (TypeError, ValueError) as exc:
             raise CliError(EXIT_CONFIG, f"{args.config}: {key}: {exc}") from exc
-        current = getattr(args, action.dest)
-        if current is None or current is False:
+        if action.dest not in given:
             setattr(args, action.dest, value)
 
 
@@ -199,12 +203,16 @@ def _fraction_arg(text) -> Fraction:
 
 def cmd_discover(args) -> int:
     piece = _read_piece(args.input)
+    stats = discovery.DiscoveryStats() if args.stats else None
     try:
-        records = discovery.run_algorithm(args.alg, piece)
+        records = discovery.run_algorithm(args.alg, piece, stats)
     except ValueError as exc:
         raise CliError(EXIT_CONFIG, str(exc)) from exc
     text = core.dump_pattern_json(piece.title, args.alg, records)
     _atomic_write(Path(args.out), text)
+    if stats is not None:
+        doc = {"piece": piece.title, "algorithm": args.alg, **stats.to_json_dict()}
+        _atomic_write(Path(args.stats), _json_text(doc))
     occurrences = sum(len(r.occurrences) for r in records)
     print(f"patterns={len(records)} occurrences={occurrences}")
     return 0
@@ -609,6 +617,11 @@ def build_parser() -> argparse.ArgumentParser:
         " (cosiatec keys: cr|comp|cov|size|comp>=<a>, e.g. cosiatec:comp,size)",
     )
     p.add_argument("--out", required=True, help="interchange JSON output path")
+    p.add_argument(
+        "--stats", default=None,
+        help="also write a JSON file of what siatec, cosiatec or siatec-compress did: points,"
+        " vectors and shapes per round, seconds per stage, and each cosiatec round's chosen TEC",
+    )
     _add_common(p)
     p.set_defaults(func=cmd_discover)
 
@@ -697,7 +710,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config_file(args, parser)
+        _apply_config_file(args, argv)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

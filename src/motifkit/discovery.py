@@ -8,18 +8,21 @@ and a compactness trawler, together with compression-ratio and
 compactness quality measures.
 
 Internally points are rescaled to integer coordinates (the LCM of the
-onset denominators) so the hot loops run on plain int tuples.  COSIATEC
-and SIATECCompress score and rank their candidate TECs on that grid too;
-Points and Fractions appear only in the TECs they emit.
+onset denominators) so the hot loops run on plain int tuples.  Translators
+are read off SIA's vector table (Meredith, Lemstrom & Wiggins 2002), and
+COSIATEC and SIATECCompress rank candidate TECs in exact integer
+arithmetic, with no floats or Fractions.  Emitted occurrences are the
+piece's own notes, durations included.
 """
 
 from __future__ import annotations
 
 import copy
 import math
+import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from motifkit.core import (
     PatternOccurrence,
@@ -40,20 +43,21 @@ class Vector2:
 ZERO = Vector2(Fraction(0), 0)
 
 
+def _image(coords, v, notes: Mapping) -> tuple[Point, ...]:
+    """The notes at `coords` + `v`: an occurrence is the piece's own notes.
+
+    `notes` maps grid integers (`_Grid.by_coord`) or exact (onset, pitch) pairs.
+    """
+    return tuple(notes[(c[0] + v[0], c[1] + v[1])] for c in coords)
+
+
 @dataclass(frozen=True)
 class MTP:
     """Maximal translatable pattern: all points mapped into the set by `vector`."""
 
     vector: Vector2
     points: tuple[Point, ...]
-
-    @property
-    def translated(self) -> tuple[Point, ...]:
-        """The second occurrence implied by the vector (duration-less shift)."""
-        return tuple(
-            Point(p.onset + self.vector.dt, p.pitch + self.vector.dp, p.duration)
-            for p in self.points
-        )
+    translated: tuple[Point, ...]  # the piece's notes at points + vector
 
 
 @dataclass(frozen=True)
@@ -65,13 +69,10 @@ class TEC:
     covered: tuple[Point, ...]
 
     def occurrences(self) -> list[tuple[Point, ...]]:
-        return [
-            tuple(
-                Point(p.onset + u.dt, p.pitch + u.dp, p.duration)
-                for p in self.pattern
-            )
-            for u in self.translators
-        ]
+        """The pattern at each translator, as the notes of `covered` there."""
+        notes = {p.coord: p for p in self.covered}
+        coords = [p.coord for p in self.pattern]
+        return [_image(coords, (u.dt, u.dp), notes) for u in self.translators]
 
 
 @dataclass(frozen=True)
@@ -85,6 +86,7 @@ class TecQuality:
 # Integer encoding
 
 _Coord = tuple[int, int]
+_Table = dict[_Coord, list[_Coord]]  # positive vector -> sorted origins (the MTPs)
 
 
 class _Grid:
@@ -130,7 +132,7 @@ class _Grid:
         """
         least = translators[0]
         return TEC(
-            pattern=self.points(_add(q, least) for q in shape),
+            pattern=_image(shape, least, self.by_coord),
             translators=tuple(self.vector(_sub(u, least)) for u in translators),
             covered=self.points(_cover(shape, translators)),
         )
@@ -140,26 +142,27 @@ def _sub(a: _Coord, b: _Coord) -> _Coord:
     return (a[0] - b[0], a[1] - b[1])
 
 
-def _add(a: _Coord, b: _Coord) -> _Coord:
-    return (a[0] + b[0], a[1] + b[1])
-
-
 def _cover(shape: Sequence[_Coord], translators: Sequence[_Coord]) -> set[_Coord]:
-    return {_add(q, u) for q in shape for u in translators}
+    return {(q0 + u0, q1 + u1) for q0, q1 in shape for u0, u1 in translators}
 
 
 # ---------------------------------------------------------------------------
 # SIA / SIAR
 
 
-def _mtp_table(grid: _Grid) -> dict[_Coord, list[_Coord]]:
+def _mtp_table(grid: _Grid) -> _Table:
     """Group origin coordinates by positive difference vector (the MTPs)."""
     cs = grid.coords
-    table: dict[_Coord, list[_Coord]] = {}
+    table: _Table = {}
     for i, a in enumerate(cs):
-        for b in cs[i + 1 :]:
-            table.setdefault(_sub(b, a), []).append(a)
+        a0, a1 = a
+        for b0, b1 in cs[i + 1 :]:
+            table.setdefault((b0 - a0, b1 - a1), []).append(a)
     return table
+
+
+def _mtp(grid: _Grid, v: _Coord, origins: list[_Coord]) -> MTP:
+    return MTP(grid.vector(v), grid.points(origins), _image(origins, v, grid.by_coord))
 
 
 def sia(ps: PointSet) -> list[MTP]:
@@ -169,13 +172,8 @@ def sia(ps: PointSet) -> list[MTP]:
     {p : p + v in the set}.  Returns MTPs sorted by vector.  Fewer than two
     points yield an empty list.
     """
-    if len(ps) < 2:
-        return []
     grid = _Grid(ps)
-    return [
-        MTP(grid.vector(v), grid.points(origins))
-        for v, origins in sorted(_mtp_table(grid).items())
-    ]
+    return [_mtp(grid, v, origins) for v, origins in sorted(_mtp_table(grid).items())]
 
 
 def siar(ps: PointSet, r: int) -> list[MTP]:
@@ -187,67 +185,127 @@ def siar(ps: PointSet, r: int) -> list[MTP]:
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    if len(ps) < 2:
-        return []
     grid = _Grid(ps)
     cs = grid.coords
-    coord_set = grid.coord_set
     vectors = {
         _sub(cs[j], cs[i])
         for i in range(len(cs))
         for j in range(i + 1, min(i + r + 1, len(cs)))
     }
-    out = []
-    for v in sorted(vectors):
-        origins = [c for c in cs if _add(c, v) in coord_set]
-        out.append(MTP(grid.vector(v), grid.points(origins)))
-    return out
+    inside = grid.coord_set
+    return [
+        _mtp(grid, v, [c for c in cs if (c[0] + v[0], c[1] + v[1]) in inside])
+        for v in sorted(vectors)
+    ]
+
+
+# ---------------------------------------------------------------------------
+# Run statistics
+
+
+class DiscoveryStats:
+    """What a SIATEC, COSIATEC or SIATECCompress call did, for its caller to read.
+
+    `rounds` holds one entry per translator search: the points it ran on,
+    the vectors in their table and the shapes whose translators it found.
+    A COSIATEC round adds the best TEC of the round (`chosen`) and whether
+    it compressed and so was emitted.  `seconds` holds each stage's wall
+    time: the grid and vector table, the translator search and counting,
+    the ranking, and building the emitted TECs (in COSIATEC, also removing
+    their points).  Counts come from lengths at hand once per round, never
+    per candidate.
+    """
+
+    def __init__(self):
+        self.rounds: list[dict] = []
+        self.seconds = dict.fromkeys(("table", "search", "rank", "emit"), 0.0)
+        self._since = time.perf_counter()
+
+    def lap(self, stage: str) -> None:
+        """Charge the time since the previous lap to `stage`."""
+        now = time.perf_counter()
+        self.seconds[stage] += now - self._since
+        self._since = now
+
+    def add_round(self, grid: _Grid, table: _Table, shapes: set, chosen: _Candidate | None = None):
+        entry: dict = {"points": len(grid.coords), "vectors": len(table), "shapes": len(shapes)}
+        if chosen is not None:
+            size, count = len(chosen.shape), len(chosen.translators)
+            entry["chosen"] = {
+                "size": size,
+                "translators": count,
+                "ratio": str(Fraction(chosen.coverage, size + count - 1)),
+                "compactness": str(Fraction(size, chosen.window)),
+                "coverage": chosen.coverage,
+                "emitted": chosen.compresses(),
+            }
+        self.rounds.append(entry)
+
+    def to_json_dict(self) -> dict:
+        return {"rounds": len(self.rounds), "per_round": self.rounds, "seconds": self.seconds}
+
+
+def _started(stats: DiscoveryStats | None) -> DiscoveryStats:
+    """The caller's stats, or a throwaway one, with its clock started now."""
+    stats = DiscoveryStats() if stats is None else stats
+    stats._since = time.perf_counter()
+    return stats
 
 
 # ---------------------------------------------------------------------------
 # SIATEC
 
 
-def _translators_of(shape: Sequence[_Coord], grid: _Grid) -> list[_Coord]:
-    """All u with shape + u inside the set, sorted; shape[0] is at the origin."""
+def _translators(shape: Sequence[_Coord], grid: _Grid, table: _Table) -> tuple[_Coord, ...]:
+    """All u with shape + u inside the set, sorted; shape[0] is at the origin.
+
+    u is a translator exactly when it is in `table[q]` for every other
+    point q of the shape.  The sorted columns are intersected smallest
+    first, testing u + q in the set for a set point u.  A 1-point shape
+    fits at every point.
+    """
+    if len(shape) == 1:
+        return tuple(grid.coords)
+    first, *rest = sorted(shape[1:], key=lambda q: len(table[q]))
     coord_set = grid.coord_set
-    rest = shape[1:]
     out = []
-    for d in grid.coords:
-        u = d  # candidate translator mapping shape[0] -> d
-        for q in rest:
-            if (q[0] + u[0], q[1] + u[1]) not in coord_set:
+    for u in table[first]:
+        u0, u1 = u
+        for q0, q1 in rest:
+            if (u0 + q0, u1 + q1) not in coord_set:
                 break
         else:
             out.append(u)
-    return out
+    return tuple(out)
 
 
-def siatec(ps: PointSet) -> list[TEC]:
+def siatec(ps: PointSet, stats: DiscoveryStats | None = None) -> list[TEC]:
     """Translational equivalence classes of SIA's patterns.
 
     Translationally equivalent MTPs are merged before the translator
-    search; the representative pattern is the lexicographically least
-    occurrence.  Each TEC's translators include the zero vector.  Output
-    is sorted by (pattern, translators) for determinism.
+    search, which reads translators off the vector table (`_translators`);
+    the representative pattern is the lexicographically least occurrence.
+    Each TEC's translators include the zero vector.  Output is sorted by
+    (pattern, translators) for determinism.  `stats`, if given, records it.
     """
-    if len(ps) < 2:
-        return []
+    stats = _started(stats)
     grid = _Grid(ps)
-    tecs = [grid.tec(shape, _translators_of(shape, grid)) for shape in _siatec_shapes(grid)]
+    table = _mtp_table(grid)
+    stats.lap("table")
+    shapes = {_shape(o) for o in table.values()}
+    found = [(shape, _translators(shape, grid, table)) for shape in shapes]
+    stats.lap("search")
+    stats.add_round(grid, table, shapes)
+    tecs = [grid.tec(shape, translators) for shape, translators in found]
     tecs.sort(key=lambda t: (t.pattern, t.translators))
+    stats.lap("emit")
     return tecs
 
 
 def _shape(origins: Sequence[_Coord]) -> tuple[_Coord, ...]:
-    """The pattern translated so that its least point sits at the origin."""
-    base = min(origins)
-    return tuple(sorted(_sub(c, base) for c in origins))
-
-
-def _siatec_shapes(grid: _Grid) -> set[tuple[_Coord, ...]]:
-    """SIATEC's patterns, translationally equivalent MTPs merged."""
-    return {_shape(o) for o in _mtp_table(grid).values()}
+    """The sorted pattern translated so that its least point sits at the origin."""
+    b0, b1 = origins[0]
+    return tuple([(c0 - b0, c1 - b1) for c0, c1 in origins])
 
 
 def _compact_segments(origins: Sequence[_Coord], grid: _Grid) -> list[tuple[_Coord, ...]]:
@@ -255,11 +313,11 @@ def _compact_segments(origins: Sequence[_Coord], grid: _Grid) -> list[tuple[_Coo
 
     Grid form of ``compactness_trawl(pattern, ps, 1, 2)`` in temporal mode:
     a run is compact when its length equals the number of set points whose
-    onsets lie between its first and last onset.
+    onsets lie between its first and last onset.  `origins` are sorted.
     """
     out = []
     segment: list[_Coord] = []
-    for c in sorted(origins):
+    for c in origins:
         if segment and len(segment) + 1 == grid.window(segment[0][0], c[0]):
             segment.append(c)
             continue
@@ -317,59 +375,64 @@ def tec_quality(tec: TEC, ps: PointSet, mode: str = "temporal") -> TecQuality:
 
 
 class _Candidate(NamedTuple):
-    """A TEC on the grid: `shape` (at the origin) placed at each translator."""
+    """A TEC on the grid: `shape` (at the origin) placed at each translator.
+
+    Its compression ratio is coverage / (size + translators - 1) and its
+    compactness size / window, `window` counting the set points in its span.
+    """
 
     shape: tuple[_Coord, ...]
     translators: tuple[_Coord, ...]
-    quality: TecQuality
+    coverage: int
+    window: int
+
+    def compresses(self) -> bool:
+        """Whether the compression ratio exceeds 1."""
+        return self.coverage > len(self.shape) + len(self.translators) - 1
 
 
-def _score(shape: tuple[_Coord, ...], grid: _Grid) -> _Candidate:
-    """The shape's TEC with the quality `tec_quality` gives it, in temporal mode."""
-    translators = tuple(_translators_of(shape, grid))
-    coverage = len(_cover(shape, translators))
+def _score(shape: tuple[_Coord, ...], grid: _Grid, table: _Table) -> _Candidate:
+    """The shape's TEC with the counts its quality is made of, in temporal mode."""
+    translators = _translators(shape, grid, table)
     start = translators[0][0]
-    return _Candidate(
-        shape,
-        translators,
-        TecQuality(
-            compression_ratio=Fraction(coverage, len(shape) + len(translators) - 1),
-            compactness=Fraction(len(shape), grid.window(start, start + shape[-1][0])),
-            coverage=coverage,
-        ),
-    )
+    window = grid.window(start, start + shape[-1][0])
+    return _Candidate(shape, translators, len(_cover(shape, translators)), window)
 
 
-_QUALITY_KEYS: dict[str, Callable[[TecQuality, int], object]] = {
-    "cr": lambda q, size: q.compression_ratio,
-    "comp": lambda q, size: q.compactness,
-    "cov": lambda q, size: q.coverage,
-    "size": lambda q, size: size,
+# Ratio a/b is keyed a*m//b, m = 4n^2 for n points.  Exact: denominators are
+# below 2n, so unequal ratios differ by > 1/m and their keys differ the same way.
+_FIGURES: dict[str, Callable[[_Candidate, int], int]] = {
+    "cr": lambda c, m: c.coverage * m // (len(c.shape) + len(c.translators) - 1),
+    "comp": lambda c, m: len(c.shape) * m // c.window,
+    "cov": lambda c, m: c.coverage,
+    "size": lambda c, m: len(c.shape),
 }
 
 DEFAULT_ORDER = ("cr", "comp", "cov", "size")
 
 
-def _quality_key(name: str) -> Callable[[TecQuality, int], object]:
+def _figure(name: str) -> Callable[[_Candidate, int], int]:
     if name.startswith("comp>="):
-        threshold = Fraction(name[len("comp>=") :])
-        return lambda q, size: int(q.compactness >= threshold)
+        t = Fraction(name[len("comp>=") :])
+        # size / window >= t, cross-multiplied over positive denominators
+        return lambda c, m: int(len(c.shape) * t.denominator >= t.numerator * c.window)
     try:
-        return _QUALITY_KEYS[name]
+        return _FIGURES[name]
     except KeyError:
         raise ValueError(f"unknown quality key {name!r}") from None
 
 
-def _rank_key(order: Sequence[str]) -> Callable[[_Candidate], tuple]:
-    keys = [_quality_key(k) for k in order]
-    keys += [_QUALITY_KEYS[k] for k in DEFAULT_ORDER if k not in order]
+def _rank_key(order: Sequence[str], n: int) -> Callable[[_Candidate], tuple]:
+    """Sort key, best first, for candidates from a set of at most n points."""
+    figures = [_figure(k) for k in order]
+    figures += [_FIGURES[k] for k in DEFAULT_ORDER if k not in order]
+    m = 4 * n * n
 
     def key(c: _Candidate) -> tuple:
         # descending quality, then ascending least occurrence: that
         # occurrence is shape + translators[0], so comparing (translators[0],
         # shape) orders candidates as comparing their patterns would
-        size = len(c.shape)
-        return tuple(-k(c.quality, size) for k in keys) + (c.translators[0], c.shape)
+        return tuple(-f(c, m) for f in figures) + (c.translators[0], c.shape)
 
     return key
 
@@ -379,7 +442,9 @@ def _residue_tec(points: Sequence[Point]) -> TEC:
     return TEC(pattern=pts, translators=(ZERO,), covered=pts)
 
 
-def cosiatec(ps: PointSet, tie_break: Sequence[str] = DEFAULT_ORDER) -> list[TEC]:
+def cosiatec(
+    ps: PointSet, tie_break: Sequence[str] = DEFAULT_ORDER, stats: DiscoveryStats | None = None
+) -> list[TEC]:
     """Cover the set by repeatedly taking the best TEC and removing its points.
 
     The candidates in each round are SIATEC's TECs of the remaining points
@@ -389,55 +454,71 @@ def cosiatec(ps: PointSet, tie_break: Sequence[str] = DEFAULT_ORDER) -> list[TEC
     point that happens to repeat at its vector, so a planted occurrence
     can sit in it next to far-off strays (the "isolated membership"
     problem of Collins et al., SIACT, ISMIR 2010); its compact segments
-    give the occurrence a TEC of its own.
+    give the occurrence a TEC of its own.  Each round reads every
+    candidate's translators off one vector table (`_translators`).
 
     The best TEC maximizes the `tie_break` quality ordering (defaults to
     compression ratio, compactness, coverage, pattern size), with
-    `tec_quality` measured against the remaining points.  Once no TEC
-    compresses (best ratio <= 1) or fewer than two points remain, the
-    residue is emitted as a single zero-translator TEC.  Covers partition
-    the input exactly.
+    `tec_quality` measured against the remaining points and compared in
+    exact integer arithmetic.  Once no TEC compresses (best ratio <= 1) or
+    fewer than two points remain, the residue is emitted as a single
+    zero-translator TEC.  Covers partition the input exactly.  `stats`, if
+    given, records each round and its chosen TEC.
     """
-    key = _rank_key(tie_break)
+    key = _rank_key(tie_break, len(ps))
+    stats = _started(stats)
     grid = _Grid(ps)
     out = []
     while len(grid.coords) >= 2:
+        table = _mtp_table(grid)
+        stats.lap("table")
         shapes = set()
-        for origins in _mtp_table(grid).values():
+        for origins in table.values():
             shapes.add(_shape(origins))
             if len(origins) > 2:  # a 2-point MTP's only segment is itself
                 shapes.update(_shape(seg) for seg in _compact_segments(origins, grid))
-        best = min((_score(shape, grid) for shape in shapes), key=key)
-        if best.quality.compression_ratio <= 1:
+        candidates = [_score(shape, grid, table) for shape in shapes]
+        stats.lap("search")
+        best = min(candidates, key=key)
+        stats.lap("rank")
+        stats.add_round(grid, table, shapes, best)
+        if not best.compresses():
             break
         out.append(grid.tec(best.shape, best.translators))
         grid = grid.without(_cover(best.shape, best.translators))
+        stats.lap("emit")
     if grid.coords:
         out.append(_residue_tec(grid.points(grid.coords)))
+    stats.lap("emit")
     return out
 
 
-def siatec_compress(ps: PointSet, sort_key: str = "cr") -> list[TEC]:
+def siatec_compress(
+    ps: PointSet, sort_key: str = "cr", stats: DiscoveryStats | None = None
+) -> list[TEC]:
     """Single SIATEC pass, then greedy selection of TECs that add coverage.
 
-    TECs are ranked by `sort_key` (``cr``, ``comp`` or ``cov``; ties fall
-    back to the full quality ordering) and accepted whenever they cover at
-    least one not-yet-covered point.  Any uncovered residue is appended as
-    a final zero-translator TEC.  Covers may overlap, but their union is
-    the whole input.
+    TECs are ranked exactly by `sort_key` (``cr``, ``comp`` or ``cov``; ties
+    fall back to the full quality ordering) and accepted whenever they
+    cover at least one not-yet-covered point.  Any uncovered residue is
+    appended as a final zero-translator TEC.  Covers may overlap, but their
+    union is the whole input.  `stats`, if given, records it.
     """
     if sort_key not in ("cr", "comp", "cov"):
         raise ValueError(f"sort_key must be one of cr|comp|cov, got {sort_key!r}")
-    if len(ps) == 0:
-        return []
-    if len(ps) < 2:
-        return [_residue_tec(ps.points)]
+    stats = _started(stats)
     grid = _Grid(ps)
-    key = _rank_key((sort_key,))
-    ranked = sorted((_score(shape, grid) for shape in _siatec_shapes(grid)), key=key)
+    table = _mtp_table(grid)
+    stats.lap("table")
+    shapes = {_shape(o) for o in table.values()}
+    candidates = [_score(shape, grid, table) for shape in shapes]
+    stats.lap("search")
+    candidates.sort(key=_rank_key((sort_key,), len(ps)))
+    stats.lap("rank")
+    stats.add_round(grid, table, shapes)
     covered: set[_Coord] = set()
     out = []
-    for c in ranked:
+    for c in candidates:
         if len(covered) == len(grid.coords):
             break
         cover = _cover(c.shape, c.translators)
@@ -447,6 +528,7 @@ def siatec_compress(ps: PointSet, sort_key: str = "cr") -> list[TEC]:
     rest = [c for c in grid.coords if c not in covered]
     if rest:
         out.append(_residue_tec(grid.points(rest)))
+    stats.lap("emit")
     return out
 
 
@@ -503,16 +585,7 @@ def siarct(
     and sorted.
     """
     mtps = sia(ps) if r is None else siar(ps, r)
-    seen = set()
-    out = []
-    for mtp in mtps:
-        for segment in compactness_trawl(mtp.points, ps, a, b):
-            key = (mtp.vector, segment)
-            if key not in seen:
-                seen.add(key)
-                out.append(key)
-    out.sort()
-    return out
+    return sorted({(m.vector, seg) for m in mtps for seg in compactness_trawl(m.points, ps, a, b)})
 
 
 # ---------------------------------------------------------------------------
@@ -545,41 +618,43 @@ def tecs_to_records(tecs: Sequence[TEC], algorithm_id: str) -> list[PatternRecor
     ]
 
 
-def run_algorithm(spec: str, ps: PointSet) -> list[PatternRecord]:
+def run_algorithm(
+    spec: str, ps: PointSet, stats: DiscoveryStats | None = None
+) -> list[PatternRecord]:
     """Run an algorithm given its id string.
 
     Grammar: ``sia`` | ``siatec`` | ``cosiatec[:<key>,<key>...]``
     | ``siatec-compress:<key>`` | ``siar:<r>`` | ``siarct:<a>,<b>``.
     ``cosiatec``'s keys are its `tie_break` ordering, e.g. ``cosiatec:comp,size``.
+    `stats` is filled by ``siatec``, ``cosiatec`` and ``siatec-compress``;
+    the other algorithms refuse it.
     """
     name, _, arg = spec.partition(":")
     try:
+        if stats is not None and name in ("sia", "siar", "siarct"):
+            raise ValueError(f"{name} gathers no stats")
         if name == "sia":
             return mtps_to_records(sia(ps), spec)
         if name == "siar":
             return mtps_to_records(siar(ps, int(arg)), spec)
         if name == "siatec":
-            return tecs_to_records(siatec(ps), spec)
+            return tecs_to_records(siatec(ps, stats), spec)
         if name == "cosiatec":
             order = tuple(arg.split(",")) if arg else DEFAULT_ORDER
-            return tecs_to_records(cosiatec(ps, order), spec)
+            return tecs_to_records(cosiatec(ps, order, stats), spec)
         if name == "siatec-compress":
-            return tecs_to_records(siatec_compress(ps, arg or "cr"), spec)
+            return tecs_to_records(siatec_compress(ps, arg or "cr", stats), spec)
         if name == "siarct":
             a_s, _, b_s = arg.partition(",")
             segments = siarct(ps, Fraction(a_s), int(b_s))
+            notes = {p.coord: p for p in ps.points}
             return [
                 PatternRecord(
                     spec,
                     f"seg-{i:04d}",
                     (
                         PatternOccurrence(seg),
-                        PatternOccurrence(
-                            tuple(
-                                Point(p.onset + v.dt, p.pitch + v.dp, p.duration)
-                                for p in seg
-                            )
-                        ),
+                        PatternOccurrence(_image([p.coord for p in seg], (v.dt, v.dp), notes)),
                     ),
                 )
                 for i, (v, seg) in enumerate(segments)

@@ -106,6 +106,30 @@ class TestDiscover:
         assert "Traceback" not in capsys.readouterr().err
         assert not (synth_dir / "x.json").exists()
 
+    def test_stats_file(self, synth_dir):
+        piece = synth_dir / "piece.csv"
+        plain, traced, stats = synth_dir / "plain.json", synth_dir / "traced.json", synth_dir / "s.json"
+        assert run("discover", "--in", piece, "--alg", "cosiatec", "--out", plain) == 0
+        assert run("discover", "--in", piece, "--alg", "cosiatec", "--out", traced,
+                   "--stats", stats) == 0
+        assert traced.read_bytes() == plain.read_bytes()
+        doc = json.loads(stats.read_text())
+        assert doc["algorithm"] == "cosiatec" and doc["piece"] == "piece"
+        assert doc["rounds"] == len(doc["per_round"]) > 0
+        emitted = [r for r in doc["per_round"] if r["chosen"]["emitted"]]
+        patterns = json.loads(plain.read_text())["patterns"]
+        # every emitted TEC, plus the residue unless the last round emitted too
+        assert len(patterns) - len(emitted) in (0, 1)
+        assert doc["per_round"][0]["points"] == len(parse_points_csv(piece.read_text()))
+        assert set(doc["seconds"]) == {"table", "search", "rank", "emit"}
+
+    def test_stats_for_algorithm_without_them_exit_3(self, synth_dir, capsys):
+        code = run("discover", "--in", synth_dir / "piece.csv", "--alg", "sia",
+                   "--out", synth_dir / "x.json", "--stats", synth_dir / "s.json")
+        assert code == 3
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (synth_dir / "s.json").exists()
+
     def test_unreadable_input_exit_2(self, tmp_path):
         code = run("discover", "--in", tmp_path / "missing.csv", "--alg", "sia",
                    "--out", tmp_path / "x.json")
@@ -418,6 +442,68 @@ class TestConfigFile:
                    "--out-dir", tmp_path / "flags", "--quiet") == 0
         for suffix in (".csv", ".config.json"):
             assert (tmp_path / f"c{suffix}").read_bytes() == (tmp_path / "flags" / f"c{suffix}").read_bytes()
+
+
+class TestConfigAgainstDefaults:
+    """A config value applies to a flag with any default unless the command line gives it."""
+
+    @staticmethod
+    def config(tmp_path, doc):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_poll_tolerance(self, tmp_path):
+        a = write_patterns(tmp_path / "a.json", "a", (0, 4), (6, 10))
+        cfg = self.config(tmp_path, {"tolerance": -1})
+        common = ("poll", "--in", a, "--truth", a, "--config", cfg, "--quiet")
+        assert run(*common, "--out-dir", tmp_path / "cfg") == 3
+        # the flag wins even when it repeats its default
+        assert run(*common, "--tolerance", 1, "--out-dir", tmp_path / "flag") == 0
+
+    def test_train_pp_folds_and_objective(self, tmp_path):
+        pieces = []
+        for i, spans in enumerate([((0, 4), (6, 10)), ((0, 3), (5, 9)), ((0, 5), (7, 12))]):
+            path = write_patterns(tmp_path / f"p{i}.json", "a", *spans)
+            pieces.append({"patterns": [str(path)], "truth": str(path)})
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"pieces": pieces}))
+        cfg = self.config(tmp_path, {"folds": 2, "objective": "recall"})
+        out = tmp_path / "params.json"
+        common = ("train-pp", "--manifest", manifest, "--config", cfg, "--out", out, "--quiet")
+        assert run(*common) == 0
+        doc = json.loads(out.read_text())
+        assert (doc["folds"], doc["objective"]) == (2, "recall")
+        assert run(*common, "--folds", 3, "--objective", "precision") == 0
+        doc = json.loads(out.read_text())
+        assert (doc["folds"], doc["objective"]) == (3, "precision")
+
+    @pytest.fixture()
+    def features(self, tmp_path):
+        path = tmp_path / "features.csv"
+        rows = [[f"{i % 5}", f"{(i * 7) % 3}", group] for group in ("a", "b") for i in range(8)]
+        path.write_text("".join(",".join(row) + "\n" for row in [["x", "y", "group"]] + rows))
+        return path
+
+    def test_classify_repeats(self, tmp_path, features):
+        cfg = self.config(tmp_path, {"repeats": 2})
+        out = tmp_path / "cv.json"
+        common = ("classify", "--features", features, "--classifiers", "nb", "--folds", 2,
+                  "--config", cfg, "--out", out, "--quiet")
+        assert run(*common) == 0
+        assert json.loads(out.read_text())["repeats"] == 2
+        assert run(*common, "--repeats", 1) == 0
+        assert json.loads(out.read_text())["repeats"] == 1
+
+    def test_importance_runs(self, tmp_path, features):
+        cfg = self.config(tmp_path, {"runs": 3})
+        out = tmp_path / "imp.json"
+        common = ("importance", "--features", features, "--trees", 5, "--config", cfg,
+                  "--out", out, "--quiet")
+        assert run(*common) == 0
+        assert json.loads(out.read_text())["runs"] == 3
+        assert run(*common, "--runs", 2) == 0
+        assert json.loads(out.read_text())["runs"] == 2
 
 
 class TestNegativeTolerance:

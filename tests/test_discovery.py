@@ -8,6 +8,7 @@ from motifkit.core import Point, PointSet
 from motifkit.discovery import (
     MTP,
     TEC,
+    TecQuality,
     Vector2,
     ZERO,
     compactness,
@@ -21,11 +22,15 @@ from motifkit.discovery import (
     siatec,
     siatec_compress,
     tec_quality,
+    DiscoveryStats,
     _compact_segments,
+    _figure,
     _Grid,
     _mtp_table,
+    _rank_key,
     _score,
     _shape,
+    _translators,
 )
 
 import _oracles
@@ -388,10 +393,188 @@ class TestGridRanking:
                 for _ in range(rng.randrange(2, 14))
             )
             grid = _Grid(ps)
-            for origins in _mtp_table(grid).values():
+            table = _mtp_table(grid)
+            for origins in table.values():
                 for shape in {_shape(origins)} | {_shape(s) for s in _compact_segments(origins, grid)}:
-                    c = _score(shape, grid)
-                    assert c.quality == tec_quality(grid.tec(c.shape, c.translators), ps)
+                    c = _score(shape, grid, table)
+                    size, count = len(c.shape), len(c.translators)
+                    assert TecQuality(
+                        compression_ratio=F(c.coverage, size + count - 1),
+                        compactness=F(size, c.window),
+                        coverage=c.coverage,
+                    ) == tec_quality(grid.tec(c.shape, c.translators), ps)
+                    assert c.compresses() == (c.coverage > size + count - 1)
+
+
+def grid_shapes(grid, table):
+    """Every shape COSIATEC ranks: SIATEC's, and those of every compact segment."""
+    shapes = set()
+    for origins in table.values():
+        shapes.add(_shape(origins))
+        shapes.update(_shape(seg) for seg in _compact_segments(origins, grid))
+    return shapes
+
+
+def exact(grid, coords):
+    """Grid coordinates back on the piece's exact (onset, pitch) pairs."""
+    return [(F(c[0], grid.scale), c[1]) for c in coords]
+
+
+# pieces of up to 12 notes on 16 half-beat onsets and 3 pitches: sparse pieces
+# rarely hold a shape whose smallest table column has a non-translator
+dense_pieces = st.sets(
+    st.tuples(st.integers(0, 15), st.integers(60, 62)), min_size=1, max_size=12
+).map(lambda notes: PointSet.build(Point(F(n, 2), p) for n, p in notes))
+
+
+class TestTableTranslators:
+    @settings(max_examples=120, deadline=None)
+    @given(st.one_of(fractional_pieces, dense_pieces))
+    def test_equal_brute_force_scan(self, ps):
+        grid = _Grid(ps)
+        table = _mtp_table(grid)
+        coords = [p.coord for p in ps.points]
+        shapes = grid_shapes(grid, table) | {((0, 0),)}
+        for shape in shapes:
+            got = _translators(shape, grid, table)
+            assert list(got) == sorted(got)
+            assert set(exact(grid, got)) == _oracles.brute_translators(exact(grid, shape), coords)
+
+    def test_one_point_shape_fits_everywhere(self):
+        grid = _Grid(FOUR)
+        table = _mtp_table(grid)
+        assert ((0, 0),) in {_shape(o) for o in table.values()}
+        assert _translators(((0, 0),), grid, table) == tuple(grid.coords)
+
+
+def brute_order(grid, candidates, order, coords):
+    """The candidates' patterns sorted by the oracle's Fraction figures."""
+    triples = [tec_coords([grid.tec(c.shape, c.translators)])[0] for c in candidates]
+    return [t[0] for t in sorted(triples, key=_oracles._brute_rank_key(order, coords))]
+
+
+def integer_order(grid, candidates, order, n):
+    """The candidates' patterns sorted by the library's integer keys."""
+    ranked = sorted(candidates, key=_rank_key(order, n))
+    return [tuple(p.coord for p in grid.tec(c.shape, c.translators).pattern) for c in ranked]
+
+
+RANK_ORDERS = (
+    ("cr", "comp", "cov", "size"), ("comp", "size"), ("cov",), ("size", "cr"),
+    ("comp>=1", "cov"), ("comp>=2/3", "cr"),
+)
+
+
+class TestIntegerRanking:
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(fractional_pieces, dense_pieces))
+    def test_order_equals_fraction_order(self, ps):
+        grid = _Grid(ps)
+        table = _mtp_table(grid)
+        candidates = [_score(shape, grid, table) for shape in grid_shapes(grid, table)]
+        coords = [p.coord for p in ps.points]
+        for order in RANK_ORDERS:
+            got = integer_order(grid, candidates, order, len(ps))
+            assert got == brute_order(grid, candidates, order, coords)
+
+    def test_threshold_at_exact_compactness(self):
+        # the pair (0, 60) (2, 62) has (1, 70) inside its span: compactness 2/3
+        ps = pset((0, 60), (1, 70), (2, 62), (10, 60), (11, 71), (12, 62))
+        grid = _Grid(ps)
+        table = _mtp_table(grid)
+        c = _score(((0, 0), (2, 2)), grid, table)
+        assert F(len(c.shape), c.window) == F(2, 3)
+        m = 4 * len(ps) ** 2
+        assert _figure("comp>=2/3")(c, m) == 1
+        assert _figure("comp>=0.6667")(c, m) == 0
+        assert _figure("comp>=0.6666")(c, m) == 1
+        candidates = [_score(shape, grid, table) for shape in grid_shapes(grid, table)]
+        coords = [p.coord for p in ps.points]
+        for order in (("comp>=2/3", "cov"), ("comp>=0.6667", "cov"), ("comp", "cov")):
+            got = integer_order(grid, candidates, order, len(ps))
+            assert got == brute_order(grid, candidates, order, coords)
+
+
+# the points (0, 60, 1) (1, 62, 1) (4, 60, 1) (5, 62, 3): the pair repeats at
+# (4, 0), and its second occurrence ends in the dotted minim
+DOTTED = PointSet.build([pt(0, 60), pt(1, 62), pt(4, 60), pt(5, 62, 3)])
+SECOND = (pt(4, 60), pt(5, 62, 3))
+
+# pieces of up to 12 notes with fractional onsets and varied durations
+varied_pieces = st.lists(
+    st.tuples(
+        st.integers(0, 11), st.sampled_from([1, 2, 3]), st.integers(58, 63),
+        st.sampled_from([F(1, 3), F(1, 2), F(1), F(3, 2), F(4)]),
+    ),
+    min_size=1,
+    max_size=12,
+).map(lambda notes: PointSet.build(Point(F(n, d), p, dur) for n, d, p, dur in notes))
+
+ALL_SPECS = (
+    "sia", "siar:2", "siatec", "cosiatec", "cosiatec:comp,size",
+    "siatec-compress:cr", "siatec-compress:comp", "siatec-compress:cov", "siarct:1/2,2",
+)
+
+
+class TestOccurrencesAreRealNotes:
+    def test_siatec_and_covers(self):
+        for tecs in (siatec(DOTTED), cosiatec(DOTTED), siatec_compress(DOTTED)):
+            pair = [t for t in tecs if tuple(p.coord for p in t.pattern) == ((0, 60), (1, 62))]
+            assert pair[0].occurrences() == [(pt(0, 60), pt(1, 62)), SECOND]
+
+    def test_mtp_and_siarct_images(self):
+        mtp = {m.vector: m for m in sia(DOTTED)}[vec(4, 0)]
+        assert mtp.translated == SECOND
+        assert {m.vector: m for m in siar(DOTTED, 2)}[vec(4, 0)].translated == SECOND
+        records = run_algorithm("siarct:1,2", DOTTED)
+        pairs = [r.occurrences[1].points for r in records if len(r.occurrences[0].points) == 2]
+        assert pairs == [SECOND]
+
+    @settings(max_examples=60, deadline=None)
+    @given(varied_pieces)
+    def test_every_occurrence_is_a_subset_of_the_piece(self, ps):
+        notes = set(ps.points)
+        for spec in ALL_SPECS:
+            for record in run_algorithm(spec, ps):
+                for occ in record.occurrences:
+                    assert set(occ.points) <= notes, spec
+
+
+class TestStats:
+    def test_rounds_and_chosen_tecs(self):
+        # two rounds take the two pairs; the lone (90, 50) is the residue
+        ps = pset(
+            (0, 60), (1, 61), (20, 60), (21, 61), (45, 70), (46, 68), (71, 70), (72, 68), (90, 50)
+        )
+        stats = DiscoveryStats()
+        tecs = cosiatec(ps, stats=stats)
+        assert tecs == cosiatec(ps)
+        chosen = {"size": 2, "translators": 2, "ratio": "4/3", "compactness": "1",
+                  "coverage": 4, "emitted": True}
+        first = [p.coord for p in ps.points]
+        second = [c for c in first if c not in {p.coord for p in tecs[0].covered}]
+        assert stats.rounds == [
+            {
+                "points": len(coords),
+                "vectors": len(_oracles.brute_mtps(coords)),
+                "shapes": len(_oracles._brute_candidates(coords, True)),
+                "chosen": chosen,
+            }
+            for coords in (first, second)
+        ]
+        assert set(stats.seconds) == {"table", "search", "rank", "emit"}
+
+    def test_last_round_that_does_not_compress(self):
+        stats = DiscoveryStats()
+        cosiatec(pset((0, 60), (1, 62), (3, 61)), stats=stats)
+        assert [r["chosen"]["emitted"] for r in stats.rounds] == [False]
+        assert stats.rounds[0]["chosen"]["ratio"] == "1"
+
+    def test_one_round_for_single_passes(self):
+        for run in (lambda s: siatec(FOUR, s), lambda s: siatec_compress(FOUR, "cr", s)):
+            stats = DiscoveryStats()
+            run(stats)
+            assert stats.rounds == [{"points": 4, "vectors": 4, "shapes": 3}]
 
 
 class TestPlantedRepeat:

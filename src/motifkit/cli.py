@@ -633,9 +633,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--span", default=None, help="piece span start,end")
     p.add_argument(
         "--window", type=int, default=None,
-        help="odd smoothing window in grid steps (default 3); the cost grows with window"
-        " squared: on a 103-point curve 2001 took 0.4 s of CPU time and 6001 took 2.7 s"
-        " (Python 3.11, shared 2-CPU host)",
+        help="odd smoothing window in grid steps (default 3); the cost grows with the window"
+        " times the curve's length: on a 103-point curve 2001 took 0.13 s of CPU time and"
+        " 6001 took 0.3 s (Python 3.11, shared 2-CPU host)",
     )
     p.add_argument("--order", type=int, default=None)
     p.add_argument("--lambda", dest="lam", default=None, help="steepness threshold")
@@ -650,7 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--manifest", required=True,
         help="JSON manifest with pieces and grid; each piece is smoothed once per distinct"
-        " grid (window, order), at the cost poll --window states",
+        " grid (window, order), at the cost poll --window states (window times curve length)",
     )
     p.add_argument("--objective", choices=["precision", "recall", "f1"], default="f1")
     p.add_argument("--folds", type=int, default=3)

@@ -341,10 +341,14 @@ def compactness(
     ``temporal`` counts set points whose onset lies in the pattern's onset
     range; ``bbox`` additionally restricts to the pattern's pitch range.
     """
+    return _compactness(pattern, _Grid(ps), mode)
+
+
+def _compactness(pattern: Sequence[Point], grid: _Grid, mode: str) -> Fraction:
+    """:func:`compactness` against the grid of the point set."""
     pts = tuple(pattern)
     if not pts:
         raise ValueError("pattern must be nonempty")
-    grid = _Grid(ps)
     # an integral Fraction equals and hashes like its int; others match nothing
     scaled = [(p.onset * grid.scale, p.pitch) for p in pts]
     for p, c in zip(pts, scaled):
@@ -549,6 +553,13 @@ def compactness_trawl(
     above `a`; a violating point closes the segment and starts a new one.
     Only segments with at least `b` points are kept.
     """
+    return _trawl(pattern, _Grid(ps), a, b, mode)
+
+
+def _trawl(
+    pattern: Sequence[Point], grid: _Grid, a: Fraction, b: int, mode: str = "temporal"
+) -> list[tuple[Point, ...]]:
+    """:func:`compactness_trawl` against the grid of the point set."""
     if not 0 < a <= 1:
         raise ValueError("compactness threshold must be in (0, 1]")
     if b < 1:
@@ -559,13 +570,13 @@ def compactness_trawl(
     def close(segment: list[Point]):
         # a freshly seeded singleton can still sit below the threshold
         # when other set points share its onset
-        if len(segment) >= b and compactness(segment, ps, mode=mode) >= a:
+        if len(segment) >= b and _compactness(segment, grid, mode) >= a:
             out.append(tuple(segment))
 
     segment: list[Point] = []
     for p in pts:
         candidate = segment + [p]
-        if not segment or compactness(candidate, ps, mode=mode) >= a:
+        if not segment or _compactness(candidate, grid, mode) >= a:
             segment = candidate
         else:
             close(segment)
@@ -585,7 +596,8 @@ def siarct(
     and sorted.
     """
     mtps = sia(ps) if r is None else siar(ps, r)
-    return sorted({(m.vector, seg) for m in mtps for seg in compactness_trawl(m.points, ps, a, b)})
+    grid = _Grid(ps)
+    return sorted({(m.vector, seg) for m in mtps for seg in _trawl(m.points, grid, a, b)})
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -38,8 +39,9 @@ class RecoveryReport:
 
 def _max_matching(predicted: Sequence, truth: Sequence, tolerance) -> int:
     """Maximum one-to-one matching between values within `tolerance`."""
+    truth = sorted(truth)  # the matching's size does not depend on the order
     adjacency = [
-        [j for j, t in enumerate(truth) if abs(p - t) <= tolerance]
+        range(bisect_left(truth, p - tolerance), bisect_right(truth, p + tolerance))
         for p in predicted
     ]
     match_of_truth: list[int | None] = [None] * len(truth)
@@ -78,11 +80,8 @@ def boundary_prf(
     matches = _max_matching(predicted, truth, tolerance)
     precision = Fraction(matches, len(predicted)) if predicted else Fraction(0)
     recall = Fraction(matches, len(truth)) if truth else Fraction(0)
-    f1 = (
-        2 * precision * recall / (precision + recall)
-        if precision + recall > 0
-        else Fraction(0)
-    )
+    # 2PR / (P + R) with P = m / |predicted| and R = m / |truth|
+    f1 = Fraction(2 * matches, len(predicted) + len(truth)) if matches else Fraction(0)
     return PrfScore(precision=precision, recall=recall, f1=f1, matches=matches)
 
 

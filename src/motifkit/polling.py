@@ -7,25 +7,30 @@ and the steep zero crossings of the derivatives become candidate pattern
 boundaries.
 
 All curve arithmetic is exact, so polynomial reproduction and boundary
-positions are reproducible to the bit.  Curves hold Fractions; smoothing
-scales a curve to integers over the least common multiple of its
-denominators and applies each least-squares fit as an integer kernel over
-one shared denominator, solved once per (offsets, order).  A fit whose
-samples are all equal is that value, so the constant edge padding of
-boundary extraction needs no solve.  Parameter training smooths each
-(piece, window, order) once and re-runs only the threshold-and-merge step
-per lambda and derivative choice.
+positions are reproducible to the bit.  Inside, a curve is integer
+numerators over one shared denominator, from polling through smoothing,
+differencing and the threshold-and-merge decision; Fractions are built
+only at the boundary, for `PollingCurve.values`, `derivatives` and
+`BoundaryTrace`.  Polling adds each occurrence's weight with a difference
+array.  Smoothing applies each least-squares fit as an integer kernel over
+one shared denominator, solved once per (offsets, order); a fit whose
+samples are all equal is that value, and the constant runs at the ends of
+a curve enter a fit through prefix sums of its kernel, so the edge padding
+of boundary extraction costs neither a solve nor a product per padded
+sample.  Parameter training smooths each (piece, window, order) once and
+re-runs only the threshold-and-merge step per lambda and derivative choice.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from motifkit import evaluation
 from motifkit.core import PatternRecord, to_time
@@ -49,6 +54,11 @@ class PollingCurve:
     origin: Fraction
     resolution: Fraction
     values: tuple[Fraction, ...]
+    # The values as (numerators, shared denominator), kept by the curves
+    # this module builds so that smoothing reads integers, not Fractions.
+    _ints: tuple[tuple[int, ...], int] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __len__(self) -> int:
         return len(self.values)
@@ -58,6 +68,24 @@ class PollingCurve:
 
     def floats(self) -> list[float]:
         return [float(v) for v in self.values]
+
+
+def _exact_curve(origin: Fraction, resolution: Fraction, nums: tuple[int, ...], den: int,
+                 values: tuple[Fraction, ...] | None = None) -> PollingCurve:
+    """The curve of nums[k] / den, keeping the integers; `values` if already built."""
+    if values is None:
+        values = tuple(Fraction(x, den) for x in nums)
+    curve = PollingCurve(origin, resolution, values)
+    object.__setattr__(curve, "_ints", (nums, den))
+    return curve
+
+
+def _numerators(curve: PollingCurve) -> tuple[tuple[int, ...], int]:
+    """The curve's values as integer numerators over one shared denominator."""
+    if curve._ints is not None:
+        return curve._ints
+    scale = math.lcm(*(v.denominator for v in curve.values))
+    return tuple(v.numerator * (scale // v.denominator) for v in curve.values), scale
 
 
 @dataclass(frozen=True)
@@ -111,8 +139,11 @@ class PpParams:
 
 def default_span(records: Sequence[PatternRecord], resolution: Fraction) -> Span:
     """[0, latest occurrence end), or [0, resolution) without occurrences."""
-    ends = (occ.span[1] for rec in records for occ in rec.occurrences)
-    return (Fraction(0), max(ends, default=resolution))
+    return _span_over((occ.span for rec in records for occ in rec.occurrences), resolution)
+
+
+def _span_over(spans: Iterable[Span], resolution: Fraction) -> Span:
+    return (Fraction(0), max((e for _, e in spans), default=resolution))
 
 
 def grid_cells(span: Span, piece_span: Span, resolution: Fraction) -> range:
@@ -125,7 +156,8 @@ def grid_cells(span: Span, piece_span: Span, resolution: Fraction) -> range:
     start, end = piece_span
     if s < start or e > end:
         raise ValueError(f"occurrence [{s}, {e}) outside piece span [{start}, {end})")
-    return range(math.ceil((s - start) / resolution), math.ceil((e - start) / resolution))
+    # ceil((t - start) / resolution), as one exact floor division
+    return range(-((start - s) // resolution), -((start - e) // resolution))
 
 
 def polling_curve(
@@ -156,20 +188,26 @@ def polling_curve(
                 )
             wmap[rec.algorithm_id] = w
 
-    start, end = piece_span or default_span(records, resolution)
+    # weights as integers over their common denominator; each occurrence
+    # adds its weight at its first cell and takes it off one past its last
+    den = math.lcm(*(w.denominator for w in wmap.values()))
+    iw = {a: w.numerator * (den // w.denominator) for a, w in wmap.items()}
+    spans = [(iw[rec.algorithm_id], occ.span) for rec in records for occ in rec.occurrences]
+    start, end = piece_span or _span_over((span for _, span in spans), resolution)
     if end <= start:
         raise ValueError("piece span must be nonempty")
-    values = [Fraction(0)] * math.ceil((end - start) / resolution)
-    for rec in records:
-        w = wmap[rec.algorithm_id]
-        for occ in rec.occurrences:
-            for k in grid_cells(occ.span, (start, end), resolution):
-                values[k] += w
-    if normalize:
-        total = sum(wmap.values(), Fraction(0))
-        if total > 0:
-            values = [v / total for v in values]
-    return PollingCurve(origin=start, resolution=resolution, values=tuple(values))
+    n = math.ceil((end - start) / resolution)
+    steps = [0] * (n + 1)
+    for w, span in spans:
+        cells = grid_cells(span, (start, end), resolution)
+        if cells:
+            steps[cells.start] += w
+            steps[cells.stop] -= w
+    nums = tuple(itertools.accumulate(steps[:n]))
+    total = sum(iw.values())
+    if normalize and total > 0:
+        den = total  # (c / den) / (total / den) = c / total
+    return _exact_curve(start, resolution, nums, den)
 
 
 # ---------------------------------------------------------------------------
@@ -199,14 +237,18 @@ def _solve_linear(a: list[list[Fraction]], rhs: list[list[Fraction]]) -> list[li
 
 
 @functools.lru_cache(maxsize=_FIT_CACHE_SIZE)
-def _fit_weights(offsets: tuple[int, ...], order: int) -> tuple[tuple[int, ...], int]:
-    """Integer weights w and denominator d with fit(0) = sum w_j * y_j / d.
+def _fit_weights(
+    offsets: tuple[int, ...], order: int
+) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """Integer weights w, their prefix sums and denominator d with fit(0) = sum w_j * y_j / d.
 
     The fit is the degree-`order` least-squares polynomial through the
     samples y_j at positions `offsets`, relative to the evaluation point;
     the effective order drops when the window holds too few points.  The
     value at 0 is row 0 of the inverse normal matrix M applied to the
-    design, so w_j / d = sum_e c_e * x_j**e where M c = e_0.
+    design, so w_j / d = sum_e c_e * x_j**e where M c = e_0.  The prefix
+    sums (prefix[k] = w_0 + ... + w_{k-1}) weigh a run of equal samples
+    with one product.
     """
     k = min(order, len(offsets) - 1) + 1
     moments = [sum(x**e for x in offsets) for e in range(2 * k - 1)]
@@ -216,7 +258,46 @@ def _fit_weights(offsets: tuple[int, ...], order: int) -> tuple[tuple[int, ...],
     ints = [c.numerator * (den // c.denominator) for c in coeffs]
     weights = [sum(c * x**e for e, c in enumerate(ints)) for x in offsets]
     common = math.gcd(den, *weights)
-    return tuple(w // common for w in weights), den // common
+    weights = tuple(w // common for w in weights)
+    return weights, (0, *itertools.accumulate(weights)), den // common
+
+
+def _smooth(ys: tuple[int, ...], window: int, order: int) -> tuple[tuple[int, ...], int]:
+    """Smoothed integer samples as numerators over one shared denominator.
+
+    Samples [0, head) equal the first and samples (tail, n) the last.  A
+    window inside either run gives that value without a fit; any other
+    window takes the runs' share from the kernel's prefix sums and
+    multiplies only the samples in between, so an output costs at most
+    tail - head + 1 products however long the window is.
+    """
+    n = len(ys)
+    first, last = ys[0], ys[-1]
+    head = next((j for j, y in enumerate(ys) if y != first), n)
+    tail = next((j for j in range(n - 1, -1, -1) if ys[j] != last), -1)
+    half = window // 2
+    interior = _fit_weights(tuple(range(-half, half + 1)), order)
+    truncated = {}
+    for i in itertools.chain(range(half), range(n - half, n)):
+        lo, hi = max(0, i - half), min(n - 1, i + half)
+        if hi >= head and lo <= tail:
+            truncated[i] = _fit_weights(tuple(range(lo - i, hi - i + 1)), order)
+    den = math.lcm(interior[2], *(fit[2] for fit in truncated.values()))
+    out = []
+    for i in range(n):
+        lo, hi = max(0, i - half), min(n - 1, i + half)
+        if hi < head or lo > tail:
+            out.append(ys[lo] * den)
+            continue
+        weights, prefix, fit_den = truncated.get(i, interior)
+        a, b = max(lo, head), min(hi, tail) + 1  # the samples outside both runs
+        dot = sum(map(operator.mul, weights[a - lo : b - lo], ys[a:b]))
+        if lo < head:
+            dot += first * prefix[head - lo]
+        if hi > tail:
+            dot += last * (prefix[-1] - prefix[tail + 1 - lo])
+        out.append(dot * (den // fit_den))
+    return tuple(out), den
 
 
 def savgol_smooth(curve: PollingCurve, window: int, order: int) -> PollingCurve:
@@ -227,13 +308,15 @@ def savgol_smooth(curve: PollingCurve, window: int, order: int) -> PollingCurve:
     truncated to the available one-sided samples and the fit is evaluated
     at the edge position itself.
 
-    The arithmetic is exact on integers: the curve is scaled by the least
-    common multiple of its denominators, each fit is a fixed integer
-    kernel over one shared denominator (memoised per offsets and order),
-    and every output value is one integer dot product turned into one
-    Fraction.  A window lying inside the run of equal samples at either
-    end of the curve gives that value without a fit, since a least-squares
-    polynomial reproduces a constant; so edge padding costs no solve.
+    The arithmetic is exact on integers: the curve is scaled to integers
+    over one denominator, each fit is a fixed integer kernel over one
+    shared denominator (memoised per offsets and order), and every output
+    is one integer over the product of the two.  A window lying inside the
+    run of equal samples at either end of the curve gives that value
+    without a fit, since a least-squares polynomial reproduces a constant,
+    and a window overlapping such a run weighs it with one product; so a
+    window of w on n samples costs about (n + w) * (samples outside the end
+    runs) products, and edge padding costs no solve.
     """
     n = len(curve)
     if window < 3 or window % 2 == 0:
@@ -242,26 +325,9 @@ def savgol_smooth(curve: PollingCurve, window: int, order: int) -> PollingCurve:
         raise ValueError("order must satisfy 1 <= order < window")
     if window > n:
         raise ValueError(f"window {window} exceeds curve length {n}")
-    values = curve.values
-    scale = math.lcm(*(v.denominator for v in values))
-    ys = [v.numerator * (scale // v.denominator) for v in values]
-    head = next((j for j, y in enumerate(ys) if y != ys[0]), n)
-    tail = next((j for j in range(n - 1, -1, -1) if ys[j] != ys[-1]), -1)
-    half = window // 2
-    interior = _fit_weights(tuple(range(-half, half + 1)), order)
-    out = []
-    for i in range(n):
-        lo = max(0, i - half)
-        hi = min(n - 1, i + half)
-        if hi < head or lo > tail:
-            out.append(values[lo])
-            continue
-        if hi - lo + 1 == window:
-            weights, den = interior
-        else:
-            weights, den = _fit_weights(tuple(range(lo - i, hi - i + 1)), order)
-        out.append(Fraction(sum(map(operator.mul, weights, ys[lo : hi + 1])), den * scale))
-    return PollingCurve(curve.origin, curve.resolution, tuple(out))
+    ys, scale = _numerators(curve)
+    nums, den = _smooth(ys, window, order)
+    return _exact_curve(curve.origin, curve.resolution, nums, den * scale)
 
 
 def derivatives(curve: PollingCurve) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
@@ -278,15 +344,18 @@ def derivatives(curve: PollingCurve) -> tuple[tuple[Fraction, ...], tuple[Fracti
 # Boundary extraction
 
 
-def _crossings(f: Sequence[Fraction]) -> list[tuple[int, Fraction]]:
-    """Zero crossings of a sequence as (index, steepness) pairs.
+def _crossings(f: Sequence[int]) -> list[tuple[int, int, int]]:
+    """Zero crossings of an integer sequence as (index, change, span) triples.
 
     A crossing happens where the sign flips directly between neighbours,
     or across a run of exact zeros flanked by opposite signs (a single
     zero sample is the degenerate run).  Direct flips are positioned at
     the index with the smaller magnitude (the later one on ties); runs at
-    their center, rounded later.  Steepness is the absolute change across
-    the crossing divided by its index span.
+    their center, rounded later.  Steepness is change / span: the absolute
+    change across the crossing divided by its index span, 1 for a direct
+    flip.  Signs, magnitudes and steepness order do not change when every
+    sample is divided by one positive denominator, so the crossings of
+    the numerators are those of the exact signal.
     """
     out = []
     n = len(f)
@@ -295,7 +364,7 @@ def _crossings(f: Sequence[Fraction]) -> list[tuple[int, Fraction]]:
         a, b = f[i], f[i + 1]
         if a != 0 and b != 0 and (a < 0) != (b < 0):
             pos = i if abs(a) < abs(b) else i + 1
-            out.append((pos, abs(b - a)))
+            out.append((pos, abs(b - a), 1))
             i += 1
         elif b == 0 and a != 0:
             j = i + 1
@@ -304,8 +373,7 @@ def _crossings(f: Sequence[Fraction]) -> list[tuple[int, Fraction]]:
             if j < n and (a < 0) != (f[j] < 0):
                 run_lo, run_hi = i + 1, j - 1
                 pos = (run_lo + run_hi + 1) // 2  # center, rounded later
-                steep = abs(f[j] - a) / (j - i)
-                out.append((pos, steep))
+                out.append((pos, abs(f[j] - a), j - i))
             i = j
         else:
             i += 1
@@ -313,69 +381,120 @@ def _crossings(f: Sequence[Fraction]) -> list[tuple[int, Fraction]]:
 
 
 @dataclass(frozen=True)
+class Crossing:
+    """A candidate boundary and what the decision did with it.
+
+    `index` is the grid index of the input curve it maps to, `derivative`
+    is 1 or 2, and `fate` is one of ``kept`` (it is a boundary),
+    ``derivative_off`` (its derivative is not used), ``below_lambda`` or
+    ``merged``; a merged crossing's `merged_into` is the boundary that
+    absorbed it.
+    """
+
+    index: int
+    steepness: Fraction
+    derivative: int
+    fate: str
+    merged_into: int | None = None
+
+
+@dataclass(frozen=True)
 class BoundaryTrace:
-    """The signal `boundary_trace` decides on, and its boundaries.
+    """The signal `boundary_trace` decides on, its crossings and its boundaries.
 
     `smoothed` is the edge-padded curve after smoothing; its origin lies
     `window` grid steps before the input's.  p1[j] sits at smoothed.time_at(j)
-    and p2[j] at smoothed.time_at(j + 1).  `boundaries` index the input curve.
+    and p2[j] at smoothed.time_at(j + 1).  `boundaries` index the input curve;
+    `crossings` lists every crossing of p1 and p2 in decision order.
     """
 
     smoothed: PollingCurve
     p1: tuple[Fraction, ...]
     p2: tuple[Fraction, ...]
     boundaries: BoundarySet
+    crossings: tuple[Crossing, ...]
 
 
 # A crossing of the smoothed padded signal: (grid index of the input curve,
-# steepness, 1 or 2 for the derivative it comes from).
-_Crossing = tuple[int, Fraction, int]
+# steepness key, 1 or 2 for the derivative it comes from).
+_Crossing = tuple[int, int, int]
 
 
-def _signal(
-    curve: PollingCurve, window: int, order: int
-) -> tuple[PollingCurve, tuple[Fraction, ...], tuple[Fraction, ...], list[_Crossing]]:
+class _Signal(NamedTuple):
+    smoothed: PollingCurve  # the padded curve, smoothed
+    p1: list[int]  # its first differences, numerators over den
+    p2: list[int]  # its second differences, numerators over den
+    den: int
+    crossings: list[_Crossing]  # sorted
+    key_den: int  # a crossing's steepness is its key / key_den
+
+
+def _signal(curve: PollingCurve, window: int, order: int) -> _Signal:
     """The smoothed padded curve, p1, p2 and their crossings, sorted.
 
     The curve is extended on both sides with `window` copies of its edge
     values before smoothing, so boundaries at the very start or end of the
     piece see the same flat context as interior ones without inventing any
     slope.  Crossing positions are mapped back to grid indices of `curve`
-    and clipped to [0, n].
+    and clipped to [0, n].  Every steepness change / span becomes the
+    integer key change * (L / span) over key_den = den * L, L the least
+    common multiple of the spans, so sorting by (index, key, derivative)
+    sorts by exact steepness.
     """
     n = len(curve)
     pad = window
-    padded = PollingCurve(
-        origin=curve.origin - pad * curve.resolution,
-        resolution=curve.resolution,
-        values=(curve.values[0],) * pad + curve.values + (curve.values[-1],) * pad,
+    ys, scale = _numerators(curve)
+    padded = _exact_curve(
+        curve.origin - pad * curve.resolution,
+        curve.resolution,
+        (ys[0],) * pad + ys + (ys[-1],) * pad,
+        scale,
+        (curve.values[0],) * pad + curve.values + (curve.values[-1],) * pad,
     )
     smoothed = savgol_smooth(padded, window, order)
-    p1, p2 = derivatives(smoothed)
+    v, den = _numerators(smoothed)
+    p1 = [b - a for a, b in zip(v, v[1:])]
+    p2 = [b - a for a, b in zip(p1, p1[1:])]
+    c1, c2 = _crossings(p1), _crossings(p2)
+    lcm = math.lcm(*(span for _, _, span in c1), *(span for _, _, span in c2))
     # P'[t] spans grid points t..t+1; runs already center it, direct flips
     # at index t refer to the grid point t itself.  P''[t] is centered on
     # grid point t+1.
     crossings = sorted(
-        [(min(max(pos - pad, 0), n), steep, 1) for pos, steep in _crossings(p1)]
-        + [(min(max(pos + 1 - pad, 0), n), steep, 2) for pos, steep in _crossings(p2)]
+        [(min(max(pos - pad, 0), n), change * (lcm // span), 1) for pos, change, span in c1]
+        + [(min(max(pos + 1 - pad, 0), n), change * (lcm // span), 2) for pos, change, span in c2]
     )
-    return smoothed, p1, p2, crossings
+    return _Signal(smoothed, p1, p2, den, crossings, den * lcm)
 
 
-def _decide(crossings: Sequence[_Crossing], params: PpParams) -> BoundarySet:
+def _decide(
+    crossings: Sequence[_Crossing], key_den: int, params: PpParams, owner: list | None = None
+) -> list[tuple[int, int, int]]:
     """The boundaries among sorted crossings: those of the chosen derivatives
-    at least lambda steep, merged within one grid step (keeping the steeper)."""
-    use = {1: params.use_first, 2: params.use_second}
-    merged: list[tuple[int, Fraction]] = []
-    for idx, steep, d in crossings:
-        if not use[d] or steep < params.lam:
+    at least lambda steep, merged within one grid step (keeping the steeper).
+
+    Each boundary is the (index, key, position in `crossings`) of the
+    crossing it keeps.  Every steepness is key / key_den with key_den > 0,
+    so lambda = p / q is missed exactly when key * q < p * key_den, and
+    comparing keys compares steepness.  With `owner`, owner[pos] is set to
+    the number of the boundary that crossing pos went to, for every
+    crossing that passes both tests.
+    """
+    use = (None, params.use_first, params.use_second)
+    lam_den = params.lam.denominator
+    bar = params.lam.numerator * key_den
+    merged: list[tuple[int, int, int]] = []
+    for pos, (idx, key, d) in enumerate(crossings):
+        if not use[d] or key * lam_den < bar:
             continue
         if merged and idx - merged[-1][0] <= 1:
-            if steep > merged[-1][1]:
-                merged[-1] = (idx, steep)
+            if key > merged[-1][1]:
+                merged[-1] = (idx, key, pos)
         else:
-            merged.append((idx, steep))
-    return tuple(i for i, _ in merged)
+            merged.append((idx, key, pos))
+        if owner is not None:
+            owner[pos] = len(merged) - 1
+    return merged
 
 
 def boundary_trace(curve: PollingCurve, params: PpParams) -> BoundaryTrace:
@@ -386,15 +505,36 @@ def boundary_trace(curve: PollingCurve, params: PpParams) -> BoundaryTrace:
     crossings of the second mark the shoulders where occurrence coverage
     changes; both are mapped back to grid indices, clipped to [0, n],
     thresholded by lambda, and merged within one grid step (keeping the
-    steeper).
+    steeper).  The trace holds the signal and every crossing's fate as
+    exact Fractions.
     """
-    smoothed, p1, p2, crossings = _signal(curve, params.window, params.order)
-    return BoundaryTrace(smoothed, p1, p2, _decide(crossings, params))
+    sig = _signal(curve, params.window, params.order)
+    owner: list[int | None] = [None] * len(sig.crossings)
+    kept = _decide(sig.crossings, sig.key_den, params, owner)
+    use = (None, params.use_first, params.use_second)
+    crossings = []
+    for pos, (idx, key, d) in enumerate(sig.crossings):
+        b = owner[pos]
+        if b is None:
+            fate, into = ("below_lambda" if use[d] else "derivative_off"), None
+        elif kept[b][2] == pos:
+            fate, into = "kept", None
+        else:
+            fate, into = "merged", kept[b][0]
+        crossings.append(Crossing(idx, Fraction(key, sig.key_den), d, fate, into))
+    return BoundaryTrace(
+        smoothed=sig.smoothed,
+        p1=tuple(Fraction(x, sig.den) for x in sig.p1),
+        p2=tuple(Fraction(x, sig.den) for x in sig.p2),
+        boundaries=tuple(b[0] for b in kept),
+        crossings=tuple(crossings),
+    )
 
 
 def extract_boundaries(curve: PollingCurve, params: PpParams) -> BoundarySet:
     """The boundaries of :func:`boundary_trace`, as grid indices of `curve`."""
-    return boundary_trace(curve, params).boundaries
+    sig = _signal(curve, params.window, params.order)
+    return tuple(b[0] for b in _decide(sig.crossings, sig.key_den, params))
 
 
 # ---------------------------------------------------------------------------
@@ -436,15 +576,16 @@ def train_pp(
 
     curves = [polling_curve(records, resolution=resolution) for records, _ in pieces]
     # Only the decision step depends on lambda and the derivative flags.
-    crossings: dict[tuple[int, int, int], list[_Crossing]] = {}
+    signals: dict[tuple[int, int, int], tuple[list[_Crossing], int]] = {}
 
     def score(params: PpParams, indices: Sequence[int]) -> Fraction:
         total = Fraction(0)
         for i in indices:
-            key = (i, params.window, params.order)
-            if key not in crossings:
-                crossings[key] = _signal(curves[i], params.window, params.order)[3]
-            predicted = _decide(crossings[key], params)
+            smoothing = (i, params.window, params.order)
+            if smoothing not in signals:
+                sig = _signal(curves[i], params.window, params.order)
+                signals[smoothing] = sig.crossings, sig.key_den
+            predicted = [b[0] for b in _decide(*signals[smoothing], params)]
             prf = evaluation.boundary_prf(predicted, pieces[i][1], tolerance)
             total += getattr(prf, objective)
         return total / len(indices)

@@ -116,6 +116,95 @@ def brute_savgol(values, window, order):
     return out
 
 
+def _brute_crossings(f):
+    """Zero crossings of exact values as (index, steepness) pairs.
+
+    A sign flip between neighbours sits at the smaller magnitude (the later
+    index on ties) with steepness |b - a|; a run of zeros between opposite
+    signs sits at its center, rounded later, with steepness the change over
+    the index span.
+    """
+    out = []
+    i = 0
+    while i < len(f) - 1:
+        a, b = f[i], f[i + 1]
+        if a != 0 and b != 0 and (a < 0) != (b < 0):
+            out.append((i if abs(a) < abs(b) else i + 1, abs(b - a)))
+            i += 1
+        elif b == 0 and a != 0:
+            j = i + 1
+            while j < len(f) and f[j] == 0:
+                j += 1
+            if j < len(f) and (a < 0) != (f[j] < 0):
+                out.append(((i + j) // 2 + (i + j) % 2, abs(f[j] - a) / (j - i)))
+            i = j
+        else:
+            i += 1
+    return out
+
+
+def brute_boundary_trace(values, window, order, lam=0, use_first=True, use_second=True):
+    """Boundary extraction as one all-Fraction pipeline.
+
+    Pads the curve with `window` copies of each edge value, smooths it with
+    `brute_savgol`, differences it twice, takes the crossings of both
+    differences (mapped to curve indices and clipped to [0, n]), sorts them
+    by (index, steepness, derivative), then drops unused derivatives and
+    crossings below `lam` and merges the rest within one grid step, keeping
+    the steeper.  Returns (smoothed, p1, p2, crossings, boundaries); each
+    crossing is (index, steepness, derivative, fate, merged_into).
+    """
+    values = [Fraction(v) for v in values]
+    n = len(values)
+    smoothed = brute_savgol([values[0]] * window + values + [values[-1]] * window, window, order)
+    p1 = [b - a for a, b in zip(smoothed, smoothed[1:])]
+    p2 = [b - a for a, b in zip(p1, p1[1:])]
+    found = sorted(
+        [(min(max(pos - window, 0), n), steep, 1) for pos, steep in _brute_crossings(p1)]
+        + [(min(max(pos + 1 - window, 0), n), steep, 2) for pos, steep in _brute_crossings(p2)]
+    )
+    use = {1: use_first, 2: use_second}
+    fates = []
+    groups = []  # [position of the kept crossing, positions of all members]
+    for k, (idx, steep, d) in enumerate(found):
+        if not use[d]:
+            fates.append("derivative_off")
+            continue
+        if steep < lam:
+            fates.append("below_lambda")
+            continue
+        fates.append(None)
+        if groups and idx - found[groups[-1][0]][0] <= 1:
+            groups[-1][1].append(k)
+            if steep > found[groups[-1][0]][1]:
+                groups[-1][0] = k
+        else:
+            groups.append([k, [k]])
+    into = {}
+    for kept, members in groups:
+        for k in members:
+            into[k] = None if k == kept else found[kept][0]
+    crossings = [
+        (idx, steep, d, fates[k] or ("kept" if into[k] is None else "merged"), into.get(k))
+        for k, (idx, steep, d) in enumerate(found)
+    ]
+    return smoothed, p1, p2, crossings, tuple(found[kept][0] for kept, _ in groups)
+
+
+def brute_polling_curve(records, weights, resolution, piece_span, normalize=False):
+    """Per grid cell, the sum of the weights of the occurrences covering it."""
+    wmap = {rec.algorithm_id: Fraction(weights.get(rec.algorithm_id, 1)) for rec in records}
+    values = [Fraction(0)] * len(brute_presence(piece_span, piece_span, resolution))
+    for rec in records:
+        for occ in rec.occurrences:
+            for k, hit in enumerate(brute_presence(occ.span, piece_span, resolution)):
+                values[k] += hit * wmap[rec.algorithm_id]
+    total = sum(wmap.values(), Fraction(0))
+    if normalize and total > 0:
+        values = [v / total for v in values]
+    return values
+
+
 def brute_train_pp(pieces, grid, objective="f1", k_folds=3, tolerance=1,
                    resolution=Fraction(1), seed=0):
     """`polling.train_pp` as a plain loop: extract and score every candidate on every piece.
@@ -143,6 +232,35 @@ def brute_train_pp(pieces, grid, objective="f1", k_folds=3, tolerance=1,
         if best is None or rank < best[0]:
             best = (rank, params)
     return best[1]
+
+
+def brute_compactness(pattern, points, mode="temporal"):
+    """Pattern size over the set points in its onset range (and pitch range for bbox)."""
+    lo, hi = min(p.onset for p in pattern), max(p.onset for p in pattern)
+    inside = [q for q in points if lo <= q.onset <= hi]
+    if mode == "bbox":
+        plo, phi = min(p.pitch for p in pattern), max(p.pitch for p in pattern)
+        inside = [q for q in inside if plo <= q.pitch <= phi]
+    return Fraction(len(pattern), len(inside))
+
+
+def brute_trawl(pattern, points, a, b, mode="temporal"):
+    """Left-to-right segments of compactness >= a and >= b points, on exact onsets."""
+    out, segment = [], []
+
+    def close():
+        if len(segment) >= b and brute_compactness(segment, points, mode) >= a:
+            out.append(tuple(segment))
+
+    for p in sorted(pattern):
+        if not segment or brute_compactness(segment + [p], points, mode) >= a:
+            segment = segment + [p]
+        else:
+            close()
+            segment = [p]
+    if segment:
+        close()
+    return out
 
 
 def brute_jaccard(a, b):

@@ -543,8 +543,8 @@ class TestDeterminism:
 
 
 # JSON numbers stay within +-64: a window read from a document sets the
-# length of the padded curve, and smoothing costs about window squared
-# integer products, so a window of thousands makes each example slow.
+# length of the padded curve, and smoothing costs about window times curve
+# length integer products, so a window of thousands makes each example slow.
 _LEAVES = (
     st.none()
     | st.booleans()

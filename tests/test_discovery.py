@@ -312,6 +312,20 @@ class TestTrawler:
                 assert len(seg) >= b
                 assert compactness(seg, ps) >= a
 
+    def test_siarct_builds_at_most_two_grids(self, monkeypatch):
+        """One grid for the vector table, one shared by every trawl step."""
+        built = []
+        init = _Grid.__init__
+
+        def counted(self, ps):
+            built.append(ps)
+            init(self, ps)
+
+        monkeypatch.setattr(_Grid, "__init__", counted)
+        ps = pset(*[(i, 60 + i % 3) for i in range(12)], (5, 70), (20, 60), (21, 61))
+        segments = siarct(ps, F(2, 3), 2)
+        assert segments and len(built) <= 2
+
     def test_grid_segments_match_trawler(self):
         rng = random.Random(977)  # the criterion-01 small corpus
         for _ in range(200):
@@ -493,6 +507,19 @@ class TestIntegerRanking:
         for order in (("comp>=2/3", "cov"), ("comp>=0.6667", "cov"), ("comp", "cov")):
             got = integer_order(grid, candidates, order, len(ps))
             assert got == brute_order(grid, candidates, order, coords)
+
+
+class TestTrawlOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(ps=st.one_of(fractional_pieces, dense_pieces), data=st.data())
+    def test_equals_brute_trawler(self, ps, data):
+        """Below-1 thresholds and the bbox mode, on exact onsets."""
+        pattern = data.draw(st.lists(st.sampled_from(ps.points), min_size=1, unique=True))
+        a = data.draw(st.sampled_from([F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4), F(1)]))
+        b = data.draw(st.integers(1, 3))
+        mode = data.draw(st.sampled_from(["temporal", "bbox"]))
+        got = compactness_trawl(pattern, ps, a, b, mode)
+        assert got == _oracles.brute_trawl(pattern, ps.points, a, b, mode)
 
 
 # the points (0, 60, 1) (1, 62, 1) (4, 60, 1) (5, 62, 3): the pair repeats at

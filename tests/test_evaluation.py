@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from motifkit.core import PatternOccurrence, PatternRecord, Point, PointSet, quantize
 from motifkit.evaluation import (
@@ -53,6 +53,22 @@ class TestBoundaryPrf:
             assert ab.precision == ba.recall
             assert ab.recall == ba.precision
             assert ab.f1 == ba.f1
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        predicted=st.lists(st.integers(0, 12), max_size=6),
+        truth=st.lists(st.integers(0, 12), max_size=6),
+        tolerance=st.integers(0, 2),
+        unit=st.sampled_from([F(1), F(1, 3)]),
+    )
+    def test_unsorted_fractional_positions(self, predicted, truth, tolerance, unit):
+        """Matching on unsorted, repeated times; F1 is 2PR / (P + R)."""
+        predicted = [x * unit for x in predicted]
+        truth = [x * unit for x in truth]
+        prf = boundary_prf(predicted, truth, tolerance * unit)
+        assert prf.matches == _oracles.brute_max_matching(predicted, truth, tolerance * unit)
+        p, r = prf.precision, prf.recall
+        assert prf.f1 == (2 * p * r / (p + r) if p + r else 0)
 
     def test_tolerance_zero_is_set_intersection(self):
         rng = random.Random(1)

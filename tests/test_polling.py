@@ -91,6 +91,28 @@ class TestPollingCurve:
         assert curve.values == (1, 1)
 
 
+class TestPollingCurveOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        spans=st.lists(st.tuples(st.integers(0, 12), st.integers(1, 5)), min_size=0, max_size=6),
+        weights=st.tuples(st.sampled_from([F(1), F(1, 3), F(5, 2), F(0)]),
+                          st.sampled_from([F(2, 7), F(1), F(3, 2)])),
+        resolution=st.sampled_from([F(1), F(1, 2), F(1, 3), F(2)]),
+        normalize=st.booleans(),
+        extra=st.integers(0, 3),
+    )
+    def test_equals_per_cell_sum(self, spans, weights, resolution, normalize, extra):
+        """The difference array gives every cell the sum of its covering weights."""
+        records = [rec(alg, *[(s, s + d) for s, d in spans[k::2]])
+                   for k, alg in enumerate("ab") if spans[k::2]]
+        piece_span = (F(0), F(17 + extra))
+        wmap = dict(zip("ab", weights))
+        curve = polling_curve(records, wmap, resolution, piece_span, normalize=normalize)
+        want = _oracles.brute_polling_curve(records, wmap, resolution, piece_span, normalize)
+        assert list(curve.values) == want
+        assert all(isinstance(v, F) for v in curve.values)
+
+
 class TestSavgol:
     def test_parabola_unchanged(self):
         c = curve_of([0, 1, 4, 9, 16])
@@ -180,6 +202,15 @@ class TestExactSmoothing:
         assert list(trace.smoothed.values) == _oracles.brute_savgol(padded, window, params.order)
 
 
+    @pytest.mark.parametrize("window, order", [(41, 1), (41, 3), (23, 2), (9, 4)])
+    def test_window_longer_than_curve(self, window, order):
+        """The end runs' prefix sums, when every window holds all of a short curve."""
+        curve = curve_of([F(1, 2), 0, 3, F(-7, 3), 3, 3, F(5, 4)])
+        trace = boundary_trace(curve, PpParams(window=window, order=order))
+        padded = (curve.values[0],) * window + curve.values + (curve.values[-1],) * window
+        assert list(trace.smoothed.values) == _oracles.brute_savgol(padded, window, order)
+
+
 class TestDerivatives:
     def test_example(self):
         p1, p2 = derivatives(curve_of([0, 1, 3, 3, 2]))
@@ -258,6 +289,100 @@ class TestExtractBoundaries:
             PpParams(window=3, order=3)
         with pytest.raises(ValueError):
             PpParams(window=3, order=1, lam=F(-1))
+
+
+def _as_tuples(trace):
+    return [(c.index, c.steepness, c.derivative, c.fate, c.merged_into) for c in trace.crossings]
+
+
+def _check_against_oracle(curve, params):
+    smoothed, p1, p2, crossings, boundaries = _oracles.brute_boundary_trace(
+        curve.values, params.window, params.order, params.lam,
+        params.use_first, params.use_second,
+    )
+    trace = boundary_trace(curve, params)
+    assert list(trace.smoothed.values) == smoothed
+    assert list(trace.p1) == p1 and list(trace.p2) == p2
+    assert _as_tuples(trace) == crossings
+    assert trace.boundaries == boundaries
+    assert extract_boundaries(curve, params) == boundaries
+
+
+_params = st.tuples(
+    st.sampled_from([3, 5, 7, 9]), st.integers(1, 4), st.booleans(), st.booleans()
+).map(lambda t: PpParams(window=t[0], order=min(t[1], t[0] - 1), use_first=t[2], use_second=t[3]))
+
+
+class TestBoundaryOracle:
+    @settings(max_examples=120, deadline=None)
+    @given(curve=_curves(), params=_params, data=st.data())
+    def test_fractional_curves(self, curve, params, data):
+        """Fractional values; lambda drawn at a crossing's exact steepness."""
+        if len(curve) < 3:
+            curve = curve_of(curve.values * 3)
+        steeps = [c[1] for c in _oracles.brute_boundary_trace(
+            curve.values, params.window, params.order)[3]]
+        lam = data.draw(st.sampled_from(steeps + [F(0), F(1, 3)]))
+        _check_against_oracle(curve, PpParams(params.window, params.order, lam,
+                                              params.use_first, params.use_second))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        spans=st.lists(st.tuples(st.integers(0, 12), st.integers(1, 5)), min_size=1, max_size=6),
+        weights=st.tuples(st.sampled_from([F(1), F(1, 3), F(5, 2)]), st.sampled_from([F(2, 7), F(1)])),
+        resolution=st.sampled_from([F(1), F(1, 2), F(1, 3)]),
+        normalize=st.booleans(),
+        params=_params,
+        data=st.data(),
+    )
+    def test_weighted_polls(self, spans, weights, resolution, normalize, params, data):
+        records = [rec(alg, *[(s, s + d) for s, d in spans[k::2]])
+                   for k, alg in enumerate("ab") if spans[k::2]]
+        curve = polling_curve(records, dict(zip("ab", weights)), resolution, normalize=normalize)
+        steeps = [c[1] for c in _oracles.brute_boundary_trace(
+            curve.values, params.window, params.order)[3]]
+        lam = data.draw(st.sampled_from(steeps + [F(0)]))
+        _check_against_oracle(curve, PpParams(params.window, params.order, lam,
+                                              params.use_first, params.use_second))
+
+    def test_two_crossings_of_one_derivative_at_one_index(self):
+        # window 3, order 2 reproduces the curve, so p1 holds 2, -1, 2: both
+        # flips sit at the -1 with steepness 3, and the first one is kept
+        curve = curve_of([0, 0, 2, 1, 3, 3, 3])
+        trace = boundary_trace(curve, PpParams(window=3, order=2, use_second=False))
+        at_two = [c for c in trace.crossings if c.index == 2 and c.derivative == 1]
+        assert [(c.steepness, c.fate, c.merged_into) for c in at_two] == [
+            (3, "kept", None), (3, "merged", 2)]
+        for lam in (F(0), F(3), F(7, 2)):
+            _check_against_oracle(curve, PpParams(3, 2, lam, True, False))
+            _check_against_oracle(curve, PpParams(3, 2, lam))
+
+
+class TestBoundaryTraceCrossings:
+    @settings(max_examples=80, deadline=None)
+    @given(curve=_curves(), params=_params, lam=st.sampled_from([F(0), F(1, 4), F(1), F(3)]))
+    def test_fates(self, curve, params, lam):
+        """Kept crossings are the boundaries; the others say why not."""
+        if len(curve) < 3:
+            curve = curve_of(curve.values * 3)
+        params = PpParams(params.window, params.order, lam, params.use_first, params.use_second)
+        trace = boundary_trace(curve, params)
+        kept = {c.index: c.steepness for c in trace.crossings if c.fate == "kept"}
+        assert tuple(kept) == trace.boundaries
+        use = {1: params.use_first, 2: params.use_second}
+        for c in trace.crossings:
+            assert isinstance(c.steepness, F)
+            assert 0 <= c.index <= len(curve)
+            if c.fate == "below_lambda":
+                assert use[c.derivative] and c.steepness < lam
+            elif c.fate == "derivative_off":
+                assert not use[c.derivative]
+            elif c.fate == "merged":
+                assert c.steepness <= kept[c.merged_into]
+            else:
+                assert c.fate == "kept" and c.merged_into is None and c.steepness >= lam
+        assert [(c.index, c.steepness, c.derivative) for c in trace.crossings] == sorted(
+            (c.index, c.steepness, c.derivative) for c in trace.crossings)
 
 
 @st.composite

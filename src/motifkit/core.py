@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -153,19 +153,18 @@ class PatternOccurrence:
     """One temporally placed instance of a pattern."""
 
     points: tuple[Point, ...]
+    # [start, end): start = min onset, end = max onset + that note's duration;
+    # set once at construction, and ignored by equality, hashing and repr
+    span: tuple[Fraction, Fraction] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.points:
             raise ValueError("occurrence must contain at least one point")
-        object.__setattr__(self, "points", tuple(sorted(self.points)))
-
-    @property
-    def span(self) -> tuple[Fraction, Fraction]:
-        """[start, end): start = min onset, end = max onset + that note's duration."""
-        start = self.points[0].onset
-        last_onset = self.points[-1].onset
-        end = max(p.end for p in self.points if p.onset == last_onset)
-        return (start, end)
+        points = tuple(sorted(self.points))
+        last_onset = points[-1].onset
+        end = max(p.end for p in points if p.onset == last_onset)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "span", (points[0].onset, end))
 
     def coords(self) -> frozenset[tuple[Fraction, int]]:
         return frozenset(p.coord for p in self.points)

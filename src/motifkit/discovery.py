@@ -11,8 +11,10 @@ Internally points are rescaled to integer coordinates (the LCM of the
 onset denominators) so the hot loops run on plain int tuples.  Translators
 are read off SIA's vector table (Meredith, Lemstrom & Wiggins 2002), and
 COSIATEC and SIATECCompress rank candidate TECs in exact integer
-arithmetic, with no floats or Fractions.  Emitted occurrences are the
-piece's own notes, durations included.
+arithmetic, with no floats or Fractions.  One compact-segment rule
+(`_segments`, an integer compare per step) splits patterns for COSIATEC's
+candidates, `compactness_trawl` and SIARCT alike.  Emitted occurrences
+are the piece's own notes, durations included.
 """
 
 from __future__ import annotations
@@ -119,6 +121,25 @@ class _Grid:
         """Number of set points with onsets in [lo, hi]; both must be set onsets."""
         return self.stop[hi] - self.first[lo]
 
+    def inside(self, cs: Sequence[_Coord], mode: str) -> int:
+        """Set points in the onset span of sorted set points `cs` (``bbox``: and pitch range)."""
+        lo, hi = self.first[cs[0][0]], self.stop[cs[-1][0]]
+        if mode == "temporal":
+            return hi - lo
+        if mode == "bbox":
+            plo, phi = min(c[1] for c in cs), max(c[1] for c in cs)
+            return sum(plo <= pitch <= phi for _, pitch in self.coords[lo:hi])
+        raise ValueError(f"unknown compactness mode {mode!r}")
+
+    def on_grid(self, pattern: Sequence[Point]) -> dict[_Coord, Point]:
+        """The pattern's points by grid coordinate, sorted; each must be a set point."""
+        # an integral Fraction equals and hashes like its int; others match nothing
+        notes = {(p.onset * self.scale, p.pitch): p for p in sorted(pattern)}
+        for c, p in notes.items():
+            if c not in self.coord_set:
+                raise ValueError(f"pattern point {p.coord} not in the point set")
+        return notes
+
     def points(self, cs) -> tuple[Point, ...]:
         return tuple(self.by_coord[c] for c in sorted(cs))
 
@@ -161,6 +182,18 @@ def _mtp_table(grid: _Grid) -> _Table:
     return table
 
 
+def _columns(grid: _Grid, r: int | None = None) -> list[tuple[_Coord, list[_Coord]]]:
+    """SIA's (vector, sorted origins) pairs by vector; with `r`, SIAR's (next r successors)."""
+    if r is None:
+        return sorted(_mtp_table(grid).items())
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    cs = grid.coords
+    vectors = {_sub(d, c) for i, c in enumerate(cs) for d in cs[i + 1 : i + r + 1]}
+    members = grid.coord_set
+    return [(v, [c for c in cs if (c[0] + v[0], c[1] + v[1]) in members]) for v in sorted(vectors)]
+
+
 def _mtp(grid: _Grid, v: _Coord, origins: list[_Coord]) -> MTP:
     return MTP(grid.vector(v), grid.points(origins), _image(origins, v, grid.by_coord))
 
@@ -173,7 +206,7 @@ def sia(ps: PointSet) -> list[MTP]:
     points yield an empty list.
     """
     grid = _Grid(ps)
-    return [_mtp(grid, v, origins) for v, origins in sorted(_mtp_table(grid).items())]
+    return [_mtp(grid, v, origins) for v, origins in _columns(grid)]
 
 
 def siar(ps: PointSet, r: int) -> list[MTP]:
@@ -183,20 +216,8 @@ def siar(ps: PointSet, r: int) -> list[MTP]:
     result is a subset of :func:`sia`'s (vector, points) mapping; with
     r >= len(ps) - 1 the two coincide.
     """
-    if r < 1:
-        raise ValueError("r must be >= 1")
     grid = _Grid(ps)
-    cs = grid.coords
-    vectors = {
-        _sub(cs[j], cs[i])
-        for i in range(len(cs))
-        for j in range(i + 1, min(i + r + 1, len(cs)))
-    }
-    inside = grid.coord_set
-    return [
-        _mtp(grid, v, [c for c in cs if (c[0] + v[0], c[1] + v[1]) in inside])
-        for v in sorted(vectors)
-    ]
+    return [_mtp(grid, v, origins) for v, origins in _columns(grid, r)]
 
 
 # ---------------------------------------------------------------------------
@@ -308,24 +329,32 @@ def _shape(origins: Sequence[_Coord]) -> tuple[_Coord, ...]:
     return tuple([(c0 - b0, c1 - b1) for c0, c1 in origins])
 
 
-def _compact_segments(origins: Sequence[_Coord], grid: _Grid) -> list[tuple[_Coord, ...]]:
-    """Maximal runs of >= 2 pattern points that hold every set point in their span.
+def _segments(
+    coords: Sequence[_Coord], grid: _Grid, a: Fraction | int, b: int, mode: str = "temporal"
+) -> list[tuple[_Coord, ...]]:
+    """Maximal left-to-right runs of the sorted set points `coords` with compactness >= a.
 
-    Grid form of ``compactness_trawl(pattern, ps, 1, 2)`` in temporal mode:
-    a run is compact when its length equals the number of set points whose
-    onsets lie between its first and last onset.  `origins` are sorted.
+    A run takes the next point while ``(len + 1) * a.denominator >=
+    a.numerator * inside``, `inside` counting the set points in the extended
+    run's window (`_Grid.inside`); a point that fails starts a new run.  Runs
+    of at least `b` points are kept, a one-point run only if it passes the
+    same test (other set points can share its onset).
     """
+    num, den = a.numerator, a.denominator
+    temporal = mode == "temporal"
+    first, stop = grid.first, grid.stop
     out = []
-    segment: list[_Coord] = []
-    for c in origins:
-        if segment and len(segment) + 1 == grid.window(segment[0][0], c[0]):
-            segment.append(c)
-            continue
-        if len(segment) >= 2:
-            out.append(tuple(segment))
-        segment = [c]
-    if len(segment) >= 2:
-        out.append(tuple(segment))
+    i, n = 0, len(coords)
+    while i < n:  # the run is coords[i:j]
+        lo, j = first[coords[i][0]], i + 1
+        # temporal: the window lookup of `_Grid.inside`, inlined for COSIATEC
+        while j < n and (j - i + 1) * den >= num * (
+            stop[coords[j][0]] - lo if temporal else grid.inside(coords[i : j + 1], mode)
+        ):
+            j += 1
+        if j - i >= b and (j - i > 1 or den >= num * grid.inside(coords[i:j], mode)):
+            out.append(tuple(coords[i:j]))
+        i = j
     return out
 
 
@@ -341,32 +370,11 @@ def compactness(
     ``temporal`` counts set points whose onset lies in the pattern's onset
     range; ``bbox`` additionally restricts to the pattern's pitch range.
     """
-    return _compactness(pattern, _Grid(ps), mode)
-
-
-def _compactness(pattern: Sequence[Point], grid: _Grid, mode: str) -> Fraction:
-    """:func:`compactness` against the grid of the point set."""
     pts = tuple(pattern)
     if not pts:
         raise ValueError("pattern must be nonempty")
-    # an integral Fraction equals and hashes like its int; others match nothing
-    scaled = [(p.onset * grid.scale, p.pitch) for p in pts]
-    for p, c in zip(pts, scaled):
-        if c not in grid.coord_set:
-            raise ValueError(f"pattern point {p.coord} not in the point set")
-    lo = int(min(c[0] for c in scaled))
-    hi = int(max(c[0] for c in scaled))
-    if mode == "temporal":
-        inside = grid.window(lo, hi)
-    elif mode == "bbox":
-        plo = min(p.pitch for p in pts)
-        phi = max(p.pitch for p in pts)
-        inside = sum(
-            1 for o, pitch in grid.coords if lo <= o <= hi and plo <= pitch <= phi
-        )
-    else:
-        raise ValueError(f"unknown compactness mode {mode!r}")
-    return Fraction(len(pts), inside)
+    grid = _Grid(ps)
+    return Fraction(len(pts), grid.inside(list(grid.on_grid(pts)), mode))
 
 
 def tec_quality(tec: TEC, ps: PointSet, mode: str = "temporal") -> TecQuality:
@@ -452,9 +460,9 @@ def cosiatec(
     """Cover the set by repeatedly taking the best TEC and removing its points.
 
     The candidates in each round are SIATEC's TECs of the remaining points
-    plus the TECs of every MTP's compact segments: its maximal runs of at
-    least two points that hold every remaining note in their time span
-    (``compactness_trawl(mtp, remaining, 1, 2)``).  An MTP gathers every
+    plus the TECs of every MTP's compact segments: the compactness trawl
+    at a = 1, b = 2 (`_segments`), so maximal runs of at least two points
+    that hold every remaining note in their time span.  An MTP gathers every
     point that happens to repeat at its vector, so a planted occurrence
     can sit in it next to far-off strays (the "isolated membership"
     problem of Collins et al., SIACT, ISMIR 2010); its compact segments
@@ -480,7 +488,7 @@ def cosiatec(
         for origins in table.values():
             shapes.add(_shape(origins))
             if len(origins) > 2:  # a 2-point MTP's only segment is itself
-                shapes.update(_shape(seg) for seg in _compact_segments(origins, grid))
+                shapes.update(_shape(seg) for seg in _segments(origins, grid, 1, 2))
         candidates = [_score(shape, grid, table) for shape in shapes]
         stats.lap("search")
         best = min(candidates, key=key)
@@ -540,6 +548,15 @@ def siatec_compress(
 # Compactness trawler / SIARCT
 
 
+def _threshold(a: Fraction, b: int) -> Fraction:
+    """The trawler's compactness threshold `a` as a Fraction, with `b` checked."""
+    if not 0 < a <= 1:
+        raise ValueError("compactness threshold must be in (0, 1]")
+    if b < 1:
+        raise ValueError("minimum segment size must be >= 1")
+    return Fraction(a)
+
+
 def compactness_trawl(
     pattern: Sequence[Point],
     ps: PointSet,
@@ -551,39 +568,15 @@ def compactness_trawl(
 
     The scan extends the current segment while its compactness stays at or
     above `a`; a violating point closes the segment and starts a new one.
-    Only segments with at least `b` points are kept.
+    Only segments with at least `b` points are kept, and a one-point
+    segment only if it is itself that compact.  The scan runs on grid
+    integers, one cross-multiplied compare per point (`_segments`); COSIATEC's
+    compact segments and `siarct` use the same rule.
     """
-    return _trawl(pattern, _Grid(ps), a, b, mode)
-
-
-def _trawl(
-    pattern: Sequence[Point], grid: _Grid, a: Fraction, b: int, mode: str = "temporal"
-) -> list[tuple[Point, ...]]:
-    """:func:`compactness_trawl` against the grid of the point set."""
-    if not 0 < a <= 1:
-        raise ValueError("compactness threshold must be in (0, 1]")
-    if b < 1:
-        raise ValueError("minimum segment size must be >= 1")
-    pts = sorted(pattern)
-    out = []
-
-    def close(segment: list[Point]):
-        # a freshly seeded singleton can still sit below the threshold
-        # when other set points share its onset
-        if len(segment) >= b and _compactness(segment, grid, mode) >= a:
-            out.append(tuple(segment))
-
-    segment: list[Point] = []
-    for p in pts:
-        candidate = segment + [p]
-        if not segment or _compactness(candidate, grid, mode) >= a:
-            segment = candidate
-        else:
-            close(segment)
-            segment = [p]
-    if segment:
-        close(segment)
-    return out
+    a = _threshold(a, b)
+    grid = _Grid(ps)
+    notes = grid.on_grid(pattern)
+    return [tuple(notes[c] for c in seg) for seg in _segments(list(notes), grid, a, b, mode)]
 
 
 def siarct(
@@ -591,13 +584,16 @@ def siarct(
 ) -> list[tuple[Vector2, tuple[Point, ...]]]:
     """SIA(R) patterns filtered through the compactness trawler.
 
-    Each MTP of the (optionally r-restricted) vector table is trawled;
-    surviving segments are returned with their source vector, deduplicated
-    and sorted.
+    Each MTP of the (optionally r-restricted) vector table is trawled as a
+    column of grid integers, by the integer rule of `compactness_trawl`
+    (`_segments`); surviving segments are returned with their source
+    vector, deduplicated and sorted.
     """
-    mtps = sia(ps) if r is None else siar(ps, r)
+    a = _threshold(a, b)
     grid = _Grid(ps)
-    return sorted({(m.vector, seg) for m in mtps for seg in _trawl(m.points, grid, a, b)})
+    # grid order is the exact order: onsets scale by one positive factor
+    found = {(v, s) for v, origins in _columns(grid, r) for s in _segments(origins, grid, a, b)}
+    return [(grid.vector(v), grid.points(seg)) for v, seg in sorted(found)]
 
 
 # ---------------------------------------------------------------------------

@@ -123,6 +123,13 @@ class TestOccurrence:
         occ = PatternOccurrence((pt(0, 60, 4), pt(2, 62, 1)))
         assert occ.span == (0, 3)
 
+    def test_span_computed_once_and_not_compared(self):
+        occ = PatternOccurrence((pt(0, 60, 4), pt(2, 62, 1)))
+        fresh = PatternOccurrence(occ.points)
+        before = repr(occ)
+        assert occ.span is occ.span
+        assert occ == fresh and hash(occ) == hash(fresh) and repr(occ) == before
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             PatternOccurrence(())

@@ -23,12 +23,12 @@ from motifkit.discovery import (
     siatec_compress,
     tec_quality,
     DiscoveryStats,
-    _compact_segments,
     _figure,
     _Grid,
     _mtp_table,
     _rank_key,
     _score,
+    _segments,
     _shape,
     _translators,
 )
@@ -312,28 +312,34 @@ class TestTrawler:
                 assert len(seg) >= b
                 assert compactness(seg, ps) >= a
 
-    def test_siarct_builds_at_most_two_grids(self, monkeypatch):
-        """One grid for the vector table, one shared by every trawl step."""
+    def test_siarct_builds_one_grid_and_no_mtp(self, monkeypatch):
+        """The vector table's columns are trawled on the grid they came from."""
         built = []
-        init = _Grid.__init__
+        for cls in (_Grid, MTP):
+            init = cls.__init__
 
-        def counted(self, ps):
-            built.append(ps)
-            init(self, ps)
+            def counted(self, *args, _init=init, **kwargs):
+                built.append(type(self))
+                _init(self, *args, **kwargs)
 
-        monkeypatch.setattr(_Grid, "__init__", counted)
+            monkeypatch.setattr(cls, "__init__", counted)
         ps = pset(*[(i, 60 + i % 3) for i in range(12)], (5, 70), (20, 60), (21, 61))
-        segments = siarct(ps, F(2, 3), 2)
-        assert segments and len(built) <= 2
+        assert siarct(ps, F(2, 3), 2) and siarct(ps, F(1, 2), 2, r=3)
+        assert built == [_Grid, _Grid]
 
-    def test_grid_segments_match_trawler(self):
+    def test_grid_segments_match_brute_trawler(self):
+        """Every vector-table column, for a below 1 and in both modes."""
         rng = random.Random(977)  # the criterion-01 small corpus
         for _ in range(200):
             ps = random_pointset(rng)
             grid = _Grid(ps)
             for origins in _mtp_table(grid).values():
-                got = [grid.points(seg) for seg in _compact_segments(origins, grid)]
-                assert got == compactness_trawl(grid.points(origins), ps, F(1), 2)
+                pattern = grid.points(origins)
+                for a in (F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4), F(1)):
+                    for b in (1, 2, 3):
+                        for mode in ("temporal", "bbox"):
+                            got = [grid.points(s) for s in _segments(origins, grid, a, b, mode)]
+                            assert got == _oracles.brute_trawl(pattern, ps.points, a, b, mode)
 
 
 class TestTecQuality:
@@ -409,7 +415,7 @@ class TestGridRanking:
             grid = _Grid(ps)
             table = _mtp_table(grid)
             for origins in table.values():
-                for shape in {_shape(origins)} | {_shape(s) for s in _compact_segments(origins, grid)}:
+                for shape in {_shape(origins)} | {_shape(s) for s in _segments(origins, grid, 1, 2)}:
                     c = _score(shape, grid, table)
                     size, count = len(c.shape), len(c.translators)
                     assert TecQuality(
@@ -425,7 +431,7 @@ def grid_shapes(grid, table):
     shapes = set()
     for origins in table.values():
         shapes.add(_shape(origins))
-        shapes.update(_shape(seg) for seg in _compact_segments(origins, grid))
+        shapes.update(_shape(seg) for seg in _segments(origins, grid, 1, 2))
     return shapes
 
 

@@ -171,7 +171,7 @@ def sample_random_excerpts(
     Pieces shorter than an annotation are skipped with a warning.
     """
     if repeats < 1:
-        raise ValueError("repeats must be >= 1")
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
     rng = np.random.default_rng(seed)
     out = []
     for piece, records in items:
@@ -335,6 +335,10 @@ def cross_validate(
     each training fold only.  Confusion matrices are (classified row,
     original column): each column sums to that class's test count.
     """
+    if folds < 2:
+        raise ValueError(f"folds must be >= 2, got {folds}")
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
     if isinstance(classifiers, Mapping):
         spec = dict(classifiers)
     else:
@@ -371,10 +375,9 @@ def cross_validate(
                 X_test = model.transform(X_test)
             for name, params in spec.items():
                 params = dict(params)
-                kind = params.pop("kind", name)
-                if kind == "rf":
+                if name == "rf":
                     params.setdefault("seed", _subseed(seed, "rf", rep, fold_no))
-                clf = train_classifier(kind, X_train, y_train, params)
+                clf = train_classifier(name, X_train, y_train, params)
                 pred = clf.predict(X_test)
                 accuracies[name].append(float(np.mean(pred == y_test)))
                 cm = np.zeros((k, k))
@@ -445,17 +448,17 @@ def feature_importance(
     runs: int = 20,
     trees: int = 100,
     seed: int = 0,
-    confirm_rate: float = 0.75,
-    reject_rate: float = 0.25,
 ) -> ImportanceReport:
     """Shadow-permutation importance over a random forest.
 
     Each run appends one row-permuted copy of every feature, trains a
     forest, and marks a real feature as hitting when its Gini importance
-    beats the best shadow importance.  Features hitting in at least
-    `confirm_rate` of runs are confirmed, at most `reject_rate` rejected,
+    beats the best shadow importance.  Features hitting in at least three
+    quarters of the runs are confirmed, in at most a quarter rejected,
     anything between tentative.
     """
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs}")
     X = np.asarray(X, dtype=float)
     n, d = X.shape
     names = tuple(feature_names) if feature_names is not None else tuple(
@@ -480,9 +483,9 @@ def feature_importance(
     features = []
     for j, name in enumerate(names):
         rate = hits[j] / runs
-        if rate >= confirm_rate:
+        if rate >= 0.75:
             status = "confirmed"
-        elif rate <= reject_rate:
+        elif rate <= 0.25:
             status = "rejected"
         else:
             status = "tentative"

@@ -116,23 +116,25 @@ class _Tree:
 class RandomForest:
     """Bootstrap-aggregated CART trees with majority vote.
 
-    `variables_per_split` defaults to the square root of the feature
-    count; `feature_importances_` is the tree-averaged Gini impurity
-    decrease, normalized to sum to one.
+    Each split tries round(sqrt(d)) of the d features, at least one;
+    `feature_importances_` is the tree-averaged Gini impurity decrease,
+    normalized to sum to one.
     """
 
     trees: int = 200
-    variables_per_split: int | None = None
     seed: int = 0
     classes_: np.ndarray = field(default=None, repr=False)
     feature_importances_: np.ndarray = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.trees < 1:
+            raise ValueError(f"trees must be >= 1, got {self.trees}")
 
     def fit(self, X, y) -> "RandomForest":
         X, codes, classes = _as_arrays(X, y)
         self.classes_ = classes
         n, d = X.shape
-        mtry = self.variables_per_split or max(1, int(round(d**0.5)))
-        mtry = min(mtry, d)
+        mtry = min(max(1, int(round(d**0.5))), d)
         rng = np.random.default_rng(self.seed)
         self._forest = []
         importances = np.zeros(d)
@@ -162,13 +164,11 @@ class RandomForest:
 class GaussianNaiveBayes:
     """Gaussian class-conditional likelihoods with smoothed class priors.
 
-    The Laplace term alpha smooths the class priors (count + alpha over
-    total + alpha * #classes); variances get a small floor to keep the
-    log-likelihood finite on constant features.
+    A Laplace term of 1 smooths the class priors (count + 1 over total +
+    #classes); variances get a floor of 1e-9 to keep the log-likelihood
+    finite on constant features.
     """
 
-    alpha: float = 1.0
-    var_floor: float = 1e-9
     classes_: np.ndarray = field(default=None, repr=False)
 
     def fit(self, X, y) -> "GaussianNaiveBayes":
@@ -181,8 +181,8 @@ class GaussianNaiveBayes:
         for c in range(k):
             rows = X[codes == c]
             self._mean[c] = rows.mean(axis=0)
-            self._var[c] = rows.var(axis=0) + self.var_floor
-        self._log_prior = np.log((counts + self.alpha) / (counts.sum() + self.alpha * k))
+            self._var[c] = rows.var(axis=0) + 1e-9
+        self._log_prior = np.log((counts + 1) / (counts.sum() + k))
         return self
 
     def predict(self, X) -> np.ndarray:
@@ -204,11 +204,10 @@ class GaussianNaiveBayes:
 class LinearDiscriminant:
     """Pooled-covariance linear discriminant with a ridge fallback.
 
-    When the pooled within-class covariance is singular, ridge * I is
+    When the pooled within-class covariance is singular, 1e-6 * I is
     added to its diagonal before solving.
     """
 
-    ridge: float = 1e-6
     classes_: np.ndarray = field(default=None, repr=False)
 
     def fit(self, X, y) -> "LinearDiscriminant":
@@ -226,7 +225,7 @@ class LinearDiscriminant:
             pooled += centered.T @ centered
         pooled /= max(n - k, 1)
         if np.linalg.matrix_rank(pooled) < d:
-            pooled = pooled + self.ridge * np.eye(d)
+            pooled = pooled + 1e-6 * np.eye(d)
         self._coef = np.linalg.solve(pooled, means.T).T
         self._intercept = -0.5 * np.einsum("ij,ij->i", means, self._coef) + np.log(
             counts / n
@@ -244,14 +243,12 @@ def train_classifier(kind: str, X, y, params: dict | None = None):
     params = dict(params or {})
     if kind == "rf":
         model = RandomForest(
-            trees=int(params.pop("trees", 200)),
-            variables_per_split=params.pop("variables_per_split", None),
-            seed=int(params.pop("seed", 0)),
+            trees=int(params.pop("trees", 200)), seed=int(params.pop("seed", 0))
         )
     elif kind == "nb":
-        model = GaussianNaiveBayes(alpha=float(params.pop("alpha", 1.0)))
+        model = GaussianNaiveBayes()
     elif kind == "lda":
-        model = LinearDiscriminant(ridge=float(params.pop("ridge", 1e-6)))
+        model = LinearDiscriminant()
     else:
         raise ValueError(f"unknown classifier kind {kind!r}")
     if params:

@@ -222,6 +222,11 @@ def cmd_discover(args) -> int:
 # poll
 
 
+def _derivative_flags(choice) -> dict[str, bool]:
+    """PpParams' use_first and use_second for a --derivatives choice."""
+    return {"use_first": choice in ("first", "both"), "use_second": choice in ("second", "both")}
+
+
 def _pp_params_from_args(args) -> polling.PpParams:
     base = {}
     if args.params_file:
@@ -238,8 +243,7 @@ def _pp_params_from_args(args) -> polling.PpParams:
         "use_second": base.get("use_second", True),
     }
     if args.derivatives:
-        merged["use_first"] = args.derivatives in ("first", "both")
-        merged["use_second"] = args.derivatives in ("second", "both")
+        merged.update(_derivative_flags(args.derivatives))
     try:
         return polling.PpParams.from_json_dict(merged)
     except _SHAPE_ERRORS as exc:
@@ -367,13 +371,7 @@ def _manifest(doc) -> tuple[list[tuple[list[str], str]], list[polling.PpParams]]
     pieces = [(_paths(entry["patterns"]), _paths([entry["truth"]])[0]) for entry in doc["pieces"]]
     grid_spec = doc.get("grid", {})
     grid = [
-        polling.PpParams(
-            window=int(w),
-            order=int(o),
-            lam=core.to_time(lam),
-            use_first=flag in ("first", "both"),
-            use_second=flag in ("second", "both"),
-        )
+        polling.PpParams(window=int(w), order=int(o), lam=lam, **_derivative_flags(flag))
         for w in grid_spec.get("windows", [3, 5])
         for o in grid_spec.get("orders", [1, 2])
         if o < w
@@ -498,9 +496,12 @@ def cmd_features(args) -> int:
         annotations = [rec for _, records in all_records for rec in records]
         if not annotations:
             raise CliError(EXIT_CONFIG, "--random requires at least one pattern file")
-        excerpts = analysis.sample_random_excerpts(
-            [(piece, annotations)], repeats=args.random, seed=seed
-        )
+        try:
+            excerpts = analysis.sample_random_excerpts(
+                [(piece, annotations)], repeats=args.random, seed=seed
+            )
+        except ValueError as exc:
+            raise CliError(EXIT_CONFIG, str(exc)) from exc
         for occ in excerpts:
             rows.append((list(analysis.extract_features(occ)), "random"))
     if not rows:
@@ -547,7 +548,7 @@ def cmd_classify(args) -> int:
     spec = {}
     for kind in kinds:
         params = {}
-        if kind == "rf" and args.trees:
+        if kind == "rf" and args.trees is not None:
             params["trees"] = args.trees
         spec[kind] = params
     try:
@@ -574,16 +575,19 @@ def cmd_importance(args) -> int:
     seed = args.seed if args.seed is not None else 0
     if len(set(dataset.labels)) < 2:
         raise CliError(EXIT_CONFIG, "need at least 2 groups for importance analysis")
-    report = analysis.feature_importance(
-        dataset.X,
-        list(dataset.labels),
-        feature_names=analysis.FEATURE_NAMES
-        if dataset.X.shape[1] == len(analysis.FEATURE_NAMES)
-        else None,
-        runs=args.runs,
-        trees=args.trees or 100,
-        seed=seed,
-    )
+    try:
+        report = analysis.feature_importance(
+            dataset.X,
+            list(dataset.labels),
+            feature_names=analysis.FEATURE_NAMES
+            if dataset.X.shape[1] == len(analysis.FEATURE_NAMES)
+            else None,
+            runs=args.runs,
+            trees=args.trees,
+            seed=seed,
+        )
+    except ValueError as exc:
+        raise CliError(EXIT_CONFIG, str(exc)) from exc
     _atomic_write(Path(args.out), _json_text(report.to_json_dict()))
     confirmed = [f.name for f in report.features if f.status == "confirmed"]
     _say(args, f"confirmed={len(confirmed)} of {len(report.features)} features")
@@ -698,7 +702,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("importance", help="shadow-feature importance report")
     p.add_argument("--features", required=True, help="features CSV")
     p.add_argument("--runs", type=int, default=20)
-    p.add_argument("--trees", type=int, default=None)
+    p.add_argument("--trees", type=int, default=100)
     p.add_argument("--out", required=True, help="report JSON path")
     _add_common(p)
     p.set_defaults(func=cmd_importance)

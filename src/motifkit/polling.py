@@ -9,16 +9,19 @@ boundaries.
 All curve arithmetic is exact, so polynomial reproduction and boundary
 positions are reproducible to the bit.  Inside, a curve is integer
 numerators over one shared denominator, from polling through smoothing,
-differencing and the threshold-and-merge decision; Fractions are built
-only at the boundary, for `PollingCurve.values`, `derivatives` and
-`BoundaryTrace`.  Polling adds each occurrence's weight with a difference
+differencing and the threshold-and-merge decision.  Fractions are built
+only where a caller reads them: `polling_curve` and `savgol_smooth` return
+a `PollingCurve`, and `boundary_trace` builds the smoothed curve, p1, p2
+and the steepness of each crossing; `extract_boundaries` and `train_pp`
+build none.  Polling adds each occurrence's weight with a difference
 array.  Smoothing applies each least-squares fit as an integer kernel over
 one shared denominator, solved once per (offsets, order); a fit whose
 samples are all equal is that value, and the constant runs at the ends of
 a curve enter a fit through prefix sums of its kernel, so the edge padding
 of boundary extraction costs neither a solve nor a product per padded
-sample.  Parameter training smooths each (piece, window, order) once and
-re-runs only the threshold-and-merge step per lambda and derivative choice.
+sample.  Parameter training polls each piece once, smooths each (piece,
+window, order) once and re-runs only the threshold-and-merge step per
+lambda and derivative choice.
 """
 
 from __future__ import annotations
@@ -54,11 +57,6 @@ class PollingCurve:
     origin: Fraction
     resolution: Fraction
     values: tuple[Fraction, ...]
-    # The values as (numerators, shared denominator), kept by the curves
-    # this module builds so that smoothing reads integers, not Fractions.
-    _ints: tuple[tuple[int, ...], int] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __len__(self) -> int:
         return len(self.values)
@@ -70,22 +68,17 @@ class PollingCurve:
         return [float(v) for v in self.values]
 
 
-def _exact_curve(origin: Fraction, resolution: Fraction, nums: tuple[int, ...], den: int,
-                 values: tuple[Fraction, ...] | None = None) -> PollingCurve:
-    """The curve of nums[k] / den, keeping the integers; `values` if already built."""
-    if values is None:
-        values = tuple(Fraction(x, den) for x in nums)
-    curve = PollingCurve(origin, resolution, values)
-    object.__setattr__(curve, "_ints", (nums, den))
-    return curve
-
-
 def _numerators(curve: PollingCurve) -> tuple[tuple[int, ...], int]:
     """The curve's values as integer numerators over one shared denominator."""
-    if curve._ints is not None:
-        return curve._ints
     scale = math.lcm(*(v.denominator for v in curve.values))
     return tuple(v.numerator * (scale // v.denominator) for v in curve.values), scale
+
+
+def _check_smoothing(window: int, order: int):
+    if window < 3 or window % 2 == 0:
+        raise ValueError("window must be an odd integer >= 3")
+    if not 1 <= order < window:
+        raise ValueError("order must satisfy 1 <= order < window")
 
 
 @dataclass(frozen=True)
@@ -104,11 +97,8 @@ class PpParams:
     use_second: bool = True
 
     def __post_init__(self):
-        if self.window < 3 or self.window % 2 == 0:
-            raise ValueError("window must be an odd integer >= 3")
-        if not 1 <= self.order < self.window:
-            raise ValueError("order must satisfy 1 <= order < window")
-        lam = to_time(self.lam) if not isinstance(self.lam, Fraction) else self.lam
+        _check_smoothing(self.window, self.order)
+        lam = to_time(self.lam)
         if lam < 0:
             raise ValueError("lambda must be >= 0")
         object.__setattr__(self, "lam", lam)
@@ -127,7 +117,7 @@ class PpParams:
         return cls(
             window=int(obj["window"]),
             order=int(obj["order"]),
-            lam=to_time(obj.get("lambda", 0)),
+            lam=obj.get("lambda", 0),
             use_first=bool(obj.get("use_first", True)),
             use_second=bool(obj.get("use_second", True)),
         )
@@ -175,6 +165,13 @@ def polling_curve(
     [0, max span end); with `normalize` the curve is divided by the total
     weight of the algorithms present.
     """
+    start, nums, den = _poll(records, weights, resolution, piece_span, normalize)
+    return PollingCurve(start, resolution, tuple(Fraction(x, den) for x in nums))
+
+
+def _poll(records: Sequence[PatternRecord], weights: AlgorithmWeights | None, resolution: Fraction,
+          piece_span: Span | None, normalize: bool) -> tuple[Fraction, tuple[int, ...], int]:
+    """The grid origin and :func:`polling_curve`'s values as numerators over one denominator."""
     if resolution <= 0:
         raise ValueError("resolution must be > 0")
     weights = weights or {}
@@ -207,7 +204,7 @@ def polling_curve(
     total = sum(iw.values())
     if normalize and total > 0:
         den = total  # (c / den) / (total / den) = c / total
-    return _exact_curve(start, resolution, nums, den)
+    return start, nums, den
 
 
 # ---------------------------------------------------------------------------
@@ -311,23 +308,24 @@ def savgol_smooth(curve: PollingCurve, window: int, order: int) -> PollingCurve:
     The arithmetic is exact on integers: the curve is scaled to integers
     over one denominator, each fit is a fixed integer kernel over one
     shared denominator (memoised per offsets and order), and every output
-    is one integer over the product of the two.  A window lying inside the
-    run of equal samples at either end of the curve gives that value
-    without a fit, since a least-squares polynomial reproduces a constant,
-    and a window overlapping such a run weighs it with one product; so a
-    window of w on n samples costs about (n + w) * (samples outside the end
-    runs) products, and edge padding costs no solve.
+    is one integer over the product of the two; the returned curve's
+    Fractions are built from those integers at the end.  Boundary
+    extraction smooths its integers without this function and so builds no
+    Fraction for the smoothed curve.  A window lying inside the run of
+    equal samples at either end of the curve gives that value without a
+    fit, since a least-squares polynomial reproduces a constant, and a
+    window overlapping such a run weighs it with one product; so a window
+    of w on n samples costs about (n + w) * (samples outside the end runs)
+    products, and edge padding costs no solve.
     """
     n = len(curve)
-    if window < 3 or window % 2 == 0:
-        raise ValueError("window must be an odd integer >= 3")
-    if not 1 <= order < window:
-        raise ValueError("order must satisfy 1 <= order < window")
+    _check_smoothing(window, order)
     if window > n:
         raise ValueError(f"window {window} exceeds curve length {n}")
     ys, scale = _numerators(curve)
     nums, den = _smooth(ys, window, order)
-    return _exact_curve(curve.origin, curve.resolution, nums, den * scale)
+    values = tuple(Fraction(x, den * scale) for x in nums)
+    return PollingCurve(curve.origin, curve.resolution, values)
 
 
 def derivatives(curve: PollingCurve) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
@@ -421,7 +419,7 @@ _Crossing = tuple[int, int, int]
 
 
 class _Signal(NamedTuple):
-    smoothed: PollingCurve  # the padded curve, smoothed
+    smoothed: tuple[int, ...]  # the padded curve, smoothed, numerators over den
     p1: list[int]  # its first differences, numerators over den
     p2: list[int]  # its second differences, numerators over den
     den: int
@@ -429,30 +427,24 @@ class _Signal(NamedTuple):
     key_den: int  # a crossing's steepness is its key / key_den
 
 
-def _signal(curve: PollingCurve, window: int, order: int) -> _Signal:
-    """The smoothed padded curve, p1, p2 and their crossings, sorted.
+def _signal(ys: tuple[int, ...], scale: int, window: int, order: int) -> _Signal:
+    """The smoothed padded curve, p1, p2 and their crossings, sorted, on integers.
 
-    The curve is extended on both sides with `window` copies of its edge
-    values before smoothing, so boundaries at the very start or end of the
-    piece see the same flat context as interior ones without inventing any
-    slope.  Crossing positions are mapped back to grid indices of `curve`
-    and clipped to [0, n].  Every steepness change / span becomes the
-    integer key change * (L / span) over key_den = den * L, L the least
-    common multiple of the spans, so sorting by (index, key, derivative)
-    sorts by exact steepness.
+    The curve is ys[k] / scale.  It is extended on both sides with
+    `window` copies of its edge values and smoothed with :func:`_smooth`,
+    so boundaries at the very start or end of the piece see the same flat
+    context as interior ones without inventing any slope.  No Fraction is
+    built here; `boundary_trace` builds the ones its trace holds.
+    Crossing positions are mapped back to grid indices of the curve and
+    clipped to [0, n].  Every steepness change / span becomes the integer
+    key change * (L / span) over key_den = den * L, L the least common
+    multiple of the spans, so sorting by (index, key, derivative) sorts by
+    exact steepness.
     """
-    n = len(curve)
+    n = len(ys)
     pad = window
-    ys, scale = _numerators(curve)
-    padded = _exact_curve(
-        curve.origin - pad * curve.resolution,
-        curve.resolution,
-        (ys[0],) * pad + ys + (ys[-1],) * pad,
-        scale,
-        (curve.values[0],) * pad + curve.values + (curve.values[-1],) * pad,
-    )
-    smoothed = savgol_smooth(padded, window, order)
-    v, den = _numerators(smoothed)
+    v, den = _smooth((ys[0],) * pad + ys + (ys[-1],) * pad, window, order)
+    den *= scale
     p1 = [b - a for a, b in zip(v, v[1:])]
     p2 = [b - a for a, b in zip(p1, p1[1:])]
     c1, c2 = _crossings(p1), _crossings(p2)
@@ -464,7 +456,7 @@ def _signal(curve: PollingCurve, window: int, order: int) -> _Signal:
         [(min(max(pos - pad, 0), n), change * (lcm // span), 1) for pos, change, span in c1]
         + [(min(max(pos + 1 - pad, 0), n), change * (lcm // span), 2) for pos, change, span in c2]
     )
-    return _Signal(smoothed, p1, p2, den, crossings, den * lcm)
+    return _Signal(v, p1, p2, den, crossings, den * lcm)
 
 
 def _decide(
@@ -508,7 +500,7 @@ def boundary_trace(curve: PollingCurve, params: PpParams) -> BoundaryTrace:
     steeper).  The trace holds the signal and every crossing's fate as
     exact Fractions.
     """
-    sig = _signal(curve, params.window, params.order)
+    sig = _signal(*_numerators(curve), params.window, params.order)
     owner: list[int | None] = [None] * len(sig.crossings)
     kept = _decide(sig.crossings, sig.key_den, params, owner)
     use = (None, params.use_first, params.use_second)
@@ -522,8 +514,10 @@ def boundary_trace(curve: PollingCurve, params: PpParams) -> BoundaryTrace:
         else:
             fate, into = "merged", kept[b][0]
         crossings.append(Crossing(idx, Fraction(key, sig.key_den), d, fate, into))
+    smoothed = tuple(Fraction(x, sig.den) for x in sig.smoothed)
+    origin = curve.origin - params.window * curve.resolution
     return BoundaryTrace(
-        smoothed=sig.smoothed,
+        smoothed=PollingCurve(origin, curve.resolution, smoothed),
         p1=tuple(Fraction(x, sig.den) for x in sig.p1),
         p2=tuple(Fraction(x, sig.den) for x in sig.p2),
         boundaries=tuple(b[0] for b in kept),
@@ -533,7 +527,7 @@ def boundary_trace(curve: PollingCurve, params: PpParams) -> BoundaryTrace:
 
 def extract_boundaries(curve: PollingCurve, params: PpParams) -> BoundarySet:
     """The boundaries of :func:`boundary_trace`, as grid indices of `curve`."""
-    sig = _signal(curve, params.window, params.order)
+    sig = _signal(*_numerators(curve), params.window, params.order)
     return tuple(b[0] for b in _decide(sig.crossings, sig.key_den, params))
 
 
@@ -574,7 +568,7 @@ def train_pp(
     for slot, piece_idx in enumerate(order):
         folds[slot % k_folds].append(piece_idx)
 
-    curves = [polling_curve(records, resolution=resolution) for records, _ in pieces]
+    polls = [_poll(records, None, resolution, None, False)[1:] for records, _ in pieces]
     # Only the decision step depends on lambda and the derivative flags.
     signals: dict[tuple[int, int, int], tuple[list[_Crossing], int]] = {}
 
@@ -583,7 +577,7 @@ def train_pp(
         for i in indices:
             smoothing = (i, params.window, params.order)
             if smoothing not in signals:
-                sig = _signal(curves[i], params.window, params.order)
+                sig = _signal(*polls[i], params.window, params.order)
                 signals[smoothing] = sig.crossings, sig.key_den
             predicted = [b[0] for b in _decide(*signals[smoothing], params)]
             prf = evaluation.boundary_prf(predicted, pieces[i][1], tolerance)

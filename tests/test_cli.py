@@ -227,12 +227,27 @@ class TestPoll:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in ("polling_curve", "savgol_smooth"):
+        for name in ("polling_curve", "_smooth"):
             monkeypatch.setattr(polling, name, counted(name, getattr(polling, name)))
         a, b = pattern_files
         assert run("poll", "--in", a, b, "--truth", synth_dir / "piece.truth.json",
                    "--out-dir", synth_dir / "once", "--quiet") == 0
-        assert sorted(calls) == ["polling_curve", "savgol_smooth"]
+        assert sorted(calls) == ["_smooth", "polling_curve"]
+
+    def test_builds_the_curve_and_the_smoothed_curve(self, synth_dir, pattern_files, monkeypatch):
+        built = []
+        curve_type = polling.PollingCurve
+
+        def counted(*args):
+            built.append(args)
+            return curve_type(*args)
+
+        monkeypatch.setattr(polling, "PollingCurve", counted)
+        a, b = pattern_files
+        assert run("poll", "--in", a, b, "--truth", synth_dir / "piece.truth.json",
+                   "--out-dir", synth_dir / "once", "--quiet") == 0
+        curve, smoothed = built
+        assert smoothed[0] == curve[0] - 3 * curve[1]  # padded by the default window
 
     def test_window_wider_than_a_short_piece(self, tmp_path):
         two = write_patterns(tmp_path / "two.json", "a", (0, 2))
@@ -390,6 +405,32 @@ class TestClassifyImportance:
             "classify", "--features", features_csv, "--folds", 50,
             "--out", tmp_path / "x.json", "--quiet",
         ) == 3
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("importance", "--runs", 0),
+        ("importance", "--runs", -1),
+        ("importance", "--trees", 0),
+        ("classify", "--trees", 0),
+        ("classify", "--trees", -3),
+        ("classify", "--folds", 0),
+        ("classify", "--folds", 1),
+        ("classify", "--repeats", 0),
+        ("features", "--random", -2),
+    ])
+    def test_bad_count_exit_3(self, synth_dir, features_csv, capsys, command, flag, value):
+        inputs, name = ["--features", features_csv], flag[2:]
+        if command == "classify":  # valid folds and repeats, which the flag may override
+            inputs += ["--folds", 4, "--repeats", 1]
+        if command == "features":
+            inputs = ["--piece", synth_dir / "piece.csv", "--patterns", synth_dir / "piece.truth.json"]
+            name = "repeats"
+        out = synth_dir / "bad.out"
+        capsys.readouterr()
+        assert run(command, *inputs, flag, value, "--out", out, "--quiet") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert f"{name} must be >= " in err and f"got {value}" in err, err
+        assert not out.exists()
 
     def test_importance_report(self, synth_dir, features_csv):
         out = synth_dir / "imp.json"

@@ -427,13 +427,13 @@ class TestTrainPp:
     ])
     def test_smooths_each_piece_once_per_window_and_order(self, monkeypatch, lambdas, flags):
         calls = []
-        savgol = polling.savgol_smooth
+        smooth = polling._smooth
 
-        def counted(curve, window, order):
+        def counted(ys, window, order):
             calls.append((window, order))
-            return savgol(curve, window, order)
+            return smooth(ys, window, order)
 
-        monkeypatch.setattr(polling, "savgol_smooth", counted)
+        monkeypatch.setattr(polling, "_smooth", counted)
         grid = [
             PpParams(window=w, order=o, lam=lam, use_first=first, use_second=second)
             for w, o in [(3, 1), (3, 2), (5, 1), (7, 3)]
@@ -444,6 +444,19 @@ class TestTrainPp:
         train_pp(pieces, grid, k_folds=2)
         assert len(calls) == len(pieces) * 4
         assert set(calls) == {(3, 1), (3, 2), (5, 1), (7, 3)}
+
+    def test_builds_no_polling_curve(self, monkeypatch):
+        built = []
+        curve_type = polling.PollingCurve
+
+        def counted(*args):
+            built.append(args)
+            return curve_type(*args)
+
+        monkeypatch.setattr(polling, "PollingCurve", counted)
+        grid = [PpParams(window=w, order=1, lam=lam) for w in (3, 5) for lam in (F(0), F(1))]
+        train_pp(self.make_pieces(), grid, k_folds=2, resolution=F(1, 2))
+        assert built == []
 
     def make_pieces(self):
         pieces = []

@@ -20,7 +20,6 @@ from motifkit.core import (
     parse_points_csv,
     emit_points_csv,
     quantize,
-    load_pattern_json,
     load_pattern_file,
     dump_pattern_json,
     to_time,

@@ -5,11 +5,22 @@ classify, importance.  Every randomized subcommand echoes its effective
 seed into its outputs, files are written atomically (temp + rename), and
 a rerun with the same configuration produces byte-identical files.
 
+poll and synth write into --out-dir (default .).  train-pp, features,
+classify and importance take --seed (default 0); synth without --seed draws
+one at random.  Every command but discover and eval-boundaries takes --quiet.
+Every command takes --config, a JSON object of flag values: its keys are the
+command's long flag names, with - or _ between words ("in", "lambda",
+"rest_prob"), and a flag given on the command line wins over its key.
+
 Exit codes: 0 success, 2 input/parse error, 3 invalid configuration,
-4 inconsistent inputs.
+4 inconsistent inputs.  A file that cannot be read, or does not parse as
+its format, exits 2 with its path leading the message; a config file,
+params file or manifest of the wrong shape exits 3.  Any other value the
+library rejects with a ValueError exits 3.
 
 poll writes, for piece id <p>: <p>.curve.csv; <p>.presence.csv, 1 where an
-occurrence covers a grid point; <p>.boundaries.json; with --truth,
+occurrence covers a grid point; <p>.boundaries.json, the boundaries' grid
+indices with the grid's origin and resolution; with --truth,
 <p>.scores.csv; and the signal the boundaries come from.  <p>.smoothed.csv
 is the curve padded with `window` edge values on each side and smoothed,
 so its first times are negative; <p>.deriv1.csv and <p>.deriv2.csv are its
@@ -126,10 +137,6 @@ def _load_pattern_file(path: str) -> tuple[str, list[core.PatternRecord]]:
         raise CliError(EXIT_PARSE, f"{path}: {exc}") from exc
 
 
-def _out_dir(args) -> Path:
-    return Path(args.out_dir or ".")
-
-
 def _say(args, message: str):
     if not args.quiet:
         print(message)
@@ -162,25 +169,30 @@ def _config_value(action: argparse.Action, value):
     return _config_arg(action, value)
 
 
-def _apply_config_file(args: argparse.Namespace, argv=None):
+def _apply_config_file(parser: argparse.ArgumentParser, args: argparse.Namespace, argv=None):
     """Set every flag the command line `argv` does not give from the JSON config file.
 
+    `parser` is the one that parsed `argv` into `args`; this drops its
+    defaults.  The file's keys are the long flag names, - or _ between words.
     Unknown keys and values their flag's type or choices reject exit 3.
     """
-    if not getattr(args, "config", None):
+    if not args.config:
         return
     doc = _read_json(args.config, EXIT_CONFIG)
     # argparse exposes a parser's flags and their types only through its
     # actions; parsed again without defaults, argv yields just the flags it gives
-    parser = build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    flags = {a.dest: a for a in commands.choices[args.command]._actions}
+    flags = {
+        a.option_strings[-1][2:].replace("-", "_"): a
+        for a in commands.choices[args.command]._actions
+        if a.dest not in ("help", "config")
+    }
     for action in flags.values():
         action.default = argparse.SUPPRESS
     given = vars(parser.parse_args(argv))
     for key, value in doc.items():
         action = flags.get(key.replace("-", "_"))
-        if action is None or action.dest in ("help", "config"):
+        if action is None:
             raise CliError(EXIT_CONFIG, f"{args.config}: unknown config key {key!r}")
         try:
             value = _config_value(action, value)
@@ -190,13 +202,6 @@ def _apply_config_file(args: argparse.Namespace, argv=None):
             setattr(args, action.dest, value)
 
 
-def _fraction_arg(text) -> Fraction:
-    try:
-        return core.to_time(text)
-    except core.ParseError as exc:
-        raise CliError(EXIT_CONFIG, str(exc)) from exc
-
-
 # ---------------------------------------------------------------------------
 # discover
 
@@ -204,10 +209,7 @@ def _fraction_arg(text) -> Fraction:
 def cmd_discover(args) -> int:
     piece = _read_piece(args.input)
     stats = discovery.DiscoveryStats() if args.stats else None
-    try:
-        records = discovery.run_algorithm(args.alg, piece, stats)
-    except ValueError as exc:
-        raise CliError(EXIT_CONFIG, str(exc)) from exc
+    records = discovery.run_algorithm(args.alg, piece, stats)
     text = core.dump_pattern_json(piece.title, args.alg, records)
     _atomic_write(Path(args.out), text)
     if stats is not None:
@@ -259,7 +261,7 @@ def _parse_weights(texts) -> dict[str, Fraction]:
             name, sep, value = item.partition("=")
             if not sep:
                 raise CliError(EXIT_CONFIG, f"weight must be algorithm=value, got {item!r}")
-            weights[name.strip()] = _fraction_arg(value)
+            weights[name.strip()] = core.to_time(value)
     return weights
 
 
@@ -294,44 +296,35 @@ def cmd_poll(args) -> int:
     inputs = [_load_pattern_file(p) for p in args.inputs]
     pieces = {piece for piece, _ in inputs}
     if len(pieces) > 1:
-        raise CliError(
-            EXIT_INCONSISTENT,
-            f"conflicting piece ids across inputs: {sorted(pieces)}",
-        )
+        raise CliError(EXIT_INCONSISTENT, f"conflicting piece ids across inputs: {sorted(pieces)}")
     piece_id = next(iter(pieces))
     truth_records = None
     if args.truth:
         truth_piece, truth_records = _load_pattern_file(args.truth)
         if truth_piece != piece_id:
             raise CliError(
-                EXIT_INCONSISTENT,
-                f"truth piece id {truth_piece!r} does not match {piece_id!r}",
+                EXIT_INCONSISTENT, f"truth piece id {truth_piece!r} does not match {piece_id!r}"
             )
     records = [rec for _, recs in inputs for rec in recs]
     all_records = records + (truth_records or [])
     weights = _parse_weights(args.weight)
-    resolution = _fraction_arg(args.resolution if args.resolution is not None else 1)
+    resolution = core.to_time(args.resolution)
     if args.span:
         parts = args.span.split(",")
         if len(parts) != 2:
             raise CliError(EXIT_CONFIG, "span must be start,end")
-        span = (_fraction_arg(parts[0]), _fraction_arg(parts[1]))
+        span = (core.to_time(parts[0]), core.to_time(parts[1]))
     else:
         span = polling.default_span(all_records, resolution)
     params = _pp_params_from_args(args)
-    try:
-        curve = polling.polling_curve(
-            records, weights, resolution, span, normalize=args.normalize
-        )
-        trace = polling.boundary_trace(curve, params)
-        presence = _presence_csv(curve, span, all_records)
-        if truth_records is not None:
-            truth = evaluation.truth_boundaries(truth_records, curve.origin, resolution)
-            prf = evaluation.boundary_prf(trace.boundaries, truth, args.tolerance)
-    except ValueError as exc:
-        raise CliError(EXIT_CONFIG, str(exc)) from exc
+    curve = polling.polling_curve(records, weights, resolution, span, normalize=args.normalize)
+    trace = polling.boundary_trace(curve, params)
+    presence = _presence_csv(curve, span, all_records)
+    if truth_records is not None:
+        truth = evaluation.truth_boundaries(truth_records, curve.origin, resolution)
+        prf = evaluation.boundary_prf(trace.boundaries, truth, args.tolerance)
 
-    out = _out_dir(args)
+    out = Path(args.out_dir)
     times = _times(trace.smoothed)
     _atomic_write(out / f"{piece_id}.curve.csv", _curve_csv("value", _times(curve), curve.values))
     _atomic_write(
@@ -342,6 +335,7 @@ def cmd_poll(args) -> int:
     _atomic_write(out / f"{piece_id}.presence.csv", presence)
     boundary_doc = {
         "piece": piece_id,
+        "origin": core.format_time(curve.origin),
         "resolution": core.format_time(resolution),
         "params": params.to_json_dict(),
         "boundaries": list(trace.boundaries),
@@ -371,7 +365,9 @@ def _manifest(doc) -> tuple[list[tuple[list[str], str]], list[polling.PpParams]]
     pieces = [(_paths(entry["patterns"]), _paths([entry["truth"]])[0]) for entry in doc["pieces"]]
     grid_spec = doc.get("grid", {})
     grid = [
-        polling.PpParams(window=int(w), order=int(o), lam=lam, **_derivative_flags(flag))
+        polling.PpParams.from_json_dict(
+            {"window": w, "order": o, "lambda": lam, **_derivative_flags(flag)}
+        )
         for w in grid_spec.get("windows", [3, 5])
         for o in grid_spec.get("orders", [1, 2])
         if o < w
@@ -388,22 +384,12 @@ def cmd_train_pp(args) -> int:
         records = [rec for path in pattern_paths for rec in _load_pattern_file(path)[1]]
         truth = evaluation.truth_boundaries(_load_pattern_file(truth_path)[1])
         pieces.append((records, truth))
-    seed = args.seed if args.seed is not None else 0
-    try:
-        best = polling.train_pp(
-            pieces,
-            grid,
-            objective=args.objective,
-            k_folds=args.folds,
-            tolerance=args.tolerance,
-            seed=seed,
-        )
-    except ValueError as exc:
-        raise CliError(EXIT_CONFIG, str(exc)) from exc
+    best = polling.train_pp(
+        pieces, grid, objective=args.objective, k_folds=args.folds,
+        tolerance=args.tolerance, seed=args.seed,
+    )
     out_doc = {
-        "objective": args.objective,
-        "folds": args.folds,
-        "seed": seed,
+        "objective": args.objective, "folds": args.folds, "seed": args.seed,
         "params": best.to_json_dict(),
     }
     _atomic_write(Path(args.out), _json_text(out_doc))
@@ -415,22 +401,20 @@ def cmd_train_pp(args) -> int:
 # eval-boundaries
 
 
-def _boundaries_doc(doc) -> tuple[list[int], Fraction, object]:
-    """The predicted boundaries, grid resolution and algorithm of a poll output."""
+def _boundaries_doc(doc) -> tuple[list[int], Fraction, Fraction, object]:
+    """The predicted boundaries, grid origin and resolution, and algorithm of a poll output."""
     resolution = core.to_time(doc.get("resolution", 1))
     if resolution <= 0:
         raise ValueError("resolution must be > 0")
-    return [int(b) for b in doc["boundaries"]], resolution, doc.get("algorithm", "pp")
+    origin = core.to_time(doc.get("origin", 0))
+    return [int(b) for b in doc["boundaries"]], origin, resolution, doc.get("algorithm", "pp")
 
 
 def cmd_eval_boundaries(args) -> int:
-    predicted, resolution, algorithm = _read_json(args.pred, EXIT_PARSE, _boundaries_doc)
+    predicted, origin, resolution, algorithm = _read_json(args.pred, EXIT_PARSE, _boundaries_doc)
     piece_id, truth_records = _load_pattern_file(args.truth)
-    truth = evaluation.truth_boundaries(truth_records, resolution=resolution)
-    try:
-        prf = evaluation.boundary_prf(predicted, truth, args.tolerance)
-    except ValueError as exc:
-        raise CliError(EXIT_CONFIG, str(exc)) from exc
+    truth = evaluation.truth_boundaries(truth_records, origin, resolution)
+    prf = evaluation.boundary_prf(predicted, truth, args.tolerance)
     if args.out:
         _atomic_write(Path(args.out), _scores_csv(piece_id, algorithm, prf))
     print(
@@ -446,18 +430,13 @@ def cmd_eval_boundaries(args) -> int:
 
 def cmd_synth(args) -> int:
     seed = args.seed if args.seed is not None else secrets.randbits(48)
-    try:
-        config = synthesis.SynthConfig(
-            occurrences_per_template=args.occurrences if args.occurrences is not None else 2,
-            rest_probability=args.rest_prob if args.rest_prob is not None else 0.2,
-            random_fraction_cap=_fraction_arg(args.cap if args.cap is not None else "1/2"),
-            seed=seed,
-        )
-    except ValueError as exc:
-        raise CliError(EXIT_CONFIG, str(exc)) from exc
+    config = synthesis.SynthConfig(
+        occurrences_per_template=args.occurrences, rest_probability=args.rest_prob,
+        random_fraction_cap=core.to_time(args.cap), seed=seed,
+    )
     piece = synthesis.synthesize(config)
     name = args.name or f"synthetic-{seed}"
-    out = _out_dir(args)
+    out = Path(args.out_dir)
     _atomic_write(out / f"{name}.csv", core.emit_points_csv(piece.piece))
     _atomic_write(
         out / f"{name}.truth.json",
@@ -468,11 +447,8 @@ def cmd_synth(args) -> int:
     config_doc["total_duration"] = core.format_time(piece.total_duration)
     config_doc["random_duration"] = core.format_time(piece.random_duration)
     _atomic_write(out / f"{name}.config.json", _json_text(config_doc))
-    _say(
-        args,
-        f"notes={len(piece.piece)} duration={piece.total_duration} "
-        f"random={piece.random_duration} seed={seed}",
-    )
+    _say(args, f"notes={len(piece.piece)} duration={piece.total_duration} "
+               f"random={piece.random_duration} seed={seed}")
     return 0
 
 
@@ -489,26 +465,21 @@ def cmd_features(args) -> int:
     for _, records in all_records:
         X, labels = analysis.features_of_records(records)
         rows.extend((list(x), label) for x, label in zip(X, labels))
-    seed = args.seed if args.seed is not None else 0
     if args.random:
         if piece is None:
             raise CliError(EXIT_CONFIG, "--random requires --piece for excerpt sampling")
         annotations = [rec for _, records in all_records for rec in records]
         if not annotations:
             raise CliError(EXIT_CONFIG, "--random requires at least one pattern file")
-        try:
-            excerpts = analysis.sample_random_excerpts(
-                [(piece, annotations)], repeats=args.random, seed=seed
-            )
-        except ValueError as exc:
-            raise CliError(EXIT_CONFIG, str(exc)) from exc
-        for occ in excerpts:
+        for occ in analysis.sample_random_excerpts(
+            [(piece, annotations)], repeats=args.random, seed=args.seed
+        ):
             rows.append((list(analysis.extract_features(occ)), "random"))
     if not rows:
         raise CliError(EXIT_CONFIG, "no occurrences to featurize")
     table = [[repr(float(v)) for v in values] + [label] for values, label in rows]
     _atomic_write(Path(args.out), _csv_text([list(analysis.FEATURE_NAMES) + ["group"]] + table))
-    _say(args, f"rows={len(rows)} seed={seed}")
+    _say(args, f"rows={len(rows)} seed={args.seed}")
     return 0
 
 
@@ -543,26 +514,17 @@ def _read_features_csv(path: str) -> analysis.LabeledDataset:
 
 def cmd_classify(args) -> int:
     dataset = _read_features_csv(args.features)
-    seed = args.seed if args.seed is not None else 0
-    kinds = [k.strip() for k in (args.classifiers or "rf,nb,lda").split(",") if k.strip()]
+    kinds = [k.strip() for k in args.classifiers.split(",") if k.strip()]
     spec = {}
     for kind in kinds:
         params = {}
         if kind == "rf" and args.trees is not None:
             params["trees"] = args.trees
         spec[kind] = params
-    try:
-        report = analysis.cross_validate(
-            dataset,
-            spec,
-            folds=args.folds,
-            repeats=args.repeats,
-            balance=not args.no_balance,
-            seed=seed,
-            pca_components=args.pca,
-        )
-    except ValueError as exc:
-        raise CliError(EXIT_CONFIG, str(exc)) from exc
+    report = analysis.cross_validate(
+        dataset, spec, folds=args.folds, repeats=args.repeats, balance=not args.no_balance,
+        seed=args.seed, pca_components=args.pca,
+    )
     _atomic_write(Path(args.out), _json_text(report.to_json_dict()))
     for name in sorted(report.results):
         res = report.results[name]
@@ -572,22 +534,13 @@ def cmd_classify(args) -> int:
 
 def cmd_importance(args) -> int:
     dataset = _read_features_csv(args.features)
-    seed = args.seed if args.seed is not None else 0
     if len(set(dataset.labels)) < 2:
         raise CliError(EXIT_CONFIG, "need at least 2 groups for importance analysis")
-    try:
-        report = analysis.feature_importance(
-            dataset.X,
-            list(dataset.labels),
-            feature_names=analysis.FEATURE_NAMES
-            if dataset.X.shape[1] == len(analysis.FEATURE_NAMES)
-            else None,
-            runs=args.runs,
-            trees=args.trees,
-            seed=seed,
-        )
-    except ValueError as exc:
-        raise CliError(EXIT_CONFIG, str(exc)) from exc
+    names = analysis.FEATURE_NAMES if dataset.X.shape[1] == len(analysis.FEATURE_NAMES) else None
+    report = analysis.feature_importance(
+        dataset.X, list(dataset.labels), feature_names=names,
+        runs=args.runs, trees=args.trees, seed=args.seed,
+    )
     _atomic_write(Path(args.out), _json_text(report.to_json_dict()))
     confirmed = [f.name for f in report.features if f.status == "confirmed"]
     _say(args, f"confirmed={len(confirmed)} of {len(report.features)} features")
@@ -598,11 +551,21 @@ def cmd_importance(args) -> int:
 # Parser
 
 
-def _add_common(sub: argparse.ArgumentParser):
-    sub.add_argument("--out-dir", default=None, help="output directory (default .)")
-    sub.add_argument("--seed", type=int, default=None, help="random seed")
-    sub.add_argument("--quiet", action="store_true", help="suppress status output")
-    sub.add_argument("--config", default=None, help="JSON config file mirroring flags")
+_COMMON = {
+    "out-dir": dict(default=".", help="output directory (default .)"),
+    "seed": dict(type=int, default=0, help="random seed (default 0)"),
+    "quiet": dict(action="store_true", help="suppress status output"),
+}
+
+
+def _add_common(sub: argparse.ArgumentParser, *flags: str):
+    """The shared `flags` the command reads, and --config, which every command takes."""
+    for flag in flags:
+        sub.add_argument(f"--{flag}", **_COMMON[flag])
+    sub.add_argument(
+        "--config", default=None,
+        help="JSON file of flag values keyed by long flag name; the command line wins",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -633,21 +596,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="inputs", nargs="+", required=True, help="pattern JSON files")
     p.add_argument("--truth", default=None, help="ground-truth pattern JSON")
     p.add_argument("--weight", action="append", default=None, help="algorithm=weight (repeatable)")
-    p.add_argument("--resolution", default=None, help="grid resolution in crotchets")
-    p.add_argument("--span", default=None, help="piece span start,end")
+    p.add_argument("--resolution", default="1", help="grid resolution in crotchets (default 1)")
+    p.add_argument("--span", default=None, help="piece span start,end (default 0,latest end)")
     p.add_argument(
         "--window", type=int, default=None,
-        help="odd smoothing window in grid steps (default 3); the cost grows with the window"
-        " times the curve's length: on a 103-point curve 2001 took 0.13 s of CPU time and"
-        " 6001 took 0.3 s (Python 3.11, shared 2-CPU host)",
+        help="odd smoothing window in grid steps (default 3, or --params-file's); the cost"
+        " grows with the window times the curve's length: on a 103-point curve 2001 took"
+        " 0.13 s of CPU time and 6001 took 0.3 s (Python 3.11, shared 2-CPU host)",
     )
-    p.add_argument("--order", type=int, default=None)
-    p.add_argument("--lambda", dest="lam", default=None, help="steepness threshold")
-    p.add_argument("--derivatives", choices=["first", "second", "both"], default=None)
+    p.add_argument("--order", type=int, default=None, help="(default 1, or --params-file's)")
+    p.add_argument(
+        "--lambda", dest="lam", default=None,
+        help="steepness threshold (default 0, or --params-file's)",
+    )
+    p.add_argument(
+        "--derivatives", choices=["first", "second", "both"], default=None,
+        help="(default both, or --params-file's)",
+    )
     p.add_argument("--params-file", default=None, help="trained params JSON from train-pp")
     p.add_argument("--normalize", action="store_true", help="divide the curve by total weight")
     p.add_argument("--tolerance", type=int, default=1, help="boundary match tolerance (grid steps)")
-    _add_common(p)
+    _add_common(p, "out-dir", "quiet")
     p.set_defaults(func=cmd_poll)
 
     p = sub.add_parser("train-pp", help="grid-search boundary parameters by cross-validation")
@@ -660,7 +629,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--folds", type=int, default=3)
     p.add_argument("--tolerance", type=int, default=1)
     p.add_argument("--out", required=True, help="output params JSON")
-    _add_common(p)
+    _add_common(p, "seed", "quiet")
     p.set_defaults(func=cmd_train_pp)
 
     p = sub.add_parser("eval-boundaries", help="score predicted boundaries against truth")
@@ -672,11 +641,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval_boundaries)
 
     p = sub.add_parser("synth", help="generate a synthetic piece with planted patterns")
-    p.add_argument("--name", default=None, help="output basename")
-    p.add_argument("--occurrences", type=int, default=None, help="occurrences per template")
-    p.add_argument("--rest-prob", type=float, default=None)
-    p.add_argument("--cap", default=None, help="random-fraction cap in (0,1)")
-    _add_common(p)
+    p.add_argument("--name", default=None, help="output basename (default synthetic-<seed>)")
+    p.add_argument("--occurrences", type=int, default=2, help="per template (default 2)")
+    p.add_argument("--rest-prob", type=float, default=0.2, help="(default 0.2)")
+    p.add_argument("--cap", default="1/2", help="random-fraction cap in (0,1) (default 1/2)")
+    p.add_argument("--seed", type=int, default=None, help="random seed (default: drawn, echoed)")
+    _add_common(p, "out-dir", "quiet")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("features", help="extract feature rows from pattern files")
@@ -684,19 +654,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--patterns", nargs="+", default=None, help="pattern JSON files")
     p.add_argument("--random", type=int, default=None, help="random excerpts per occurrence")
     p.add_argument("--out", required=True, help="features CSV path")
-    _add_common(p)
+    _add_common(p, "seed", "quiet")
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("classify", help="cross-validated classification report")
     p.add_argument("--features", required=True, help="features CSV")
-    p.add_argument("--classifiers", default=None, help="comma list of rf,nb,lda")
+    p.add_argument("--classifiers", default="rf,nb,lda", help="comma list (default rf,nb,lda)")
     p.add_argument("--folds", type=int, default=10)
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--trees", type=int, default=None, help="random forest size")
     p.add_argument("--pca", type=int, default=None, help="PCA components (default: raw features)")
     p.add_argument("--no-balance", action="store_true", help="skip class balancing")
     p.add_argument("--out", required=True, help="report JSON path")
-    _add_common(p)
+    _add_common(p, "seed", "quiet")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("importance", help="shadow-feature importance report")
@@ -704,7 +674,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=int, default=20)
     p.add_argument("--trees", type=int, default=100)
     p.add_argument("--out", required=True, help="report JSON path")
-    _add_common(p)
+    _add_common(p, "seed", "quiet")
     p.set_defaults(func=cmd_importance)
 
     return parser
@@ -714,11 +684,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config_file(args, argv)
+        _apply_config_file(parser, args, argv)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except ValueError as exc:  # a value the library rejects
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

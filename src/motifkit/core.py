@@ -42,7 +42,9 @@ class MonophonyViolation(ValueError):
 
 
 def to_time(value) -> Fraction:
-    """Coerce a number or string ('0.5', '1/2', '3') to an exact Time."""
+    """Coerce a number or string ('0.5', '1/2', '3') to an exact Time; not a bool."""
+    if isinstance(value, bool):
+        raise ParseError(f"expected a number or rational string, got {value!r}")
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -55,7 +57,7 @@ def to_time(value) -> Fraction:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"not a rational number: {value!r}") from exc
-    raise ParseError(f"cannot interpret {value!r} as a time value")
+    raise ParseError(f"expected a number or rational string, got {value!r}")
 
 
 def format_time(t: Fraction) -> str:
@@ -100,14 +102,12 @@ class PointSet:
 
     points: tuple[Point, ...]
     title: str = ""
-    source: str = ""
 
     @classmethod
     def build(
         cls,
         points: Iterable[Point],
         title: str = "",
-        source: str = "",
         monophonic: bool = False,
     ) -> "PointSet":
         """Sort, deduplicate and validate.
@@ -130,7 +130,7 @@ class PointSet:
             ]
             if collisions:
                 raise MonophonyViolation(collisions)
-        return cls(ordered, title=title, source=source)
+        return cls(ordered, title=title)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -251,7 +251,6 @@ def quantize(ps: PointSet, grid: Fraction) -> PointSet:
     return PointSet.build(
         (Point(nearest_index(p.onset / grid) * grid, p.pitch, p.duration) for p in ps.points),
         title=ps.title,
-        source=ps.source,
     )
 
 
@@ -268,8 +267,6 @@ def quantize(ps: PointSet, grid: Fraction) -> PointSet:
 
 
 def _time_field(value, path: str) -> Fraction:
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-        raise SchemaError(path, f"expected a number or rational string, got {value!r}")
     try:
         return to_time(value)
     except ParseError as exc:
@@ -345,11 +342,6 @@ def load_pattern_file(text: str) -> tuple[str, list[PatternRecord]]:
         ]
         records.append(PatternRecord(algorithm, pid, tuple(occs)))
     return piece, records
-
-
-def load_pattern_json(text: str) -> list[PatternRecord]:
-    """Parse interchange JSON, returning just the validated records."""
-    return load_pattern_file(text)[1]
 
 
 def dump_pattern_json(piece: str, algorithm: str, records: Sequence[PatternRecord]) -> str:
@@ -483,22 +475,12 @@ def _parse_track(reader: _MidiReader, length: int, tpq: int) -> list[Point]:
     return notes
 
 
-def parse_midi(
-    data: bytes,
-    track_select: str | int = "densest",
-    monophonic: bool = True,
-    title: str = "",
-) -> PointSet:
-    """Parse a Standard MIDI File (format 0 or 1) into a PointSet.
+def parse_midi(data: bytes, monophonic: bool = True, title: str = "") -> PointSet:
+    """Parse the densest track (most notes) of a Standard MIDI File (format 0 or 1).
 
     Onsets and durations are exact tick ratios against the header's
     ticks-per-quarter.  A note-on with velocity 0 acts as a note-off.
-
-    Parameters
-    ----------
-    track_select : 'densest' picks the track with the most notes, 'merge'
-        merges every track, an integer picks one track by index.
-    monophonic : reject overlapping notes with MonophonyViolation.
+    With `monophonic` set, overlapping notes raise MonophonyViolation.
     """
     reader = _MidiReader(data)
     if reader.read(4) != b"MThd":
@@ -530,14 +512,5 @@ def parse_midi(
             continue
         tracks.append(_parse_track(reader, chunk_len, division))
 
-    if isinstance(track_select, int):
-        if not 0 <= track_select < len(tracks):
-            raise ParseError(f"track index {track_select} out of range (0-{len(tracks) - 1})")
-        chosen = tracks[track_select]
-    elif track_select == "merge":
-        chosen = [p for track in tracks for p in track]
-    elif track_select == "densest":
-        chosen = max(tracks, key=len, default=[])
-    else:
-        raise ValueError(f"unknown track-select policy {track_select!r}")
+    chosen = max(tracks, key=len, default=[])
     return PointSet.build(chosen, title=title, monophonic=monophonic)

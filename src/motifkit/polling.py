@@ -114,13 +114,18 @@ class PpParams:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "PpParams":
-        return cls(
-            window=int(obj["window"]),
-            order=int(obj["order"]),
-            lam=obj.get("lambda", 0),
-            use_first=bool(obj.get("use_first", True)),
-            use_second=bool(obj.get("use_second", True)),
-        )
+        """Window and order must be JSON integers, and the flags JSON booleans."""
+        fields = {
+            "window": obj["window"],
+            "order": obj["order"],
+            "use_first": obj.get("use_first", True),
+            "use_second": obj.get("use_second", True),
+        }
+        for key, value in fields.items():
+            kind = bool if key.startswith("use_") else int
+            if type(value) is not kind:
+                raise TypeError(f"{key} must be a JSON {kind.__name__}, got {value!r}")
+        return cls(lam=obj.get("lambda", 0), **fields)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from motifkit import polling
+from motifkit import cli, polling
 from motifkit.cli import main
 from motifkit.core import (
     PatternOccurrence,
@@ -341,6 +341,18 @@ class TestEvalBoundaries:
         text = (synth_dir / "scores.csv").read_text()
         assert text.startswith("piece,algorithm,precision,recall,f1")
 
+    @pytest.mark.parametrize("start, resolution", [("-4", "1"), ("-1/2", "1/3")])
+    def test_equals_poll_scores_off_a_zero_origin(self, synth_dir, start, resolution):
+        a, truth, out = synth_dir / "a.json", synth_dir / "piece.truth.json", synth_dir / "sp"
+        run("discover", "--in", synth_dir / "piece.csv", "--alg", "cosiatec", "--out", a)
+        total = json.loads((synth_dir / "piece.config.json").read_text())["total_duration"]
+        assert run("poll", "--in", a, "--truth", truth, f"--span={start},{total}",
+                   "--resolution", resolution, "--out-dir", out, "--quiet") == 0
+        assert json.loads((out / "piece.boundaries.json").read_text())["origin"] == start
+        assert run("eval-boundaries", "--pred", out / "piece.boundaries.json", "--truth", truth,
+                   "--out", synth_dir / "eval.csv") == 0
+        assert read_rows(synth_dir / "eval.csv") == read_rows(out / "piece.scores.csv")
+
 
 class TestTrainPp:
     def test_grid_search(self, synth_dir, tmp_path):
@@ -444,6 +456,40 @@ class TestClassifyImportance:
         assert all(f["status"] in ("confirmed", "tentative", "rejected") for f in doc["features"])
 
 
+class TestFlags:
+    REQUIRED = {
+        "discover": ["--in", "p.csv", "--alg", "sia", "--out", "x.json"],
+        "eval-boundaries": ["--pred", "b.json", "--truth", "t.json"],
+        "poll": ["--in", "a.json"],
+        "train-pp": ["--manifest", "m.json", "--out", "x.json"],
+        "features": ["--out", "f.csv"],
+        "classify": ["--features", "f.csv", "--out", "x.json"],
+        "importance": ["--features", "f.csv", "--out", "x.json"],
+    }
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag)
+        for command in ("discover", "eval-boundaries")
+        for flag in ("--out-dir d", "--seed 5", "--quiet")
+    ] + [("poll", "--seed 5")] + [
+        (command, "--out-dir d") for command in ("train-pp", "features", "classify", "importance")
+    ])
+    def test_flag_the_command_ignores_exit_2(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            run(command, *self.REQUIRED[command], *flag.split())
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_main_builds_the_parser_once(self, tmp_path, monkeypatch):
+        built = []
+        build_parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 7, "quiet": True}))
+        assert run("synth", "--config", cfg, "--name", "p", "--out-dir", tmp_path) == 0
+        assert len(built) == 1
+
+
 class TestConfigFile:
     def test_config_supplies_flags(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -465,7 +511,7 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("doc", [
         {"span": 5}, {"window": 5.5}, {"window": True}, {"order": "two"}, {"quiet": 1},
-        {"weight": "a=2"}, {"derivatives": "third"}, {"lam": [0]},
+        {"weight": "a=2"}, {"derivatives": "third"}, {"lam": [0]}, {"lambda": [0]},
     ])
     def test_wrong_typed_value_exit_3(self, tmp_path, capsys, doc):
         a = write_patterns(tmp_path / "a.json", "a", (0, 4), (6, 10))
@@ -501,6 +547,15 @@ class TestConfigAgainstDefaults:
         assert run(*common, "--out-dir", tmp_path / "cfg") == 3
         # the flag wins even when it repeats its default
         assert run(*common, "--tolerance", 1, "--out-dir", tmp_path / "flag") == 0
+
+    def test_poll_lambda_keyed_by_its_flag_name(self, tmp_path):
+        a = write_patterns(tmp_path / "a.json", "a", (0, 4), (6, 10))
+        cfg = self.config(tmp_path, {"lambda": "1/2"})
+        common = ("poll", "--in", a, "--config", cfg, "--out-dir", tmp_path, "--quiet")
+        for flags, lam in (((), "1/2"), (("--lambda", 1), "1")):
+            assert run(*common, *flags) == 0
+            doc = json.loads((tmp_path / "p.boundaries.json").read_text())
+            assert doc["params"]["lambda"] == lam
 
     def test_train_pp_folds_and_objective(self, tmp_path):
         pieces = []
@@ -675,6 +730,10 @@ class TestJsonInputs:
         ("pred", "{", 2),
         ("pred", '{"boundaries": ["x"]}', 2),
         ("pred", '{"boundaries": [1], "resolution": 0}', 2),
+        ("pred", '{"boundaries": [1], "resolution": true}', 2),
+        ("params", '{"window": 3, "order": 1, "lambda": true}', 3),
+        ("params", '{"window": 3, "order": 1, "use_first": "false"}', 3),
+        ("params", '{"window": 5.9, "order": 1}', 3),
         ("config", "{", 2),
         ("config", "[]", 3),
     ])
@@ -682,6 +741,13 @@ class TestJsonInputs:
         d, cases = json_case
         (d / "doc.json").write_text(text)
         assert run(*cases[name][1], d / "doc.json") == code
+
+    @pytest.mark.parametrize("grid", [{"windows": [5.9]}, {"lambdas": [True]}])
+    def test_manifest_grid_scalar_misread_exit_3(self, json_case, grid):
+        d, cases = json_case
+        doc, argv = cases["manifest"]
+        (d / "doc.json").write_text(json.dumps({**doc, "grid": {**doc["grid"], **grid}}))
+        assert run(*argv, d / "doc.json") == 3
 
     @pytest.mark.parametrize("name", ["config", "params", "manifest", "pred"])
     @settings(max_examples=60, deadline=None)

@@ -14,7 +14,6 @@ from motifkit.core import (
     dump_pattern_json,
     emit_points_csv,
     load_pattern_file,
-    load_pattern_json,
     parse_midi,
     parse_points_csv,
     quantize,
@@ -148,7 +147,7 @@ class TestPatternJson:
          "patterns": [{"id": "p0",
                        "occurrences": [{"points": [["0", 60, "1"], ["1", 62, "1"]]}]}]}
         """
-        records = load_pattern_json(text)
+        records = load_pattern_file(text)[1]
         assert len(records) == 1
         assert records[0].algorithm_id == "alg"
         assert records[0].occurrences[0].span == (0, 2)
@@ -156,7 +155,7 @@ class TestPatternJson:
     def test_empty_occurrlist_rejected(self):
         text = '{"piece":"x","algorithm":"a","patterns":[{"id":"p","occurrences":[]}]}'
         with pytest.raises(SchemaError, match=r"patterns\[0\].occurrences"):
-            load_pattern_json(text)
+            load_pattern_file(text)[1]
 
     def test_inconsistent_span_rejected(self):
         text = """
@@ -165,12 +164,12 @@ class TestPatternJson:
             {"points": [["0",60,"1"]], "span": ["0","5"]}]}]}
         """
         with pytest.raises(SchemaError, match="span"):
-            load_pattern_json(text)
+            load_pattern_file(text)[1]
 
     def test_error_names_json_path(self):
         text = '{"piece":"x","algorithm":"a","patterns":[{"id":"p","occurrences":[{"points":[["0","x","1"]]}]}]}'
         with pytest.raises(SchemaError, match=r"patterns\[0\].occurrences\[0\].points\[0\]"):
-            load_pattern_json(text)
+            load_pattern_file(text)[1]
 
     def test_dump_load_round_trip(self):
         rec = PatternRecord(

@@ -1,0 +1,61 @@
+"""Static checks over the package source: no unused imports, no dead module-level names."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "motifkit"
+TREES = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
+MODULES = sorted(name for name in TREES if name != "__init__.py")
+
+
+def _loaded_names(tree: ast.AST) -> set[str]:
+    """Every name the tree reads, and every attribute it reads off an object."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+    return names
+
+
+def _imported(node: ast.AST) -> list[str]:
+    if isinstance(node, ast.Import):
+        return [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+        return [alias.asname or alias.name for alias in node.names]
+    return []
+
+
+def _defined(node: ast.stmt) -> list[str]:
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else []
+    if isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unused_import(module):
+    tree = TREES[module]
+    used = _loaded_names(tree)
+    unused = [name for node in ast.walk(tree) for name in _imported(node) if name not in used]
+    assert not unused, f"{module} imports {unused} and never uses them"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_module_level_name_is_referenced(module):
+    referenced = set()
+    for tree in TREES.values():
+        referenced |= _loaded_names(tree)
+        referenced |= {name for node in ast.walk(tree) for name in _imported(node)}
+    dead = [
+        name
+        for node in TREES[module].body
+        for name in _defined(node)
+        if name not in referenced and not name.startswith("__")
+    ]
+    assert not dead, f"{module} defines {dead} and nothing in the package references them"

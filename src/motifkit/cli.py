@@ -407,7 +407,11 @@ def _boundaries_doc(doc) -> tuple[list[int], Fraction, Fraction, object]:
     if resolution <= 0:
         raise ValueError("resolution must be > 0")
     origin = core.to_time(doc.get("origin", 0))
-    return [int(b) for b in doc["boundaries"]], origin, resolution, doc.get("algorithm", "pp")
+    boundaries = list(doc["boundaries"])
+    for b in boundaries:
+        if type(b) is not int:
+            raise TypeError(f"a boundary must be a JSON integer, got {b!r}")
+    return boundaries, origin, resolution, doc.get("algorithm", "pp")
 
 
 def cmd_eval_boundaries(args) -> int:
@@ -587,7 +591,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--stats", default=None,
         help="also write a JSON file of what siatec, cosiatec or siatec-compress did: points,"
-        " vectors and shapes per round, seconds per stage, and each cosiatec round's chosen TEC",
+        " vectors, shapes and shapes scored per round, seconds per stage, and each cosiatec"
+        " round's chosen TEC",
     )
     _add_common(p)
     p.set_defaults(func=cmd_discover)

@@ -11,10 +11,15 @@ Internally points are rescaled to integer coordinates (the LCM of the
 onset denominators) so the hot loops run on plain int tuples.  Translators
 are read off SIA's vector table (Meredith, Lemstrom & Wiggins 2002), and
 COSIATEC and SIATECCompress rank candidate TECs in exact integer
-arithmetic, with no floats or Fractions.  One compact-segment rule
-(`_segments`, an integer compare per step) splits patterns for COSIATEC's
-candidates, `compactness_trawl` and SIARCT alike.  Emitted occurrences
-are the piece's own notes, durations included.
+arithmetic, with no floats or Fractions.  A COSIATEC round is best-first:
+it scores shapes in descending order of an exact upper bound on the
+ordering's leading figure, read off the table, and stops once no bound can
+reach the best candidate so far.  Compression ratio, coverage and size
+prune; compactness has no bound, so a compactness-led round scores every
+shape.  The emitted TECs are those of scoring every shape.  One
+compact-segment rule (`_segments`, an integer compare per step) splits
+patterns for COSIATEC's candidates, `compactness_trawl` and SIARCT alike.
+Emitted occurrences are the piece's own notes, durations included.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from motifkit.core import (
@@ -228,13 +234,17 @@ class DiscoveryStats:
     """What a SIATEC, COSIATEC or SIATECCompress call did, for its caller to read.
 
     `rounds` holds one entry per translator search: the points it ran on,
-    the vectors in their table and the shapes whose translators it found.
-    A COSIATEC round adds the best TEC of the round (`chosen`) and whether
-    it compressed and so was emitted.  `seconds` holds each stage's wall
-    time: the grid and vector table, the translator search and counting,
-    the ranking, and building the emitted TECs (in COSIATEC, also removing
-    their points).  Counts come from lengths at hand once per round, never
-    per candidate.
+    the vectors in their table, the candidate shapes and how many of them
+    were `scored` (their translators searched and counted).  SIATEC and
+    SIATECCompress score every shape; a COSIATEC round scores only those
+    whose bound can still reach the best candidate (`_best`), and adds that
+    TEC (`chosen`) and whether it compressed and so was emitted.  `seconds`
+    holds each stage's wall time: the grid and vector table, the translator
+    search and counting (in COSIATEC, also finding the shapes and comparing
+    them as they are scored), the ranking (in COSIATEC, the bound pass that
+    sorts the shapes), and building the emitted TECs (in COSIATEC, also
+    removing their points).  Counts come from lengths at hand once per
+    round, never per candidate.
     """
 
     def __init__(self):
@@ -248,8 +258,15 @@ class DiscoveryStats:
         self.seconds[stage] += now - self._since
         self._since = now
 
-    def add_round(self, grid: _Grid, table: _Table, shapes: set, chosen: _Candidate | None = None):
-        entry: dict = {"points": len(grid.coords), "vectors": len(table), "shapes": len(shapes)}
+    def add_round(
+        self, grid: _Grid, table: _Table, shapes: set, scored: int, chosen: _Candidate | None = None
+    ):
+        entry: dict = {
+            "points": len(grid.coords),
+            "vectors": len(table),
+            "shapes": len(shapes),
+            "scored": scored,
+        }
         if chosen is not None:
             size, count = len(chosen.shape), len(chosen.translators)
             entry["chosen"] = {
@@ -316,7 +333,7 @@ def siatec(ps: PointSet, stats: DiscoveryStats | None = None) -> list[TEC]:
     shapes = {_shape(o) for o in table.values()}
     found = [(shape, _translators(shape, grid, table)) for shape in shapes]
     stats.lap("search")
-    stats.add_round(grid, table, shapes)
+    stats.add_round(grid, table, shapes, len(shapes))
     tecs = [grid.tec(shape, translators) for shape, translators in found]
     tecs.sort(key=lambda t: (t.pattern, t.translators))
     stats.lap("emit")
@@ -422,6 +439,17 @@ _FIGURES: dict[str, Callable[[_Candidate, int], int]] = {
 
 DEFAULT_ORDER = ("cr", "comp", "cov", "size")
 
+# Upper bounds on a leading figure, from a shape's size s, the length t of
+# the smallest table column among its points (each column holds every
+# translator), the remaining point count and m.  Coverage is at most s*t,
+# and s*t/(s+t-1) never falls as t grows.  Capping the ratio's coverage at
+# the point count would make it fall as t grows, and the bound fail.
+_BOUNDS: dict[str, Callable[[int, int, int, int], int]] = {
+    "cr": lambda s, t, rest, m: s * t * m // (s + t - 1),
+    "cov": lambda s, t, rest, m: min(s * t, rest),
+    "size": lambda s, t, rest, m: s,
+}
+
 
 def _figure(name: str) -> Callable[[_Candidate, int], int]:
     if name.startswith("comp>="):
@@ -449,6 +477,47 @@ def _rank_key(order: Sequence[str], n: int) -> Callable[[_Candidate], tuple]:
     return key
 
 
+def _leading_bound(order: Sequence[str], n: int) -> Callable[[tuple, _Grid, _Table], float]:
+    """An upper bound on a shape's leading figure under `_rank_key(order, n)`.
+
+    Compactness has none that the table gives, so its bound is infinite.
+    """
+    f = _BOUNDS.get((*order, *DEFAULT_ORDER)[0])
+    if f is None:
+        return lambda shape, grid, table: math.inf
+    m = 4 * n * n
+
+    def bound(shape: tuple[_Coord, ...], grid: _Grid, table: _Table) -> int:
+        rest = len(grid.coords)
+        t = min(map(len, map(table.__getitem__, shape[1:]))) if len(shape) > 1 else rest
+        return f(len(shape), t, rest, m)
+
+    return bound
+
+
+def _best(
+    ranked: Sequence[tuple[float, tuple[_Coord, ...]]], grid: _Grid, table: _Table, key: Callable
+) -> tuple[_Candidate, int]:
+    """The least-keyed candidate of (bound, shape) pairs by descending bound, and the count scored.
+
+    The walk stops at the first bound strictly below the leading figure of
+    the best candidate so far, as no later shape can reach that figure.  An
+    equal bound is still scored: later figures and the least occurrence
+    decide between candidates that share the leading figure.
+    """
+    best = best_key = None
+    scored = 0
+    for b, shape in ranked:
+        if best_key is not None and -b > best_key[0]:
+            break
+        c = _score(shape, grid, table)
+        scored += 1
+        k = key(c)
+        if best_key is None or k < best_key:
+            best, best_key = c, k
+    return best, scored
+
+
 def _residue_tec(points: Sequence[Point]) -> TEC:
     pts = tuple(sorted(points))
     return TEC(pattern=pts, translators=(ZERO,), covered=pts)
@@ -469,6 +538,15 @@ def cosiatec(
     give the occurrence a TEC of its own.  Each round reads every
     candidate's translators off one vector table (`_translators`).
 
+    Rounds are best-first (`_best`): shapes are scored in descending order
+    of an exact upper bound on the ordering's leading figure, and the round
+    stops at the first bound strictly below the best leading figure found.
+    The bound takes a shape's size s and its smallest table column t, which
+    holds every translator: s*t/(s+t-1) for compression ratio, min(s*t,
+    remaining points) for coverage, s for size (`_BOUNDS`).  So ratio-,
+    coverage- and size-led orderings score few shapes, while compactness-led
+    ones score all.  The chosen TEC is the one scoring every shape gives.
+
     The best TEC maximizes the `tie_break` quality ordering (defaults to
     compression ratio, compactness, coverage, pattern size), with
     `tec_quality` measured against the remaining points and compared in
@@ -478,6 +556,7 @@ def cosiatec(
     given, records each round and its chosen TEC.
     """
     key = _rank_key(tie_break, len(ps))
+    bound = _leading_bound(tie_break, len(ps))
     stats = _started(stats)
     grid = _Grid(ps)
     out = []
@@ -488,12 +567,14 @@ def cosiatec(
         for origins in table.values():
             shapes.add(_shape(origins))
             if len(origins) > 2:  # a 2-point MTP's only segment is itself
-                shapes.update(_shape(seg) for seg in _segments(origins, grid, 1, 2))
-        candidates = [_score(shape, grid, table) for shape in shapes]
+                shapes.update(map(_shape, _segments(origins, grid, 1, 2)))
         stats.lap("search")
-        best = min(candidates, key=key)
+        ranked = [(bound(s, grid, table), s) for s in shapes]
+        ranked.sort(key=itemgetter(0), reverse=True)
         stats.lap("rank")
-        stats.add_round(grid, table, shapes, best)
+        best, scored = _best(ranked, grid, table, key)
+        stats.lap("search")
+        stats.add_round(grid, table, shapes, scored, best)
         if not best.compresses():
             break
         out.append(grid.tec(best.shape, best.translators))
@@ -527,7 +608,7 @@ def siatec_compress(
     stats.lap("search")
     candidates.sort(key=_rank_key((sort_key,), len(ps)))
     stats.lap("rank")
-    stats.add_round(grid, table, shapes)
+    stats.add_round(grid, table, shapes, len(shapes))
     covered: set[_Coord] = set()
     out = []
     for c in candidates:

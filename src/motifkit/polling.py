@@ -13,15 +13,16 @@ differencing and the threshold-and-merge decision.  Fractions are built
 only where a caller reads them: `polling_curve` and `savgol_smooth` return
 a `PollingCurve`, and `boundary_trace` builds the smoothed curve, p1, p2
 and the steepness of each crossing; `extract_boundaries` and `train_pp`
-build none.  Polling adds each occurrence's weight with a difference
-array.  Smoothing applies each least-squares fit as an integer kernel over
-one shared denominator, solved once per (offsets, order); a fit whose
-samples are all equal is that value, and the constant runs at the ends of
-a curve enter a fit through prefix sums of its kernel, so the edge padding
-of boundary extraction costs neither a solve nor a product per padded
-sample.  Parameter training polls each piece once, smooths each (piece,
-window, order) once and re-runs only the threshold-and-merge step per
-lambda and derivative choice.
+build none.  Polling puts the piece span, the resolution and every
+occurrence span on one integer tick and adds each occurrence's weight with
+a difference array.  Smoothing applies each least-squares fit as an
+integer kernel over one shared denominator, solved once per (offsets,
+order); a fit whose samples are all equal is that value, and the constant
+runs at the ends of a curve enter a fit through prefix sums of its kernel,
+so the edge padding of boundary extraction costs neither a solve nor a
+product per padded sample.  Parameter training polls each piece once,
+smooths each (piece, window, order) once and re-runs only the
+threshold-and-merge step per lambda and derivative choice.
 """
 
 from __future__ import annotations
@@ -150,9 +151,15 @@ def grid_cells(span: Span, piece_span: Span, resolution: Fraction) -> range:
     s, e = span
     start, end = piece_span
     if s < start or e > end:
-        raise ValueError(f"occurrence [{s}, {e}) outside piece span [{start}, {end})")
+        raise _outside(span, piece_span)
     # ceil((t - start) / resolution), as one exact floor division
     return range(-((start - s) // resolution), -((start - e) // resolution))
+
+
+def _outside(span: Span, piece_span: Span) -> ValueError:
+    return ValueError(
+        f"occurrence [{span[0]}, {span[1]}) outside piece span [{piece_span[0]}, {piece_span[1]})"
+    )
 
 
 def polling_curve(
@@ -198,13 +205,21 @@ def _poll(records: Sequence[PatternRecord], weights: AlgorithmWeights | None, re
     start, end = piece_span or _span_over((span for _, span in spans), resolution)
     if end <= start:
         raise ValueError("piece span must be nonempty")
-    n = math.ceil((end - start) / resolution)
+    # `grid_cells` on integers: every time as a count of 1/scale crotchets
+    times = (start, end, resolution, *(t for _, span in spans for t in span))
+    scale = math.lcm(*{t.denominator for t in times})
+    lo, hi, step = (t.numerator * (scale // t.denominator) for t in times[:3])
+    n = -((lo - hi) // step)
     steps = [0] * (n + 1)
-    for w, span in spans:
-        cells = grid_cells(span, (start, end), resolution)
-        if cells:
-            steps[cells.start] += w
-            steps[cells.stop] -= w
+    for w, (s, e) in spans:
+        s_int = s.numerator * (scale // s.denominator)
+        e_int = e.numerator * (scale // e.denominator)
+        if s_int < lo or e_int > hi:
+            raise _outside((s, e), (start, end))
+        first, stop = -((lo - s_int) // step), -((lo - e_int) // step)
+        if first < stop:
+            steps[first] += w
+            steps[stop] -= w
     nums = tuple(itertools.accumulate(steps[:n]))
     total = sum(iw.values())
     if normalize and total > 0:

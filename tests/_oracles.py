@@ -2,13 +2,16 @@
 
 These stay deliberately naive and independent of the library's code paths:
 plain set arithmetic over (onset, pitch) tuples and exhaustive searches.
+The one exception, `exhaustive_cosiatec`, shares the library's candidates
+and scores and differs only in how a round finds its best candidate, so
+that pieces too large for `brute_cosiatec` can still be checked.
 """
 
 import random
 from fractions import Fraction
 from itertools import combinations
 
-from motifkit import evaluation, polling
+from motifkit import discovery, evaluation, polling
 
 
 def brute_mtps(coords):
@@ -360,6 +363,32 @@ def brute_cosiatec(coords, order=_DEFAULT_ORDER):
         remaining = [c for c in remaining if c not in best[2]]
     if remaining:
         out.append(_residue(remaining))
+    return out
+
+
+def grid_shapes(grid, table):
+    """Every shape COSIATEC ranks: SIATEC's, and those of every compact segment."""
+    shapes = set()
+    for origins in table.values():
+        shapes.add(discovery._shape(origins))
+        shapes.update(discovery._shape(seg) for seg in discovery._segments(origins, grid, 1, 2))
+    return shapes
+
+
+def exhaustive_cosiatec(ps, order=discovery.DEFAULT_ORDER):
+    """COSIATEC whose rounds score every candidate shape and take the least key."""
+    key = discovery._rank_key(order, len(ps))
+    grid = discovery._Grid(ps)
+    out = []
+    while len(grid.coords) >= 2:
+        table = discovery._mtp_table(grid)
+        best = min((discovery._score(s, grid, table) for s in grid_shapes(grid, table)), key=key)
+        if not best.compresses():
+            break
+        out.append(grid.tec(best.shape, best.translators))
+        grid = grid.without(discovery._cover(best.shape, best.translators))
+    if grid.coords:
+        out.append(discovery._residue_tec(grid.points(grid.coords)))
     return out
 
 

@@ -116,6 +116,7 @@ class TestDiscover:
         doc = json.loads(stats.read_text())
         assert doc["algorithm"] == "cosiatec" and doc["piece"] == "piece"
         assert doc["rounds"] == len(doc["per_round"]) > 0
+        assert all(0 < r["scored"] <= r["shapes"] for r in doc["per_round"])
         emitted = [r for r in doc["per_round"] if r["chosen"]["emitted"]]
         patterns = json.loads(plain.read_text())["patterns"]
         # every emitted TEC, plus the residue unless the last round emitted too
@@ -729,6 +730,7 @@ class TestJsonInputs:
         ("manifest", '{"pieces": [], "grid": {"windows": [4]}}', 3),
         ("pred", "{", 2),
         ("pred", '{"boundaries": ["x"]}', 2),
+        ("pred", '{"boundaries": [0.9, true, 7.99]}', 2),
         ("pred", '{"boundaries": [1], "resolution": 0}', 2),
         ("pred", '{"boundaries": [1], "resolution": true}', 2),
         ("params", '{"window": 3, "order": 1, "lambda": true}', 3),

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from motifkit.core import Point, PointSet
 from motifkit.discovery import (
+    DEFAULT_ORDER,
     MTP,
     TEC,
     TecQuality,
@@ -32,6 +33,7 @@ from motifkit.discovery import (
     _shape,
     _translators,
 )
+from motifkit.synthesis import SynthConfig, synthesize
 
 import _oracles
 
@@ -382,16 +384,49 @@ fractional_pieces = st.sets(
 ).map(lambda notes: PointSet.build(Point(F(n, d), p, F(d, 2)) for n, d, p in notes))
 
 
+# pieces of up to 12 notes on 16 half-beat onsets and 3 pitches: sparse pieces
+# rarely hold a shape whose smallest table column has a non-translator
+dense_pieces = st.sets(
+    st.tuples(st.integers(0, 15), st.integers(60, 62)), min_size=1, max_size=12
+).map(lambda notes: PointSet.build(Point(F(n, 2), p) for n, p in notes))
+
+# every leading figure, with and without a bound on it
+ORDERS = (
+    DEFAULT_ORDER, ("comp", "size"), ("comp>=1", "cov"), ("cov",), ("size", "cr"), ("cr", "size")
+)
+
+
+def synth_piece(seed, occurrences):
+    return synthesize(SynthConfig(occurrences_per_template=occurrences, seed=seed)).piece
+
+
 class TestGridRanking:
     @settings(max_examples=80, deadline=None)
-    @given(fractional_pieces)
+    @given(st.one_of(fractional_pieces, dense_pieces))
     def test_covers_match_oracle(self, ps):
         assume(_Grid(ps).scale > 1)
         coords = [p.coord for p in ps.points]
-        for order in (("cr", "comp", "cov", "size"), ("comp", "size"), ("comp>=1", "cov")):
+        for order in ORDERS:
             assert tec_coords(cosiatec(ps, order)) == _oracles.brute_cosiatec(coords, order)
         for key in ("cr", "comp", "cov"):
             assert tec_coords(siatec_compress(ps, key)) == _oracles.brute_siatec_compress(coords, key)
+
+    @pytest.mark.parametrize(
+        "seed, occurrences", [*((seed, 2) for seed in range(10)), *((seed, 6) for seed in range(3))]
+    )
+    def test_best_first_equals_exhaustive_rounds(self, seed, occurrences):
+        ps = synth_piece(seed, occurrences)
+        for order in ORDERS if occurrences == 2 else (DEFAULT_ORDER, ("cov",)):
+            assert cosiatec(ps, order) == _oracles.exhaustive_cosiatec(ps, order), order
+
+    def test_ratio_first_scores_few_shapes(self):
+        ps = synth_piece(0, 6)
+        stats = DiscoveryStats()
+        cosiatec(ps, stats=stats)
+        assert len(ps) == 288
+        assert all(r["scored"] <= r["shapes"] for r in stats.rounds)
+        scored = sum(r["scored"] for r in stats.rounds)
+        assert scored <= 0.15 * sum(r["shapes"] for r in stats.rounds)
 
     def test_full_tie_goes_to_least_pattern(self):
         # both pairs: ratio 4/3, compactness 1, coverage 4, size 2; the later
@@ -426,25 +461,9 @@ class TestGridRanking:
                     assert c.compresses() == (c.coverage > size + count - 1)
 
 
-def grid_shapes(grid, table):
-    """Every shape COSIATEC ranks: SIATEC's, and those of every compact segment."""
-    shapes = set()
-    for origins in table.values():
-        shapes.add(_shape(origins))
-        shapes.update(_shape(seg) for seg in _segments(origins, grid, 1, 2))
-    return shapes
-
-
 def exact(grid, coords):
     """Grid coordinates back on the piece's exact (onset, pitch) pairs."""
     return [(F(c[0], grid.scale), c[1]) for c in coords]
-
-
-# pieces of up to 12 notes on 16 half-beat onsets and 3 pitches: sparse pieces
-# rarely hold a shape whose smallest table column has a non-translator
-dense_pieces = st.sets(
-    st.tuples(st.integers(0, 15), st.integers(60, 62)), min_size=1, max_size=12
-).map(lambda notes: PointSet.build(Point(F(n, 2), p) for n, p in notes))
 
 
 class TestTableTranslators:
@@ -454,7 +473,7 @@ class TestTableTranslators:
         grid = _Grid(ps)
         table = _mtp_table(grid)
         coords = [p.coord for p in ps.points]
-        shapes = grid_shapes(grid, table) | {((0, 0),)}
+        shapes = _oracles.grid_shapes(grid, table) | {((0, 0),)}
         for shape in shapes:
             got = _translators(shape, grid, table)
             assert list(got) == sorted(got)
@@ -491,7 +510,7 @@ class TestIntegerRanking:
     def test_order_equals_fraction_order(self, ps):
         grid = _Grid(ps)
         table = _mtp_table(grid)
-        candidates = [_score(shape, grid, table) for shape in grid_shapes(grid, table)]
+        candidates = [_score(shape, grid, table) for shape in _oracles.grid_shapes(grid, table)]
         coords = [p.coord for p in ps.points]
         for order in RANK_ORDERS:
             got = integer_order(grid, candidates, order, len(ps))
@@ -508,7 +527,7 @@ class TestIntegerRanking:
         assert _figure("comp>=2/3")(c, m) == 1
         assert _figure("comp>=0.6667")(c, m) == 0
         assert _figure("comp>=0.6666")(c, m) == 1
-        candidates = [_score(shape, grid, table) for shape in grid_shapes(grid, table)]
+        candidates = [_score(shape, grid, table) for shape in _oracles.grid_shapes(grid, table)]
         coords = [p.coord for p in ps.points]
         for order in (("comp>=2/3", "cov"), ("comp>=0.6667", "cov"), ("comp", "cov")):
             got = integer_order(grid, candidates, order, len(ps))
@@ -586,7 +605,7 @@ class TestStats:
                   "coverage": 4, "emitted": True}
         first = [p.coord for p in ps.points]
         second = [c for c in first if c not in {p.coord for p in tecs[0].covered}]
-        assert stats.rounds == [
+        assert [{k: v for k, v in r.items() if k != "scored"} for r in stats.rounds] == [
             {
                 "points": len(coords),
                 "vectors": len(_oracles.brute_mtps(coords)),
@@ -595,6 +614,7 @@ class TestStats:
             }
             for coords in (first, second)
         ]
+        assert all(1 <= r["scored"] <= r["shapes"] for r in stats.rounds)
         assert set(stats.seconds) == {"table", "search", "rank", "emit"}
 
     def test_last_round_that_does_not_compress(self):
@@ -607,7 +627,7 @@ class TestStats:
         for run in (lambda s: siatec(FOUR, s), lambda s: siatec_compress(FOUR, "cr", s)):
             stats = DiscoveryStats()
             run(stats)
-            assert stats.rounds == [{"points": 4, "vectors": 4, "shapes": 3}]
+            assert stats.rounds == [{"points": 4, "vectors": 4, "shapes": 3, "scored": 3}]
 
 
 class TestPlantedRepeat:

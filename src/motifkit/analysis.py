@@ -343,6 +343,8 @@ def cross_validate(
         spec = dict(classifiers)
     else:
         spec = {kind: {} for kind in classifiers}
+    if not spec:
+        raise ValueError("no classifiers to cross-validate")
     if balance:
         dataset = _balance(dataset, seed)
     labels = np.array(dataset.labels)

@@ -25,91 +25,80 @@ def _as_arrays(X, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # CART + random forest
 
 
-@dataclass
-class _Node:
-    feature: int = -1
-    threshold: float = 0.0
-    left: "_Node | None" = None
-    right: "_Node | None" = None
-    prediction: int = -1
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-
-def _gini(counts: np.ndarray) -> float:
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    p = counts / total
-    return float(1.0 - np.sum(p * p))
-
-
 class _Tree:
-    """CART with the Gini criterion and per-node feature subsampling."""
+    """CART with the Gini criterion and per-node feature subsampling.
+
+    A node counts its rows once, in a table over (drawn feature, level,
+    class) of max_features x (most levels of a feature) x classes
+    integers. A feature has no more levels than the fit has rows, at
+    most about 400 here, so the table stays small. A threshold follows
+    each level present in the node but the feature's last, and its left
+    counts are the table's running sum over levels. The least weighted
+    Gini wins; ties go to the feature drawn first, then to the lowest
+    threshold.
+
+    Nodes are flat lists in pre-order, grown left child first so the
+    feature draws keep their order. A leaf is its own left and right
+    child on feature 0, so `predict` walks every row `depth` steps.
+    """
 
     def __init__(self, n_classes: int, max_features: int, rng: np.random.Generator):
         self.n_classes = n_classes
         self.max_features = max_features
         self.rng = rng
-        self.root: _Node | None = None
-        self.importances: np.ndarray | None = None
 
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "_Tree":
-        self.n_total = len(y)
-        self.importances = np.zeros(X.shape[1])
-        self.root = self._grow(X, y, np.arange(len(y)))
+    def fit(self, codes: np.ndarray, levels: list[np.ndarray], y: np.ndarray) -> "_Tree":
+        """Grow on rank codes: row i's value of feature f is ``levels[f][codes[i, f]]``."""
+        self.importances = np.zeros(codes.shape[1])
+        self.nodes: list[list] = []  # [feature, threshold, value, left, right]
+        self.depth, self.width = 0, max(map(len, levels), default=0)
+        self._grow(codes, levels, y, np.arange(len(y)), 0)
         return self
 
-    def _grow(self, X: np.ndarray, y: np.ndarray, idx: np.ndarray) -> _Node:
-        counts = np.bincount(y[idx], minlength=self.n_classes)
-        node_gini = _gini(counts)
-        if node_gini == 0.0 or idx.size < 2:
-            return _Node(prediction=int(np.argmax(counts)))
-        best = None  # (weighted_gini, feature, threshold)
-        features = self.rng.choice(X.shape[1], size=self.max_features, replace=False)
-        for f in features:
-            values = X[idx, f]
-            order = np.argsort(values, kind="stable")
-            sv = values[order]
-            sy = y[idx][order]
-            distinct = np.nonzero(sv[:-1] < sv[1:])[0]
-            if distinct.size == 0:
-                continue
-            onehot = np.zeros((idx.size, self.n_classes))
-            onehot[np.arange(idx.size), sy] = 1.0
-            left_counts = np.cumsum(onehot, axis=0)[distinct]
-            nl = distinct + 1.0
-            nr = idx.size - nl
-            right_counts = counts - left_counts
-            gl = 1.0 - np.sum((left_counts / nl[:, None]) ** 2, axis=1)
-            gr = 1.0 - np.sum((right_counts / nr[:, None]) ** 2, axis=1)
-            weighted = (nl * gl + nr * gr) / idx.size
-            k = int(np.argmin(weighted))
-            if best is None or weighted[k] < best[0]:
-                threshold = (sv[distinct[k]] + sv[distinct[k] + 1]) / 2.0
-                best = (float(weighted[k]), int(f), float(threshold))
-        if best is None:
-            return _Node(prediction=int(np.argmax(counts)))
-        weighted_gini, f, threshold = best
-        mask = X[idx, f] <= threshold
-        left_idx, right_idx = idx[mask], idx[~mask]
-        decrease = (idx.size / self.n_total) * (node_gini - weighted_gini)
-        self.importances[f] += decrease
-        node = _Node(feature=f, threshold=threshold)
-        node.left = self._grow(X, y, left_idx)
-        node.right = self._grow(X, y, right_idx)
+    def _grow(self, codes, levels, y, idx: np.ndarray, depth: int) -> int:
+        node, n, k = len(self.nodes), idx.size, self.n_classes
+        counts = np.bincount(y[idx], minlength=k)
+        self.nodes.append([0, 0.0, int(np.argmax(counts)), node, node])
+        self.depth = max(self.depth, depth)
+        if n < 2:
+            return node
+        node_gini = float(1.0 - np.sum((counts / n) ** 2))
+        if node_gini == 0.0:
+            return node
+        features = self.rng.choice(codes.shape[1], size=self.max_features, replace=False)
+        m, width = len(features), self.width
+        cells = (np.arange(m) * width + codes[idx[:, None], features]) * k + y[idx, None]
+        table = np.bincount(cells.ravel(), minlength=m * width * k).reshape(m, width, k)
+        left = table.cumsum(axis=1)
+        sizes = left.sum(axis=2)
+        # the thresholds, ordered by draw, then level
+        drawn, level = np.nonzero(table.any(axis=2) & (sizes < n))
+        if not drawn.size:
+            return node
+        left_counts, nl = left[drawn, level], sizes[drawn, level]
+        nr = n - nl
+        gl = 1.0 - np.sum((left_counts / nl[:, None]) ** 2, axis=1)
+        gr = 1.0 - np.sum(((counts - left_counts) / nr[:, None]) ** 2, axis=1)
+        weighted = (nl * gl + nr * gr) / n
+        best = int(np.argmin(weighted))
+        j, a = drawn[best], level[best]
+        f = int(features[j])
+        b = int(np.argmax(sizes[j] > sizes[j, a]))  # the next level present in the node
+        threshold = float((levels[f][a] + levels[f][b]) / 2.0)
+        self.importances[f] += (n / len(y)) * (node_gini - float(weighted[best]))
+        # route by value, not rank: a midpoint of adjacent floats can round up to the upper one
+        below = levels[f][codes[idx, f]] <= threshold
+        self.nodes[node][:2] = f, threshold
+        self.nodes[node][3] = self._grow(codes, levels, y, idx[below], depth + 1)
+        self.nodes[node][4] = self._grow(codes, levels, y, idx[~below], depth + 1)
         return node
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        out = np.empty(len(X), dtype=int)
-        for i, row in enumerate(X):
-            node = self.root
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            out[i] = node.prediction
-        return out
+        feature, threshold, value, left, right = map(np.array, zip(*self.nodes))
+        rows, at = np.arange(len(X)), np.zeros(len(X), dtype=int)
+        for _ in range(self.depth):
+            at = np.where(X[rows, feature[at]] <= threshold[at], left[at], right[at])
+        return value[at]
 
 
 @dataclass
@@ -118,7 +107,8 @@ class RandomForest:
 
     Each split tries round(sqrt(d)) of the d features, at least one;
     `feature_importances_` is the tree-averaged Gini impurity decrease,
-    normalized to sum to one.
+    normalized to sum to one. `fit` rank-encodes each feature once, and
+    every tree grows on the codes of its bootstrap sample.
     """
 
     trees: int = 200
@@ -138,9 +128,13 @@ class RandomForest:
         rng = np.random.default_rng(self.seed)
         self._forest = []
         importances = np.zeros(d)
+        levels, ranks = [], np.empty(X.shape, dtype=int)
+        for f, column in enumerate(X.T):
+            values, ranks[:, f] = np.unique(column, return_inverse=True)
+            levels.append(values)
         for _ in range(self.trees):
             sample = rng.integers(0, n, size=n)
-            tree = _Tree(len(classes), mtry, rng).fit(X[sample], codes[sample])
+            tree = _Tree(len(classes), mtry, rng).fit(ranks[sample], levels, codes[sample])
             self._forest.append(tree)
             importances += tree.importances
         importances /= self.trees

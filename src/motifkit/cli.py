@@ -276,12 +276,15 @@ def _times(curve: polling.PollingCurve) -> list[Fraction]:
 
 def _presence_csv(curve: polling.PollingCurve, span: polling.Span, records) -> str:
     n = len(curve)
+    occurrences = [
+        (f"{rec.algorithm_id}/{rec.pattern_id}/{i}", occ.span)
+        for rec in records
+        for i, occ in enumerate(rec.occurrences)
+    ]
+    cells = polling.grid_cells([s for _, s in occurrences], span, curve.resolution)
     rows = [["occurrence"] + [str(k) for k in range(n)]]
-    for rec in records:
-        for i, occ in enumerate(rec.occurrences):
-            cells = polling.grid_cells(occ.span, span, curve.resolution)
-            row = [int(k in cells) for k in range(n)]
-            rows.append([f"{rec.algorithm_id}/{rec.pattern_id}/{i}"] + row)
+    for (label, _), inside in zip(occurrences, cells):
+        rows.append([label] + [int(k in inside) for k in range(n)])
     return _csv_text(rows)
 
 
@@ -469,7 +472,7 @@ def cmd_features(args) -> int:
     for _, records in all_records:
         X, labels = analysis.features_of_records(records)
         rows.extend((list(x), label) for x, label in zip(X, labels))
-    if args.random:
+    if args.random is not None:
         if piece is None:
             raise CliError(EXIT_CONFIG, "--random requires --piece for excerpt sampling")
         annotations = [rec for _, records in all_records for rec in records]

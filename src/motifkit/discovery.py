@@ -718,8 +718,10 @@ def run_algorithm(
     `stats` is filled by ``siatec``, ``cosiatec`` and ``siatec-compress``;
     the other algorithms refuse it.
     """
-    name, _, arg = spec.partition(":")
+    name, colon, arg = spec.partition(":")
     try:
+        if colon and name in ("sia", "siatec"):
+            raise ValueError(f"{name} takes no argument")
         if stats is not None and name in ("sia", "siar", "siarct"):
             raise ValueError(f"{name} gathers no stats")
         if name == "sia":

@@ -142,24 +142,26 @@ def _span_over(spans: Iterable[Span], resolution: Fraction) -> Span:
     return (Fraction(0), max((e for _, e in spans), default=resolution))
 
 
-def grid_cells(span: Span, piece_span: Span, resolution: Fraction) -> range:
-    """Indices k of the grid points start + k * resolution inside [s, e).
+def grid_cells(spans: Sequence[Span], piece_span: Span, resolution: Fraction) -> list[range]:
+    """Per span [s, e), the indices k of the grid points start + k * resolution inside it.
 
-    Raises ValueError unless `span` lies inside `piece_span`, whose start
-    is the grid origin; the indices then stay below the grid length.
+    Raises ValueError unless every span lies inside `piece_span`, whose
+    start is the grid origin; the indices then stay below the grid length.
     """
-    s, e = span
     start, end = piece_span
-    if s < start or e > end:
-        raise _outside(span, piece_span)
-    # ceil((t - start) / resolution), as one exact floor division
-    return range(-((start - s) // resolution), -((start - e) // resolution))
-
-
-def _outside(span: Span, piece_span: Span) -> ValueError:
-    return ValueError(
-        f"occurrence [{span[0]}, {span[1]}) outside piece span [{piece_span[0]}, {piece_span[1]})"
-    )
+    # ceil((t - start) / resolution) as one floor division on integers:
+    # every time as a count of 1/scale crotchets
+    times = (start, end, resolution, *(t for span in spans for t in span))
+    scale = math.lcm(*{t.denominator for t in times})
+    lo, hi, step = (t.numerator * (scale // t.denominator) for t in times[:3])
+    cells = []
+    for s, e in spans:
+        s_int = s.numerator * (scale // s.denominator)
+        e_int = e.numerator * (scale // e.denominator)
+        if s_int < lo or e_int > hi:
+            raise ValueError(f"occurrence [{s}, {e}) outside piece span [{start}, {end})")
+        cells.append(range(-((lo - s_int) // step), -((lo - e_int) // step)))
+    return cells
 
 
 def polling_curve(
@@ -201,25 +203,17 @@ def _poll(records: Sequence[PatternRecord], weights: AlgorithmWeights | None, re
     # adds its weight at its first cell and takes it off one past its last
     den = math.lcm(*(w.denominator for w in wmap.values()))
     iw = {a: w.numerator * (den // w.denominator) for a, w in wmap.items()}
-    spans = [(iw[rec.algorithm_id], occ.span) for rec in records for occ in rec.occurrences]
-    start, end = piece_span or _span_over((span for _, span in spans), resolution)
+    spans = [occ.span for rec in records for occ in rec.occurrences]
+    start, end = piece_span or _span_over(spans, resolution)
     if end <= start:
         raise ValueError("piece span must be nonempty")
-    # `grid_cells` on integers: every time as a count of 1/scale crotchets
-    times = (start, end, resolution, *(t for _, span in spans for t in span))
-    scale = math.lcm(*{t.denominator for t in times})
-    lo, hi, step = (t.numerator * (scale // t.denominator) for t in times[:3])
-    n = -((lo - hi) // step)
+    n = -((start - end) // resolution)
     steps = [0] * (n + 1)
-    for w, (s, e) in spans:
-        s_int = s.numerator * (scale // s.denominator)
-        e_int = e.numerator * (scale // e.denominator)
-        if s_int < lo or e_int > hi:
-            raise _outside((s, e), (start, end))
-        first, stop = -((lo - s_int) // step), -((lo - e_int) // step)
-        if first < stop:
-            steps[first] += w
-            steps[stop] -= w
+    occurrence_weights = (iw[rec.algorithm_id] for rec in records for _ in rec.occurrences)
+    for w, cells in zip(occurrence_weights, grid_cells(spans, (start, end), resolution)):
+        if cells:
+            steps[cells.start] += w
+            steps[cells.stop] -= w
     nums = tuple(itertools.accumulate(steps[:n]))
     total = sum(iw.values())
     if normalize and total > 0:

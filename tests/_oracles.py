@@ -5,11 +5,16 @@ plain set arithmetic over (onset, pitch) tuples and exhaustive searches.
 The one exception, `exhaustive_cosiatec`, shares the library's candidates
 and scores and differs only in how a round finds its best candidate, so
 that pieces too large for `brute_cosiatec` can still be checked.
+`_Tree` is the forest's earlier CART, which sorts each drawn feature at
+every node; the count-table tree must grow the same trees.
 """
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+
+import numpy as np
 
 from motifkit import discovery, evaluation, polling
 
@@ -418,3 +423,90 @@ def brute_presence(span, piece_span, resolution):
         row.append(1 if s <= t < e else 0)
         t += resolution
     return row
+
+
+@dataclass
+class _Node:
+    feature: int = -1
+    threshold: float = 0.0
+    left: "_Node | None" = None
+    right: "_Node | None" = None
+    prediction: int = -1
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.left is None
+
+
+def _gini(counts: np.ndarray) -> float:
+    total = counts.sum()
+    if total == 0:
+        return 0.0
+    p = counts / total
+    return float(1.0 - np.sum(p * p))
+
+
+class _Tree:
+    """CART with the Gini criterion and per-node feature subsampling."""
+
+    def __init__(self, n_classes: int, max_features: int, rng: np.random.Generator):
+        self.n_classes = n_classes
+        self.max_features = max_features
+        self.rng = rng
+        self.root: _Node | None = None
+        self.importances: np.ndarray | None = None
+
+    def fit(self, X: np.ndarray, y: np.ndarray) -> "_Tree":
+        self.n_total = len(y)
+        self.importances = np.zeros(X.shape[1])
+        self.root = self._grow(X, y, np.arange(len(y)))
+        return self
+
+    def _grow(self, X: np.ndarray, y: np.ndarray, idx: np.ndarray) -> _Node:
+        counts = np.bincount(y[idx], minlength=self.n_classes)
+        node_gini = _gini(counts)
+        if node_gini == 0.0 or idx.size < 2:
+            return _Node(prediction=int(np.argmax(counts)))
+        best = None  # (weighted_gini, feature, threshold)
+        features = self.rng.choice(X.shape[1], size=self.max_features, replace=False)
+        for f in features:
+            values = X[idx, f]
+            order = np.argsort(values, kind="stable")
+            sv = values[order]
+            sy = y[idx][order]
+            distinct = np.nonzero(sv[:-1] < sv[1:])[0]
+            if distinct.size == 0:
+                continue
+            onehot = np.zeros((idx.size, self.n_classes))
+            onehot[np.arange(idx.size), sy] = 1.0
+            left_counts = np.cumsum(onehot, axis=0)[distinct]
+            nl = distinct + 1.0
+            nr = idx.size - nl
+            right_counts = counts - left_counts
+            gl = 1.0 - np.sum((left_counts / nl[:, None]) ** 2, axis=1)
+            gr = 1.0 - np.sum((right_counts / nr[:, None]) ** 2, axis=1)
+            weighted = (nl * gl + nr * gr) / idx.size
+            k = int(np.argmin(weighted))
+            if best is None or weighted[k] < best[0]:
+                threshold = (sv[distinct[k]] + sv[distinct[k] + 1]) / 2.0
+                best = (float(weighted[k]), int(f), float(threshold))
+        if best is None:
+            return _Node(prediction=int(np.argmax(counts)))
+        weighted_gini, f, threshold = best
+        mask = X[idx, f] <= threshold
+        left_idx, right_idx = idx[mask], idx[~mask]
+        decrease = (idx.size / self.n_total) * (node_gini - weighted_gini)
+        self.importances[f] += decrease
+        node = _Node(feature=f, threshold=threshold)
+        node.left = self._grow(X, y, left_idx)
+        node.right = self._grow(X, y, right_idx)
+        return node
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        out = np.empty(len(X), dtype=int)
+        for i, row in enumerate(X):
+            node = self.root
+            while not node.is_leaf:
+                node = node.left if row[node.feature] <= node.threshold else node.right
+            out[i] = node.prediction
+        return out

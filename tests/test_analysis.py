@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from motifkit.analysis import (
     FEATURE_NAMES,
@@ -14,9 +15,11 @@ from motifkit.analysis import (
     fit_scaler_pca,
     sample_random_excerpts,
 )
-from motifkit.classifiers import train_classifier
+from motifkit.classifiers import RandomForest, train_classifier
 from motifkit.core import PatternOccurrence, PatternRecord, Point, PointSet
 from motifkit.synthesis import SynthConfig, synthesize, template_p1
+
+import _oracles
 
 F = Fraction
 
@@ -254,6 +257,77 @@ class TestClassifiers:
             train_classifier("svm", np.zeros((4, 2)), np.array(["a", "a", "b", "b"]))
 
 
+@st.composite
+def forest_data(draw):
+    """2-60 rows of 1-8 features and 2-10 classes, built to provoke ties.
+
+    A column is free floats, a few repeated values, a copy of an earlier
+    column (ties between features), or steps of one ulp from a base value
+    (midpoints that round onto the upper value).
+    """
+    n, d, k = draw(st.integers(2, 60)), draw(st.integers(1, 8)), draw(st.integers(2, 10))
+    rows = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+    columns = []
+    for _ in range(d):
+        kind = draw(st.sampled_from(["floats", "ties", "copy", "ulps"]))
+        if kind == "copy" and columns:
+            columns.append(columns[draw(st.integers(0, len(columns) - 1))])
+        elif kind == "ties":
+            values = draw(st.lists(st.floats(-5, 5), min_size=4, max_size=4))
+            columns.append(np.array(values)[draw(rows)])
+        elif kind == "ulps":
+            column = np.full(n, draw(st.floats(-1e3, 1e3)))
+            for step in range(3):
+                up = np.array(draw(rows)) > step
+                column[up] = np.nextafter(column[up], np.inf)
+            columns.append(column)
+        else:
+            columns.append(np.array(draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n))))
+    y = np.array(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+    assume(len(set(y)) >= 2)
+    return np.column_stack(columns), y
+
+
+def _oracle_preorder(node):
+    if node.is_leaf:
+        return [("leaf", node.prediction)]
+    children = _oracle_preorder(node.left) + _oracle_preorder(node.right)
+    return [(node.feature, node.threshold)] + children
+
+
+class TestTreeOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(data=forest_data(), trees=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_same_trees_as_sorting_cart(self, data, trees, seed):
+        """Each tree equals the per-node sorting CART: nodes, importances, predictions."""
+        X, y = data
+        n, d = X.shape
+        codes = np.unique(y, return_inverse=True)[1]
+        rng = np.random.default_rng(seed)
+        try:
+            expected = []
+            for _ in range(trees):
+                sample = rng.integers(0, n, size=n)
+                tree = _oracles._Tree(len(set(y)), min(max(1, round(d**0.5)), d), rng)
+                expected.append(tree.fit(X[sample], codes[sample]))
+        except RecursionError:  # a split that sends every row to one side, forever
+            with pytest.raises(RecursionError):
+                RandomForest(trees=trees, seed=seed).fit(X, y)
+            return
+        forest = RandomForest(trees=trees, seed=seed).fit(X, y)
+        thresholds = np.array([t for tree in forest._forest for _, t, *_ in tree.nodes])
+        pool = np.concatenate([X.ravel(), thresholds, np.nextafter(thresholds, -np.inf)])
+        fresh = np.random.default_rng(seed).choice(pool, size=(30, d))
+        for old, new in zip(expected, forest._forest, strict=True):
+            nodes = [
+                ("leaf", v) if left == i else (f, t) for i, (f, t, v, left, _) in enumerate(new.nodes)
+            ]
+            assert nodes == _oracle_preorder(old.root)
+            assert np.array_equal(new.importances, old.importances)
+            for rows in (X, fresh):
+                assert np.array_equal(new.predict(rows), old.predict(rows))
+
+
 class TestCrossValidate:
     def test_separable_three_classes(self):
         rng = np.random.default_rng(4)
@@ -286,6 +360,12 @@ class TestCrossValidate:
             cross_validate(
                 LabeledDataset(X, tuple(y)), {"nb": {}}, folds=5, repeats=1, balance=False
             )
+
+    @pytest.mark.parametrize("spec", [{}, ()])
+    def test_empty_classifier_spec_rejected(self, spec):
+        ds = LabeledDataset(np.zeros((8, 2)), ("a", "b") * 4)
+        with pytest.raises(ValueError, match="no classifiers"):
+            cross_validate(ds, spec, folds=2, repeats=1)
 
     def test_balancing_downsamples(self):
         rng = np.random.default_rng(6)

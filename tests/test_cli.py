@@ -106,6 +106,15 @@ class TestDiscover:
         assert "Traceback" not in capsys.readouterr().err
         assert not (synth_dir / "x.json").exists()
 
+    @pytest.mark.parametrize("alg", ["sia:junk", "siatec:junk"])
+    def test_argument_for_argless_algorithm_exit_3(self, synth_dir, capsys, alg):
+        out = synth_dir / "x.json"
+        capsys.readouterr()
+        assert run("discover", "--in", synth_dir / "piece.csv", "--alg", alg, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid algorithm spec") and err.count("\n") == 1, err
+        assert not out.exists()
+
     def test_stats_file(self, synth_dir):
         piece = synth_dir / "piece.csv"
         plain, traced, stats = synth_dir / "plain.json", synth_dir / "traced.json", synth_dir / "s.json"
@@ -419,6 +428,15 @@ class TestClassifyImportance:
             "--out", tmp_path / "x.json", "--quiet",
         ) == 3
 
+    def test_empty_classifier_list_exit_3(self, synth_dir, features_csv, capsys):
+        out = synth_dir / "cv.json"
+        capsys.readouterr()
+        assert run("classify", "--features", features_csv, "--classifiers", ",",
+                   "--out", out, "--quiet") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: no classifiers") and err.count("\n") == 1, err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, flag, value", [
         ("importance", "--runs", 0),
         ("importance", "--runs", -1),
@@ -429,6 +447,7 @@ class TestClassifyImportance:
         ("classify", "--folds", 1),
         ("classify", "--repeats", 0),
         ("features", "--random", -2),
+        ("features", "--random", 0),
     ])
     def test_bad_count_exit_3(self, synth_dir, features_csv, capsys, command, flag, value):
         inputs, name = ["--features", features_csv], flag[2:]

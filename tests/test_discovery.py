@@ -664,6 +664,11 @@ class TestRunAlgorithm:
         with pytest.raises(ValueError, match="invalid algorithm spec"):
             run_algorithm("siar:x", FOUR)
 
+    @pytest.mark.parametrize("spec", ["sia:junk", "siatec:junk", "sia:"])
+    def test_argument_for_argless_algorithm(self, spec):
+        with pytest.raises(ValueError, match="invalid algorithm spec .* takes no argument"):
+            run_algorithm(spec, FOUR)
+
     def test_mtp_records_have_both_occurrences(self):
         records = mtps_to_records(sia(FOUR), "sia")
         rec = [r for r in records if len(r.occurrences[0].points) == 2][0]

@@ -84,10 +84,11 @@ class _Tree:
         j, a = drawn[best], level[best]
         f = int(features[j])
         b = int(np.argmax(sizes[j] > sizes[j, a]))  # the next level present in the node
-        threshold = float((levels[f][a] + levels[f][b]) / 2.0)
+        lo, hi = float(levels[f][a]), float(levels[f][b])
+        # the midpoint of adjacent floats can round up to the upper one, or overflow
+        threshold = (lo + hi) / 2.0 if (lo + hi) / 2.0 < hi else lo
         self.importances[f] += (n / len(y)) * (node_gini - float(weighted[best]))
-        # route by value, not rank: a midpoint of adjacent floats can round up to the upper one
-        below = levels[f][codes[idx, f]] <= threshold
+        below = codes[idx, f] <= a
         self.nodes[node][:2] = f, threshold
         self.nodes[node][3] = self._grow(codes, levels, y, idx[below], depth + 1)
         self.nodes[node][4] = self._grow(codes, levels, y, idx[~below], depth + 1)

@@ -1,8 +1,12 @@
-"""Boundary scoring with tolerance and planted-pattern recovery metrics."""
+"""Boundary scoring with tolerance and planted-pattern recovery metrics.
+
+Boundaries match in one sweep of both sorted lists: the tolerance windows
+have equal widths, so their ends rise together and the greedy matching is
+maximum (Glover 1967, convex bipartite graphs).
+"""
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -38,28 +42,15 @@ class RecoveryReport:
 
 
 def _max_matching(predicted: Sequence, truth: Sequence, tolerance) -> int:
-    """Maximum one-to-one matching between values within `tolerance`."""
-    truth = sorted(truth)  # the matching's size does not depend on the order
-    adjacency = [
-        range(bisect_left(truth, p - tolerance), bisect_right(truth, p + tolerance))
-        for p in predicted
-    ]
-    match_of_truth: list[int | None] = [None] * len(truth)
-
-    def augment(i: int, seen: set[int]) -> bool:
-        for j in adjacency[i]:
-            if j in seen:
-                continue
-            seen.add(j)
-            if match_of_truth[j] is None or augment(match_of_truth[j], seen):
-                match_of_truth[j] = i
-                return True
-        return False
-
-    matches = 0
-    for i in range(len(predicted)):
-        if augment(i, set()):
+    """Maximum one-to-one matching between values within `tolerance`, by one sorted sweep."""
+    truth = sorted(truth)
+    matches = j = 0
+    for p in sorted(predicted):
+        while j < len(truth) and truth[j] < p - tolerance:
+            j += 1
+        if j < len(truth) and truth[j] <= p + tolerance:
             matches += 1
+            j += 1
     return matches
 
 
@@ -69,9 +60,12 @@ def boundary_prf(
     """Precision/recall/F1 of boundary positions under a matching tolerance.
 
     Matching is the maximum one-to-one assignment of predicted to truth
-    positions with |p - t| <= tolerance.  Empty predicted (or truth) sets
-    score 0 precision (recall); the units of positions and tolerance must
-    agree (grid indices or times).
+    positions with |p - t| <= tolerance.  In ascending order, each
+    prediction takes the least unmatched truth in its window; the windows
+    have equal widths, so their ends rise together, no later prediction
+    reaches a truth an earlier one passed, and the sweep is maximum.  Empty
+    predicted (or truth) sets score 0 precision (recall); the units of
+    positions and tolerance must agree (grid indices or times).
     """
     if tolerance < 0:
         raise ValueError("tolerance must be >= 0")
@@ -118,25 +112,14 @@ def occurrence_recovery(
     if not 0 < jaccard_threshold <= 1:
         raise ValueError("jaccard threshold must be in (0, 1]")
     planted_sets = [occ.coords() for occ in planted]
+    found = [[occ.coords() for occ in rec.occurrences] for rec in discovered]
     results = []
     for idx, pset in enumerate(planted_sets):
-        best = Fraction(0)
-        for rec in discovered:
-            for occ in rec.occurrences:
-                oset = occ.coords()
-                inter = len(pset & oset)
-                if inter:
-                    j = Fraction(inter, len(pset | oset))
-                    if j > best:
-                        best = j
-        results.append(
-            PlantedResult(index=idx, best_jaccard=best, recovered=best >= jaccard_threshold)
-        )
-    spurious = 0
-    for rec in discovered:
-        overlap = any(
-            occ.coords() & pset for occ in rec.occurrences for pset in planted_sets
-        )
-        if not overlap:
-            spurious += 1
+        overlapping = (o for occurrences in found for o in occurrences if not pset.isdisjoint(o))
+        best = max((Fraction(len(pset & o), len(pset | o)) for o in overlapping), default=Fraction(0))
+        results.append(PlantedResult(idx, best, recovered=best >= jaccard_threshold))
+    spurious = sum(
+        all(pset.isdisjoint(o) for o in occurrences for pset in planted_sets)
+        for occurrences in found
+    )
     return RecoveryReport(planted=tuple(results), spurious_patterns=spurious)

@@ -598,11 +598,9 @@ def train_pp(
             total += getattr(prf, objective)
         return total / len(indices)
 
-    best = None
-    for params in candidates:
+    def rank(params: PpParams) -> tuple:
         fold_scores = [score(params, fold) for fold in folds if fold]
         mean = sum(fold_scores, Fraction(0)) / len(fold_scores)
-        rank = (-mean, params.window, params.lam, params.order)
-        if best is None or rank < best[0]:
-            best = (rank, params)
-    return best[1]
+        return -mean, params.window, params.lam, params.order
+
+    return min(candidates, key=rank)

@@ -7,16 +7,22 @@ and scores and differs only in how a round finds its best candidate, so
 that pieces too large for `brute_cosiatec` can still be checked.
 `_Tree` is the forest's earlier CART, which sorts each drawn feature at
 every node; the count-table tree must grow the same trees.
+`occurrence_recovery` is the library's earlier scorer, which rebuilds a
+discovered occurrence's coordinates for every planted occurrence it meets.
 """
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
+from typing import Sequence
 
 import numpy as np
 
 from motifkit import discovery, evaluation, polling
+from motifkit.core import PatternOccurrence, PatternRecord
+from motifkit.evaluation import PlantedResult, RecoveryReport
 
 
 def brute_mtps(coords):
@@ -46,8 +52,9 @@ def brute_translators(shape, coords):
 
 
 def brute_max_matching(predicted, truth, tolerance):
-    """Maximum one-to-one matching size by exhaustive recursion."""
+    """Maximum one-to-one matching size by exhaustive recursion, memoised on (i, used)."""
 
+    @cache
     def recurse(i, used):
         if i == len(predicted):
             return 0
@@ -271,6 +278,45 @@ def brute_trawl(pattern, points, a, b, mode="temporal"):
     return out
 
 
+def occurrence_recovery(
+    discovered: Sequence[PatternRecord],
+    planted: Sequence[PatternOccurrence],
+    jaccard_threshold: Fraction = Fraction(4, 5),
+) -> RecoveryReport:
+    """Score discovered patterns against planted ground-truth occurrences.
+
+    Jaccard overlap is computed on (onset, pitch) coordinate sets.  A
+    planted occurrence is recovered when any discovered occurrence reaches
+    the threshold; a discovered pattern is spurious when all of its
+    occurrences have zero overlap with every planted occurrence.
+    """
+    if not 0 < jaccard_threshold <= 1:
+        raise ValueError("jaccard threshold must be in (0, 1]")
+    planted_sets = [occ.coords() for occ in planted]
+    results = []
+    for idx, pset in enumerate(planted_sets):
+        best = Fraction(0)
+        for rec in discovered:
+            for occ in rec.occurrences:
+                oset = occ.coords()
+                inter = len(pset & oset)
+                if inter:
+                    j = Fraction(inter, len(pset | oset))
+                    if j > best:
+                        best = j
+        results.append(
+            PlantedResult(index=idx, best_jaccard=best, recovered=best >= jaccard_threshold)
+        )
+    spurious = 0
+    for rec in discovered:
+        overlap = any(
+            occ.coords() & pset for occ in rec.occurrences for pset in planted_sets
+        )
+        if not overlap:
+            spurious += 1
+    return RecoveryReport(planted=tuple(results), spurious_patterns=spurious)
+
+
 def brute_jaccard(a, b):
     a, b = set(a), set(b)
     union = len(a | b)
@@ -488,7 +534,8 @@ class _Tree:
             weighted = (nl * gl + nr * gr) / idx.size
             k = int(np.argmin(weighted))
             if best is None or weighted[k] < best[0]:
-                threshold = (sv[distinct[k]] + sv[distinct[k] + 1]) / 2.0
+                lo, hi = sv[distinct[k]], sv[distinct[k] + 1]
+                threshold = (lo + hi) / 2.0 if (lo + hi) / 2.0 < hi else lo
                 best = (float(weighted[k]), int(f), float(threshold))
         if best is None:
             return _Node(prediction=int(np.argmax(counts)))

@@ -363,6 +363,18 @@ class TestEvalBoundaries:
                    "--out", synth_dir / "eval.csv") == 0
         assert read_rows(synth_dir / "eval.csv") == read_rows(out / "piece.scores.csv")
 
+    def test_long_matching_chain(self, tmp_path, capsys):
+        records = [PatternRecord("t", f"p{i}", (PatternOccurrence((Point(F(i), 60),)),))
+                   for i in range(1200)]
+        truth = tmp_path / "t.json"
+        truth.write_text(dump_pattern_json("p", "t", records))
+        pred = tmp_path / "p.boundaries.json"
+        pred.write_text(json.dumps({"boundaries": list(range(1201))}))
+        capsys.readouterr()
+        assert run("eval-boundaries", "--pred", pred, "--truth", truth) == 0
+        assert capsys.readouterr().out == (
+            "precision=1.0000 recall=1.0000 f1=1.0000 matches=1201\n")
+
 
 class TestTrainPp:
     def test_grid_search(self, synth_dir, tmp_path):
@@ -416,6 +428,16 @@ class TestClassifyImportance:
         doc = json.loads(out.read_text())
         assert doc["folds"] == 4 and doc["seed"] == 2
         assert set(doc["classifiers"]) == {"rf", "nb", "lda"}
+
+    def test_forest_on_adjacent_floats(self, tmp_path):
+        """The midpoint of 0.7000000000000001 and the next float up rounds onto the upper one."""
+        features = tmp_path / "f.csv"
+        rows = ["0.7000000000000001,a\n"] * 4 + ["0.7000000000000002,b\n"] * 4
+        features.write_text("f0,group\n" + "".join(rows))
+        out = tmp_path / "cv.json"
+        assert run("classify", "--features", features, "--classifiers", "rf", "--folds", 2,
+                   "--repeats", 1, "--out", out, "--quiet") == 0
+        assert out.exists()
 
     def test_missing_label_column_exit_2(self, tmp_path):
         bad = tmp_path / "f.csv"

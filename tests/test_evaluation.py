@@ -56,13 +56,13 @@ class TestBoundaryPrf:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        predicted=st.lists(st.integers(0, 12), max_size=6),
-        truth=st.lists(st.integers(0, 12), max_size=6),
-        tolerance=st.integers(0, 2),
-        unit=st.sampled_from([F(1), F(1, 3)]),
+        predicted=st.lists(st.integers(0, 12), max_size=8),
+        truth=st.lists(st.integers(0, 12), max_size=8),
+        tolerance=st.integers(0, 5),
+        unit=st.sampled_from([F(1), F(1, 2), F(1, 3)]),
     )
     def test_unsorted_fractional_positions(self, predicted, truth, tolerance, unit):
-        """Matching on unsorted, repeated times; F1 is 2PR / (P + R)."""
+        """Matching on unsorted, repeated times and dense windows; F1 is 2PR / (P + R)."""
         predicted = [x * unit for x in predicted]
         truth = [x * unit for x in truth]
         prf = boundary_prf(predicted, truth, tolerance * unit)
@@ -110,6 +110,9 @@ class TestBoundaryPrf:
     def test_negative_tolerance_rejected(self):
         with pytest.raises(ValueError):
             boundary_prf([1], [1], -1)
+
+    def test_long_chain(self):
+        assert boundary_prf(range(5000), range(5000), 1).matches == 5000
 
 
 class TestTruthBoundaries:
@@ -185,3 +188,17 @@ class TestOccurrenceRecovery:
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
             occurrence_recovery([], [], F(0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), threshold=st.sampled_from([F(1, 3), F(4, 5), F(1)]))
+    def test_equals_reference(self, data, threshold):
+        """The earlier scorer's report on random, overlapping and repeated coordinate sets."""
+        coord = st.tuples(st.integers(0, 6).map(lambda k: F(k, 2)), st.integers(60, 62))
+        pool = data.draw(st.lists(st.lists(coord, min_size=1, max_size=5).map(lambda c: occ(*c)),
+                                  min_size=1, max_size=6))
+        planted = data.draw(st.lists(st.sampled_from(pool), max_size=4))
+        records = st.lists(st.sampled_from(pool), min_size=1, max_size=3).map(
+            lambda occs: PatternRecord("a", "p", tuple(occs)))
+        discovered = data.draw(st.lists(records, max_size=4))
+        assert occurrence_recovery(discovered, planted, threshold) == (
+            _oracles.occurrence_recovery(discovered, planted, threshold))

@@ -1,4 +1,5 @@
-"""Static checks over the package source: no unused imports, no dead module-level names."""
+"""Static checks over the package source: no unused imports, no dead module-level names,
+and no function that calls itself without a stated bound on its depth."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,11 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "motifkit"
 TREES = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
 MODULES = sorted(name for name in TREES if name != "__init__.py")
+
+# The functions allowed to call themselves, each with why its depth stays small.
+RECURSIVE = {
+    "classifiers._Tree._grow": "each child gets strictly fewer rows, so depth < the fit's row count",
+}
 
 
 def _loaded_names(tree: ast.AST) -> set[str]:
@@ -59,3 +65,37 @@ def test_every_module_level_name_is_referenced(module):
         if name not in referenced and not name.startswith("__")
     ]
     assert not dead, f"{module} defines {dead} and nothing in the package references them"
+
+
+def _calls_itself(function: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
+    """Whether the body calls the function's own name, bare or as `self.<name>`."""
+    for node in ast.walk(function):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Name) and f.id == function.name:
+            return True
+        if isinstance(f, ast.Attribute) and f.attr == function.name:
+            if isinstance(f.value, ast.Name) and f.value.id == "self":
+                return True
+    return False
+
+
+def _recursive(node: ast.AST, path: str) -> list[str]:
+    """Dotted names (module, classes, enclosing functions) of the functions that call themselves."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        name = path
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = f"{path}.{child.name}"
+            if not isinstance(child, ast.ClassDef) and _calls_itself(child):
+                found.append(name)
+        found += _recursive(child, name)
+    return found
+
+
+def test_recursion_only_with_a_depth_bound():
+    """Recursion as deep as an input is long ends in RecursionError, so each self-call is listed."""
+    found = {name for module in MODULES for name in _recursive(TREES[module], module[:-3])}
+    assert found <= set(RECURSIVE), f"{sorted(found - set(RECURSIVE))} call themselves"
+    assert set(RECURSIVE) <= found, f"{sorted(set(RECURSIVE) - found)} no longer call themselves"

@@ -575,14 +575,7 @@ def _add_common(sub: argparse.ArgumentParser, *flags: str):
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="motifkit",
-        description="Pattern discovery, polling fusion, evaluation, synthesis, classification",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("discover", help="run a discovery algorithm over a piece")
+def _discover_flags(p: argparse.ArgumentParser):
     p.add_argument("--in", dest="input", required=True, help="piece (CSV or MIDI)")
     p.add_argument(
         "--alg",
@@ -598,9 +591,9 @@ def build_parser() -> argparse.ArgumentParser:
         " round's chosen TEC",
     )
     _add_common(p)
-    p.set_defaults(func=cmd_discover)
 
-    p = sub.add_parser("poll", help="fuse pattern files into a polling curve")
+
+def _poll_flags(p: argparse.ArgumentParser):
     p.add_argument("--in", dest="inputs", nargs="+", required=True, help="pattern JSON files")
     p.add_argument("--truth", default=None, help="ground-truth pattern JSON")
     p.add_argument("--weight", action="append", default=None, help="algorithm=weight (repeatable)")
@@ -625,9 +618,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--normalize", action="store_true", help="divide the curve by total weight")
     p.add_argument("--tolerance", type=int, default=1, help="boundary match tolerance (grid steps)")
     _add_common(p, "out-dir", "quiet")
-    p.set_defaults(func=cmd_poll)
 
-    p = sub.add_parser("train-pp", help="grid-search boundary parameters by cross-validation")
+
+def _train_pp_flags(p: argparse.ArgumentParser):
     p.add_argument(
         "--manifest", required=True,
         help="JSON manifest with pieces and grid; each piece is smoothed once per distinct"
@@ -638,34 +631,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=int, default=1)
     p.add_argument("--out", required=True, help="output params JSON")
     _add_common(p, "seed", "quiet")
-    p.set_defaults(func=cmd_train_pp)
 
-    p = sub.add_parser("eval-boundaries", help="score predicted boundaries against truth")
+
+def _eval_boundaries_flags(p: argparse.ArgumentParser):
     p.add_argument("--pred", required=True, help="boundaries JSON (from poll)")
     p.add_argument("--truth", required=True, help="ground-truth pattern JSON")
     p.add_argument("--tolerance", type=int, default=1)
     p.add_argument("--out", default=None, help="scores CSV path")
     _add_common(p)
-    p.set_defaults(func=cmd_eval_boundaries)
 
-    p = sub.add_parser("synth", help="generate a synthetic piece with planted patterns")
+
+def _synth_flags(p: argparse.ArgumentParser):
     p.add_argument("--name", default=None, help="output basename (default synthetic-<seed>)")
     p.add_argument("--occurrences", type=int, default=2, help="per template (default 2)")
     p.add_argument("--rest-prob", type=float, default=0.2, help="(default 0.2)")
     p.add_argument("--cap", default="1/2", help="random-fraction cap in (0,1) (default 1/2)")
     p.add_argument("--seed", type=int, default=None, help="random seed (default: drawn, echoed)")
     _add_common(p, "out-dir", "quiet")
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("features", help="extract feature rows from pattern files")
+
+def _features_flags(p: argparse.ArgumentParser):
     p.add_argument("--piece", default=None, help="piece file (needed for --random)")
     p.add_argument("--patterns", nargs="+", default=None, help="pattern JSON files")
     p.add_argument("--random", type=int, default=None, help="random excerpts per occurrence")
     p.add_argument("--out", required=True, help="features CSV path")
     _add_common(p, "seed", "quiet")
-    p.set_defaults(func=cmd_features)
 
-    p = sub.add_parser("classify", help="cross-validated classification report")
+
+def _classify_flags(p: argparse.ArgumentParser):
     p.add_argument("--features", required=True, help="features CSV")
     p.add_argument("--classifiers", default="rf,nb,lda", help="comma list (default rf,nb,lda)")
     p.add_argument("--folds", type=int, default=10)
@@ -675,21 +668,65 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-balance", action="store_true", help="skip class balancing")
     p.add_argument("--out", required=True, help="report JSON path")
     _add_common(p, "seed", "quiet")
-    p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("importance", help="shadow-feature importance report")
+
+def _importance_flags(p: argparse.ArgumentParser):
     p.add_argument("--features", required=True, help="features CSV")
     p.add_argument("--runs", type=int, default=20)
     p.add_argument("--trees", type=int, default=100)
     p.add_argument("--out", required=True, help="report JSON path")
     _add_common(p, "seed", "quiet")
-    p.set_defaults(func=cmd_importance)
 
+
+def _commands() -> tuple:
+    """Each command's name, help line, flag adder and handler, in the order help lists them.
+
+    Built on each call, so the parser takes each handler as this module
+    binds it then: perfbench's tracer replaces the handlers to time them.
+    """
+    return (
+        ("discover", "run a discovery algorithm over a piece", _discover_flags, cmd_discover),
+        ("poll", "fuse pattern files into a polling curve", _poll_flags, cmd_poll),
+        (
+            "train-pp", "grid-search boundary parameters by cross-validation",
+            _train_pp_flags, cmd_train_pp,
+        ),
+        (
+            "eval-boundaries", "score predicted boundaries against truth",
+            _eval_boundaries_flags, cmd_eval_boundaries,
+        ),
+        ("synth", "generate a synthetic piece with planted patterns", _synth_flags, cmd_synth),
+        ("features", "extract feature rows from pattern files", _features_flags, cmd_features),
+        ("classify", "cross-validated classification report", _classify_flags, cmd_classify),
+        ("importance", "shadow-feature importance report", _importance_flags, cmd_importance),
+    )
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of `command` alone when it names one."""
+    parser = argparse.ArgumentParser(
+        prog="motifkit",
+        description="Pattern discovery, polling fusion, evaluation, synthesis, classification",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    commands = _commands()
+    names = [name for name, *_ in commands]
+    if command in names:
+        # a top-level error ("unrecognized arguments") prints the usage line,
+        # which lists every command as the full parser's does
+        sub.metavar = "{" + ",".join(names) + "}"
+    for name, summary, add_flags, handler in commands:
+        if command not in names or command == name:
+            p = sub.add_parser(name, help=summary)
+            add_flags(p)
+            p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # building one command's parser costs a fifth of building all of them
+    parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     try:
         _apply_config_file(parser, args, argv)

@@ -7,6 +7,10 @@ problems.  A piece is a lexicographically ordered, duplicate-free set of
 in time, never as points.
 
 All types are immutable after construction and every function is pure.
+One load of a points CSV or an interchange JSON document parses each
+distinct time string once, and a JSON load builds each distinct
+`[onset, pitch, duration]` row of two time strings into one `Point`;
+nothing is kept from one call to the next.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import math
 import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 
 class ParseError(ValueError):
@@ -50,6 +54,8 @@ def to_time(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ParseError(f"not a finite number: {value!r}")
         # exact value of the decimal repr, not of the binary float
         return Fraction(repr(value))
     if isinstance(value, str):
@@ -58,6 +64,21 @@ def to_time(value) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"not a rational number: {value!r}") from exc
     raise ParseError(f"expected a number or rational string, got {value!r}")
+
+
+class _Times(dict):
+    """One call's memo of :func:`to_time`: each distinct string is parsed once.
+
+    Only strings are keys, because 1, 1.0 and True are equal as dict keys
+    and a JSON true must still be rejected where a 1 is read.
+    """
+
+    def __missing__(self, text: str) -> Fraction:
+        t = self[text] = to_time(text)
+        return t
+
+    def read(self, value) -> Fraction:
+        return self[value] if type(value) is str else to_time(value)
 
 
 def format_time(t: Fraction) -> str:
@@ -161,8 +182,12 @@ class PatternOccurrence:
         if not self.points:
             raise ValueError("occurrence must contain at least one point")
         points = tuple(sorted(self.points))
+        # the points at the last onset are a suffix of the sorted points
         last_onset = points[-1].onset
-        end = max(p.end for p in points if p.onset == last_onset)
+        k = len(points) - 1
+        while k and points[k - 1].onset == last_onset:
+            k -= 1
+        end = last_onset + max(p.duration for p in points[k:])
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "span", (points[0].onset, end))
 
@@ -200,6 +225,7 @@ def parse_points_csv(text: str, title: str = "", monophonic: bool = False) -> Po
     Blank lines and `#` comments are skipped.
     """
     points = []
+    times = _Times()
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip().rstrip("\r")
         if not line or line.startswith("#"):
@@ -209,8 +235,8 @@ def parse_points_csv(text: str, title: str = "", monophonic: bool = False) -> Po
             raise ParseError(f"line {lineno}: expected onset,pitch,duration, got {raw!r}")
         onset_s, pitch_s, dur_s = fields
         try:
-            onset = to_time(onset_s)
-            duration = to_time(dur_s)
+            onset = times[onset_s]
+            duration = times[dur_s]
         except ParseError as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
         if pitch_s.upper() == "R":
@@ -266,42 +292,70 @@ def quantize(ps: PointSet, grid: Fraction) -> PointSet:
 # also accepted.
 
 
-def _time_field(value, path: str) -> Fraction:
+def _time_field(value, times: _Times, path: Callable[[], str]) -> Fraction:
     try:
-        return to_time(value)
+        return times.read(value)
     except ParseError as exc:
-        raise SchemaError(path, str(exc)) from exc
+        raise SchemaError(path(), str(exc)) from exc
 
 
-def _occurrence_from_json(obj, path: str) -> PatternOccurrence:
+def _point_from_json(row, times: _Times, path: Callable[[], str]) -> Point:
+    if not isinstance(row, list) or len(row) != 3:
+        raise SchemaError(path(), "point must be [onset, pitch, duration]")
+    onset, pitch, duration = row
+    onset = _time_field(onset, times, lambda: f"{path()}[0]")
+    if type(pitch) is not int:  # a JSON true is a bool, not an int
+        raise SchemaError(f"{path()}[1]", "pitch must be an integer")
+    duration = _time_field(duration, times, lambda: f"{path()}[2]")
+    try:
+        return Point(onset, pitch, duration)
+    except ValueError as exc:
+        raise SchemaError(path(), str(exc)) from exc
+
+
+def _row_key(row) -> tuple[str, int, str] | None:
+    """`row` as a memo key if it is two time strings around an int pitch, else None.
+
+    Other rows stay out of the memo: 1, 1.0 and true are equal as dict keys.
+    """
+    if type(row) is list and len(row) == 3:
+        onset, pitch, duration = row
+        if type(onset) is str and type(pitch) is int and type(duration) is str:
+            return onset, pitch, duration
+    return None
+
+
+def _occurrence_from_json(
+    obj, path: Callable[[], str], times: _Times, points: dict[tuple, Point]
+) -> PatternOccurrence:
+    """One occurrence, which `path()` names in an error.
+
+    `points` maps each row `_row_key` admits, as read so far, to its Point.
+    """
     if not isinstance(obj, dict):
-        raise SchemaError(path, "occurrence must be an object")
-    pts_json = obj.get("points")
-    if not isinstance(pts_json, list) or not pts_json:
-        raise SchemaError(f"{path}.points", "must be a nonempty array")
-    points = []
-    for i, row in enumerate(pts_json):
-        ppath = f"{path}.points[{i}]"
-        if not isinstance(row, list) or len(row) != 3:
-            raise SchemaError(ppath, "point must be [onset, pitch, duration]")
-        onset = _time_field(row[0], f"{ppath}[0]")
-        if isinstance(row[1], bool) or not isinstance(row[1], int):
-            raise SchemaError(f"{ppath}[1]", "pitch must be an integer")
-        duration = _time_field(row[2], f"{ppath}[2]")
-        try:
-            points.append(Point(onset, row[1], duration))
-        except ValueError as exc:
-            raise SchemaError(ppath, str(exc)) from exc
-    occ = PatternOccurrence(tuple(points))
+        raise SchemaError(path(), "occurrence must be an object")
+    rows = obj.get("points")
+    if not isinstance(rows, list) or not rows:
+        raise SchemaError(f"{path()}.points", "must be a nonempty array")
+    occurrence = []
+    for k, row in enumerate(rows):
+        key = _row_key(row)
+        point = points.get(key)
+        if point is None:
+            point = _point_from_json(row, times, lambda: f"{path()}.points[{k}]")
+            if key is not None:
+                points[key] = point
+        occurrence.append(point)
+    occ = PatternOccurrence(tuple(occurrence))
     if "span" in obj:
         span_json = obj["span"]
         if not isinstance(span_json, list) or len(span_json) != 2:
-            raise SchemaError(f"{path}.span", "span must be [start, end]")
-        start = _time_field(span_json[0], f"{path}.span[0]")
-        end = _time_field(span_json[1], f"{path}.span[1]")
+            raise SchemaError(f"{path()}.span", "span must be [start, end]")
+        start = _time_field(span_json[0], times, lambda: f"{path()}.span[0]")
+        end = _time_field(span_json[1], times, lambda: f"{path()}.span[1]")
         if (start, end) != occ.span:
             raise SchemaError(
-                f"{path}.span",
+                f"{path()}.span",
                 f"inconsistent with points: stated [{start}, {end}), "
                 f"computed [{occ.span[0]}, {occ.span[1]})",
             )
@@ -309,10 +363,14 @@ def _occurrence_from_json(obj, path: str) -> PatternOccurrence:
 
 
 def load_pattern_file(text: str) -> tuple[str, list[PatternRecord]]:
-    """Parse an interchange JSON document; returns (piece id, records)."""
+    """Parse an interchange JSON document; returns (piece id, records).
+
+    Each distinct time string is parsed once, and each distinct all-string
+    row becomes one `Point` shared by every occurrence that lists it.
+    """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("$", "document must be an object")
@@ -325,19 +383,19 @@ def load_pattern_file(text: str) -> tuple[str, list[PatternRecord]]:
     patterns = doc.get("patterns")
     if not isinstance(patterns, list):
         raise SchemaError("$.patterns", "must be an array")
+    times, points = _Times(), {}
     records = []
     for i, pat in enumerate(patterns):
-        path = f"$.patterns[{i}]"
         if not isinstance(pat, dict):
-            raise SchemaError(path, "pattern must be an object")
+            raise SchemaError(f"$.patterns[{i}]", "pattern must be an object")
         pid = pat.get("id")
         if not isinstance(pid, str):
-            raise SchemaError(f"{path}.id", "must be a string")
+            raise SchemaError(f"$.patterns[{i}].id", "must be a string")
         occs_json = pat.get("occurrences")
         if not isinstance(occs_json, list) or not occs_json:
-            raise SchemaError(f"{path}.occurrences", "must be a nonempty array")
+            raise SchemaError(f"$.patterns[{i}].occurrences", "must be a nonempty array")
         occs = [
-            _occurrence_from_json(o, f"{path}.occurrences[{j}]")
+            _occurrence_from_json(o, lambda: f"$.patterns[{i}].occurrences[{j}]", times, points)
             for j, o in enumerate(occs_json)
         ]
         records.append(PatternRecord(algorithm, pid, tuple(occs)))

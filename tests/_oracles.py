@@ -9,8 +9,12 @@ that pieces too large for `brute_cosiatec` can still be checked.
 every node; the count-table tree must grow the same trees.
 `occurrence_recovery` is the library's earlier scorer, which rebuilds a
 discovered occurrence's coordinates for every planted occurrence it meets.
+`load_pattern_file` is the library's earlier interchange loader, which
+parses every time field (with the library's `to_time`) and builds every
+point row anew.
 """
 
+import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,7 +25,14 @@ from typing import Sequence
 import numpy as np
 
 from motifkit import discovery, evaluation, polling
-from motifkit.core import PatternOccurrence, PatternRecord
+from motifkit.core import (
+    ParseError,
+    PatternOccurrence,
+    PatternRecord,
+    Point,
+    SchemaError,
+    to_time,
+)
 from motifkit.evaluation import PlantedResult, RecoveryReport
 
 
@@ -315,6 +326,84 @@ def occurrence_recovery(
         if not overlap:
             spurious += 1
     return RecoveryReport(planted=tuple(results), spurious_patterns=spurious)
+
+
+def _time_field(value, path: str) -> Fraction:
+    try:
+        return to_time(value)
+    except ParseError as exc:
+        raise SchemaError(path, str(exc)) from exc
+
+
+def _occurrence_from_json(obj, path: str) -> PatternOccurrence:
+    if not isinstance(obj, dict):
+        raise SchemaError(path, "occurrence must be an object")
+    pts_json = obj.get("points")
+    if not isinstance(pts_json, list) or not pts_json:
+        raise SchemaError(f"{path}.points", "must be a nonempty array")
+    points = []
+    for i, row in enumerate(pts_json):
+        ppath = f"{path}.points[{i}]"
+        if not isinstance(row, list) or len(row) != 3:
+            raise SchemaError(ppath, "point must be [onset, pitch, duration]")
+        onset = _time_field(row[0], f"{ppath}[0]")
+        if isinstance(row[1], bool) or not isinstance(row[1], int):
+            raise SchemaError(f"{ppath}[1]", "pitch must be an integer")
+        duration = _time_field(row[2], f"{ppath}[2]")
+        try:
+            points.append(Point(onset, row[1], duration))
+        except ValueError as exc:
+            raise SchemaError(ppath, str(exc)) from exc
+    occ = PatternOccurrence(tuple(points))
+    if "span" in obj:
+        span_json = obj["span"]
+        if not isinstance(span_json, list) or len(span_json) != 2:
+            raise SchemaError(f"{path}.span", "span must be [start, end]")
+        start = _time_field(span_json[0], f"{path}.span[0]")
+        end = _time_field(span_json[1], f"{path}.span[1]")
+        if (start, end) != occ.span:
+            raise SchemaError(
+                f"{path}.span",
+                f"inconsistent with points: stated [{start}, {end}), "
+                f"computed [{occ.span[0]}, {occ.span[1]})",
+            )
+    return occ
+
+
+def load_pattern_file(text: str) -> tuple[str, list[PatternRecord]]:
+    """Parse an interchange JSON document; returns (piece id, records)."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise SchemaError("$", "document must be an object")
+    piece = doc.get("piece")
+    if not isinstance(piece, str):
+        raise SchemaError("$.piece", "must be a string")
+    algorithm = doc.get("algorithm")
+    if not isinstance(algorithm, str):
+        raise SchemaError("$.algorithm", "must be a string")
+    patterns = doc.get("patterns")
+    if not isinstance(patterns, list):
+        raise SchemaError("$.patterns", "must be an array")
+    records = []
+    for i, pat in enumerate(patterns):
+        path = f"$.patterns[{i}]"
+        if not isinstance(pat, dict):
+            raise SchemaError(path, "pattern must be an object")
+        pid = pat.get("id")
+        if not isinstance(pid, str):
+            raise SchemaError(f"{path}.id", "must be a string")
+        occs_json = pat.get("occurrences")
+        if not isinstance(occs_json, list) or not occs_json:
+            raise SchemaError(f"{path}.occurrences", "must be a nonempty array")
+        occs = [
+            _occurrence_from_json(o, f"{path}.occurrences[{j}]")
+            for j, o in enumerate(occs_json)
+        ]
+        records.append(PatternRecord(algorithm, pid, tuple(occs)))
+    return piece, records
 
 
 def brute_jaccard(a, b):

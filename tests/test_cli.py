@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import tempfile
@@ -525,11 +526,57 @@ class TestFlags:
     def test_main_builds_the_parser_once(self, tmp_path, monkeypatch):
         built = []
         build_parser = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+        monkeypatch.setattr(cli, "build_parser", lambda *a: built.append(1) or build_parser(*a))
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": 7, "quiet": True}))
         assert run("synth", "--config", cfg, "--name", "p", "--out-dir", tmp_path) == 0
         assert len(built) == 1
+
+
+def _parse_outcome(parser, argv, capsys):
+    """What parsing `argv` gives: the parsed flags or the exit code, and stdout and stderr."""
+    try:
+        result = sorted((k, repr(v)) for k, v in vars(parser.parse_args(argv)).items())
+    except SystemExit as exc:
+        result = exc.code
+    out = capsys.readouterr()
+    return result, out.out, out.err
+
+
+def _subparsers(parser):
+    """Each command's name and subparser in a motifkit parser."""
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+class TestOneCommandParser:
+    @staticmethod
+    def argv_cases(command):
+        """-h, a missing required flag, an unrecognized flag, and each bad choice and bad type."""
+        actions = _subparsers(cli.build_parser())[command]._actions
+        required = [x for a in actions if a.required for x in (a.option_strings[0], "v")]
+        cases = [[command, "-h"], [command, *required[2:]], [command, *required, "--bogus", "1"]]
+        for a in actions:
+            if a.choices is not None:
+                cases.append([command, *required, a.option_strings[0], "bogus"])
+            if a.type in (int, float):
+                cases.append([command, *required, a.option_strings[0], "x"])
+        return cases
+
+    @pytest.mark.parametrize("command", [name for name, *_ in cli._commands()])
+    def test_reads_argv_as_the_full_parser(self, capsys, command):
+        for argv in self.argv_cases(command):
+            one = _parse_outcome(cli.build_parser(command), argv, capsys)
+            assert one == _parse_outcome(cli.build_parser(), argv, capsys), argv
+
+    def test_calls_the_handler_the_module_binds(self, monkeypatch):
+        monkeypatch.setattr(cli, "cmd_synth", lambda args: 7)
+        assert run("synth") == 7
+
+    def test_builds_only_the_named_command(self):
+        names = [name for name, *_ in cli._commands()]
+        assert list(_subparsers(cli.build_parser("poll"))) == ["poll"]
+        assert list(_subparsers(cli.build_parser("nonesuch"))) == names
+        assert list(_subparsers(cli.build_parser())) == names
 
 
 class TestConfigFile:
@@ -750,11 +797,24 @@ def json_case(tmp_path_factory):
                      ["train-pp", "--out", out / "params.json", "--quiet", "--manifest"]),
         "pred": ({"boundaries": [0, 4, 7], "resolution": "1", "algorithm": "pp"},
                  ["eval-boundaries", "--truth", truth, "--out", out / "eval.csv", "--pred"]),
+        "patterns": (json.loads(Path(a).read_text()),
+                     ["poll", "--out-dir", out, "--quiet", "--in"]),
+        "features": (json.loads(Path(a).read_text()),
+                     ["features", "--out", out / "f.csv", "--quiet", "--patterns"]),
     }
 
 
+def _pattern_text(points, span='["0", "1"]'):
+    return (
+        '{"piece": "p", "algorithm": "a", "patterns": [{"id": "x", "occurrences": '
+        f'[{{"points": {points}, "span": {span}}}]}}]}}'
+    )
+
+
 class TestJsonInputs:
-    @pytest.mark.parametrize("name", ["config", "params", "manifest", "pred"])
+    @pytest.mark.parametrize(
+        "name", ["config", "params", "manifest", "pred", "patterns", "features"]
+    )
     def test_valid_document_runs(self, json_case, name):
         d, cases = json_case
         doc, argv = cases[name]
@@ -779,6 +839,16 @@ class TestJsonInputs:
         ("params", '{"window": 5.9, "order": 1}', 3),
         ("config", "{", 2),
         ("config", "[]", 3),
+    ] + [
+        # non-finite numbers and nesting deeper than the JSON decoder recurses
+        pytest.param(name, text, 2, id=f"{name}-{case}")
+        for name in ("patterns", "features")
+        for case, text in (
+            ("nan-onset", _pattern_text('[[NaN, 60, "1"]]')),
+            ("infinite-duration", _pattern_text('[["0", 60, Infinity]]')),
+            ("1e400-span", _pattern_text('[["0", 60, "1"]]', '["0", 1e400]')),
+            ("deep-nesting", "[" * 100_000),
+        )
     ])
     def test_malformed_document_exit_code(self, json_case, name, text, code):
         d, cases = json_case
@@ -792,7 +862,7 @@ class TestJsonInputs:
         (d / "doc.json").write_text(json.dumps({**doc, "grid": {**doc["grid"], **grid}}))
         assert run(*argv, d / "doc.json") == 3
 
-    @pytest.mark.parametrize("name", ["config", "params", "manifest", "pred"])
+    @pytest.mark.parametrize("name", ["config", "params", "manifest", "pred", "patterns"])
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_fuzz_exits_with_a_documented_code(self, json_case, name, data):

@@ -1,8 +1,11 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from motifkit import core
 from motifkit.core import (
     MonophonyViolation,
     ParseError,
@@ -13,13 +16,16 @@ from motifkit.core import (
     SchemaError,
     dump_pattern_json,
     emit_points_csv,
+    format_time,
     load_pattern_file,
     parse_midi,
     parse_points_csv,
     quantize,
 )
 
+import _oracles
 import _smf
+from test_cli import _documents
 
 F = Fraction
 
@@ -133,6 +139,17 @@ class TestOccurrence:
         with pytest.raises(ValueError):
             PatternOccurrence(())
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.tuples(st.integers(0, 4), st.integers(58, 62), st.integers(1, 4)),
+        min_size=1, max_size=8,
+    ))
+    def test_span_ends_at_the_longest_last_note(self, triples):
+        points = [Point(F(o, 2), p, F(d, 2)) for o, p, d in triples]
+        first, last = min(p.onset for p in points), max(p.onset for p in points)
+        span = PatternOccurrence(tuple(points)).span
+        assert span == (first, max(p.end for p in points if p.onset == last))
+
     def test_record_sorts_occurrences(self):
         a = PatternOccurrence((pt(5, 60),))
         b = PatternOccurrence((pt(0, 60),))
@@ -178,6 +195,130 @@ class TestPatternJson:
         piece, loaded = load_pattern_file(dump_pattern_json("piece-a", "alg", [rec]))
         assert piece == "piece-a"
         assert loaded == [rec]
+
+
+    @pytest.mark.parametrize("points, span, path", [
+        pytest.param('[[NaN, 60, "1"]]', '["0", "1"]', "points[0][0]", id="nan-onset"),
+        pytest.param('[["0", 60, Infinity]]', '["0", "1"]', "points[0][2]", id="infinite-duration"),
+        pytest.param('[["0", 60, "1"]]', '["0", 1e400]', "span[1]", id="1e400-span"),
+    ])
+    def test_non_finite_number_names_its_path(self, points, span, path):
+        text = (
+            '{"piece": "x", "algorithm": "a", "patterns": [{"id": "p", "occurrences": '
+            f'[{{"points": {points}, "span": {span}}}]}}]}}'
+        )
+        with pytest.raises(SchemaError) as exc:
+            load_pattern_file(text)
+        assert str(exc.value).startswith(
+            f"$.patterns[0].occurrences[0].{path}: not a finite number"
+        )
+
+    def test_deeply_nested_json_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="invalid JSON"):
+            load_pattern_file("[" * 100_000)
+
+
+# One interchange document the differential test edits: repeated rows, the
+# same time as a string, an int and a float, and a padded string.
+_LOADER_TEMPLATE = {
+    "piece": "x",
+    "algorithm": "a",
+    "patterns": [
+        {"id": "p", "occurrences": [
+            {"points": [["0", 60, "1"], ["1", 62, "1/2"], ["0", 60, "1"]], "span": ["0", "3/2"]},
+            {"points": [[1, 62, "1/2"], ["1", 62, 0.5], [" 1/2", 64, 1.0]]},
+        ]},
+        {"id": "q", "occurrences": [{"points": [["1", 62, "1/2"], ["2", 60, 1]]}]},
+    ],
+}
+
+
+def _load_outcome(load, text):
+    try:
+        return repr(load(text))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _loads_as_oracle(text):
+    """The loader gives the oracle's records, or raises its exception class and message."""
+    return _load_outcome(load_pattern_file, text) == _load_outcome(_oracles.load_pattern_file, text)
+
+
+class TestLoaderOracle:
+    """The memoised loader reads every document as the earlier loader did."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_equals_earlier_loader(self, data):
+        doc = data.draw(_documents(_LOADER_TEMPLATE)).decode("utf-8", "surrogateescape")
+        assert _loads_as_oracle(doc)
+
+    @pytest.mark.parametrize("row", [
+        # 1, 1.0, "1" and true are equal as dict keys; true stays rejected after the others
+        [[1, 60, 1], [1.0, 60, 1.0], ["1", 60, "1"], [True, 60, 1]],
+        [["1", 60, "1"], [1, 60, True]],
+        [["1", 1, "1"], ["1", True, "1"]],
+        [["1", 60, "1"], ["1", 60.0, "1"]],
+        [[" 1/2", 60, "1"], ["1/2", 60, "1"], ["1/2 ", 60, "1"], ["1/2", 60, " 1"]],
+        [["1", 60, "1"], ["1", 60, "1"], ["1", 60, "0"], ["1", 60, "1"]],
+        [["1", 60, "1"], ["1", 60, "1"], ["x", 60, "1"]],
+        [["1", 60, "1"], ["1", 128, "1"]],
+        [["1", 60, "1"], ["1", 60, "1"], ["1", 60]],
+        [[0.1, 60, 1e-3], [float("nan"), 60, 1]],
+    ])
+    def test_mixed_and_repeated_rows(self, row):
+        doc = json.dumps(
+            {"piece": "x", "algorithm": "a",
+             "patterns": [{"id": "p", "occurrences": [{"points": row}, {"points": row[:1]}]}]}
+        )
+        assert _loads_as_oracle(doc)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(
+        st.tuples(st.sampled_from(["0", "1", "1/2", " 1", "1.0", 1, 1.0, True]),
+                  st.sampled_from([60, 1, True, 60.0, 1.0]),
+                  st.sampled_from(["1", "1/2", 1, 1.0, True, "0"])).map(list),
+        min_size=1, max_size=6,
+    ), spans=st.lists(st.sampled_from(["0", "1", 1, True, "3/2", "2"]), min_size=2, max_size=2))
+    def test_shared_time_values(self, rows, spans):
+        doc = json.dumps(
+            {"piece": "x", "algorithm": "a",
+             "patterns": [{"id": "p", "occurrences": [{"points": rows},
+                                                       {"points": rows[::-1], "span": spans}]}]}
+        )
+        assert _loads_as_oracle(doc)
+
+
+class TestIngestWork:
+    """One load parses each distinct time string once and builds each distinct row once."""
+
+    def counted(self, monkeypatch):
+        calls = {"to_time": [], "Point": []}
+        to_time, point = core.to_time, core.Point
+        monkeypatch.setattr(core, "to_time", lambda v: calls["to_time"].append(v) or to_time(v))
+        monkeypatch.setattr(core, "Point", lambda *a: calls["Point"].append(a) or point(*a))
+        return calls
+
+    def test_pattern_file(self, monkeypatch):
+        rows = [[format_time(F(k % 5, 2)), 60 + k % 3, "1/2" if k % 2 else "1"] for k in range(40)]
+        occurrences = [{"points": rows[k:k + 6]} for k in range(0, 40, 2)]
+        patterns = [{"id": pid, "occurrences": occurrences} for pid in ("p", "q")]
+        text = json.dumps({"piece": "x", "algorithm": "a", "patterns": patterns})
+        calls = self.counted(monkeypatch)
+        records = load_pattern_file(text)[1]
+        monkeypatch.undo()
+        assert records == _oracles.load_pattern_file(text)[1]
+        times = {r[0] for r in rows} | {r[2] for r in rows}
+        assert sorted(calls["to_time"]) == sorted(times)
+        assert len(calls["Point"]) == len({tuple(r) for r in rows})
+
+    def test_points_csv(self, monkeypatch):
+        text = "".join(f"{k % 4}/2,{60 + k},1\n" for k in range(30))
+        calls = self.counted(monkeypatch)
+        ps = parse_points_csv(text)
+        assert sorted(calls["to_time"]) == sorted({f"{k}/2" for k in range(4)} | {"1"})
+        assert len(ps) == 30
 
 
 class TestParseMidi:

@@ -19,7 +19,6 @@ from motifkit.core import (
     parse_midi,
     parse_points_csv,
     emit_points_csv,
-    quantize,
     load_pattern_file,
     dump_pattern_json,
     to_time,

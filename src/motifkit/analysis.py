@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import warnings
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -428,19 +428,8 @@ class ImportanceReport:
         raise KeyError(name)
 
     def to_json_dict(self) -> dict:
-        return {
-            "runs": self.runs,
-            "seed": self.seed,
-            "features": [
-                {
-                    "name": f.name,
-                    "importance_mean": f.importance_mean,
-                    "hit_rate": f.hit_rate,
-                    "status": f.status,
-                }
-                for f in self.features
-            ],
-        }
+        """The field names are the JSON keys."""
+        return asdict(self)
 
 
 def feature_importance(

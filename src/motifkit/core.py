@@ -86,9 +86,9 @@ def format_time(t: Fraction) -> str:
     return str(t.numerator) if t.denominator == 1 else f"{t.numerator}/{t.denominator}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Point:
-    """A note: onset and duration in crotchets, pitch as a MIDI number."""
+    """A note: onset and duration in crotchets, MIDI pitch; ordered by (onset, pitch, duration)."""
 
     onset: Fraction
     pitch: int
@@ -99,14 +99,6 @@ class Point:
             raise ValueError(f"pitch {self.pitch} outside MIDI range 0-127")
         if self.duration <= 0:
             raise ValueError(f"duration must be > 0, got {self.duration}")
-
-    def __lt__(self, other: "Point") -> bool:
-        # lexicographic by (onset, pitch); duration only disambiguates
-        return (self.onset, self.pitch, self.duration) < (
-            other.onset,
-            other.pitch,
-            other.duration,
-        )
 
     @property
     def end(self) -> Fraction:
@@ -262,7 +254,7 @@ def emit_points_csv(ps: PointSet) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Quantization
+# Integer grids
 
 
 def nearest_index(q: Fraction) -> int:
@@ -270,14 +262,11 @@ def nearest_index(q: Fraction) -> int:
     return math.ceil(q - Fraction(1, 2))
 
 
-def quantize(ps: PointSet, grid: Fraction) -> PointSet:
-    """Snap every onset to the nearest grid multiple, merging duplicates."""
-    if grid <= 0:
-        raise ValueError("grid must be > 0")
-    return PointSet.build(
-        (Point(nearest_index(p.onset / grid) * grid, p.pitch, p.duration) for p in ps.points),
-        title=ps.title,
-    )
+def over_common_denominator(values: Iterable[Fraction]) -> tuple[tuple[int, ...], int]:
+    """Exact `values` as integer numerators over their least common denominator (1 for none)."""
+    values = tuple(values)
+    den = math.lcm(*{v.denominator for v in values})
+    return tuple(v.numerator * (den // v.denominator) for v in values), den
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ removal), SIAR (vector table restricted to r lexicographic successors),
 and a compactness trawler, together with compression-ratio and
 compactness quality measures.
 
-Internally points are rescaled to integer coordinates (the LCM of the
-onset denominators) so the hot loops run on plain int tuples.  Translators
+Internally points are rescaled to integer coordinates (onsets over their
+least common denominator, by `core.over_common_denominator`, the rule
+polling shares) so the hot loops run on plain int tuples.  Translators
 are read off SIA's vector table (Meredith, Lemstrom & Wiggins 2002), and
 COSIATEC and SIATECCompress rank candidate TECs in exact integer
 arithmetic, with no floats or Fractions.  A COSIATEC round is best-first:
@@ -37,6 +38,7 @@ from motifkit.core import (
     PatternRecord,
     Point,
     PointSet,
+    over_common_denominator,
 )
 
 
@@ -98,12 +100,12 @@ _Table = dict[_Coord, list[_Coord]]  # positive vector -> sorted origins (the MT
 
 
 class _Grid:
-    """Integer view of a PointSet: onset * scale is always integral."""
+    """Integer view of a PointSet: onsets as numerators over `scale` (`over_common_denominator`)."""
 
     def __init__(self, ps: PointSet):
-        self.scale = math.lcm(*(p.onset.denominator for p in ps.points)) if len(ps) else 1
+        onsets, self.scale = over_common_denominator(p.onset for p in ps.points)
         self.by_coord: dict[_Coord, Point] = {
-            (int(p.onset * self.scale), p.pitch): p for p in ps.points
+            (onset, p.pitch): p for onset, p in zip(onsets, ps.points)
         }
         self._index(list(self.by_coord))
 

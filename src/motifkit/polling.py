@@ -22,7 +22,9 @@ runs at the ends of a curve enter a fit through prefix sums of its kernel,
 so the edge padding of boundary extraction costs neither a solve nor a
 product per padded sample.  Parameter training polls each piece once,
 smooths each (piece, window, order) once and re-runs only the
-threshold-and-merge step per lambda and derivative choice.
+threshold-and-merge step per lambda and derivative choice.  Times,
+weights, curve values and kernel coefficients all reach integers through
+one rule, `core.over_common_denominator`.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from motifkit import evaluation
-from motifkit.core import PatternRecord, to_time
+from motifkit.core import PatternRecord, over_common_denominator, to_time
 
 BoundarySet = tuple[int, ...]
 
@@ -64,15 +66,6 @@ class PollingCurve:
 
     def time_at(self, index: int) -> Fraction:
         return self.origin + index * self.resolution
-
-    def floats(self) -> list[float]:
-        return [float(v) for v in self.values]
-
-
-def _numerators(curve: PollingCurve) -> tuple[tuple[int, ...], int]:
-    """The curve's values as integer numerators over one shared denominator."""
-    scale = math.lcm(*(v.denominator for v in curve.values))
-    return tuple(v.numerator * (scale // v.denominator) for v in curve.values), scale
 
 
 def _check_smoothing(window: int, order: int):
@@ -135,11 +128,8 @@ class PpParams:
 
 def default_span(records: Sequence[PatternRecord], resolution: Fraction) -> Span:
     """[0, latest occurrence end), or [0, resolution) without occurrences."""
-    return _span_over((occ.span for rec in records for occ in rec.occurrences), resolution)
-
-
-def _span_over(spans: Iterable[Span], resolution: Fraction) -> Span:
-    return (Fraction(0), max((e for _, e in spans), default=resolution))
+    ends = (occ.span[1] for rec in records for occ in rec.occurrences)
+    return (Fraction(0), max(ends, default=resolution))
 
 
 def grid_cells(spans: Sequence[Span], piece_span: Span, resolution: Fraction) -> list[range]:
@@ -152,12 +142,10 @@ def grid_cells(spans: Sequence[Span], piece_span: Span, resolution: Fraction) ->
     # ceil((t - start) / resolution) as one floor division on integers:
     # every time as a count of 1/scale crotchets
     times = (start, end, resolution, *(t for span in spans for t in span))
-    scale = math.lcm(*{t.denominator for t in times})
-    lo, hi, step = (t.numerator * (scale // t.denominator) for t in times[:3])
+    ints, _ = over_common_denominator(times)
+    lo, hi, step = ints[:3]
     cells = []
-    for s, e in spans:
-        s_int = s.numerator * (scale // s.denominator)
-        e_int = e.numerator * (scale // e.denominator)
+    for (s, e), s_int, e_int in zip(spans, ints[3::2], ints[4::2]):
         if s_int < lo or e_int > hi:
             raise ValueError(f"occurrence [{s}, {e}) outside piece span [{start}, {end})")
         cells.append(range(-((lo - s_int) // step), -((lo - e_int) // step)))
@@ -201,10 +189,10 @@ def _poll(records: Sequence[PatternRecord], weights: AlgorithmWeights | None, re
 
     # weights as integers over their common denominator; each occurrence
     # adds its weight at its first cell and takes it off one past its last
-    den = math.lcm(*(w.denominator for w in wmap.values()))
-    iw = {a: w.numerator * (den // w.denominator) for a, w in wmap.items()}
+    ints, den = over_common_denominator(wmap.values())
+    iw = dict(zip(wmap, ints))
     spans = [occ.span for rec in records for occ in rec.occurrences]
-    start, end = piece_span or _span_over(spans, resolution)
+    start, end = piece_span or default_span(records, resolution)
     if end <= start:
         raise ValueError("piece span must be nonempty")
     n = -((start - end) // resolution)
@@ -265,8 +253,7 @@ def _fit_weights(
     moments = [sum(x**e for x in offsets) for e in range(2 * k - 1)]
     normal = [[Fraction(moments[r + c]) for c in range(k)] for r in range(k)]
     coeffs = [row[0] for row in _solve_linear(normal, [[Fraction(int(r == 0))] for r in range(k)])]
-    den = math.lcm(*(c.denominator for c in coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    ints, den = over_common_denominator(coeffs)
     weights = [sum(c * x**e for e, c in enumerate(ints)) for x in offsets]
     common = math.gcd(den, *weights)
     weights = tuple(w // common for w in weights)
@@ -336,7 +323,7 @@ def savgol_smooth(curve: PollingCurve, window: int, order: int) -> PollingCurve:
     _check_smoothing(window, order)
     if window > n:
         raise ValueError(f"window {window} exceeds curve length {n}")
-    ys, scale = _numerators(curve)
+    ys, scale = over_common_denominator(curve.values)
     nums, den = _smooth(ys, window, order)
     values = tuple(Fraction(x, den * scale) for x in nums)
     return PollingCurve(curve.origin, curve.resolution, values)
@@ -514,7 +501,7 @@ def boundary_trace(curve: PollingCurve, params: PpParams) -> BoundaryTrace:
     steeper).  The trace holds the signal and every crossing's fate as
     exact Fractions.
     """
-    sig = _signal(*_numerators(curve), params.window, params.order)
+    sig = _signal(*over_common_denominator(curve.values), params.window, params.order)
     owner: list[int | None] = [None] * len(sig.crossings)
     kept = _decide(sig.crossings, sig.key_den, params, owner)
     use = (None, params.use_first, params.use_second)
@@ -541,7 +528,7 @@ def boundary_trace(curve: PollingCurve, params: PpParams) -> BoundaryTrace:
 
 def extract_boundaries(curve: PollingCurve, params: PpParams) -> BoundarySet:
     """The boundaries of :func:`boundary_trace`, as grid indices of `curve`."""
-    sig = _signal(*_numerators(curve), params.window, params.order)
+    sig = _signal(*over_common_denominator(curve.values), params.window, params.order)
     return tuple(b[0] for b in _decide(sig.crossings, sig.key_den, params))
 
 

@@ -11,7 +11,8 @@ every node; the count-table tree must grow the same trees.
 discovered occurrence's coordinates for every planted occurrence it meets.
 `load_pattern_file` is the library's earlier interchange loader, which
 parses every time field (with the library's `to_time`) and builds every
-point row anew.
+point row anew.  `quantize` is the library's earlier grid snapper, which
+`truth_boundaries`' half-down rounding must agree with.
 """
 
 import json
@@ -30,7 +31,9 @@ from motifkit.core import (
     PatternOccurrence,
     PatternRecord,
     Point,
+    PointSet,
     SchemaError,
+    nearest_index,
     to_time,
 )
 from motifkit.evaluation import PlantedResult, RecoveryReport
@@ -404,6 +407,16 @@ def load_pattern_file(text: str) -> tuple[str, list[PatternRecord]]:
         ]
         records.append(PatternRecord(algorithm, pid, tuple(occs)))
     return piece, records
+
+
+def quantize(ps: PointSet, grid: Fraction) -> PointSet:
+    """Snap every onset to the nearest grid multiple, merging duplicates."""
+    if grid <= 0:
+        raise ValueError("grid must be > 0")
+    return PointSet.build(
+        (Point(nearest_index(p.onset / grid) * grid, p.pitch, p.duration) for p in ps.points),
+        title=ps.title,
+    )
 
 
 def brute_jaccard(a, b):

@@ -20,7 +20,6 @@ from motifkit.core import (
     load_pattern_file,
     parse_midi,
     parse_points_csv,
-    quantize,
 )
 
 import _oracles
@@ -89,20 +88,39 @@ class TestPointSet:
         ps = PointSet.build([pt(0, 60), pt(3, 62, 2)])
         assert ps.span() == (0, 5)
 
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(60, 62), st.integers(1, 3)), max_size=8))
+    def test_points_order_by_onset_pitch_duration(self, rows):
+        points = [Point(F(o, 2), p, F(d, 2)) for o, p, d in rows]
+        assert sorted(points) == sorted(points, key=lambda p: (p.onset, p.pitch, p.duration))
+
+
+class TestOverCommonDenominator:
+    def test_no_values_are_over_one(self):
+        assert core.over_common_denominator([]) == ((), 1)
+
+    @given(st.lists(st.fractions(max_denominator=12), max_size=5))
+    def test_exact_over_the_least_denominator(self, values):
+        nums, den = core.over_common_denominator(iter(values))
+        assert [F(n, den) for n in nums] == values
+        # every smaller positive integer leaves some value off the integers
+        assert den == next(d for d in range(1, den + 1) if all(d % v.denominator == 0 for v in values))
+
 
 class TestQuantize:
+    """The grid snapper `test_evaluation` compares `truth_boundaries` against."""
+
     def test_nearest_multiple(self):
         ps = parse_points_csv("0,60,1\n0.9,62,1\n2.1,64,1")
-        q = quantize(ps, F(1))
+        q = _oracles.quantize(ps, F(1))
         assert [p.onset for p in q.points] == [0, 1, 2]
 
     def test_identity_on_grid(self):
         ps = parse_points_csv("0,60,1\n1,62,1\n2,64,1")
-        assert quantize(ps, F(1)) == ps
+        assert _oracles.quantize(ps, F(1)) == ps
 
     def test_tie_rounds_earlier(self):
         ps = parse_points_csv("0.5,60,1")
-        assert quantize(ps, F(1)).points[0].onset == 0
+        assert _oracles.quantize(ps, F(1)).points[0].onset == 0
 
     def test_idempotent_random(self):
         rng = random.Random(11)
@@ -113,12 +131,12 @@ class TestQuantize:
             ]
             ps = PointSet.build(points)
             grid = F(1, rng.choice([1, 2, 4]))
-            once = quantize(ps, grid)
-            assert quantize(once, grid) == once
+            once = _oracles.quantize(ps, grid)
+            assert _oracles.quantize(once, grid) == once
 
     def test_merges_colliding_points(self):
         ps = parse_points_csv("0,60,1\n0.4,60,2")
-        q = quantize(ps, F(1))
+        q = _oracles.quantize(ps, F(1))
         assert len(q) == 1
         assert q.points[0].duration == 2
 

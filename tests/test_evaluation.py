@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from motifkit.core import PatternOccurrence, PatternRecord, Point, PointSet, quantize
+from motifkit.core import PatternOccurrence, PatternRecord, Point, PointSet
 from motifkit.evaluation import (
     boundary_prf,
     occurrence_recovery,
@@ -88,7 +88,8 @@ class TestBoundaryPrf:
             assert prf.matches == _oracles.brute_max_matching(a, b, tol)
 
     def test_beats_naive_greedy_case(self):
-        # greedy left-to-right would match 5 to 4 and strand 3
+        # a nearest-first greedy that gives the tied truth 4 to 5 strands 3;
+        # the sorted sweep gives 4 to 3 and 6 to 5
         prf = boundary_prf([3, 5], [4, 6], 1)
         assert prf.matches == 2
 
@@ -142,7 +143,7 @@ class TestTruthBoundaries:
         """Onsets k*grid + offset*grid, exact halves included, go to one grid point."""
         t = (steps + offset) * grid
         rec = PatternRecord("t", "p", (occ((t, 60)),))
-        snapped = quantize(PointSet.build([Point(t, 60)]), grid).points[0].onset
+        snapped = _oracles.quantize(PointSet.build([Point(t, 60)]), grid).points[0].onset
         assert truth_boundaries([rec], resolution=grid)[0] * grid == snapped
 
 

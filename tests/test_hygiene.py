@@ -1,5 +1,6 @@
 """Static checks over the package source: no unused imports, no dead module-level names,
-and no function that calls itself without a stated bound on its depth."""
+no function that calls itself without a stated bound on its depth, and one copy of the
+rule that puts exact values on integers."""
 
 import ast
 from pathlib import Path
@@ -99,3 +100,42 @@ def test_recursion_only_with_a_depth_bound():
     found = {name for module in MODULES for name in _recursive(TREES[module], module[:-3])}
     assert found <= set(RECURSIVE), f"{sorted(found - set(RECURSIVE))} call themselves"
     assert set(RECURSIVE) <= found, f"{sorted(set(RECURSIVE) - found)} no longer call themselves"
+
+
+# The one function that puts exact values on integers over their least common denominator.
+RESCALER = "core.over_common_denominator"
+
+
+def _scoped(node: ast.AST, path: str):
+    """Every node under `node`, with the dotted name of its innermost enclosing class or function."""
+    for child in ast.iter_child_nodes(node):
+        name = path
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = f"{path}.{child.name}"
+        yield name, child
+        yield from _scoped(child, name)
+
+
+def _lcm_of_denominators(node: ast.AST) -> bool:
+    """Whether `node` calls `lcm` on arguments that read a `.denominator`."""
+    if not isinstance(node, ast.Call):
+        return False
+    f = node.func
+    if not (isinstance(f, ast.Attribute) and f.attr == "lcm" or isinstance(f, ast.Name) and f.id == "lcm"):
+        return False
+    return any(
+        isinstance(n, ast.Attribute) and n.attr == "denominator"
+        for arg in node.args
+        for n in ast.walk(arg)
+    )
+
+
+def test_one_rule_puts_fractions_on_integers():
+    """Discovery, polling and smoothing reach integers through the one core function."""
+    found = {
+        name
+        for module in MODULES
+        for name, node in _scoped(TREES[module], module[:-3])
+        if _lcm_of_denominators(node)
+    }
+    assert found == {RESCALER}, f"{sorted(found)} take an lcm of denominators, not just {RESCALER}"

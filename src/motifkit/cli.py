@@ -282,9 +282,11 @@ def _presence_csv(curve: polling.PollingCurve, span: polling.Span, records) -> s
         for i, occ in enumerate(rec.occurrences)
     ]
     cells = polling.grid_cells([s for _, s in occurrences], span, curve.resolution)
-    rows = [["occurrence"] + [str(k) for k in range(n)]]
+    rows = [["occurrence", *map(str, range(n))]]
     for (label, _), inside in zip(occurrences, cells):
-        rows.append([label] + [int(k in inside) for k in range(n)])
+        rows.append(
+            [label] + ["0"] * inside.start + ["1"] * len(inside) + ["0"] * (n - inside.stop)
+        )
     return _csv_text(rows)
 
 

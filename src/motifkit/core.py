@@ -10,7 +10,10 @@ All types are immutable after construction and every function is pure.
 One load of a points CSV or an interchange JSON document parses each
 distinct time string once, and a JSON load builds each distinct
 `[onset, pitch, duration]` row of two time strings into one `Point`;
-nothing is kept from one call to the next.
+nothing is kept from one call to the next.  `PatternOccurrence`, on every
+path, sorts its points on `_sort_key`, which orders them as `Point` does.
+The interchange emitter writes `json.dumps`' indented layout itself
+(`tests/_oracles.dump_pattern_json` is its reference).
 """
 
 from __future__ import annotations
@@ -46,7 +49,17 @@ class MonophonyViolation(ValueError):
 
 
 def to_time(value) -> Fraction:
-    """Coerce a number or string ('0.5', '1/2', '3') to an exact Time; not a bool."""
+    """Coerce a number or string ('0.5', '1/2', '3') to an exact Time; not a bool.
+
+    A string of ASCII digits is read by `int`, any other string by `Fraction`'s parser.
+    """
+    if isinstance(value, str):
+        try:
+            if value.isascii() and value.isdigit():
+                return Fraction(int(value))
+            return Fraction(value.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"not a rational number: {value!r}") from exc
     if isinstance(value, bool):
         raise ParseError(f"expected a number or rational string, got {value!r}")
     if isinstance(value, Fraction):
@@ -58,11 +71,6 @@ def to_time(value) -> Fraction:
             raise ParseError(f"not a finite number: {value!r}")
         # exact value of the decimal repr, not of the binary float
         return Fraction(repr(value))
-    if isinstance(value, str):
-        try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"not a rational number: {value!r}") from exc
     raise ParseError(f"expected a number or rational string, got {value!r}")
 
 
@@ -107,6 +115,13 @@ class Point:
     @property
     def coord(self) -> tuple[Fraction, int]:
         return (self.onset, self.pitch)
+
+
+def _sort_key(p: Point) -> tuple:
+    """`p`'s place in the point order, with integral times as ints, which compare in C."""
+    onset, duration = p.onset, p.duration
+    return (onset.numerator if onset.denominator == 1 else onset, p.pitch,
+            duration.numerator if duration.denominator == 1 else duration)
 
 
 @dataclass(frozen=True)
@@ -173,7 +188,7 @@ class PatternOccurrence:
     def __post_init__(self):
         if not self.points:
             raise ValueError("occurrence must contain at least one point")
-        points = tuple(sorted(self.points))
+        points = tuple(sorted(self.points, key=_sort_key))
         # the points at the last onset are a suffix of the sorted points
         last_onset = points[-1].onset
         k = len(points) - 1
@@ -356,6 +371,7 @@ def load_pattern_file(text: str) -> tuple[str, list[PatternRecord]]:
 
     Each distinct time string is parsed once, and each distinct all-string
     row becomes one `Point` shared by every occurrence that lists it.
+    `PatternOccurrence` sorts each occurrence's points, as for any caller.
     """
     try:
         doc = json.loads(text)
@@ -391,29 +407,39 @@ def load_pattern_file(text: str) -> tuple[str, list[PatternRecord]]:
     return piece, records
 
 
+def _occurrence_json(occ: PatternOccurrence) -> str:
+    """One occurrence object of `dump_pattern_json`'s text, indented for its depth."""
+    rows = ",\n".join(
+        f'            [\n              "{format_time(p.onset)}",\n'
+        f'              {p.pitch},\n              "{format_time(p.duration)}"\n            ]'
+        for p in occ.points
+    )
+    start, end = map(format_time, occ.span)
+    return (
+        f'        {{\n          "points": [\n{rows}\n          ],\n          "span": [\n'
+        f'            "{start}",\n            "{end}"\n          ]\n        }}'
+    )
+
+
 def dump_pattern_json(piece: str, algorithm: str, records: Sequence[PatternRecord]) -> str:
-    """Serialize records to the interchange schema (deterministic output)."""
-    doc = {
-        "piece": piece,
-        "algorithm": algorithm,
-        "patterns": [
-            {
-                "id": rec.pattern_id,
-                "occurrences": [
-                    {
-                        "points": [
-                            [format_time(p.onset), p.pitch, format_time(p.duration)]
-                            for p in occ.points
-                        ],
-                        "span": [format_time(occ.span[0]), format_time(occ.span[1])],
-                    }
-                    for occ in rec.occurrences
-                ],
-            }
-            for rec in records
-        ],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Serialize records to the interchange schema (deterministic output).
+
+    The text is `json.dumps(doc, indent=2, sort_keys=True)`'s, as in the
+    reference `tests/_oracles.dump_pattern_json`: sorted keys, two spaces per
+    level, one array element per line, rows `[onset, pitch, duration]` with
+    "num" or "num/den" times.  `json.dumps` only quotes the ids here.
+    """
+    patterns = [
+        f'    {{\n      "id": {json.dumps(rec.pattern_id)},\n      "occurrences": [\n'
+        + ",\n".join(map(_occurrence_json, rec.occurrences))
+        + "\n      ]\n    }"
+        for rec in records
+    ]
+    body = "[\n" + ",\n".join(patterns) + "\n  ]" if patterns else "[]"
+    return (
+        f'{{\n  "algorithm": {json.dumps(algorithm)},\n  "patterns": {body},\n'
+        f'  "piece": {json.dumps(piece)}\n}}\n'
+    )
 
 
 # ---------------------------------------------------------------------------

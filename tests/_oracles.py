@@ -10,12 +10,17 @@ every node; the count-table tree must grow the same trees.
 `occurrence_recovery` is the library's earlier scorer, which rebuilds a
 discovered occurrence's coordinates for every planted occurrence it meets.
 `load_pattern_file` is the library's earlier interchange loader, which
-parses every time field (with the library's `to_time`) and builds every
-point row anew.  `quantize` is the library's earlier grid snapper, which
-`truth_boundaries`' half-down rounding must agree with.
+parses every time field (with `to_time`, the library's earlier parser,
+which sends every string through `Fraction`'s) and builds every point row
+anew.  `dump_pattern_json` is the library's earlier interchange
+emitter, which builds the document and hands it to `json.dumps` with an
+indent; the library writes that layout directly.  `quantize` is the
+library's earlier grid snapper, which `truth_boundaries`' half-down
+rounding must agree with.
 """
 
 import json
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,8 +38,8 @@ from motifkit.core import (
     Point,
     PointSet,
     SchemaError,
+    format_time,
     nearest_index,
-    to_time,
 )
 from motifkit.evaluation import PlantedResult, RecoveryReport
 
@@ -331,6 +336,27 @@ def occurrence_recovery(
     return RecoveryReport(planted=tuple(results), spurious_patterns=spurious)
 
 
+def to_time(value) -> Fraction:
+    """Coerce a number or string ('0.5', '1/2', '3') to an exact Time; not a bool."""
+    if isinstance(value, bool):
+        raise ParseError(f"expected a number or rational string, got {value!r}")
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ParseError(f"not a finite number: {value!r}")
+        # exact value of the decimal repr, not of the binary float
+        return Fraction(repr(value))
+    if isinstance(value, str):
+        try:
+            return Fraction(value.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"not a rational number: {value!r}") from exc
+    raise ParseError(f"expected a number or rational string, got {value!r}")
+
+
 def _time_field(value, path: str) -> Fraction:
     try:
         return to_time(value)
@@ -407,6 +433,31 @@ def load_pattern_file(text: str) -> tuple[str, list[PatternRecord]]:
         ]
         records.append(PatternRecord(algorithm, pid, tuple(occs)))
     return piece, records
+
+
+def dump_pattern_json(piece: str, algorithm: str, records: Sequence[PatternRecord]) -> str:
+    """Serialize records to the interchange schema (deterministic output)."""
+    doc = {
+        "piece": piece,
+        "algorithm": algorithm,
+        "patterns": [
+            {
+                "id": rec.pattern_id,
+                "occurrences": [
+                    {
+                        "points": [
+                            [format_time(p.onset), p.pitch, format_time(p.duration)]
+                            for p in occ.points
+                        ],
+                        "span": [format_time(occ.span[0]), format_time(occ.span[1])],
+                    }
+                    for occ in rec.occurrences
+                ],
+            }
+            for rec in records
+        ],
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def quantize(ps: PointSet, grid: Fraction) -> PointSet:

@@ -6,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from motifkit import cli, polling
 from motifkit.cli import main
@@ -293,9 +293,18 @@ class TestPresence:
         notes=st.lists(st.tuples(_times, _lengths), min_size=1, max_size=6),
         n_truth=st.integers(0, 5),
         margins=st.none() | st.tuples(_lengths, _lengths),
+        algorithm=st.sampled_from(["a", "siarct:1,2", 'a"b']),
     )
-    def test_rows_follow_the_cell_rule(self, resolution, notes, n_truth, margins):
-        """Every presence row equals s <= origin + k * resolution < e, per grid point."""
+    # spans [1/4, 1/2) and [7/4, 9/4) hold no point of the grid 0, 3/2, 3
+    @example(resolution=F(3, 2), notes=[(F(1, 4), F(1, 4)), (F(0), F(3)), (F(7, 4), F(1, 2))],
+             n_truth=1, margins=None, algorithm="siarct:1,2")
+    @example(resolution=F(3, 2), notes=[(F(0), F(1, 4)), (F(1, 4), F(3))],
+             n_truth=0, margins=(F(1, 2), F(1)), algorithm='a"b')
+    def test_rows_follow_the_cell_rule(self, resolution, notes, n_truth, margins, algorithm):
+        """Every presence row equals s <= origin + k * resolution < e, per grid point.
+
+        Labels that need CSV quoting read back as written.
+        """
         if margins is None:  # default span [0, latest end) needs onsets >= 0
             notes = [(abs(t), d) for t, d in notes]
         occurrences = [PatternOccurrence((Point(t, 60, d),)) for t, d in notes]
@@ -307,7 +316,7 @@ class TestPresence:
             argv = ["poll", "--in", d / "a.json", "--resolution", resolution,
                     "--out-dir", d, "--quiet"]
             (d / "a.json").write_text(
-                dump_pattern_json("p", "a", [PatternRecord("a", "x", tuple(inputs))])
+                dump_pattern_json("p", algorithm, [PatternRecord(algorithm, "x", tuple(inputs))])
             )
             if truths:
                 (d / "t.json").write_text(

@@ -168,6 +168,16 @@ class TestOccurrence:
         span = PatternOccurrence(tuple(points)).span
         assert span == (first, max(p.end for p in points if p.onset == last))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.tuples(st.integers(-4, 4), st.integers(58, 60), st.integers(1, 4), st.sampled_from([1, 2, 3])),
+        min_size=1, max_size=8,
+    ))
+    def test_points_sorted_in_point_order(self, rows):
+        # integral and fractional times side by side, as the int-or-Fraction sort key sees them
+        points = [Point(F(o, den), p, F(d, den)) for o, p, d, den in rows]
+        assert PatternOccurrence(tuple(points)).points == tuple(sorted(points))
+
     def test_record_sorts_occurrences(self):
         a = PatternOccurrence((pt(5, 60),))
         b = PatternOccurrence((pt(0, 60),))
@@ -306,6 +316,90 @@ class TestLoaderOracle:
                                                        {"points": rows[::-1], "span": spans}]}]}
         )
         assert _loads_as_oracle(doc)
+
+
+# Time strings on both sides of `to_time`'s ASCII-digit fast path, and one
+# past the interpreter's digit limit for `int` of a string.
+_TIME_STRINGS = ["3", "03", "+3", " 3", "3_0", "\u0663", "\uff13", "\u00b2", "", "9" * 5000]
+
+
+def _time_id(text):
+    return ascii(text) if len(text) < 10 else f"{len(text)}-digits"
+
+
+class TestTimeStrings:
+    """Each time string reads as the earlier `to_time`, which sent every string to `Fraction`."""
+
+    @pytest.mark.parametrize("text", _TIME_STRINGS, ids=_time_id)
+    def test_pattern_file(self, text):
+        doc = json.dumps(
+            {"piece": "x", "algorithm": "a",
+             "patterns": [{"id": "p", "occurrences": [
+                 {"points": [[text, 60, "1"], ["5", 60, text]]}
+             ]}]}
+        )
+        assert _loads_as_oracle(doc)
+
+    @pytest.mark.parametrize("text", _TIME_STRINGS, ids=_time_id)
+    def test_points_csv(self, text, monkeypatch):
+        csv_text = f"{text},60,1\n5,62,{text}\n"
+        outcome = _load_outcome(parse_points_csv, csv_text)
+        monkeypatch.setattr(core, "to_time", _oracles.to_time)
+        assert outcome == _load_outcome(parse_points_csv, csv_text)
+
+    def test_first_fault_is_reported(self):
+        """One pass: the first occurrence's span fault wins over a pitch fault after it."""
+        doc = json.dumps(
+            {"piece": "x", "algorithm": "a",
+             "patterns": [{"id": "p", "occurrences": [
+                 {"points": [["1", 60, "1"], ["0", 62, "1"]], "span": ["0", "1"]},
+                 {"points": [["0", 60, "1"], ["1", 128, "1"]]},
+             ]}]}
+        )
+        with pytest.raises(SchemaError) as exc:
+            load_pattern_file(doc)
+        assert exc.value.path == "$.patterns[0].occurrences[0].span"
+        assert _loads_as_oracle(doc)
+
+
+# Ids with quotes, backslashes, control, non-ASCII and astral characters and
+# a lone surrogate, beside arbitrary text.
+_IDS = st.sampled_from(
+    ["", '"', "a\\b", "\x00\n\t\x1f\x7f", "\u00e9\u4e2d", "\U0001d11e", "\ud800", "siarct:1,2"]
+) | st.text(max_size=6)
+# fractional and negative onsets; dotted (3/2, 3/4, 3/8) and other durations
+_ONSETS = st.builds(F, st.integers(-24, 24), st.sampled_from([1, 2, 3, 4, 6]))
+_DURATIONS = st.builds(F, st.just(3), st.sampled_from([2, 4, 8])) | st.builds(
+    F, st.integers(1, 9), st.integers(1, 6)
+)
+_OCCURRENCES = st.lists(
+    st.builds(Point, _ONSETS, st.sampled_from([0, 127]) | st.integers(0, 127), _DURATIONS),
+    min_size=1, max_size=5,
+).map(lambda points: PatternOccurrence(tuple(points)))
+
+
+class TestEmitterOracle:
+    """The direct emitter writes the earlier `json.dumps(..., indent=2)` text byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        piece=_IDS,
+        algorithm=_IDS,
+        records=st.lists(
+            st.builds(
+                PatternRecord, _IDS, _IDS, st.lists(_OCCURRENCES, min_size=1, max_size=3).map(tuple)
+            ),
+            max_size=4,
+        ),
+    )
+    def test_equals_earlier_emitter(self, piece, algorithm, records):
+        assert dump_pattern_json(piece, algorithm, records) == _oracles.dump_pattern_json(
+            piece, algorithm, records
+        )
+
+    def test_no_records(self):
+        assert dump_pattern_json("x", "a", []) == _oracles.dump_pattern_json("x", "a", [])
+        assert '"patterns": [],' in dump_pattern_json("x", "a", [])
 
 
 class TestIngestWork:

@@ -1,12 +1,15 @@
-"""Golden digests: the exact bytes the CLI writes for one synthetic piece.
+"""Golden digests: the exact bytes the CLI writes for two pieces.
 
-The chain runs synth seed 5, `discover` with eight algorithm specs, `poll`
-with its defaults and with a fractional resolution, weight, window and
-order, `eval-boundaries` and `train-pp`, and compares the sha256 of every
-file written against digests taken from an earlier build.  A refactor that
-claims to keep outputs byte-identical passes only if it does.  Outputs with
-numpy floats (`features`, `classify`, `importance`) are left out: their
-last digits may differ between numpy builds.
+The first chain runs synth seed 5, `discover` with eight algorithm specs,
+`poll` with its defaults and with a fractional resolution, weight, window
+and order, `eval-boundaries` and `train-pp`.  Synthetic pieces have only
+integer onsets, so a second chain runs a hand-written piece with onsets in
+thirds and dotted durations through three `discover` specs and a `poll` at
+resolution 1/3, which writes `num/den` times.  Each test compares the
+sha256 of every file written against digests taken from an earlier build.
+A refactor that claims to keep outputs byte-identical passes only if it
+does.  Outputs with numpy floats (`features`, `classify`, `importance`)
+are left out: their last digits may differ between numpy builds.
 """
 
 import hashlib
@@ -83,15 +86,75 @@ def _chain(base):
     (base / "manifest.json").write_text(json.dumps(manifest))
     _run("train-pp", "--manifest", base / "manifest.json", "--folds", 3,
          "--out", base / "params.json", "--quiet")
+    return _digests(base, skip="manifest.json")
+
+
+# Three transposed statements of a five-note motif, each followed by a
+# filler note: onsets in thirds, durations 1/3, 2/3, 3/4 and 3/2.
+THIRDS_PIECE = """\
+0,60,1/3
+1/3,62,1/3
+2/3,64,2/3
+4/3,65,3/4
+2,67,3/2
+10/3,72,1/3
+11/3,62,1/3
+4,64,1/3
+13/3,66,2/3
+5,67,3/4
+17/3,69,3/2
+7,71,1/3
+22/3,57,1/3
+23/3,59,1/3
+8,61,2/3
+26/3,62,3/4
+28/3,64,3/2
+32/3,60,3/4
+"""
+
+THIRDS_DISCOVER = {"cosiatec": "cosiatec", "siar-3": "siar:3", "siarct-half-2": "siarct:1/2,2"}
+
+THIRDS_GOLDEN = {
+    "cosiatec.json": "a0a1d044ab02736c937007796f67ec4b01223968d214a99f5225b8d52700d154",
+    "poll/t.boundaries.json": "7b3f5c1355c2cc71821719bfd87681e5ab88a57ab4e360c6373b1e46124044d6",
+    "poll/t.curve.csv": "8f955f8b02dc254aa08524b50030ff46ce9a103e1a0a57aa1c559f20343a6769",
+    "poll/t.deriv1.csv": "61dc9e620cb2bb0788e40da7c2369e587f23d5acbde4830ffaeaf724d30637df",
+    "poll/t.deriv2.csv": "aea9eaeef83e1d27da347315f344efcae058ad883e065b836ba757a4cda63840",
+    "poll/t.presence.csv": "63afe7ccacc4ccb1291b6bfbc69b8c9a63a610470c8f368cdf2bd38445623407",
+    "poll/t.smoothed.csv": "b2ee99fea434cf13f7971b3b28ec6ebf44d7cb82679035871219842d1e0a1422",
+    "siar-3.json": "3a6e487c2ad14396da0c15d7f8f42b8506c1e5a5165287988955bd2fd4174733",
+    "siarct-half-2.json": "137e9b927dd46e8139f5242e0fa0987499b1560a1ecd67eb0a7643ae36f9ebff",
+}
+
+
+def _thirds_chain(base):
+    """Discover and poll the piece in thirds in `base`; every file written, as `_chain`."""
+    piece = base / "t.csv"
+    piece.write_text(THIRDS_PIECE)
+    found = [base / f"{name}.json" for name in THIRDS_DISCOVER]
+    for path, spec in zip(found, THIRDS_DISCOVER.values()):
+        _run("discover", "--in", piece, "--alg", spec, "--out", path)
+    _run("poll", "--in", *found, "--resolution", "1/3", "--out-dir", base / "poll", "--quiet")
+    return _digests(base, skip="t.csv")
+
+
+def _digests(base, skip):
     return {
         path.relative_to(base).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(base.rglob("*"))
-        if path.is_file() and path.name != "manifest.json"
+        if path.is_file() and path.name != skip
     }
 
 
-def test_cli_outputs_match_golden_digests(tmp_path):
-    digests = _chain(tmp_path)
-    assert set(digests) == set(GOLDEN)
-    changed = sorted(name for name in digests if digests[name] != GOLDEN[name])
+def _assert_golden(digests, golden):
+    assert set(digests) == set(golden)
+    changed = sorted(name for name in digests if digests[name] != golden[name])
     assert not changed, f"{changed} differ from the golden bytes"
+
+
+def test_cli_outputs_match_golden_digests(tmp_path):
+    _assert_golden(_chain(tmp_path), GOLDEN)
+
+
+def test_fractional_times_match_golden_digests(tmp_path):
+    _assert_golden(_thirds_chain(tmp_path), THIRDS_GOLDEN)

@@ -1,6 +1,6 @@
 """Static checks over the package source: no unused imports, no dead module-level names,
-no function that calls itself without a stated bound on its depth, and one copy of the
-rule that puts exact values on integers."""
+no function that calls itself without a stated bound on its depth, one copy of the
+rule that puts exact values on integers, and one caller of the indenting JSON encoder."""
 
 import ast
 from pathlib import Path
@@ -139,3 +139,27 @@ def test_one_rule_puts_fractions_on_integers():
         if _lcm_of_denominators(node)
     }
     assert found == {RESCALER}, f"{sorted(found)} take an lcm of denominators, not just {RESCALER}"
+
+
+# The one function that may hand `json.dumps` an indent: its pure-Python encoder is
+# slow, and the interchange emitter writes the indented layout directly.
+INDENTED_JSON = "cli._json_text"
+
+
+def _indented_dumps(node: ast.AST) -> bool:
+    """Whether `node` calls `json.dumps` (or a bare `dumps`) with an `indent` keyword."""
+    if not isinstance(node, ast.Call):
+        return False
+    f = node.func
+    name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+    return name == "dumps" and any(kw.arg == "indent" for kw in node.keywords)
+
+
+def test_one_function_indents_json():
+    found = {
+        name
+        for module in MODULES
+        for name, node in _scoped(TREES[module], module[:-3])
+        if _indented_dumps(node)
+    }
+    assert found == {INDENTED_JSON}, f"{sorted(found)} indent json.dumps, not just {INDENTED_JSON}"

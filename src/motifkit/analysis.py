@@ -17,9 +17,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from motifkit.core import PatternOccurrence, PatternRecord, PointSet
+from motifkit.core import PatternOccurrence, PatternRecord, PointSet, subseed
 from motifkit.classifiers import train_classifier
-from motifkit.synthesis import _subseed
 
 FEATURE_NAMES = (
     # pitch statistics
@@ -296,7 +295,7 @@ def _balance(dataset: LabeledDataset, seed: int) -> LabeledDataset:
     labels = np.array(dataset.labels)
     classes = dataset.classes()
     minority = min(int(np.sum(labels == c)) for c in classes)
-    rng = np.random.default_rng(_subseed(seed, "balance"))
+    rng = np.random.default_rng(subseed(seed, "balance"))
     keep: list[int] = []
     for c in classes:
         idx = np.nonzero(labels == c)[0]
@@ -364,7 +363,7 @@ def cross_validate(
     confusions: dict[str, list[np.ndarray]] = {name: [] for name in spec}
 
     for rep in range(repeats):
-        rng = np.random.default_rng(_subseed(seed, "folds", rep))
+        rng = np.random.default_rng(subseed(seed, "folds", rep))
         fold_indices = _stratified_folds(labels, folds, rng)
         for fold_no, test_idx in enumerate(fold_indices):
             mask = np.ones(len(labels), dtype=bool)
@@ -378,7 +377,7 @@ def cross_validate(
             for name, params in spec.items():
                 params = dict(params)
                 if name == "rf":
-                    params.setdefault("seed", _subseed(seed, "rf", rep, fold_no))
+                    params.setdefault("seed", subseed(seed, "rf", rep, fold_no))
                 clf = train_classifier(name, X_train, y_train, params)
                 pred = clf.predict(X_test)
                 accuracies[name].append(float(np.mean(pred == y_test)))
@@ -460,11 +459,11 @@ def feature_importance(
     hits = np.zeros(d)
     importance_sum = np.zeros(d)
     for run in range(runs):
-        rng = np.random.default_rng(_subseed(seed, "shadow", run))
+        rng = np.random.default_rng(subseed(seed, "shadow", run))
         shadows = np.column_stack([rng.permutation(X[:, j]) for j in range(d)])
         augmented = np.hstack([X, shadows])
         forest = train_classifier(
-            "rf", augmented, y, {"trees": trees, "seed": _subseed(seed, "rf", run)}
+            "rf", augmented, y, {"trees": trees, "seed": subseed(seed, "rf", run)}
         )
         imp = forest.feature_importances_
         real, shadow = imp[:d], imp[d:]

@@ -41,6 +41,7 @@ import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 from motifkit import analysis, core, discovery, evaluation, polling, synthesis
 
@@ -72,9 +73,10 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _read_text(path: str) -> str:
+def _read_text(path: str, newline: str | None = None) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            return fh.read()
     except (OSError, ValueError) as exc:  # ValueError: bad UTF-8, NUL in the path
         raise CliError(EXIT_PARSE, f"cannot read {path}: {exc}") from exc
 
@@ -107,9 +109,10 @@ def _read_json(path: str, shape_code: int, read=_json_object):
 
 
 def _csv_text(rows) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
+    # "\r\n" row ends make csv quote a "\r", where csv.reader also ends a row; each becomes "\n"
+    lines: list[str] = []
+    csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n").writerows(rows)
+    return "".join([line[:-2] + "\n" for line in lines])
 
 
 def _read_piece(path: str) -> core.PointSet:
@@ -493,8 +496,8 @@ def cmd_features(args) -> int:
 
 
 def _read_features_csv(path: str) -> analysis.LabeledDataset:
-    text = _read_text(path)
-    reader = csv.reader(io.StringIO(text))
+    # line ends untranslated, as csv.reader expects: a quoted "\r" stays in its field
+    reader = csv.reader(io.StringIO(_read_text(path, newline=""), newline=""))
     try:
         header = next(reader)
     except StopIteration:

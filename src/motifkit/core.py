@@ -18,6 +18,7 @@ The interchange emitter writes `json.dumps`' indented layout itself
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import struct
@@ -269,7 +270,7 @@ def emit_points_csv(ps: PointSet) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Integer grids
+# Integer grids and seeds
 
 
 def nearest_index(q: Fraction) -> int:
@@ -282,6 +283,12 @@ def over_common_denominator(values: Iterable[Fraction]) -> tuple[tuple[int, ...]
     values = tuple(values)
     den = math.lcm(*{v.denominator for v in values})
     return tuple(v.numerator * (den // v.denominator) for v in values), den
+
+
+def subseed(seed: int, *tags) -> int:
+    """The seed of the random stream named by `tags`: 64 bits of a hash of (`seed`, *`tags`)."""
+    digest = hashlib.sha256(repr((seed,) + tags).encode()).digest()
+    return int.from_bytes(digest[:8], "big")
 
 
 # ---------------------------------------------------------------------------

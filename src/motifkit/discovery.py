@@ -20,7 +20,9 @@ prune; compactness has no bound, so a compactness-led round scores every
 shape.  The emitted TECs are those of scoring every shape.  One
 compact-segment rule (`_segments`, an integer compare per step) splits
 patterns for COSIATEC's candidates, `compactness_trawl` and SIARCT alike.
-Emitted occurrences are the piece's own notes, durations included.
+Each occurrence is built once, on the grid, as the piece's own notes
+(`_image`), durations included: a TEC holds its occurrences, and
+`_records` builds every pattern record.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from motifkit.core import (
     PatternOccurrence,
@@ -53,10 +55,10 @@ class Vector2:
 ZERO = Vector2(Fraction(0), 0)
 
 
-def _image(coords, v, notes: Mapping) -> tuple[Point, ...]:
-    """The notes at `coords` + `v`: an occurrence is the piece's own notes.
+def _image(coords, v: _Coord, notes: Mapping[_Coord, Point]) -> tuple[Point, ...]:
+    """The notes at grid coordinates `coords` + `v`, `notes` being `_Grid.by_coord`.
 
-    `notes` maps grid integers (`_Grid.by_coord`) or exact (onset, pitch) pairs.
+    Every occurrence discovery emits is built here, once, from the piece's own notes.
     """
     return tuple(notes[(c[0] + v[0], c[1] + v[1])] for c in coords)
 
@@ -72,17 +74,23 @@ class MTP:
 
 @dataclass(frozen=True)
 class TEC:
-    """A pattern with every vector translating it into the source set."""
+    """A pattern at every vector translating it into the source set, built by `_Grid.tec`.
 
-    pattern: tuple[Point, ...]
+    `occurrences[k]` is the pattern moved by the sorted `translators[k]`, so
+    the first, from `ZERO`, is the least: the `pattern`.
+    """
+
+    occurrences: tuple[tuple[Point, ...], ...]
     translators: tuple[Vector2, ...]
-    covered: tuple[Point, ...]
 
-    def occurrences(self) -> list[tuple[Point, ...]]:
-        """The pattern at each translator, as the notes of `covered` there."""
-        notes = {p.coord: p for p in self.covered}
-        coords = [p.coord for p in self.pattern]
-        return [_image(coords, (u.dt, u.dp), notes) for u in self.translators]
+    @property
+    def pattern(self) -> tuple[Point, ...]:
+        return self.occurrences[0]
+
+    @property
+    def covered(self) -> tuple[Point, ...]:
+        """The notes of all occurrences, sorted."""
+        return tuple(sorted({p for occ in self.occurrences for p in occ}))
 
 
 @dataclass(frozen=True)
@@ -148,23 +156,21 @@ class _Grid:
                 raise ValueError(f"pattern point {p.coord} not in the point set")
         return notes
 
-    def points(self, cs) -> tuple[Point, ...]:
-        return tuple(self.by_coord[c] for c in sorted(cs))
+    def points(self, cs: Sequence[_Coord]) -> tuple[Point, ...]:
+        """The notes at grid coordinates `cs`, in their order."""
+        return tuple(map(self.by_coord.__getitem__, cs))
 
     def vector(self, v: _Coord) -> Vector2:
         return Vector2(Fraction(v[0], self.scale), v[1])
 
     def tec(self, shape: Sequence[_Coord], translators: Sequence[_Coord]) -> TEC:
-        """The TEC of a shape, represented by its lexicographically least occurrence.
+        """The TEC of a shape: its occurrence at each of the sorted `translators`.
 
-        `translators` are sorted, so the first one places that occurrence.
+        `translators` are sorted, so the first places the least occurrence, the pattern.
         """
         least = translators[0]
-        return TEC(
-            pattern=_image(shape, least, self.by_coord),
-            translators=tuple(self.vector(_sub(u, least)) for u in translators),
-            covered=self.points(_cover(shape, translators)),
-        )
+        occurrences = tuple(_image(shape, u, self.by_coord) for u in translators)
+        return TEC(occurrences, tuple(self.vector(_sub(u, least)) for u in translators))
 
 
 def _sub(a: _Coord, b: _Coord) -> _Coord:
@@ -319,25 +325,32 @@ def _translators(shape: Sequence[_Coord], grid: _Grid, table: _Table) -> tuple[_
     return tuple(out)
 
 
-def siatec(ps: PointSet, stats: DiscoveryStats | None = None) -> list[TEC]:
-    """Translational equivalence classes of SIA's patterns.
+def _siatec_pass(ps: PointSet, stats: DiscoveryStats) -> tuple[_Grid, list[_Candidate]]:
+    """SIATEC's one round, recorded in `stats`: the grid, and each MTP shape scored (`_score`).
 
-    Translationally equivalent MTPs are merged before the translator
-    search, which reads translators off the vector table (`_translators`);
-    the representative pattern is the lexicographically least occurrence.
-    Each TEC's translators include the zero vector.  Output is sorted by
-    (pattern, translators) for determinism.  `stats`, if given, records it.
+    Translationally equivalent MTPs share a shape, so they merge before the translator search.
     """
-    stats = _started(stats)
     grid = _Grid(ps)
     table = _mtp_table(grid)
     stats.lap("table")
     shapes = {_shape(o) for o in table.values()}
-    found = [(shape, _translators(shape, grid, table)) for shape in shapes]
+    candidates = [_score(shape, grid, table) for shape in shapes]
     stats.lap("search")
     stats.add_round(grid, table, shapes, len(shapes))
-    tecs = [grid.tec(shape, translators) for shape, translators in found]
-    tecs.sort(key=lambda t: (t.pattern, t.translators))
+    return grid, candidates
+
+
+def siatec(ps: PointSet, stats: DiscoveryStats | None = None) -> list[TEC]:
+    """Translational equivalence classes of SIA's patterns (`_siatec_pass`).
+
+    The representative pattern is the lexicographically least occurrence, and
+    each TEC's translators include the zero vector.  Output is sorted by pattern
+    (on the grid, by least translator and shape).  `stats`, if given, records it.
+    """
+    stats = _started(stats)
+    grid, candidates = _siatec_pass(ps, stats)
+    candidates.sort(key=lambda c: (c.translators[0], c.shape))
+    tecs = [grid.tec(c.shape, c.translators) for c in candidates]
     stats.lap("emit")
     return tecs
 
@@ -397,11 +410,11 @@ def compactness(
 
 
 def tec_quality(tec: TEC, ps: PointSet, mode: str = "temporal") -> TecQuality:
-    ratio = Fraction(len(tec.covered), len(tec.pattern) + len(tec.translators) - 1)
+    coverage = len(tec.covered)
     return TecQuality(
-        compression_ratio=ratio,
+        compression_ratio=Fraction(coverage, len(tec.pattern) + len(tec.translators) - 1),
         compactness=compactness(tec.pattern, ps, mode=mode),
-        coverage=len(tec.covered),
+        coverage=coverage,
     )
 
 
@@ -520,9 +533,9 @@ def _best(
     return best, scored
 
 
-def _residue_tec(points: Sequence[Point]) -> TEC:
-    pts = tuple(sorted(points))
-    return TEC(pattern=pts, translators=(ZERO,), covered=pts)
+def _residue_tec(points: tuple[Point, ...]) -> TEC:
+    """The sorted `points` as one zero-translator TEC."""
+    return TEC(occurrences=(points,), translators=(ZERO,))
 
 
 def cosiatec(
@@ -591,7 +604,7 @@ def cosiatec(
 def siatec_compress(
     ps: PointSet, sort_key: str = "cr", stats: DiscoveryStats | None = None
 ) -> list[TEC]:
-    """Single SIATEC pass, then greedy selection of TECs that add coverage.
+    """Single SIATEC pass (`_siatec_pass`), then greedy selection of TECs that add coverage.
 
     TECs are ranked exactly by `sort_key` (``cr``, ``comp`` or ``cov``; ties
     fall back to the full quality ordering) and accepted whenever they
@@ -602,15 +615,9 @@ def siatec_compress(
     if sort_key not in ("cr", "comp", "cov"):
         raise ValueError(f"sort_key must be one of cr|comp|cov, got {sort_key!r}")
     stats = _started(stats)
-    grid = _Grid(ps)
-    table = _mtp_table(grid)
-    stats.lap("table")
-    shapes = {_shape(o) for o in table.values()}
-    candidates = [_score(shape, grid, table) for shape in shapes]
-    stats.lap("search")
+    grid, candidates = _siatec_pass(ps, stats)
     candidates.sort(key=_rank_key((sort_key,), len(ps)))
     stats.lap("rank")
-    stats.add_round(grid, table, shapes, len(shapes))
     covered: set[_Coord] = set()
     out = []
     for c in candidates:
@@ -670,43 +677,41 @@ def siarct(
     Each MTP of the (optionally r-restricted) vector table is trawled as a
     column of grid integers, by the integer rule of `compactness_trawl`
     (`_segments`); surviving segments are returned with their source
-    vector, deduplicated and sorted.
+    vector, deduplicated and sorted (`_trawled`).
     """
+    grid, found = _trawled(ps, a, b, r)
+    return [(grid.vector(v), grid.points(seg)) for v, seg in found]
+
+
+def _trawled(ps: PointSet, a: Fraction, b: int, r: int | None = None) -> tuple[_Grid, list]:
+    """SIARCT on the grid: the grid, and its sorted, distinct (vector, segment) pairs."""
     a = _threshold(a, b)
     grid = _Grid(ps)
     # grid order is the exact order: onsets scale by one positive factor
     found = {(v, s) for v, origins in _columns(grid, r) for s in _segments(origins, grid, a, b)}
-    return [(grid.vector(v), grid.points(seg)) for v, seg in sorted(found)]
+    return grid, sorted(found)
 
 
 # ---------------------------------------------------------------------------
 # Record serialization and the algorithm-spec grammar
 
 
+def _records(algorithm_id: str, prefix: str, found: Iterable) -> list[PatternRecord]:
+    """One record per pattern in `found`, given as its occurrences; ids `<prefix>-0000` on."""
+    return [
+        PatternRecord(algorithm_id, f"{prefix}-{i:04d}", tuple(map(PatternOccurrence, occs)))
+        for i, occs in enumerate(found)
+    ]
+
+
 def mtps_to_records(mtps: Sequence[MTP], algorithm_id: str) -> list[PatternRecord]:
     """Each MTP becomes a record with the pattern and its vector image."""
-    return [
-        PatternRecord(
-            algorithm_id,
-            f"mtp-{i:04d}",
-            (
-                PatternOccurrence(m.points),
-                PatternOccurrence(m.translated),
-            ),
-        )
-        for i, m in enumerate(mtps)
-    ]
+    return _records(algorithm_id, "mtp", ((m.points, m.translated) for m in mtps))
 
 
 def tecs_to_records(tecs: Sequence[TEC], algorithm_id: str) -> list[PatternRecord]:
-    return [
-        PatternRecord(
-            algorithm_id,
-            f"tec-{i:04d}",
-            tuple(PatternOccurrence(occ) for occ in t.occurrences()),
-        )
-        for i, t in enumerate(tecs)
-    ]
+    """Each TEC becomes a record with its occurrences."""
+    return _records(algorithm_id, "tec", (t.occurrences for t in tecs))
 
 
 def run_algorithm(
@@ -718,7 +723,8 @@ def run_algorithm(
     | ``siatec-compress:<key>`` | ``siar:<r>`` | ``siarct:<a>,<b>``.
     ``cosiatec``'s keys are its `tie_break` ordering, e.g. ``cosiatec:comp,size``.
     `stats` is filled by ``siatec``, ``cosiatec`` and ``siatec-compress``;
-    the other algorithms refuse it.
+    the other algorithms refuse it.  `_records` builds every record; a ``siarct``
+    segment's image comes from the grid it was trawled on (`_trawled`).
     """
     name, colon, arg = spec.partition(":")
     try:
@@ -739,19 +745,9 @@ def run_algorithm(
             return tecs_to_records(siatec_compress(ps, arg or "cr", stats), spec)
         if name == "siarct":
             a_s, _, b_s = arg.partition(",")
-            segments = siarct(ps, Fraction(a_s), int(b_s))
-            notes = {p.coord: p for p in ps.points}
-            return [
-                PatternRecord(
-                    spec,
-                    f"seg-{i:04d}",
-                    (
-                        PatternOccurrence(seg),
-                        PatternOccurrence(_image([p.coord for p in seg], (v.dt, v.dp), notes)),
-                    ),
-                )
-                for i, (v, seg) in enumerate(segments)
-            ]
+            grid, found = _trawled(ps, Fraction(a_s), int(b_s))
+            images = ((grid.points(seg), _image(seg, v, grid.by_coord)) for v, seg in found)
+            return _records(spec, "seg", images)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"invalid algorithm spec {spec!r}: {exc}") from exc
     raise ValueError(f"unknown algorithm {spec!r}")

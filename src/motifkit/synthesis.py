@@ -9,12 +9,11 @@ the config, seed included.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from motifkit.core import PatternOccurrence, PatternRecord, Point, PointSet
+from motifkit.core import PatternOccurrence, PatternRecord, Point, PointSet, subseed
 
 REST = None
 
@@ -97,11 +96,6 @@ class SyntheticPiece:
     random_duration: Fraction
 
 
-def _subseed(seed: int, *tags) -> int:
-    digest = hashlib.sha256(repr((seed,) + tags).encode()).digest()
-    return int.from_bytes(digest[:8], "big")
-
-
 def sample_random_segment(
     length: int, config: SynthConfig, stream: int = 0
 ) -> list[int | None]:
@@ -110,7 +104,7 @@ def sample_random_segment(
     (config.seed, stream)."""
     if length < 0:
         raise ValueError("length must be >= 0")
-    rng = random.Random(_subseed(config.seed, "segment", stream))
+    rng = random.Random(subseed(config.seed, "segment", stream))
     lo, hi = config.effective_pitch_range()
     out: list[int | None] = []
     for _ in range(length):
@@ -144,7 +138,7 @@ def _segment_lengths(
     templates' repeat distances coincide, keeping each planted pattern's
     repeat vector unique so the patterns cannot alias one another.
     """
-    rng = random.Random(_subseed(config.seed, "lengths"))
+    rng = random.Random(subseed(config.seed, "lengths"))
     n_segments = len(placements) + 1
     expected = sum(
         config.occurrences_per_template - 1 for _ in {t.name for t in placements}
@@ -187,7 +181,7 @@ def synthesize(config: SynthConfig) -> SyntheticPiece:
     placements = [
         t for t in config.templates for _ in range(config.occurrences_per_template)
     ]
-    rng = random.Random(_subseed(config.seed, "order"))
+    rng = random.Random(subseed(config.seed, "order"))
     rng.shuffle(placements)
     lengths = _segment_lengths(config, placements)
 

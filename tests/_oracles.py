@@ -16,7 +16,9 @@ anew.  `dump_pattern_json` is the library's earlier interchange
 emitter, which builds the document and hands it to `json.dumps` with an
 indent; the library writes that layout directly.  `quantize` is the
 library's earlier grid snapper, which `truth_boundaries`' half-down
-rounding must agree with.
+rounding must agree with.  `tec_occurrences` is the library's earlier
+occurrence rule, on exact (onset, pitch) pairs; discovery now builds each
+occurrence on its integer grid.
 """
 
 import json
@@ -490,6 +492,17 @@ def _brute_tec(points, coords):
     translators = tuple((u[0] - least[0], u[1] - least[1]) for u in vectors)
     covered = tuple(sorted({(p[0] + u[0], p[1] + u[1]) for p in pattern for u in translators}))
     return pattern, translators, covered
+
+
+def tec_occurrences(tec, ps):
+    """A TEC's pattern at each of its translators, as the piece's notes there.
+
+    The notes are found by exact (onset, pitch) lookups in the whole piece,
+    not in the TEC, so the reference does not rest on what it checks.
+    """
+    notes = {p.coord: p for p in ps.points}
+    coords = [p.coord for p in tec.pattern]
+    return [tuple(notes[(c[0] + u.dt, c[1] + u.dp)] for c in coords) for u in tec.translators]
 
 
 def _brute_quality(tec, coords):

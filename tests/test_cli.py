@@ -293,13 +293,15 @@ class TestPresence:
         notes=st.lists(st.tuples(_times, _lengths), min_size=1, max_size=6),
         n_truth=st.integers(0, 5),
         margins=st.none() | st.tuples(_lengths, _lengths),
-        algorithm=st.sampled_from(["a", "siarct:1,2", 'a"b']),
+        algorithm=st.sampled_from(["a", "siarct:1,2", 'a"b', "a\rb"]),
     )
     # spans [1/4, 1/2) and [7/4, 9/4) hold no point of the grid 0, 3/2, 3
     @example(resolution=F(3, 2), notes=[(F(1, 4), F(1, 4)), (F(0), F(3)), (F(7, 4), F(1, 2))],
              n_truth=1, margins=None, algorithm="siarct:1,2")
     @example(resolution=F(3, 2), notes=[(F(0), F(1, 4)), (F(1, 4), F(3))],
              n_truth=0, margins=(F(1, 2), F(1)), algorithm='a"b')
+    # csv.reader ends a row at a lone "\r", so the label must be quoted
+    @example(resolution=F(1), notes=[(F(0), F(2))], n_truth=0, margins=None, algorithm="a\rb")
     def test_rows_follow_the_cell_rule(self, resolution, notes, n_truth, margins, algorithm):
         """Every presence row equals s <= origin + k * resolution < e, per grid point.
 
@@ -438,6 +440,26 @@ class TestClassifyImportance:
         doc = json.loads(out.read_text())
         assert doc["folds"] == 4 and doc["seed"] == 2
         assert set(doc["classifiers"]) == {"rf", "nb", "lda"}
+
+    def test_carriage_return_label_round_trip(self, synth_dir, tmp_path):
+        """An algorithm id holding "\\r" is quoted in the features CSV, and classify reads it."""
+        _, truth = load_pattern_file((synth_dir / "piece.truth.json").read_text())
+        patterns = tmp_path / "cr.json"
+        records = [PatternRecord("alg\rX", rec.pattern_id, rec.occurrences) for rec in truth]
+        patterns.write_text(dump_pattern_json("piece", "alg\rX", records))
+        features = tmp_path / "f.csv"
+        assert run(
+            "features", "--piece", synth_dir / "piece.csv", "--patterns", patterns,
+            "--random", 2, "--seed", 1, "--out", features, "--quiet",
+        ) == 0
+        labels = [row[-1] for row in read_rows(features)]
+        assert set(labels) == {"alg\rX", "random"}
+        assert run(
+            "classify", "--features", features, "--classifiers", "nb", "--folds", 2,
+            "--repeats", 1, "--out", tmp_path / "cv.json", "--quiet",
+        ) == 0
+        report = json.loads((tmp_path / "cv.json").read_text())
+        assert report["classifiers"]["nb"]["classes"] == ["alg\rX", "random"]
 
     def test_forest_on_adjacent_floats(self, tmp_path):
         """The midpoint of 0.7000000000000001 and the next float up rounds onto the upper one."""

@@ -224,7 +224,7 @@ class TestCosiatec:
         occurrences = {
             tuple(p.coord for p in occ)
             for tec in cosiatec(ps, tie_break=("comp", "size"))
-            for occ in tec.occurrences()
+            for occ in tec.occurrences
         }
         assert tuple(pattern) in occurrences
         assert tuple(copy) in occurrences
@@ -572,7 +572,7 @@ class TestOccurrencesAreRealNotes:
     def test_siatec_and_covers(self):
         for tecs in (siatec(DOTTED), cosiatec(DOTTED), siatec_compress(DOTTED)):
             pair = [t for t in tecs if tuple(p.coord for p in t.pattern) == ((0, 60), (1, 62))]
-            assert pair[0].occurrences() == [(pt(0, 60), pt(1, 62)), SECOND]
+            assert pair[0].occurrences == ((pt(0, 60), pt(1, 62)), SECOND)
 
     def test_mtp_and_siarct_images(self):
         mtp = {m.vector: m for m in sia(DOTTED)}[vec(4, 0)]
@@ -590,6 +590,48 @@ class TestOccurrencesAreRealNotes:
             for record in run_algorithm(spec, ps):
                 for occ in record.occurrences:
                     assert set(occ.points) <= notes, spec
+
+
+def _compress(key):
+    return lambda ps: siatec_compress(ps, key)
+
+
+TEC_SPECS = {
+    "siatec": siatec,
+    "cosiatec": cosiatec,
+    "cosiatec:comp,size": lambda ps: cosiatec(ps, ("comp", "size")),
+    **{f"siatec-compress:{key}": _compress(key) for key in ("cr", "comp", "cov")},
+}
+
+
+class TestOccurrenceOracle:
+    """Occurrences built on the grid equal the exact-coordinate rule of `_oracles`."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(varied_pieces)
+    def test_tec_occurrences(self, ps):
+        for spec, run in TEC_SPECS.items():
+            tecs = run(ps)
+            for tec, record in zip(tecs, run_algorithm(spec, ps), strict=True):
+                assert list(tec.occurrences) == _oracles.tec_occurrences(tec, ps), spec
+                assert tec.pattern == tec.occurrences[0]
+                assert tec.covered == tuple(sorted(set().union(*tec.occurrences)))
+                assert tec.translators[0] == ZERO
+                assert sorted(o.points for o in record.occurrences) == sorted(tec.occurrences)
+
+    @settings(max_examples=60, deadline=None)
+    @given(varied_pieces)
+    def test_second_occurrence_is_the_first_moved_by_the_vector(self, ps):
+        """A record orders its two occurrences by span, so they are compared as a pair."""
+        notes = {p.coord: p for p in ps.points}
+        for spec, found in (
+            ("sia", [(m.vector, m.points) for m in sia(ps)]),
+            ("siar:2", [(m.vector, m.points) for m in siar(ps, 2)]),
+            ("siarct:1/2,2", siarct(ps, F(1, 2), 2)),
+        ):
+            for (v, pattern), record in zip(found, run_algorithm(spec, ps), strict=True):
+                moved = tuple(notes[(p.onset + v.dt, p.pitch + v.dp)] for p in pattern)
+                assert sorted(o.points for o in record.occurrences) == sorted([pattern, moved])
 
 
 class TestStats:

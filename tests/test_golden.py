@@ -4,8 +4,9 @@ The first chain runs synth seed 5, `discover` with eight algorithm specs,
 `poll` with its defaults and with a fractional resolution, weight, window
 and order, `eval-boundaries` and `train-pp`.  Synthetic pieces have only
 integer onsets, so a second chain runs a hand-written piece with onsets in
-thirds and dotted durations through three `discover` specs and a `poll` at
-resolution 1/3, which writes `num/den` times.  Each test compares the
+thirds and dotted durations through five `discover` specs, and three of
+their outputs through a `poll` at resolution 1/3, which writes `num/den`
+times.  Each test compares the
 sha256 of every file written against digests taken from an earlier build.
 A refactor that claims to keep outputs byte-identical passes only if it
 does.  Outputs with numpy floats (`features`, `classify`, `importance`)
@@ -112,7 +113,15 @@ THIRDS_PIECE = """\
 32/3,60,3/4
 """
 
-THIRDS_DISCOVER = {"cosiatec": "cosiatec", "siar-3": "siar:3", "siarct-half-2": "siarct:1/2,2"}
+THIRDS_DISCOVER = {
+    "cosiatec": "cosiatec",
+    "siar-3": "siar:3",
+    "siarct-half-2": "siarct:1/2,2",
+    "siatec": "siatec",
+    "siatec-compress-cr": "siatec-compress:cr",
+}
+# the outputs `poll` reads; SIATEC's and SIATECCompress's pin their shared pass
+THIRDS_POLLED = ("cosiatec", "siar-3", "siarct-half-2")
 
 THIRDS_GOLDEN = {
     "cosiatec.json": "a0a1d044ab02736c937007796f67ec4b01223968d214a99f5225b8d52700d154",
@@ -124,6 +133,8 @@ THIRDS_GOLDEN = {
     "poll/t.smoothed.csv": "b2ee99fea434cf13f7971b3b28ec6ebf44d7cb82679035871219842d1e0a1422",
     "siar-3.json": "3a6e487c2ad14396da0c15d7f8f42b8506c1e5a5165287988955bd2fd4174733",
     "siarct-half-2.json": "137e9b927dd46e8139f5242e0fa0987499b1560a1ecd67eb0a7643ae36f9ebff",
+    "siatec-compress-cr.json": "b9a075f90cfcb2117dfc90b61755e6e95b47aea5ba7a0e5044aa7d51d8d4f15b",
+    "siatec.json": "e6b57b1d9a3b864475ea7093889307aecaedc6c438c4a4efea387005b27a42d5",
 }
 
 
@@ -131,9 +142,9 @@ def _thirds_chain(base):
     """Discover and poll the piece in thirds in `base`; every file written, as `_chain`."""
     piece = base / "t.csv"
     piece.write_text(THIRDS_PIECE)
-    found = [base / f"{name}.json" for name in THIRDS_DISCOVER]
-    for path, spec in zip(found, THIRDS_DISCOVER.values()):
-        _run("discover", "--in", piece, "--alg", spec, "--out", path)
+    for name, spec in THIRDS_DISCOVER.items():
+        _run("discover", "--in", piece, "--alg", spec, "--out", base / f"{name}.json")
+    found = [base / f"{name}.json" for name in THIRDS_POLLED]
     _run("poll", "--in", *found, "--resolution", "1/3", "--out-dir", base / "poll", "--quiet")
     return _digests(base, skip="t.csv")
 

@@ -1,6 +1,7 @@
-"""Static checks over the package source: no unused imports, no dead module-level names,
-no function that calls itself without a stated bound on its depth, one copy of the
-rule that puts exact values on integers, and one caller of the indenting JSON encoder."""
+"""Static checks over the package source: no unused imports, no private name taken from
+another module, no dead module-level names, no function that calls itself without a
+stated bound on its depth, one copy of the rule that puts exact values on integers, and
+one caller of the indenting JSON encoder."""
 
 import ast
 from pathlib import Path
@@ -51,6 +52,31 @@ def test_no_unused_import(module):
     used = _loaded_names(tree)
     unused = [name for node in ast.walk(tree) for name in _imported(node) if name not in used]
     assert not unused, f"{module} imports {unused} and never uses them"
+
+
+def _private_names_taken(tree: ast.AST) -> list[str]:
+    """`module._name` for each private name the tree imports or reads off a motifkit module."""
+    modules = {}  # local name -> motifkit module, for `from motifkit import core`
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("motifkit"):
+            for alias in node.names:
+                if node.module == "motifkit":
+                    modules[alias.asname or alias.name] = alias.name
+                elif alias.name.startswith("_"):
+                    found.append(f"{node.module.rpartition('.')[2]}.{alias.name}")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in modules and node.attr.startswith("_"):
+                found.append(f"{modules[node.value.id]}.{node.attr}")
+    return found
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_private_name_from_another_module(module):
+    """A rule two modules share is public in one of them, not copied or reached into."""
+    found = _private_names_taken(TREES[module])
+    assert not found, f"{module} takes the private names {found} from other motifkit modules"
 
 
 @pytest.mark.parametrize("module", MODULES)

@@ -268,13 +268,15 @@ def _parse_weights(texts) -> dict[str, Fraction]:
     return weights
 
 
-def _curve_csv(header: str, times, values) -> str:
-    rows = [[core.format_time(t), core.format_time(v)] for t, v in zip(times, values)]
+def _curve_csv(header: str, times: list[str], values) -> str:
+    rows = [[t, core.format_time(v)] for t, v in zip(times, values)]
     return _csv_text([["t", header]] + rows)
 
 
-def _times(curve: polling.PollingCurve) -> list[Fraction]:
-    return [curve.time_at(k) for k in range(len(curve))]
+def _times(curve: polling.PollingCurve) -> list[str]:
+    """The curve's grid times by `core.format_time`, built as numerators over one denominator."""
+    (origin, step), den = core.over_common_denominator((curve.origin, curve.resolution))
+    return [core.format_time(Fraction(origin + k * step, den)) for k in range(len(curve))]
 
 
 def _presence_csv(curve: polling.PollingCurve, span: polling.Span, records) -> str:

@@ -7,11 +7,13 @@ removal), SIAR (vector table restricted to r lexicographic successors),
 and a compactness trawler, together with compression-ratio and
 compactness quality measures.
 
-Internally points are rescaled to integer coordinates (onsets over their
-least common denominator, by `core.over_common_denominator`, the rule
-polling shares) so the hot loops run on plain int tuples.  Translators
-are read off SIA's vector table (Meredith, Lemstrom & Wiggins 2002), and
-COSIATEC and SIATECCompress rank candidate TECs in exact integer
+Internally each point is one int, its grid code ``onset * 256 + pitch``
+(onsets as numerators over their least common denominator, by
+`core.over_common_denominator`, the rule polling shares).  `Point` keeps
+pitches in 0-127, so a vector, a difference of codes, decodes uniquely and
+int order is (onset, pitch) order: the hot loops add and hash plain ints.
+Translators are read off SIA's vector table (Meredith, Lemstrom & Wiggins
+2002), and COSIATEC and SIATECCompress rank candidate TECs in exact integer
 arithmetic, with no floats or Fractions.  A COSIATEC round is best-first:
 it scores shapes in descending order of an exact upper bound on the
 ordering's leading figure, read off the table, and stops once no bound can
@@ -21,8 +23,8 @@ shape.  The emitted TECs are those of scoring every shape.  One
 compact-segment rule (`_segments`, an integer compare per step) splits
 patterns for COSIATEC's candidates, `compactness_trawl` and SIARCT alike.
 Each occurrence is built once, on the grid, as the piece's own notes
-(`_image`), durations included: a TEC holds its occurrences, and
-`_records` builds every pattern record.
+(`_image`), durations included: a TEC holds its occurrences, and `_records`
+builds every pattern record.
 """
 
 from __future__ import annotations
@@ -56,11 +58,11 @@ ZERO = Vector2(Fraction(0), 0)
 
 
 def _image(coords, v: _Coord, notes: Mapping[_Coord, Point]) -> tuple[Point, ...]:
-    """The notes at grid coordinates `coords` + `v`, `notes` being `_Grid.by_coord`.
+    """The notes at grid codes `coords` + `v`, `notes` being `_Grid.by_coord`.
 
     Every occurrence discovery emits is built here, once, from the piece's own notes.
     """
-    return tuple(notes[(c[0] + v[0], c[1] + v[1])] for c in coords)
+    return tuple([notes[c + v] for c in coords])
 
 
 @dataclass(frozen=True)
@@ -103,18 +105,18 @@ class TecQuality:
 # ---------------------------------------------------------------------------
 # Integer encoding
 
-_Coord = tuple[int, int]
+# A grid code: onset numerator * 256 + pitch (a vector: a difference of codes).  Decoded
+# only in onset lookups (`>> 8`), `bbox` pitches (`& 255`, negative onsets too) and `_Grid.vector`.
+_Coord = int
 _Table = dict[_Coord, list[_Coord]]  # positive vector -> sorted origins (the MTPs)
 
 
 class _Grid:
-    """Integer view of a PointSet: onsets as numerators over `scale` (`over_common_denominator`)."""
+    """Integer view of a PointSet: points as codes ``onset * 256 + pitch``, onsets over `scale`."""
 
     def __init__(self, ps: PointSet):
         onsets, self.scale = over_common_denominator(p.onset for p in ps.points)
-        self.by_coord: dict[_Coord, Point] = {
-            (onset, p.pitch): p for onset, p in zip(onsets, ps.points)
-        }
+        self.by_coord = {onset * 256 + p.pitch: p for onset, p in zip(onsets, ps.points)}
         self._index(list(self.by_coord))
 
     def _index(self, coords: list[_Coord]) -> None:
@@ -123,12 +125,12 @@ class _Grid:
         # onset -> index of its first point, and one past its last point
         self.first: dict[int, int] = {}
         self.stop: dict[int, int] = {}
-        for i, (onset, _) in enumerate(coords):
-            self.first.setdefault(onset, i)
-            self.stop[onset] = i + 1
+        for i, c in enumerate(coords):
+            self.first.setdefault(c >> 8, i)
+            self.stop[c >> 8] = i + 1
 
     def without(self, gone: set[_Coord]) -> _Grid:
-        """The grid of the coordinates not in `gone`, at the same scale."""
+        """The grid of the codes not in `gone`, at the same scale."""
         rest = copy.copy(self)
         rest._index([c for c in self.coords if c not in gone])
         return rest
@@ -139,29 +141,32 @@ class _Grid:
 
     def inside(self, cs: Sequence[_Coord], mode: str) -> int:
         """Set points in the onset span of sorted set points `cs` (``bbox``: and pitch range)."""
-        lo, hi = self.first[cs[0][0]], self.stop[cs[-1][0]]
+        lo, hi = self.first[cs[0] >> 8], self.stop[cs[-1] >> 8]
         if mode == "temporal":
             return hi - lo
         if mode == "bbox":
-            plo, phi = min(c[1] for c in cs), max(c[1] for c in cs)
-            return sum(plo <= pitch <= phi for _, pitch in self.coords[lo:hi])
+            plo, phi = min(c & 255 for c in cs), max(c & 255 for c in cs)
+            return sum(plo <= c & 255 <= phi for c in self.coords[lo:hi])
         raise ValueError(f"unknown compactness mode {mode!r}")
 
     def on_grid(self, pattern: Sequence[Point]) -> dict[_Coord, Point]:
-        """The pattern's points by grid coordinate, sorted; each must be a set point."""
-        # an integral Fraction equals and hashes like its int; others match nothing
-        notes = {(p.onset * self.scale, p.pitch): p for p in sorted(pattern)}
-        for c, p in notes.items():
-            if c not in self.coord_set:
+        """The pattern's points by grid code, sorted; each must be a set point."""
+        notes = {}
+        for p in sorted(pattern):
+            onset = p.onset * self.scale  # off the grid, it would carry into the pitch bits
+            code = onset.numerator * 256 + p.pitch
+            if onset.denominator != 1 or code not in self.coord_set:
                 raise ValueError(f"pattern point {p.coord} not in the point set")
+            notes[code] = p
         return notes
 
     def points(self, cs: Sequence[_Coord]) -> tuple[Point, ...]:
-        """The notes at grid coordinates `cs`, in their order."""
+        """The notes at grid codes `cs`, in their order."""
         return tuple(map(self.by_coord.__getitem__, cs))
 
     def vector(self, v: _Coord) -> Vector2:
-        return Vector2(Fraction(v[0], self.scale), v[1])
+        dt = (v + 128) >> 8  # dp = v - dt * 256 lies in [-127, 127]
+        return Vector2(Fraction(dt, self.scale), v - dt * 256)
 
     def tec(self, shape: Sequence[_Coord], translators: Sequence[_Coord]) -> TEC:
         """The TEC of a shape: its occurrence at each of the sorted `translators`.
@@ -170,15 +175,11 @@ class _Grid:
         """
         least = translators[0]
         occurrences = tuple(_image(shape, u, self.by_coord) for u in translators)
-        return TEC(occurrences, tuple(self.vector(_sub(u, least)) for u in translators))
-
-
-def _sub(a: _Coord, b: _Coord) -> _Coord:
-    return (a[0] - b[0], a[1] - b[1])
+        return TEC(occurrences, tuple(self.vector(u - least) for u in translators))
 
 
 def _cover(shape: Sequence[_Coord], translators: Sequence[_Coord]) -> set[_Coord]:
-    return {(q0 + u0, q1 + u1) for q0, q1 in shape for u0, u1 in translators}
+    return {q + u for q in shape for u in translators}
 
 
 # ---------------------------------------------------------------------------
@@ -186,13 +187,12 @@ def _cover(shape: Sequence[_Coord], translators: Sequence[_Coord]) -> set[_Coord
 
 
 def _mtp_table(grid: _Grid) -> _Table:
-    """Group origin coordinates by positive difference vector (the MTPs)."""
+    """Group origin codes by positive difference vector (the MTPs)."""
     cs = grid.coords
     table: _Table = {}
     for i, a in enumerate(cs):
-        a0, a1 = a
-        for b0, b1 in cs[i + 1 :]:
-            table.setdefault((b0 - a0, b1 - a1), []).append(a)
+        for b in cs[i + 1 :]:
+            table.setdefault(b - a, []).append(a)
     return table
 
 
@@ -203,9 +203,9 @@ def _columns(grid: _Grid, r: int | None = None) -> list[tuple[_Coord, list[_Coor
     if r < 1:
         raise ValueError("r must be >= 1")
     cs = grid.coords
-    vectors = {_sub(d, c) for i, c in enumerate(cs) for d in cs[i + 1 : i + r + 1]}
+    vectors = {d - c for i, c in enumerate(cs) for d in cs[i + 1 : i + r + 1]}
     members = grid.coord_set
-    return [(v, [c for c in cs if (c[0] + v[0], c[1] + v[1]) in members]) for v in sorted(vectors)]
+    return [(v, [c for c in cs if c + v in members]) for v in sorted(vectors)]
 
 
 def _mtp(grid: _Grid, v: _Coord, origins: list[_Coord]) -> MTP:
@@ -316,9 +316,8 @@ def _translators(shape: Sequence[_Coord], grid: _Grid, table: _Table) -> tuple[_
     coord_set = grid.coord_set
     out = []
     for u in table[first]:
-        u0, u1 = u
-        for q0, q1 in rest:
-            if (u0 + q0, u1 + q1) not in coord_set:
+        for q in rest:
+            if u + q not in coord_set:
                 break
         else:
             out.append(u)
@@ -357,8 +356,8 @@ def siatec(ps: PointSet, stats: DiscoveryStats | None = None) -> list[TEC]:
 
 def _shape(origins: Sequence[_Coord]) -> tuple[_Coord, ...]:
     """The sorted pattern translated so that its least point sits at the origin."""
-    b0, b1 = origins[0]
-    return tuple([(c0 - b0, c1 - b1) for c0, c1 in origins])
+    b = origins[0]
+    return tuple([c - b for c in origins])
 
 
 def _segments(
@@ -378,10 +377,10 @@ def _segments(
     out = []
     i, n = 0, len(coords)
     while i < n:  # the run is coords[i:j]
-        lo, j = first[coords[i][0]], i + 1
+        lo, j = first[coords[i] >> 8], i + 1
         # temporal: the window lookup of `_Grid.inside`, inlined for COSIATEC
         while j < n and (j - i + 1) * den >= num * (
-            stop[coords[j][0]] - lo if temporal else grid.inside(coords[i : j + 1], mode)
+            stop[coords[j] >> 8] - lo if temporal else grid.inside(coords[i : j + 1], mode)
         ):
             j += 1
         if j - i >= b and (j - i > 1 or den >= num * grid.inside(coords[i:j], mode)):
@@ -438,8 +437,8 @@ class _Candidate(NamedTuple):
 def _score(shape: tuple[_Coord, ...], grid: _Grid, table: _Table) -> _Candidate:
     """The shape's TEC with the counts its quality is made of, in temporal mode."""
     translators = _translators(shape, grid, table)
-    start = translators[0][0]
-    window = grid.window(start, start + shape[-1][0])
+    least = translators[0]  # the least occurrence spans its first and last codes
+    window = grid.window(least >> 8, (least + shape[-1]) >> 8)
     return _Candidate(shape, translators, len(_cover(shape, translators)), window)
 
 

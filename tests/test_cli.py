@@ -15,6 +15,7 @@ from motifkit.core import (
     PatternRecord,
     Point,
     dump_pattern_json,
+    format_time,
     load_pattern_file,
     parse_points_csv,
 )
@@ -284,6 +285,13 @@ class TestPoll:
 
 _times = st.builds(F, st.integers(-12, 12), st.integers(1, 4))
 _lengths = st.builds(F, st.integers(1, 8), st.integers(1, 4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(origin=_times, resolution=_lengths, n=st.integers(0, 30))
+def test_time_column_formats_each_grid_time(origin, resolution, n):
+    curve = polling.PollingCurve(origin, resolution, (F(0),) * n)
+    assert cli._times(curve) == [format_time(curve.time_at(k)) for k in range(n)]
 
 
 class TestPresence:

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from motifkit.core import Point, PointSet
 from motifkit.discovery import (
@@ -63,6 +63,12 @@ def random_pointset(rng, max_points=12, onset_range=8, pitch_range=12):
 FOUR = pset((0, 60), (1, 62), (2, 60), (3, 62))
 
 
+def check_sia(ps):
+    """SIA's patterns by vector equal `_oracles.brute_mtps` on exact coordinates."""
+    got = {(m.vector.dt, m.vector.dp): frozenset(p.coord for p in m.points) for m in sia(ps)}
+    assert got == _oracles.brute_mtps([p.coord for p in ps.points])
+
+
 class TestSia:
     def test_four_point_example(self):
         mtps = sia(FOUR)
@@ -86,13 +92,7 @@ class TestSia:
     def test_matches_brute_force(self):
         rng = random.Random(0)
         for _ in range(60):
-            ps = random_pointset(rng)
-            expected = _oracles.brute_mtps([p.coord for p in ps.points])
-            got = {
-                (m.vector.dt, m.vector.dp): frozenset(p.coord for p in m.points)
-                for m in sia(ps)
-            }
-            assert got == expected
+            check_sia(random_pointset(rng))
 
     def test_fractional_onsets(self):
         ps = PointSet.build([Point(F(1, 2), 60), Point(F(3, 2), 62), Point(F(5, 2), 60)])
@@ -276,6 +276,19 @@ class TestCompactness:
         with pytest.raises(ValueError):
             compactness((pt(9, 99),), FOUR)
 
+    def test_off_grid_point_rejected(self):
+        # on this piece's integer grid, (1/4, 0) must not pass for the note
+        # (0, 64), whose code 64 is 1/4 * 256 + 0, nor for (0, 0) or (1, 0)
+        ps = pset((0, 0), (0, 64), (1, 0))
+        pattern = (pt(F(1, 4), 0),)
+        for measure in (
+            lambda: compactness(pattern, ps),
+            lambda: compactness(pattern, ps, mode="bbox"),
+            lambda: compactness_trawl(pattern, ps, F(1), 1),
+        ):
+            with pytest.raises(ValueError, match="not in the point set"):
+                measure()
+
     def test_bbox_variant(self):
         ps = pset((0, 60), (1, 80), (2, 60))
         # high note is outside the pitch box of the pattern
@@ -396,8 +409,35 @@ ORDERS = (
 )
 
 
+# pieces at the edges of the grid code: pitches 0, 1, 126 and 127, so vectors
+# reach dp = +-127, on onsets in halves from -9 to 9 and in thirds from -6 to 6
+edge_pieces = st.sets(
+    st.tuples(
+        st.integers(-18, 18), st.sampled_from([2, 3]), st.sampled_from([0, 1, 126, 127]),
+        st.sampled_from([F(1, 3), F(1), F(3, 2)]),
+    ),
+    min_size=1,
+    max_size=10,
+).map(lambda notes: PointSet.build(Point(F(n, d), p, dur) for n, d, p, dur in notes))
+
+# the vector (0, 127) is the greatest with dt = 0; (1/3, -127) and (1/2, -127)
+# are the least at their dt
+EDGE = PointSet.build(
+    Point(F(n, d), p) for n, d, p in ((-1, 3, 127), (0, 1, 0), (0, 1, 127), (1, 2, 0), (1, 2, 127))
+)
+
+
 def synth_piece(seed, occurrences):
     return synthesize(SynthConfig(occurrences_per_template=occurrences, seed=seed)).piece
+
+
+def check_covers(ps):
+    """COSIATEC under every ordering, and SIATECCompress, equal the brute-force covers."""
+    coords = [p.coord for p in ps.points]
+    for order in ORDERS:
+        assert tec_coords(cosiatec(ps, order)) == _oracles.brute_cosiatec(coords, order)
+    for key in ("cr", "comp", "cov"):
+        assert tec_coords(siatec_compress(ps, key)) == _oracles.brute_siatec_compress(coords, key)
 
 
 class TestGridRanking:
@@ -405,11 +445,7 @@ class TestGridRanking:
     @given(st.one_of(fractional_pieces, dense_pieces))
     def test_covers_match_oracle(self, ps):
         assume(_Grid(ps).scale > 1)
-        coords = [p.coord for p in ps.points]
-        for order in ORDERS:
-            assert tec_coords(cosiatec(ps, order)) == _oracles.brute_cosiatec(coords, order)
-        for key in ("cr", "comp", "cov"):
-            assert tec_coords(siatec_compress(ps, key)) == _oracles.brute_siatec_compress(coords, key)
+        check_covers(ps)
 
     @pytest.mark.parametrize(
         "seed, occurrences", [*((seed, 2) for seed in range(10)), *((seed, 6) for seed in range(3))]
@@ -462,8 +498,8 @@ class TestGridRanking:
 
 
 def exact(grid, coords):
-    """Grid coordinates back on the piece's exact (onset, pitch) pairs."""
-    return [(F(c[0], grid.scale), c[1]) for c in coords]
+    """Grid codes back on the piece's exact (onset, pitch) pairs."""
+    return [(v.dt, v.dp) for v in map(grid.vector, coords)]
 
 
 class TestTableTranslators:
@@ -473,7 +509,7 @@ class TestTableTranslators:
         grid = _Grid(ps)
         table = _mtp_table(grid)
         coords = [p.coord for p in ps.points]
-        shapes = _oracles.grid_shapes(grid, table) | {((0, 0),)}
+        shapes = _oracles.grid_shapes(grid, table) | {(0,)}
         for shape in shapes:
             got = _translators(shape, grid, table)
             assert list(got) == sorted(got)
@@ -482,8 +518,8 @@ class TestTableTranslators:
     def test_one_point_shape_fits_everywhere(self):
         grid = _Grid(FOUR)
         table = _mtp_table(grid)
-        assert ((0, 0),) in {_shape(o) for o in table.values()}
-        assert _translators(((0, 0),), grid, table) == tuple(grid.coords)
+        assert (0,) in {_shape(o) for o in table.values()}
+        assert _translators((0,), grid, table) == tuple(grid.coords)
 
 
 def brute_order(grid, candidates, order, coords):
@@ -521,7 +557,7 @@ class TestIntegerRanking:
         ps = pset((0, 60), (1, 70), (2, 62), (10, 60), (11, 71), (12, 62))
         grid = _Grid(ps)
         table = _mtp_table(grid)
-        c = _score(((0, 0), (2, 2)), grid, table)
+        c = _score((0, 2 * 256 + 2), grid, table)  # the grid codes of (0, 0) and (2, 2)
         assert F(len(c.shape), c.window) == F(2, 3)
         m = 4 * len(ps) ** 2
         assert _figure("comp>=2/3")(c, m) == 1
@@ -604,20 +640,25 @@ TEC_SPECS = {
 }
 
 
+def check_tec_occurrences(ps):
+    """Each TEC's occurrences, pattern, cover and records follow `_oracles.tec_occurrences`."""
+    for spec, run in TEC_SPECS.items():
+        tecs = run(ps)
+        for tec, record in zip(tecs, run_algorithm(spec, ps), strict=True):
+            assert list(tec.occurrences) == _oracles.tec_occurrences(tec, ps), spec
+            assert tec.pattern == tec.occurrences[0]
+            assert tec.covered == tuple(sorted(set().union(*tec.occurrences)))
+            assert tec.translators[0] == ZERO
+            assert sorted(o.points for o in record.occurrences) == sorted(tec.occurrences)
+
+
 class TestOccurrenceOracle:
     """Occurrences built on the grid equal the exact-coordinate rule of `_oracles`."""
 
     @settings(max_examples=60, deadline=None)
     @given(varied_pieces)
     def test_tec_occurrences(self, ps):
-        for spec, run in TEC_SPECS.items():
-            tecs = run(ps)
-            for tec, record in zip(tecs, run_algorithm(spec, ps), strict=True):
-                assert list(tec.occurrences) == _oracles.tec_occurrences(tec, ps), spec
-                assert tec.pattern == tec.occurrences[0]
-                assert tec.covered == tuple(sorted(set().union(*tec.occurrences)))
-                assert tec.translators[0] == ZERO
-                assert sorted(o.points for o in record.occurrences) == sorted(tec.occurrences)
+        check_tec_occurrences(ps)
 
     @settings(max_examples=60, deadline=None)
     @given(varied_pieces)
@@ -632,6 +673,28 @@ class TestOccurrenceOracle:
             for (v, pattern), record in zip(found, run_algorithm(spec, ps), strict=True):
                 moved = tuple(notes[(p.onset + v.dt, p.pitch + v.dp)] for p in pattern)
                 assert sorted(o.points for o in record.occurrences) == sorted([pattern, moved])
+
+
+class TestEdgeCoordinates:
+    """The oracle checks on pitches 0, 1, 126 and 127 and on negative onsets."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(edge_pieces)
+    @example(EDGE)
+    def test_sia(self, ps):
+        check_sia(ps)
+
+    @settings(max_examples=40, deadline=None)
+    @given(edge_pieces)
+    @example(EDGE)
+    def test_covers(self, ps):
+        check_covers(ps)
+
+    @settings(max_examples=40, deadline=None)
+    @given(edge_pieces)
+    @example(EDGE)
+    def test_tec_occurrences(self, ps):
+        check_tec_occurrences(ps)
 
 
 class TestStats:

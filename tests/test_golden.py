@@ -11,6 +11,9 @@ sha256 of every file written against digests taken from an earlier build.
 A refactor that claims to keep outputs byte-identical passes only if it
 does.  Outputs with numpy floats (`features`, `classify`, `importance`)
 are left out: their last digits may differ between numpy builds.
+A third test pins the work counters of `discover --stats` on synth seed
+5, every field but the wall times, so a change in search work shows even
+when timings are noisy.
 """
 
 import hashlib
@@ -169,3 +172,43 @@ def test_cli_outputs_match_golden_digests(tmp_path):
 
 def test_fractional_times_match_golden_digests(tmp_path):
     _assert_golden(_thirds_chain(tmp_path), THIRDS_GOLDEN)
+
+
+CHOSEN = ("size", "translators", "ratio", "compactness", "coverage", "emitted")
+
+
+def _round(points, vectors, shapes, scored, chosen=None):
+    """One `per_round` entry of a stats document; `chosen` as the values of CHOSEN."""
+    entry = {"points": points, "vectors": vectors, "shapes": shapes, "scored": scored}
+    if chosen is not None:
+        entry["chosen"] = dict(zip(CHOSEN, chosen, strict=True))
+    return entry
+
+
+# taken from an earlier build, like the digests above
+GOLDEN_STATS = {
+    "siatec": [_round(97, 2354, 408, 408)],
+    "cosiatec": [
+        _round(97, 2354, 411, 69, (10, 4, "40/13", "10/19", 40, True)),
+        _round(57, 805, 116, 43, (8, 6, "40/13", "4/9", 40, True)),
+        _round(17, 133, 4, 3, (2, 2, "4/3", "2/3", 4, True)),
+        _round(13, 78, 1, 1, (1, 13, "1", "1", 13, False)),
+    ],
+    "cosiatec:comp,size": [
+        _round(97, 2354, 411, 411, (21, 2, "21/11", "1", 42, True)),
+        _round(55, 701, 110, 110, (20, 2, "40/21", "1", 40, True)),
+        _round(15, 102, 4, 4, (1, 15, "1", "1", 15, False)),
+    ],
+    "siatec-compress:cr": [_round(97, 2354, 408, 408)],
+}
+
+
+def test_stats_counters_match_golden(tmp_path):
+    _run("synth", "--seed", 5, "--name", "p", "--out-dir", tmp_path, "--quiet")
+    for spec, rounds in GOLDEN_STATS.items():
+        stats = tmp_path / f"{spec}.stats.json"
+        _run("discover", "--in", tmp_path / "p.csv", "--alg", spec,
+             "--out", tmp_path / f"{spec}.json", "--stats", stats)
+        doc = json.loads(stats.read_text())
+        assert set(doc.pop("seconds")) == {"table", "search", "rank", "emit"}
+        assert doc == {"piece": "p", "algorithm": spec, "rounds": len(rounds), "per_round": rounds}

@@ -594,8 +594,8 @@ def _discover_flags(p: argparse.ArgumentParser):
     p.add_argument(
         "--stats", default=None,
         help="also write a JSON file of what siatec, cosiatec or siatec-compress did: points,"
-        " vectors, shapes and shapes scored per round, seconds per stage, and each cosiatec"
-        " round's chosen TEC",
+        " vectors, distinct candidate shapes built and shapes scored per round, seconds per"
+        " stage, and each cosiatec round's chosen TEC",
     )
     _add_common(p)
 

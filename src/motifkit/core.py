@@ -11,7 +11,8 @@ One load of a points CSV or an interchange JSON document parses each
 distinct time string once, and a JSON load builds each distinct
 `[onset, pitch, duration]` row of two time strings into one `Point`;
 nothing is kept from one call to the next.  `PatternOccurrence`, on every
-path, sorts its points on `_sort_key`, which orders them as `Point` does.
+path, sorts its points on `_sort_key`, which orders them as `Point` does,
+and `PatternRecord` its occurrences by span, integral times as ints in both.
 The interchange emitter writes `json.dumps`' indented layout itself
 (`tests/_oracles.dump_pattern_json` is its reference).
 """
@@ -118,11 +119,15 @@ class Point:
         return (self.onset, self.pitch)
 
 
+def _int_times(a: Fraction, b: Fraction) -> tuple:
+    """(a, b) with integral times as ints, which compare in C, and exactly with Fractions."""
+    return (a.numerator if a.denominator == 1 else a, b.numerator if b.denominator == 1 else b)
+
+
 def _sort_key(p: Point) -> tuple:
-    """`p`'s place in the point order, with integral times as ints, which compare in C."""
-    onset, duration = p.onset, p.duration
-    return (onset.numerator if onset.denominator == 1 else onset, p.pitch,
-            duration.numerator if duration.denominator == 1 else duration)
+    """`p`'s place in the point order, with integral times as ints (`_int_times`)."""
+    onset, duration = _int_times(p.onset, p.duration)
+    return (onset, p.pitch, duration)
 
 
 @dataclass(frozen=True)
@@ -205,7 +210,7 @@ class PatternOccurrence:
 
 @dataclass(frozen=True)
 class PatternRecord:
-    """A named pattern (one analyzer's output unit) with its occurrences."""
+    """A named pattern (one analyzer's output unit) with its occurrences, sorted by span."""
 
     algorithm_id: str
     pattern_id: str
@@ -217,7 +222,7 @@ class PatternRecord:
         object.__setattr__(
             self,
             "occurrences",
-            tuple(sorted(self.occurrences, key=lambda o: o.span)),
+            tuple(sorted(self.occurrences, key=lambda o: _int_times(*o.span))),
         )
 
 

@@ -15,11 +15,11 @@ int order is (onset, pitch) order: the hot loops add and hash plain ints.
 Translators are read off SIA's vector table (Meredith, Lemstrom & Wiggins
 2002), and COSIATEC and SIATECCompress rank candidate TECs in exact integer
 arithmetic, with no floats or Fractions.  A COSIATEC round is best-first:
-it scores shapes in descending order of an exact upper bound on the
-ordering's leading figure, read off the table, and stops once no bound can
-reach the best candidate so far.  Compression ratio, coverage and size
-prune; compactness has no bound, so a compactness-led round scores every
-shape.  The emitted TECs are those of scoring every shape.  One
+it builds a table column's shapes, and scores them in descending order of
+an exact upper bound on the ordering's leading figure, only while a bound
+can reach the best candidate so far.  Ratio, coverage and size prune;
+compactness has no bound, so a compactness-led round builds and scores
+every shape.  The emitted TECs are those of scoring every shape.  One
 compact-segment rule (`_segments`, an integer compare per step) splits
 patterns for COSIATEC's candidates, `compactness_trawl` and SIARCT alike.
 Each occurrence is built once, on the grid, as the piece's own notes
@@ -30,11 +30,12 @@ builds every pattern record.
 from __future__ import annotations
 
 import copy
+import heapq
 import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from itertools import groupby
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from motifkit.core import (
@@ -242,17 +243,17 @@ class DiscoveryStats:
     """What a SIATEC, COSIATEC or SIATECCompress call did, for its caller to read.
 
     `rounds` holds one entry per translator search: the points it ran on,
-    the vectors in their table, the candidate shapes and how many of them
-    were `scored` (their translators searched and counted).  SIATEC and
-    SIATECCompress score every shape; a COSIATEC round scores only those
-    whose bound can still reach the best candidate (`_best`), and adds that
-    TEC (`chosen`) and whether it compressed and so was emitted.  `seconds`
-    holds each stage's wall time: the grid and vector table, the translator
-    search and counting (in COSIATEC, also finding the shapes and comparing
-    them as they are scored), the ranking (in COSIATEC, the bound pass that
-    sorts the shapes), and building the emitted TECs (in COSIATEC, also
-    removing their points).  Counts come from lengths at hand once per
-    round, never per candidate.
+    the vectors in their table, the distinct candidate shapes built and how
+    many were `scored` (translators searched and counted).  SIATEC and
+    SIATECCompress build and score every shape; COSIATEC builds a column's
+    shapes, and scores a shape, only while its bound can reach the best
+    candidate (`_best`), and adds that TEC (`chosen`) and whether it
+    compressed and so was emitted.  `seconds` holds each stage's wall time:
+    the grid and vector table, the translator search and counting (in
+    COSIATEC, the best-first loop that builds, bounds and scores shapes), the
+    ranking (in COSIATEC, sorting the columns by length), and building the
+    emitted TECs (in COSIATEC, also removing their points).  Counts come from
+    lengths at hand once per round, never per candidate.
     """
 
     def __init__(self):
@@ -457,7 +458,8 @@ DEFAULT_ORDER = ("cr", "comp", "cov", "size")
 # the smallest table column among its points (each column holds every
 # translator), the remaining point count and m.  Coverage is at most s*t,
 # and s*t/(s+t-1) never falls as t grows.  Capping the ratio's coverage at
-# the point count would make it fall as t grows, and the bound fail.
+# the point count would make it fall as t grows, and the bound fail.  None
+# falls as s or t grows, so s = k, t = rest caps a column of k origins.
 _BOUNDS: dict[str, Callable[[int, int, int, int], int]] = {
     "cr": lambda s, t, rest, m: s * t * m // (s + t - 1),
     "cov": lambda s, t, rest, m: min(s * t, rest),
@@ -491,45 +493,63 @@ def _rank_key(order: Sequence[str], n: int) -> Callable[[_Candidate], tuple]:
     return key
 
 
-def _leading_bound(order: Sequence[str], n: int) -> Callable[[tuple, _Grid, _Table], float]:
-    """An upper bound on a shape's leading figure under `_rank_key(order, n)`.
-
-    Compactness has none that the table gives, so its bound is infinite.
-    """
+def _leading_bound(order: Sequence[str], n: int) -> tuple[Callable, Callable]:
+    """`_BOUNDS` on the leading figure under `_rank_key(order, n)`, of a shape and of a
+    column of k origins; compactness has none that the table gives, so infinite ones."""
     f = _BOUNDS.get((*order, *DEFAULT_ORDER)[0])
     if f is None:
-        return lambda shape, grid, table: math.inf
+        return (lambda shape, table, rest: math.inf), (lambda k, rest: math.inf)
     m = 4 * n * n
 
-    def bound(shape: tuple[_Coord, ...], grid: _Grid, table: _Table) -> int:
-        rest = len(grid.coords)
-        t = min(map(len, map(table.__getitem__, shape[1:]))) if len(shape) > 1 else rest
+    def bound(shape: tuple[_Coord, ...], table: _Table, rest: int) -> int:
+        t = min(map(len, map(table.__getitem__, shape[1:])), default=rest)
         return f(len(shape), t, rest, m)
 
-    return bound
+    return bound, lambda k, rest: f(k, rest, rest, m)
 
 
 def _best(
-    ranked: Sequence[tuple[float, tuple[_Coord, ...]]], grid: _Grid, table: _Table, key: Callable
-) -> tuple[_Candidate, int]:
-    """The least-keyed candidate of (bound, shape) pairs by descending bound, and the count scored.
+    columns: Sequence[list[_Coord]], grid: _Grid, table: _Table, key: Callable, bounds: tuple
+) -> tuple[_Candidate, set, int]:
+    """A round's least-keyed candidate, the distinct shapes built, and the count scored.
 
-    The walk stops at the first bound strictly below the leading figure of
-    the best candidate so far, as no later shape can reach that figure.  An
-    equal bound is still scored: later figures and the least occurrence
-    decide between candidates that share the leading figure.
+    Columns, longest first, are built while their bound `cap` reaches the best
+    leading figure `lead`, shapes filed by exact bound; the shapes above `cap`,
+    then the rest, are scored best bound first until a bound is strictly below `lead`.
     """
-    best = best_key = None
-    scored = 0
-    for b, shape in ranked:
-        if best_key is not None and -b > best_key[0]:
+    shape_bound, column_bound = bounds
+    rest = len(grid.coords)
+    heap, by_bound, built = [], {}, set()  # heap: the negated keys of by_bound
+    best, best_key, lead, scored = None, None, -math.inf, 0
+
+    def score_above(cap: float) -> None:
+        nonlocal best, best_key, lead, scored
+        while heap and -heap[0] > cap and -heap[0] >= lead:
+            for s in by_bound.pop(-heapq.heappop(heap)):
+                c = _score(s, grid, table)
+                scored += 1
+                c_key = key(c)
+                if best_key is None or c_key < best_key:
+                    best, best_key, lead = c, c_key, -c_key[0]
+
+    for k, group in groupby(columns, len):
+        cap = column_bound(k, rest)
+        score_above(cap)
+        if cap < lead:
             break
-        c = _score(shape, grid, table)
-        scored += 1
-        k = key(c)
-        if best_key is None or k < best_key:
-            best, best_key = c, k
-    return best, scored
+        for origins in group:
+            shapes = [_shape(origins)]
+            if k > 2:  # a 2-point MTP's only segment is itself
+                shapes += map(_shape, _segments(origins, grid, 1, 2))
+            for s in shapes:
+                if s not in built:
+                    built.add(s)
+                    b = shape_bound(s, table, rest)
+                    if b not in by_bound:
+                        heapq.heappush(heap, -b)
+                    by_bound.setdefault(b, []).append(s)
+    score_above(-math.inf)
+    return best, built, scored
 
 
 def _residue_tec(points: tuple[Point, ...]) -> TEC:
@@ -557,9 +577,11 @@ def cosiatec(
     stops at the first bound strictly below the best leading figure found.
     The bound takes a shape's size s and its smallest table column t, which
     holds every translator: s*t/(s+t-1) for compression ratio, min(s*t,
-    remaining points) for coverage, s for size (`_BOUNDS`).  So ratio-,
-    coverage- and size-led orderings score few shapes, while compactness-led
-    ones score all.  The chosen TEC is the one scoring every shape gives.
+    remaining points) for coverage, s for size (`_BOUNDS`); a column of k
+    origins is built only while its bound at s = k, t = remaining points,
+    can reach it.  So ratio- and size-led orderings build and score few
+    shapes, coverage-led ones score few, compactness-led ones all.  The
+    chosen TEC is the one scoring every shape gives.
 
     The best TEC maximizes the `tie_break` quality ordering (defaults to
     compression ratio, compactness, coverage, pattern size), with
@@ -570,25 +592,18 @@ def cosiatec(
     given, records each round and its chosen TEC.
     """
     key = _rank_key(tie_break, len(ps))
-    bound = _leading_bound(tie_break, len(ps))
+    bounds = _leading_bound(tie_break, len(ps))
     stats = _started(stats)
     grid = _Grid(ps)
     out = []
     while len(grid.coords) >= 2:
         table = _mtp_table(grid)
         stats.lap("table")
-        shapes = set()
-        for origins in table.values():
-            shapes.add(_shape(origins))
-            if len(origins) > 2:  # a 2-point MTP's only segment is itself
-                shapes.update(map(_shape, _segments(origins, grid, 1, 2)))
-        stats.lap("search")
-        ranked = [(bound(s, grid, table), s) for s in shapes]
-        ranked.sort(key=itemgetter(0), reverse=True)
+        columns = sorted(table.values(), key=len, reverse=True)
         stats.lap("rank")
-        best, scored = _best(ranked, grid, table, key)
+        best, built, scored = _best(columns, grid, table, key, bounds)
         stats.lap("search")
-        stats.add_round(grid, table, shapes, scored, best)
+        stats.add_round(grid, table, built, scored, best)
         if not best.compresses():
             break
         out.append(grid.tec(best.shape, best.translators))

@@ -4,7 +4,9 @@ These stay deliberately naive and independent of the library's code paths:
 plain set arithmetic over (onset, pitch) tuples and exhaustive searches.
 The one exception, `exhaustive_cosiatec`, shares the library's candidates
 and scores and differs only in how a round finds its best candidate, so
-that pieces too large for `brute_cosiatec` can still be checked.
+that pieces too large for `brute_cosiatec` can still be checked; its
+rounds (`exhaustive_rounds`) and the exact bounds of `built_shapes` and
+`bounded_shapes` give the shapes a best-first round must build and score.
 `_Tree` is the forest's earlier CART, which sorts each drawn feature at
 every node; the count-table tree must grow the same trees.
 `occurrence_recovery` is the library's earlier scorer, which rebuilds a
@@ -592,20 +594,89 @@ def grid_shapes(grid, table):
     return shapes
 
 
-def exhaustive_cosiatec(ps, order=discovery.DEFAULT_ORDER):
-    """COSIATEC whose rounds score every candidate shape and take the least key."""
+def exhaustive_rounds(ps, order=discovery.DEFAULT_ORDER):
+    """Each COSIATEC round scoring every candidate shape: (grid, table, least-keyed candidate).
+
+    The last round's candidate may not compress; the next round would start
+    on the grid without its cover.
+    """
     key = discovery._rank_key(order, len(ps))
     grid = discovery._Grid(ps)
-    out = []
     while len(grid.coords) >= 2:
         table = discovery._mtp_table(grid)
         best = min((discovery._score(s, grid, table) for s in grid_shapes(grid, table)), key=key)
+        yield grid, table, best
         if not best.compresses():
-            break
-        out.append(grid.tec(best.shape, best.translators))
+            return
         grid = grid.without(discovery._cover(best.shape, best.translators))
-    if grid.coords:
-        out.append(discovery._residue_tec(grid.points(grid.coords)))
+
+
+def exhaustive_cosiatec(ps, order=discovery.DEFAULT_ORDER):
+    """COSIATEC whose rounds score every candidate shape and take the least key."""
+    out, gone = [], set()
+    for grid, _, best in exhaustive_rounds(ps, order):
+        if best.compresses():
+            out.append(grid.tec(best.shape, best.translators))
+            gone |= discovery._cover(best.shape, best.translators)
+    rest = discovery._Grid(ps).without(gone)
+    if rest.coords:
+        out.append(discovery._residue_tec(rest.points(rest.coords)))
+    return out
+
+
+def _lead(order):
+    return (*order, *_DEFAULT_ORDER)[0]
+
+
+def leading_figure(candidate, order):
+    """The candidate's exact leading figure under `order`; compactness-led orders need none."""
+    size, count = len(candidate.shape), len(candidate.translators)
+    return {
+        "cr": Fraction(candidate.coverage, size + count - 1),
+        "cov": candidate.coverage,
+        "size": size,
+    }.get(_lead(order))
+
+
+def _exact_bound(order, s, t, rest):
+    """The bound on the leading figure of s points with t translators at most, of `rest`.
+
+    Coverage is at most s*t and the remaining points; the ratio at most
+    s*t/(s+t-1).  Compactness has no bound: None.
+    """
+    return {
+        "cr": Fraction(s * t, s + t - 1),
+        "cov": min(s * t, rest),
+        "size": s,
+    }.get(_lead(order))
+
+
+def built_shapes(grid, table, order, figure):
+    """The distinct shapes and compact segments of every column whose size bound reaches `figure`.
+
+    A column of k origins yields shapes of at most k points, none with more
+    translators than the `rest` remaining points, so its bound is taken at
+    s = k, t = rest.
+    """
+    rest = len(grid.coords)
+    shapes = set()
+    for origins in table.values():
+        bound = _exact_bound(order, len(origins), rest, rest)
+        if bound is None or bound >= figure:
+            shapes.add(discovery._shape(origins))
+            shapes.update(discovery._shape(seg) for seg in discovery._segments(origins, grid, 1, 2))
+    return shapes
+
+
+def bounded_shapes(grid, table, order, figure):
+    """The `grid_shapes` whose exact bound reaches `figure`, t being their smallest column."""
+    rest = len(grid.coords)
+    out = set()
+    for shape in grid_shapes(grid, table):
+        t = min((len(table[q]) for q in shape[1:]), default=rest)
+        bound = _exact_bound(order, len(shape), t, rest)
+        if bound is None or bound >= figure:
+            out.add(shape)
     return out
 
 

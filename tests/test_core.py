@@ -184,6 +184,25 @@ class TestOccurrence:
         rec = PatternRecord("alg", "p1", (a, b))
         assert rec.occurrences[0].span[0] == 0
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.lists(
+            st.tuples(st.integers(-4, 4), st.integers(58, 60), st.integers(1, 4),
+                      st.sampled_from([1, 2, 3])),
+            min_size=1, max_size=3,
+        ),
+        min_size=1, max_size=6,
+    ))
+    def test_record_sorts_occurrences_as_span_tuples(self, occurrences):
+        # integral and fractional spans side by side, equal ones too: the int-or-Fraction
+        # span key orders them as the Fraction span tuples do, stably
+        occs = tuple(
+            PatternOccurrence(tuple(Point(F(o, den), p, F(d, den)) for o, p, d, den in rows))
+            for rows in occurrences
+        )
+        rec = PatternRecord("alg", "p1", occs)
+        assert rec.occurrences == tuple(sorted(occs, key=lambda o: o.span))
+
 
 class TestPatternJson:
     def test_single_record(self):

@@ -456,13 +456,17 @@ class TestGridRanking:
             assert cosiatec(ps, order) == _oracles.exhaustive_cosiatec(ps, order), order
 
     def test_ratio_first_scores_few_shapes(self):
+        # measured: the 8 rounds build 1,784 (0.302) and score 348 (0.059) of
+        # their 5,898 candidate shapes
         ps = synth_piece(0, 6)
         stats = DiscoveryStats()
         cosiatec(ps, stats=stats)
         assert len(ps) == 288
-        assert all(r["scored"] <= r["shapes"] for r in stats.rounds)
-        scored = sum(r["scored"] for r in stats.rounds)
-        assert scored <= 0.15 * sum(r["shapes"] for r in stats.rounds)
+        shapes = [len(_oracles.grid_shapes(g, t)) for g, t, _ in _oracles.exhaustive_rounds(ps)]
+        assert len(shapes) == len(stats.rounds)
+        assert all(r["scored"] <= r["shapes"] <= n for r, n in zip(stats.rounds, shapes))
+        assert sum(r["scored"] for r in stats.rounds) <= 0.15 * sum(shapes)
+        assert sum(r["shapes"] for r in stats.rounds) <= 0.31 * sum(shapes)
 
     def test_full_tie_goes_to_least_pattern(self):
         # both pairs: ratio 4/3, compactness 1, coverage 4, size 2; the later
@@ -495,6 +499,35 @@ class TestGridRanking:
                         coverage=c.coverage,
                     ) == tec_quality(grid.tec(c.shape, c.translators), ps)
                     assert c.compresses() == (c.coverage > size + count - 1)
+
+
+# the entries of ORDERS whose leading figure has a bound (`discovery._BOUNDS`)
+BOUNDED_ORDERS = tuple(order for order in ORDERS if order[0] in ("cr", "cov", "size"))
+
+
+def check_round_work(ps):
+    """Each round builds the shapes of the columns whose size bound reaches its
+    best leading figure, and scores the candidate shapes whose own bound does."""
+    for order in BOUNDED_ORDERS:
+        stats = DiscoveryStats()
+        cosiatec(ps, order, stats)
+        rounds = list(_oracles.exhaustive_rounds(ps, order))
+        assert len(stats.rounds) == len(rounds)
+        for r, (grid, table, best) in zip(stats.rounds, rounds):
+            figure = _oracles.leading_figure(best, order)
+            assert r["shapes"] == len(_oracles.built_shapes(grid, table, order, figure)), order
+            assert r["scored"] == len(_oracles.bounded_shapes(grid, table, order, figure)), order
+
+
+class TestColumnBound:
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(fractional_pieces, dense_pieces))
+    def test_built_and_scored_shapes_match_bounds(self, ps):
+        check_round_work(ps)
+
+    @pytest.mark.parametrize("seed, occurrences", [(1, 2), (2, 3), (1, 6)])
+    def test_synthetic_pieces(self, seed, occurrences):
+        check_round_work(synth_piece(seed, occurrences))
 
 
 def exact(grid, coords):
@@ -710,16 +743,18 @@ class TestStats:
                   "coverage": 4, "emitted": True}
         first = [p.coord for p in ps.points]
         second = [c for c in first if c not in {p.coord for p in tecs[0].covered}]
-        assert [{k: v for k, v in r.items() if k != "scored"} for r in stats.rounds] == [
+        assert [{k: v for k, v in r.items() if k not in ("shapes", "scored")}
+                for r in stats.rounds] == [
             {
                 "points": len(coords),
                 "vectors": len(_oracles.brute_mtps(coords)),
-                "shapes": len(_oracles._brute_candidates(coords, True)),
                 "chosen": chosen,
             }
             for coords in (first, second)
         ]
-        assert all(1 <= r["scored"] <= r["shapes"] for r in stats.rounds)
+        for r, coords in zip(stats.rounds, (first, second)):
+            assert 1 <= r["scored"] <= r["shapes"] <= len(_oracles._brute_candidates(coords, True))
+        check_round_work(ps)
         assert set(stats.seconds) == {"table", "search", "rank", "emit"}
 
     def test_last_round_that_does_not_compress(self):

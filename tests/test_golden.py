@@ -13,7 +13,8 @@ does.  Outputs with numpy floats (`features`, `classify`, `importance`)
 are left out: their last digits may differ between numpy builds.
 A third test pins the work counters of `discover --stats` on synth seed
 5, every field but the wall times, so a change in search work shows even
-when timings are noisy.
+when timings are noisy; `shapes` counts the distinct candidate shapes a
+round built.
 """
 
 import hashlib
@@ -189,9 +190,15 @@ def _round(points, vectors, shapes, scored, chosen=None):
 GOLDEN_STATS = {
     "siatec": [_round(97, 2354, 408, 408)],
     "cosiatec": [
-        _round(97, 2354, 411, 69, (10, 4, "40/13", "10/19", 40, True)),
-        _round(57, 805, 116, 43, (8, 6, "40/13", "4/9", 40, True)),
-        _round(17, 133, 4, 3, (2, 2, "4/3", "2/3", 4, True)),
+        _round(97, 2354, 133, 69, (10, 4, "40/13", "10/19", 40, True)),
+        _round(57, 805, 50, 43, (8, 6, "40/13", "4/9", 40, True)),
+        _round(17, 133, 3, 3, (2, 2, "4/3", "2/3", 4, True)),
+        _round(13, 78, 1, 1, (1, 13, "1", "1", 13, False)),
+    ],
+    "cosiatec:size,cr": [
+        _round(97, 2354, 2, 1, (37, 2, "21/19", "37/93", 42, True)),
+        _round(55, 739, 4, 1, (29, 2, "19/15", "29/45", 38, True)),
+        _round(17, 133, 3, 3, (2, 2, "4/3", "1", 4, True)),
         _round(13, 78, 1, 1, (1, 13, "1", "1", 13, False)),
     ],
     "cosiatec:comp,size": [

@@ -411,8 +411,9 @@ def cmd_train_pp(args) -> int:
 # eval-boundaries
 
 
-def _boundaries_doc(doc) -> tuple[list[int], Fraction, Fraction, object]:
-    """The predicted boundaries, grid origin and resolution, and algorithm of a poll output."""
+def _boundaries_doc(doc) -> tuple[list[int], Fraction, Fraction, object, object]:
+    """The predicted boundaries, grid origin and resolution, algorithm and
+    piece id (None when absent) of a poll output."""
     resolution = core.to_time(doc.get("resolution", 1))
     if resolution <= 0:
         raise ValueError("resolution must be > 0")
@@ -421,12 +422,18 @@ def _boundaries_doc(doc) -> tuple[list[int], Fraction, Fraction, object]:
     for b in boundaries:
         if type(b) is not int:
             raise TypeError(f"a boundary must be a JSON integer, got {b!r}")
-    return boundaries, origin, resolution, doc.get("algorithm", "pp")
+    return boundaries, origin, resolution, doc.get("algorithm", "pp"), doc.get("piece")
 
 
 def cmd_eval_boundaries(args) -> int:
-    predicted, origin, resolution, algorithm = _read_json(args.pred, EXIT_PARSE, _boundaries_doc)
+    predicted, origin, resolution, algorithm, pred_piece = _read_json(
+        args.pred, EXIT_PARSE, _boundaries_doc
+    )
     piece_id, truth_records = _load_pattern_file(args.truth)
+    if pred_piece is not None and pred_piece != piece_id:
+        raise CliError(
+            EXIT_INCONSISTENT, f"truth piece id {piece_id!r} does not match {pred_piece!r}"
+        )
     truth = evaluation.truth_boundaries(truth_records, origin, resolution)
     prf = evaluation.boundary_prf(predicted, truth, args.tolerance)
     if args.out:
@@ -497,7 +504,8 @@ def cmd_features(args) -> int:
     return 0
 
 
-def _read_features_csv(path: str) -> analysis.LabeledDataset:
+def _read_features_csv(path: str) -> tuple[list[str], analysis.LabeledDataset]:
+    """The feature columns' header names, and the rows with their groups."""
     # line ends untranslated, as csv.reader expects: a quoted "\r" stays in its field
     reader = csv.reader(io.StringIO(_read_text(path, newline=""), newline=""))
     try:
@@ -519,7 +527,7 @@ def _read_features_csv(path: str) -> analysis.LabeledDataset:
         labels.append(row[label_col])
     if not X:
         raise CliError(EXIT_PARSE, f"{path}: no data rows")
-    return analysis.LabeledDataset(X, tuple(labels))
+    return [header[i] for i in feature_cols], analysis.LabeledDataset(X, tuple(labels))
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +535,7 @@ def _read_features_csv(path: str) -> analysis.LabeledDataset:
 
 
 def cmd_classify(args) -> int:
-    dataset = _read_features_csv(args.features)
+    _, dataset = _read_features_csv(args.features)
     kinds = [k.strip() for k in args.classifiers.split(",") if k.strip()]
     spec = {}
     for kind in kinds:
@@ -547,10 +555,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_importance(args) -> int:
-    dataset = _read_features_csv(args.features)
+    names, dataset = _read_features_csv(args.features)
     if len(set(dataset.labels)) < 2:
         raise CliError(EXIT_CONFIG, "need at least 2 groups for importance analysis")
-    names = analysis.FEATURE_NAMES if dataset.X.shape[1] == len(analysis.FEATURE_NAMES) else None
     report = analysis.feature_importance(
         dataset.X, list(dataset.labels), feature_names=names,
         runs=args.runs, trees=args.trees, seed=args.seed,

@@ -1,10 +1,12 @@
 """Synthetic pieces: planted pattern templates concatenated with random filler.
 
 A piece is a shuffled sequence of template placements separated by random
-segments of notes and rests (crotchet slots only).  Ground-truth records
-carry every placement, and the total random duration always stays under
-the configured fraction of the piece.  Generation is a pure function of
-the config, seed included.
+filler: one-crotchet slots, each a crotchet note or a crotchet rest.
+Templates keep their own note and rest durations, and all time, filler
+lengths and repeat distances included, is counted in crotchets.
+Ground-truth records carry every placement, and the total random duration
+always stays under the configured fraction of the piece.  Generation is a
+pure function of the config, seed included.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from motifkit.core import PatternOccurrence, PatternRecord, Point, PointSet, subseed
+from motifkit.core import over_common_denominator
 
 REST = None
 
@@ -32,10 +35,8 @@ class PatternTemplate:
     def __post_init__(self):
         if not self.notes:
             raise ValueError("template must contain at least one note")
-
-    @property
-    def length(self) -> int:
-        return len(self.notes)
+        if any(d <= 0 for _, d in self.notes):
+            raise ValueError(f"template {self.name}: note and rest durations must be > 0")
 
     @property
     def duration(self) -> Fraction:
@@ -99,9 +100,9 @@ class SyntheticPiece:
 def sample_random_segment(
     length: int, config: SynthConfig, stream: int = 0
 ) -> list[int | None]:
-    """Random crotchet slots: rest with the configured probability, else a
-    uniform chromatic pitch in the template range.  Deterministic in
-    (config.seed, stream)."""
+    """`length` random one-crotchet slots: a rest with the configured
+    probability, else a uniform chromatic pitch in the template range.
+    Deterministic in (config.seed, stream)."""
     if length < 0:
         raise ValueError("length must be >= 0")
     rng = random.Random(subseed(config.seed, "segment", stream))
@@ -116,47 +117,47 @@ def sample_random_segment(
 
 
 def _repeat_distances(
-    placements: list[PatternTemplate], lengths: list[int]
+    placements: list[PatternTemplate], ticks: dict[str, int], den: int, lengths: list[int]
 ) -> set[int]:
-    """Distance between consecutive same-template placements, in slots."""
-    onset = lengths[0]
+    """Distance between consecutive same-template placements, in 1/`den`
+    crotchets; `ticks` holds each template's duration in them."""
+    onset = lengths[0] * den
     starts: dict[str, list[int]] = {}
-    for i, t in enumerate(placements):
+    for t, gap in zip(placements, lengths[1:]):
         starts.setdefault(t.name, []).append(onset)
-        onset += t.length + lengths[i + 1]
+        onset += ticks[t.name] + gap * den
     return {b - a for s in starts.values() for a, b in zip(s, s[1:])}
 
 
 def _segment_lengths(
     config: SynthConfig, placements: list[PatternTemplate]
 ) -> list[int]:
-    """Lengths for the [lead, inner*, trail] random segments, cap-clamped.
+    """Crotchets in the [lead, inner*, trail] filler segments, cap-clamped.
 
-    Inner segments always keep at least one slot while the budget allows,
-    so consecutive placements never touch; lead and trail are dropped
-    first when the cap bites.  Inner lengths are redrawn while any two
-    templates' repeat distances coincide, keeping each planted pattern's
-    repeat vector unique so the patterns cannot alias one another.
+    Each length is drawn from 1–8, up to 64 times, until no two repeat
+    distances coincide, so that no template's repeat vector aliases
+    another's; a repeat within one template also counts as a collision.
+    If every draw collides, the last one is kept.  Inner segments always
+    keep at least one crotchet while the budget allows, so consecutive
+    placements never touch; lead and trail are dropped first when the cap
+    bites.
     """
     rng = random.Random(subseed(config.seed, "lengths"))
     n_segments = len(placements) + 1
-    expected = sum(
-        config.occurrences_per_template - 1 for _ in {t.name for t in placements}
-    )
+    numerators, den = over_common_denominator(t.duration for t in config.templates)
+    ticks = {t.name: n for t, n in zip(config.templates, numerators)}
+    expected = (config.occurrences_per_template - 1) * len(ticks)
     for _ in range(64):
         lengths = [rng.randint(1, 8) for _ in range(n_segments)]
-        if len(_repeat_distances(placements, lengths)) == expected:
+        if len(_repeat_distances(placements, ticks, den, lengths)) == expected:
             break
-    template_slots = sum(t.length for t in placements)
-
-    def within_cap(total_random: int) -> bool:
-        return Fraction(total_random) < config.random_fraction_cap * (
-            template_slots + total_random
-        )
-
+    # filler r is under cap × (templates + r) exactly when r < budget,
+    # and budget > 0, so shrinking ends by r = 0 at the latest
+    cap = config.random_fraction_cap
+    budget = cap / (1 - cap) * Fraction(sum(ticks[t.name] for t in placements), den)
     # shrink order: trail, lead, then inner segments round robin down to 1,
     # finally inner segments to 0
-    while not within_cap(sum(lengths)) and sum(lengths) > 0:
+    while sum(lengths) >= budget:
         if lengths[-1] > 0:
             lengths[-1] -= 1
         elif lengths[0] > 0:
@@ -175,8 +176,9 @@ def synthesize(config: SynthConfig) -> SyntheticPiece:
     """Generate a piece with planted templates and its ground truth.
 
     The placement order is a seeded shuffle of every template repeated the
-    configured number of times; random segments fill the gaps.  Onsets are
-    assigned cumulatively from zero, one crotchet per slot.
+    configured number of times; random one-crotchet slots fill the gaps.
+    Onsets run from zero in crotchets: a template note advances by its own
+    duration, a filler slot by one.
     """
     placements = [
         t for t in config.templates for _ in range(config.occurrences_per_template)
@@ -188,18 +190,14 @@ def synthesize(config: SynthConfig) -> SyntheticPiece:
     points: list[Point] = []
     occurrences: dict[str, list[PatternOccurrence]] = {t.name: [] for t in config.templates}
     now = Fraction(0)
-    random_slots = 0
-
-    def emit_random(length: int, stream: int):
-        nonlocal now, random_slots
-        for pitch in sample_random_segment(length, config, stream=stream):
+    for i, length in enumerate(lengths):
+        for slot, pitch in enumerate(sample_random_segment(length, config, stream=i)):
             if pitch is not REST:
-                points.append(Point(now, pitch, Fraction(1)))
-            now += 1
-            random_slots += 1
-
-    emit_random(lengths[0], stream=0)
-    for i, template in enumerate(placements):
+                points.append(Point(now + slot, pitch, Fraction(1)))
+        now += length
+        if i == len(placements):
+            break
+        template = placements[i]
         placed = []
         for pitch, duration in template.notes:
             if pitch is not None:
@@ -207,7 +205,6 @@ def synthesize(config: SynthConfig) -> SyntheticPiece:
             now += duration
         points.extend(placed)
         occurrences[template.name].append(PatternOccurrence(tuple(placed)))
-        emit_random(lengths[i + 1], stream=i + 1)
 
     truth = tuple(
         PatternRecord(GROUND_TRUTH_ID, t.name, tuple(occurrences[t.name]))
@@ -219,7 +216,7 @@ def synthesize(config: SynthConfig) -> SyntheticPiece:
         ground_truth=truth,
         seed=config.seed,
         total_duration=now,
-        random_duration=Fraction(random_slots),
+        random_duration=Fraction(sum(lengths)),
     )
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from motifkit import cli, polling
+from motifkit import analysis, cli, polling
 from motifkit.cli import main
 from motifkit.core import (
     PatternOccurrence,
@@ -383,6 +383,21 @@ class TestEvalBoundaries:
                    "--out", synth_dir / "eval.csv") == 0
         assert read_rows(synth_dir / "eval.csv") == read_rows(out / "piece.scores.csv")
 
+    def test_pred_piece_must_match_truth(self, tmp_path, capsys):
+        for name, seed in (("a", 1), ("b", 2)):
+            assert run("synth", "--seed", seed, "--name", name, "--out-dir", tmp_path,
+                       "--quiet") == 0
+        assert run("poll", "--in", tmp_path / "a.truth.json", "--out-dir", tmp_path / "poll",
+                   "--quiet") == 0
+        pred = tmp_path / "poll" / "a.boundaries.json"
+        capsys.readouterr()
+        assert run("eval-boundaries", "--pred", pred, "--truth", tmp_path / "b.truth.json",
+                   "--out", tmp_path / "eval.csv") == 4
+        err = capsys.readouterr().err
+        assert "'b' does not match 'a'" in err and "Traceback" not in err
+        assert not (tmp_path / "eval.csv").exists()
+        assert run("eval-boundaries", "--pred", pred, "--truth", tmp_path / "a.truth.json") == 0
+
     def test_long_matching_chain(self, tmp_path, capsys):
         records = [PatternRecord("t", f"p{i}", (PatternOccurrence((Point(F(i), 60),)),))
                    for i in range(1200)]
@@ -536,6 +551,29 @@ class TestClassifyImportance:
         doc = json.loads(out.read_text())
         assert len(doc["features"]) == 26
         assert all(f["status"] in ("confirmed", "tentative", "rejected") for f in doc["features"])
+
+    def test_importance_names_features_by_header(self, synth_dir, features_csv):
+        with open(features_csv, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0][-1] == "group"
+        reordered = synth_dir / "reordered.csv"
+        with open(reordered, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([row[-1], *reversed(row[:-1])] for row in rows)
+        out = synth_dir / "imp.json"
+        assert run("importance", "--features", reordered, "--runs", 2, "--trees", 5,
+                   "--out", out, "--quiet") == 0
+        names = [f["name"] for f in json.loads(out.read_text())["features"]]
+        assert names == list(reversed(analysis.FEATURE_NAMES))
+        # beta is noise, alpha gives the group away
+        renamed = synth_dir / "renamed.csv"
+        lines = ["beta,alpha,group"] + [
+            f"{(i * 7) % 5},{i % 4 + 10 * (g == 'b')},{g}" for g in "ab" for i in range(12)
+        ]
+        renamed.write_text("\n".join(lines) + "\n")
+        assert run("importance", "--features", renamed, "--runs", 4, "--trees", 20,
+                   "--out", out, "--quiet") == 0
+        status = {f["name"]: f["status"] for f in json.loads(out.read_text())["features"]}
+        assert status["alpha"] == "confirmed" and status["beta"] != "confirmed"
 
 
 class TestFlags:

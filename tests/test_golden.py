@@ -14,13 +14,19 @@ are left out: their last digits may differ between numpy builds.
 A third test pins the work counters of `discover --stats` on synth seed
 5, every field but the wall times, so a change in search work shows even
 when timings are noisy; `shapes` counts the distinct candidate shapes a
-round built.
+round built.  A fourth pins `synthesize` itself on the default templates:
+seeds 0–19 at 2, 3, 4 and 6 occurrences, the pieces the recovery ladder
+and the benchmark's cover workload draw.
 """
 
 import hashlib
 import json
 
+import pytest
+
 from motifkit.cli import main
+from motifkit.core import dump_pattern_json, emit_points_csv, format_time
+from motifkit.synthesis import GROUND_TRUTH_ID, SynthConfig, synthesize
 
 DISCOVER = {
     "sia": "sia",
@@ -219,3 +225,25 @@ def test_stats_counters_match_golden(tmp_path):
         doc = json.loads(stats.read_text())
         assert set(doc.pop("seconds")) == {"table", "search", "rank", "emit"}
         assert doc == {"piece": "p", "algorithm": spec, "rounds": len(rounds), "per_round": rounds}
+
+
+# sha256 over seeds 0–19 of each piece's CSV, its truth JSON and its total
+# and random durations, per occurrence count; taken from an earlier build
+GOLDEN_SYNTH = {
+    2: "7215a55069909bbd626cec8bbd98b1fd1b95003dec550612e5a205915682bb7b",
+    3: "827f708fe3bd47c51384e2b64c4ad0e6688073ddc1859a1e013dafb0d14c7bf5",
+    4: "929557f40b0a5583cf096c24217ab6a1b5541a3968692dc5a0ff0db6e6907870",
+    6: "38eac403a70dbce1a414dd4d447841dfee848dd57f54c49704426298228a7df4",
+}
+
+
+@pytest.mark.parametrize("occurrences", sorted(GOLDEN_SYNTH))
+def test_synthesized_pieces_match_golden_digests(occurrences):
+    digest = hashlib.sha256()
+    for seed in range(20):
+        sp = synthesize(SynthConfig(seed=seed, occurrences_per_template=occurrences))
+        digest.update(emit_points_csv(sp.piece).encode())
+        digest.update(dump_pattern_json("p", GROUND_TRUTH_ID, sp.ground_truth).encode())
+        durations = f"{format_time(sp.total_duration)},{format_time(sp.random_duration)}\n"
+        digest.update(durations.encode())
+    assert digest.hexdigest() == GOLDEN_SYNTH[occurrences]

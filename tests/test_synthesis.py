@@ -2,12 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from motifkit.core import Point
+from motifkit.core import Point, over_common_denominator
 from motifkit.discovery import Vector2, sia
 from motifkit.synthesis import (
     PatternTemplate,
     SynthConfig,
+    _repeat_distances,
+    _segment_lengths,
     sample_random_segment,
     synthesize,
     template_p1,
@@ -36,6 +39,15 @@ class TestTemplates:
     def test_empty_template_rejected(self):
         with pytest.raises(ValueError):
             PatternTemplate("empty", ())
+
+    @pytest.mark.parametrize("notes", [
+        ((60, F(1)), (None, F(-1)), (62, F(1))),
+        ((60, F(0)),),
+        ((60, F(1, 2)), (62, F(-1, 4))),
+    ])
+    def test_non_positive_durations_rejected(self, notes):
+        with pytest.raises(ValueError, match="durations must be > 0"):
+            PatternTemplate("bad", notes)
 
 
 class TestRandomSegment:
@@ -153,3 +165,50 @@ class TestDiscoveryBridge:
                         v = Vector2(dt, 0)
                         planted = {p.coord for p in occs[i].points}
                         assert planted <= mtps[v]
+
+
+def _template(name, pitch, duration, length):
+    return PatternTemplate(name, tuple((pitch + i % 5, duration) for i in range(length)))
+
+
+_durations = st.sampled_from([F(1, 4), F(1, 3), F(1, 2), F(1), F(3, 2), F(2)])
+# a template opens with a note, so its first point marks where it was placed
+_templates = st.lists(
+    st.lists(st.tuples(st.one_of(st.integers(48, 84), st.none()), _durations),
+             min_size=0, max_size=7).map(lambda rest: [(60, F(1))] + rest),
+    min_size=1, max_size=3,
+).map(lambda notes: tuple(PatternTemplate(f"T{i}", tuple(n)) for i, n in enumerate(notes)))
+
+
+class TestOneClock:
+    """Filler, templates, the cap and the repeat distances all count crotchets."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(templates=_templates, occurrences=st.integers(2, 4),
+           cap=st.sampled_from([F(1, 10), F(1, 3), F(1, 2), F(9, 10)]),
+           seed=st.integers(0, 2**32 - 1))
+    # semiquaver templates: the cap holds only if it reads their durations
+    @example(templates=(_template("A", 60, F(1, 4), 20), _template("B", 70, F(1, 4), 20)),
+             occurrences=2, cap=F(1, 2), seed=1)
+    # quavers and crotchets: a note counted as one crotchet shares a distance
+    @example(templates=(_template("Q", 60, F(1, 2), 20), _template("C", 70, F(1), 10)),
+             occurrences=3, cap=F(1, 2), seed=2)
+    def test_cap_durations_and_repeat_distances(self, templates, occurrences, cap, seed):
+        config = SynthConfig(templates=templates, occurrences_per_template=occurrences,
+                             random_fraction_cap=cap, seed=seed)
+        sp = synthesize(config)
+        assert sp.random_duration < cap * sp.total_duration or sp.random_duration == 0
+        assert sp.random_duration == sp.total_duration - occurrences * sum(
+            t.duration for t in templates)
+        by_name = {t.name: t for t in templates}
+        starts = sorted((occ.points[0].onset, rec.pattern_id)
+                        for rec in sp.ground_truth for occ in rec.occurrences)
+        placements = [by_name[name] for _, name in starts]
+        lengths = _segment_lengths(config, placements)
+        numerators, den = over_common_denominator(t.duration for t in templates)
+        ticks = {t.name: n for t, n in zip(templates, numerators)}
+        measured = set()
+        for rec in sp.ground_truth:
+            onsets = sorted(occ.points[0].onset for occ in rec.occurrences)
+            measured |= {(b - a) * den for a, b in zip(onsets, onsets[1:])}
+        assert measured == _repeat_distances(placements, ticks, den, lengths)

@@ -3,6 +3,13 @@
 All three are deterministic given their seed, vote ties resolve to the
 smallest class index, and the forest exposes Gini impurity importances so
 the feature-importance analysis does not depend on an external learner.
+
+The forest grows level by level.  Each tree has its own random stream: it
+draws its bootstrap rows first, then one block of feature draws per depth
+for its splitting nodes in level order.  So every tree of the forest grows
+at once, and each depth takes all its splits from one sort over the live
+rows.  The fitted forest is flat node arrays (feature, threshold, class,
+left child, right child) in level order.
 """
 
 from __future__ import annotations
@@ -22,94 +29,89 @@ def _as_arrays(X, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# CART + random forest
+# Random forest
 
 
-class _Tree:
-    """CART with the Gini criterion and per-node feature subsampling.
+def _rank_codes(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each feature's values as ranks among its distinct values, and those values.
 
-    A node counts its rows once, in a table over (drawn feature, level,
-    class) of max_features x (most levels of a feature) x classes
-    integers. A feature has no more levels than the fit has rows, at
-    most about 400 here, so the table stays small. A threshold follows
-    each level present in the node but the feature's last, and its left
-    counts are the table's running sum over levels. The least weighted
-    Gini wins; ties go to the feature drawn first, then to the lowest
-    threshold.
-
-    Nodes are flat lists in pre-order, grown left child first so the
-    feature draws keep their order. A leaf is its own left and right
-    child on feature 0, so `predict` walks every row `depth` steps.
+    ``ranks[f, i]`` is the rank of ``X[i, f]`` and ``values[f, a]`` feature f's
+    a-th least distinct value; NaNs are one value, the greatest, as in `np.unique`.
     """
+    order = np.argsort(X, axis=0)
+    ordered = np.take_along_axis(X, order, axis=0)
+    new = np.ones(X.shape, dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]) & ~(np.isnan(ordered[1:]) & np.isnan(ordered[:-1]))
+    level = np.cumsum(new, axis=0) - 1
+    ranks = np.empty(X.shape[::-1], dtype=np.int64)
+    np.put_along_axis(ranks.T, order, level, axis=0)
+    values = np.zeros((X.shape[1], int(level[-1].max(initial=0)) + 1))
+    row, col = np.nonzero(new)
+    values[col, level[row, col]] = ordered[row, col]
+    return ranks, values
 
-    def __init__(self, n_classes: int, max_features: int, rng: np.random.Generator):
-        self.n_classes = n_classes
-        self.max_features = max_features
-        self.rng = rng
 
-    def fit(self, codes: np.ndarray, levels: list[np.ndarray], y: np.ndarray) -> "_Tree":
-        """Grow on rank codes: row i's value of feature f is ``levels[f][codes[i, f]]``."""
-        self.importances = np.zeros(codes.shape[1])
-        self.nodes: list[list] = []  # [feature, threshold, value, left, right]
-        self.depth, self.width = 0, max(map(len, levels), default=0)
-        self._grow(codes, levels, y, np.arange(len(y)), 0)
-        return self
+def _best_splits(keys: np.ndarray, counts: np.ndarray, width: int, mtry: int) -> tuple:
+    """Each node's least weighted-Gini threshold, from its rows' sorted keys.
 
-    def _grow(self, codes, levels, y, idx: np.ndarray, depth: int) -> int:
-        node, n, k = len(self.nodes), idx.size, self.n_classes
-        counts = np.bincount(y[idx], minlength=k)
-        self.nodes.append([0, 0.0, int(np.argmax(counts)), node, node])
-        self.depth = max(self.depth, depth)
-        if n < 2:
-            return node
-        node_gini = float(1.0 - np.sum((counts / n) ** 2))
-        if node_gini == 0.0:
-            return node
-        features = self.rng.choice(codes.shape[1], size=self.max_features, replace=False)
-        m, width = len(features), self.width
-        cells = (np.arange(m) * width + codes[idx[:, None], features]) * k + y[idx, None]
-        table = np.bincount(cells.ravel(), minlength=m * width * k).reshape(m, width, k)
-        left = table.cumsum(axis=1)
-        sizes = left.sum(axis=2)
-        # the thresholds, ordered by draw, then level
-        drawn, level = np.nonzero(table.any(axis=2) & (sizes < n))
-        if not drawn.size:
-            return node
-        left_counts, nl = left[drawn, level], sizes[drawn, level]
-        nr = n - nl
-        gl = 1.0 - np.sum((left_counts / nl[:, None]) ** 2, axis=1)
-        gr = 1.0 - np.sum(((counts - left_counts) / nr[:, None]) ** 2, axis=1)
-        weighted = (nl * gl + nr * gr) / n
-        best = int(np.argmin(weighted))
-        j, a = drawn[best], level[best]
-        f = int(features[j])
-        b = int(np.argmax(sizes[j] > sizes[j, a]))  # the next level present in the node
-        lo, hi = float(levels[f][a]), float(levels[f][b])
-        # the midpoint of adjacent floats can round up to the upper one, or overflow
-        threshold = (lo + hi) / 2.0 if (lo + hi) / 2.0 < hi else lo
-        self.importances[f] += (n / len(y)) * (node_gini - float(weighted[best]))
-        below = codes[idx, f] <= a
-        self.nodes[node][:2] = f, threshold
-        self.nodes[node][3] = self._grow(codes, levels, y, idx[below], depth + 1)
-        self.nodes[node][4] = self._grow(codes, levels, y, idx[~below], depth + 1)
-        return node
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        feature, threshold, value, left, right = map(np.array, zip(*self.nodes))
-        rows, at = np.arange(len(X)), np.zeros(len(X), dtype=int)
-        for _ in range(self.depth):
-            at = np.where(X[rows, feature[at]] <= threshold[at], left[at], right[at])
-        return value[at]
+    ``keys`` holds ((node * mtry + draw) * width + level) * k + class for each
+    row of each node and each of its `mtry` drawn features, sorted; ``counts``
+    are the nodes' class counts.  A threshold follows each level present in a
+    node's feature but its last.  Ties go to the first draw, then the lowest
+    level.  Returns, per node with a threshold in node order: the node, its
+    draw, the level, the next level present and the weighted Gini.
+    """
+    k = counts.shape[1]
+    last = np.append(keys[1:] != keys[:-1], keys.size > 0).nonzero()[0]  # each cell's last key
+    cells = keys[last] // k
+    held = np.zeros((last.size + 1, k), dtype=np.int64)  # class counts up to each cell
+    held[np.arange(1, last.size + 1), keys[last] % k] = np.diff(last, prepend=-1)
+    np.cumsum(held, axis=0, out=held)
+    group = cells // width
+    end = ((group[:-1] == group[1:]) & (cells[:-1] != cells[1:])).nonzero()[0]
+    left = held[end + 1] - held[np.searchsorted(group, group[end])]
+    node = group[end] // mtry
+    nl = left.sum(axis=1)
+    n = counts.sum(axis=1)[node]
+    nr = n - nl
+    gl = 1.0 - ((left / nl[:, None]) ** 2).sum(axis=1)
+    gr = 1.0 - (((counts[node] - left) / nr[:, None]) ** 2).sum(axis=1)
+    weighted = (nl * gl + nr * gr) / n
+    # the first candidate at its node's least weighted Gini
+    first = np.diff(node, prepend=-1).nonzero()[0]
+    low = np.repeat(np.minimum.reduceat(weighted, first), np.diff(first, append=node.size))
+    best = (weighted == low).nonzero()[0]
+    best = best[np.diff(node[best], prepend=-1).nonzero()[0]]
+    end = end[best]
+    return node[best], group[end] % mtry, cells[end] % width, cells[end + 1] % width, weighted[best]
 
 
 @dataclass
 class RandomForest:
-    """Bootstrap-aggregated CART trees with majority vote.
+    """Bootstrap-aggregated CART trees with the Gini criterion and majority vote.
 
-    Each split tries round(sqrt(d)) of the d features, at least one;
+    Each split tries m = round(sqrt(d)) of the d features, at least one.
+    Tree t draws from its own stream, ``SeedSequence(seed).spawn(trees)[t]``:
+    first its n bootstrap rows, then, at each depth, one ``random((nodes,
+    d))`` block for its splitting nodes in level order, a node trying the
+    first m columns of its row's stable argsort.  A node is a leaf when it
+    holds fewer than 2 rows, is pure, or its drawn features are constant
+    in it.  Otherwise the least weighted Gini wins; ties go to the feature
+    drawn first, then to the lowest threshold, the midpoint between the
+    level and the next one present in the node.
+
+    `fit` rank-encodes each feature once and grows every tree of the
+    forest together, one depth at a time: one sort of (node, drawn feature,
+    level, class) keys over the live bootstrap rows, and a running class
+    count along it, give every open node's thresholds (`_best_splits`), so
+    a depth costs its rows times m, whatever its node count.  The forest is
+    flat arrays over its nodes in level order, roots 0 to trees - 1:
+    feature, threshold, class, left and right child.  A leaf is its own left
+    and right child on feature 0, so `predict` walks every row through
+    every tree `depth` steps and votes with one `bincount`.
     `feature_importances_` is the tree-averaged Gini impurity decrease,
-    normalized to sum to one. `fit` rank-encodes each feature once, and
-    every tree grows on the codes of its bootstrap sample.
+    n/N x (gini - weighted gini) per split for a node of n of the N
+    bootstrap rows, normalized to sum to one.
     """
 
     trees: int = 200
@@ -122,32 +124,95 @@ class RandomForest:
             raise ValueError(f"trees must be >= 1, got {self.trees}")
 
     def fit(self, X, y) -> "RandomForest":
-        X, codes, classes = _as_arrays(X, y)
+        X, y, classes = _as_arrays(X, y)
         self.classes_ = classes
         n, d = X.shape
+        k, trees = len(classes), self.trees
         mtry = min(max(1, int(round(d**0.5))), d)
-        rng = np.random.default_rng(self.seed)
-        self._forest = []
-        importances = np.zeros(d)
-        levels, ranks = [], np.empty(X.shape, dtype=int)
-        for f, column in enumerate(X.T):
-            values, ranks[:, f] = np.unique(column, return_inverse=True)
-            levels.append(values)
-        for _ in range(self.trees):
-            sample = rng.integers(0, n, size=n)
-            tree = _Tree(len(classes), mtry, rng).fit(ranks[sample], levels, codes[sample])
-            self._forest.append(tree)
-            importances += tree.importances
-        importances /= self.trees
-        total = importances.sum()
-        self.feature_importances_ = importances / total if total > 0 else importances
+        ranks, values = _rank_codes(X)
+        width = values.shape[1]
+        # a row's (level, class) of feature f is ranked[f * n + row]: level * k + class
+        ranked = (ranks * k + y).ravel()
+        streams = [np.random.default_rng(s) for s in np.random.SeedSequence(self.seed).spawn(trees)]
+        rows = np.concatenate([rng.integers(0, n, size=n) for rng in streams])
+        at = np.repeat(np.arange(trees), n)  # each live row's node among the open ones
+        tree_of = np.arange(trees)  # the open nodes' trees, in level order
+        importances = np.zeros((trees, d))
+        levels, first = [], 0  # per depth: (feature, threshold, class, left, right)
+        while True:
+            count = len(tree_of)
+            ids = np.arange(first, first + count)
+            counts = np.bincount(at * k + y[rows], minlength=count * k).reshape(count, k)
+            size = counts.sum(axis=1)
+            gini = 1.0 - ((counts / size[:, None]) ** 2).sum(axis=1)
+            split = ((size >= 2) & (gini != 0.0)).nonzero()[0]
+            leaves = (np.zeros(count, dtype=np.int64), np.zeros(count), counts.argmax(axis=1))
+            level = (*leaves, ids, ids.copy())  # a leaf is its own left and right child
+            levels.append(level)
+            first += count
+            if not split.size:
+                break
+            # one draw per tree for its splitting nodes, in level order
+            per_tree = np.bincount(tree_of[split], minlength=trees)
+            draws = [streams[t].random((c, d)) for t, c in enumerate(per_tree) if c]
+            drawn = np.argsort(np.concatenate(draws), axis=1, kind="stable")[:, :mtry]
+            slot = np.full(count, -1)
+            slot[split] = np.arange(split.size)
+            live = slot[at] >= 0
+            r, j = rows[live], slot[at[live]]
+            # every live row of a splitting node, once per drawn feature, as its key,
+            # built in place to keep one (m, rows) array at a time
+            keys = np.take(drawn.T * n, j, axis=1)
+            keys += r
+            keys = ranked[keys]
+            keys += j * (mtry * width * k)
+            keys += np.arange(mtry)[:, None] * (width * k)
+            keys = keys.ravel()
+            keys.sort()
+            won, draw, a, b, weighted = _best_splits(keys, counts[split], width, mtry)
+            if not won.size:
+                break
+            f = drawn[won, draw]
+            lo, hi = values[f, a], values[f, b]
+            # the midpoint of adjacent floats can round up to the upper one, or overflow
+            mid = (lo + hi) / 2.0
+            at_node = split[won]
+            gain = (size[at_node] / n) * (gini[at_node] - weighted)
+            np.add.at(importances, (tree_of[at_node], f), gain)
+            children = first + 2 * np.arange(won.size)
+            feature, threshold, _, lefts, rights = level
+            feature[at_node], threshold[at_node] = f, np.where(mid < hi, mid, lo)
+            lefts[at_node], rights[at_node] = children, children + 1
+            # route the rows of the split nodes to their children
+            child = np.full(count, -1)
+            child[at_node] = np.arange(won.size)
+            w = child[at]
+            kept = w >= 0
+            rows, w = rows[kept], w[kept]
+            at = 2 * w + (ranks[f[w], rows] > a[w])
+            tree_of = np.repeat(tree_of[at_node], 2)
+        self._nodes = tuple(map(np.concatenate, zip(*levels)))
+        self._depth = len(levels) - 1  # every level but the last splits a node
+        self._importances = importances
+        mean = importances.sum(axis=0) / trees
+        total = mean.sum()
+        self.feature_importances_ = mean / total if total > 0 else mean
         return self
+
+    def _walk(self, X: np.ndarray) -> np.ndarray:
+        """The class code each tree gives each row: (rows, trees)."""
+        feature, threshold, value, left, right = self._nodes
+        rows = np.arange(len(X))[:, None]
+        at = np.broadcast_to(np.arange(self.trees), (len(X), self.trees))
+        for _ in range(self._depth):
+            at = np.where(X[rows, feature[at]] <= threshold[at], left[at], right[at])
+        return value[at]
 
     def predict(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        votes = np.zeros((len(X), len(self.classes_)), dtype=int)
-        for tree in self._forest:
-            votes[np.arange(len(X)), tree.predict(X)] += 1
+        k = len(self.classes_)
+        cells = np.arange(len(X))[:, None] * k + self._walk(X)
+        votes = np.bincount(cells.ravel(), minlength=len(X) * k).reshape(len(X), k)
         return self.classes_[np.argmax(votes, axis=1)]
 
 

@@ -187,9 +187,11 @@ class PatternOccurrence:
     """One temporally placed instance of a pattern."""
 
     points: tuple[Point, ...]
-    # [start, end): start = min onset, end = max onset + that note's duration;
-    # set once at construction, and ignored by equality, hashing and repr
-    span: tuple[Fraction, Fraction] = field(init=False, repr=False, compare=False)
+    # [start, end): start = min onset, end = max onset + that note's duration,
+    # an int when both are integral (it compares, hashes and formats as the
+    # equal Fraction); set once at construction, and ignored by equality,
+    # hashing and repr
+    span: tuple[Fraction, Fraction | int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.points:
@@ -200,7 +202,11 @@ class PatternOccurrence:
         k = len(points) - 1
         while k and points[k - 1].onset == last_onset:
             k -= 1
-        end = last_onset + max(p.duration for p in points[k:])
+        duration = max(p.duration for p in points[k:])
+        if last_onset.denominator == 1 == duration.denominator:
+            end = last_onset.numerator + duration.numerator
+        else:
+            end = last_onset + duration
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "span", (points[0].onset, end))
 

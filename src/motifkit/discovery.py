@@ -459,7 +459,9 @@ DEFAULT_ORDER = ("cr", "comp", "cov", "size")
 # translator), the remaining point count and m.  Coverage is at most s*t,
 # and s*t/(s+t-1) never falls as t grows.  Capping the ratio's coverage at
 # the point count would make it fall as t grows, and the bound fail.  None
-# falls as s or t grows, so s = k, t = rest caps a column of k origins.
+# falls as s or t grows, so s = k, t = the longest column caps a column of
+# k >= 2 origins, whose shapes have at least 2 points; a one-origin column's
+# single point has every remaining point as a translator, so t = rest.
 _BOUNDS: dict[str, Callable[[int, int, int, int], int]] = {
     "cr": lambda s, t, rest, m: s * t * m // (s + t - 1),
     "cov": lambda s, t, rest, m: min(s * t, rest),
@@ -495,17 +497,18 @@ def _rank_key(order: Sequence[str], n: int) -> Callable[[_Candidate], tuple]:
 
 def _leading_bound(order: Sequence[str], n: int) -> tuple[Callable, Callable]:
     """`_BOUNDS` on the leading figure under `_rank_key(order, n)`, of a shape and of a
-    column of k origins; compactness has none that the table gives, so infinite ones."""
+    column of k origins whose shapes have at most t translators; compactness has none
+    that the table gives, so infinite ones."""
     f = _BOUNDS.get((*order, *DEFAULT_ORDER)[0])
     if f is None:
-        return (lambda shape, table, rest: math.inf), (lambda k, rest: math.inf)
+        return (lambda shape, table, rest: math.inf), (lambda k, t, rest: math.inf)
     m = 4 * n * n
 
     def bound(shape: tuple[_Coord, ...], table: _Table, rest: int) -> int:
         t = min(map(len, map(table.__getitem__, shape[1:])), default=rest)
         return f(len(shape), t, rest, m)
 
-    return bound, lambda k, rest: f(k, rest, rest, m)
+    return bound, lambda k, t, rest: f(k, t, rest, m)
 
 
 def _best(
@@ -513,12 +516,15 @@ def _best(
 ) -> tuple[_Candidate, set, int]:
     """A round's least-keyed candidate, the distinct shapes built, and the count scored.
 
-    Columns, longest first, are built while their bound `cap` reaches the best
-    leading figure `lead`, shapes filed by exact bound; the shapes above `cap`,
-    then the rest, are scored best bound first until a bound is strictly below `lead`.
+    Columns, by descending bound `cap` (longest first, the one-origin columns,
+    which share one shape, a single point, at their own bound), are built while
+    `cap` reaches the best leading figure `lead`, shapes filed by exact bound; the
+    shapes above `cap`, then the rest, are scored best bound first until a bound
+    is strictly below `lead`.
     """
     shape_bound, column_bound = bounds
     rest = len(grid.coords)
+    longest = len(columns[0]) if columns else 0
     heap, by_bound, built = [], {}, set()  # heap: the negated keys of by_bound
     best, best_key, lead, scored = None, None, -math.inf, 0
 
@@ -532,14 +538,29 @@ def _best(
                 if best_key is None or c_key < best_key:
                     best, best_key, lead = c, c_key, -c_key[0]
 
-    for k, group in groupby(columns, len):
-        cap = column_bound(k, rest)
+    def walk() -> Iterable[tuple[int, Iterable[list[_Coord]]]]:
+        """Column groups as (cap, columns) by descending cap; the one-origin columns,
+        which share one shape, as one column at their own cap."""
+        ones = [columns[-1]] if columns and len(columns[-1]) == 1 else []
+        one_cap = column_bound(1, rest, rest)
+        for k, group in groupby(columns, len):
+            if k < 2:
+                break
+            cap = column_bound(k, longest, rest)
+            if ones and one_cap > cap:
+                yield one_cap, ones
+                ones = []
+            yield cap, group
+        if ones:
+            yield one_cap, ones
+
+    for cap, group in walk():
         score_above(cap)
         if cap < lead:
             break
         for origins in group:
             shapes = [_shape(origins)]
-            if k > 2:  # a 2-point MTP's only segment is itself
+            if len(origins) > 2:  # a 2-point MTP's only segment is itself
                 shapes += map(_shape, _segments(origins, grid, 1, 2))
             for s in shapes:
                 if s not in built:
@@ -578,10 +599,11 @@ def cosiatec(
     The bound takes a shape's size s and its smallest table column t, which
     holds every translator: s*t/(s+t-1) for compression ratio, min(s*t,
     remaining points) for coverage, s for size (`_BOUNDS`); a column of k
-    origins is built only while its bound at s = k, t = remaining points,
-    can reach it.  So ratio- and size-led orderings build and score few
-    shapes, coverage-led ones score few, compactness-led ones all.  The
-    chosen TEC is the one scoring every shape gives.
+    origins is built only while its bound at s = k, t = the longest column
+    (the remaining points for a single origin), can reach it.  So ratio- and
+    size-led orderings build and score few shapes, coverage-led ones score
+    few, compactness-led ones all.  The chosen TEC is the one scoring every
+    shape gives.
 
     The best TEC maximizes the `tie_break` quality ordering (defaults to
     compression ratio, compactness, coverage, pattern size), with

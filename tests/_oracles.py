@@ -7,8 +7,9 @@ and scores and differs only in how a round finds its best candidate, so
 that pieces too large for `brute_cosiatec` can still be checked; its
 rounds (`exhaustive_rounds`) and the exact bounds of `built_shapes` and
 `bounded_shapes` give the shapes a best-first round must build and score.
-`_Tree` is the forest's earlier CART, which sorts each drawn feature at
-every node; the count-table tree must grow the same trees.
+`_Tree` is a naive CART that sorts each drawn feature at every node, one
+tree at a time, under the forest's draw rule; the forest, which grows all
+its trees together one depth at a time, must grow the same trees.
 `occurrence_recovery` is the library's earlier scorer, which rebuilds a
 discovered occurrence's coordinates for every planted occurrence it meets.
 `load_pattern_file` is the library's earlier interchange loader, which
@@ -654,14 +655,16 @@ def _exact_bound(order, s, t, rest):
 def built_shapes(grid, table, order, figure):
     """The distinct shapes and compact segments of every column whose size bound reaches `figure`.
 
-    A column of k origins yields shapes of at most k points, none with more
-    translators than the `rest` remaining points, so its bound is taken at
-    s = k, t = rest.
+    A column of k origins yields shapes of at most k points.  For k >= 2 they
+    have at least 2 points, so no more translators than the longest column
+    holds; a single point has the `rest` remaining points as translators.  So
+    the bound is taken at s = k, t = the longest column (`rest` for k = 1).
     """
     rest = len(grid.coords)
+    longest = max(map(len, table.values()), default=0)
     shapes = set()
     for origins in table.values():
-        bound = _exact_bound(order, len(origins), rest, rest)
+        bound = _exact_bound(order, len(origins), longest if len(origins) > 1 else rest, rest)
         if bound is None or bound >= figure:
             shapes.add(discovery._shape(origins))
             shapes.update(discovery._shape(seg) for seg in discovery._segments(origins, grid, 1, 2))
@@ -730,7 +733,14 @@ def _gini(counts: np.ndarray) -> float:
 
 
 class _Tree:
-    """CART with the Gini criterion and per-node feature subsampling."""
+    """CART with the Gini criterion and per-node feature subsampling, grown one depth at a time.
+
+    `rng` is the tree's own stream.  `fit` draws the bootstrap rows from it
+    first, then, at each depth, one `random((nodes, d))` block for the nodes
+    that split (at least 2 rows, impure) in level order; a node tries the
+    first `max_features` columns of its row's stable argsort, sorting each
+    feature's values at the node.  Importances add up in level order.
+    """
 
     def __init__(self, n_classes: int, max_features: int, rng: np.random.Generator):
         self.n_classes = n_classes
@@ -740,18 +750,32 @@ class _Tree:
         self.importances: np.ndarray | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "_Tree":
+        sample = self.rng.integers(0, len(y), size=len(y))
+        X, y = X[sample], y[sample]
         self.n_total = len(y)
         self.importances = np.zeros(X.shape[1])
-        self.root = self._grow(X, y, np.arange(len(y)))
+        self.root = _Node()
+        level = [(self.root, np.arange(len(y)))]
+        while level:
+            splitting = []
+            for node, idx in level:
+                counts = np.bincount(y[idx], minlength=self.n_classes)
+                node.prediction = int(np.argmax(counts))
+                if idx.size >= 2 and _gini(counts) != 0.0:
+                    splitting.append((node, idx))
+            if not splitting:
+                break
+            draws = np.argsort(self.rng.random((len(splitting), X.shape[1])), axis=1, kind="stable")
+            level = []
+            for (node, idx), draw in zip(splitting, draws):
+                level += self._split(X, y, node, idx, draw[: self.max_features])
         return self
 
-    def _grow(self, X: np.ndarray, y: np.ndarray, idx: np.ndarray) -> _Node:
+    def _split(self, X, y, node: _Node, idx: np.ndarray, features) -> list:
+        """Split `node` on its best threshold: its children and their rows, or none."""
         counts = np.bincount(y[idx], minlength=self.n_classes)
         node_gini = _gini(counts)
-        if node_gini == 0.0 or idx.size < 2:
-            return _Node(prediction=int(np.argmax(counts)))
         best = None  # (weighted_gini, feature, threshold)
-        features = self.rng.choice(X.shape[1], size=self.max_features, replace=False)
         for f in features:
             values = X[idx, f]
             order = np.argsort(values, kind="stable")
@@ -775,16 +799,13 @@ class _Tree:
                 threshold = (lo + hi) / 2.0 if (lo + hi) / 2.0 < hi else lo
                 best = (float(weighted[k]), int(f), float(threshold))
         if best is None:
-            return _Node(prediction=int(np.argmax(counts)))
+            return []
         weighted_gini, f, threshold = best
         mask = X[idx, f] <= threshold
-        left_idx, right_idx = idx[mask], idx[~mask]
-        decrease = (idx.size / self.n_total) * (node_gini - weighted_gini)
-        self.importances[f] += decrease
-        node = _Node(feature=f, threshold=threshold)
-        node.left = self._grow(X, y, left_idx)
-        node.right = self._grow(X, y, right_idx)
-        return node
+        self.importances[f] += (idx.size / self.n_total) * (node_gini - weighted_gini)
+        node.feature, node.threshold = f, threshold
+        node.left, node.right = _Node(), _Node()
+        return [(node.left, idx[mask]), (node.right, idx[~mask])]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         out = np.empty(len(X), dtype=int)

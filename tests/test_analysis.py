@@ -295,32 +295,133 @@ def _oracle_preorder(node):
     return [(node.feature, node.threshold)] + children
 
 
+def _preorder(forest, t):
+    """Tree t of the forest's flat node arrays, in the form `_oracle_preorder` gives."""
+    feature, threshold, value, left, right = forest._nodes
+
+    def walk(i):
+        if left[i] == i:
+            return [("leaf", value[i])]
+        return [(feature[i], threshold[i])] + walk(left[i]) + walk(right[i])
+
+    return walk(t)
+
+
+def _oracle_trees(X, y, trees, seed):
+    """The sorting CART's trees under the forest's streams and draw rule."""
+    d = X.shape[1]
+    codes = np.unique(y, return_inverse=True)[1]
+    streams = np.random.SeedSequence(seed).spawn(trees)
+    mtry = min(max(1, round(d**0.5)), d)
+    return [_oracles._Tree(len(set(y)), mtry, np.random.default_rng(s)).fit(X, codes) for s in streams]
+
+
 class TestTreeOracle:
     @settings(max_examples=60, deadline=None)
     @given(data=forest_data(), trees=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
     def test_same_trees_as_sorting_cart(self, data, trees, seed):
         """Each tree equals the per-node sorting CART: nodes, importances, predictions."""
         X, y = data
-        n, d = X.shape
-        codes = np.unique(y, return_inverse=True)[1]
-        rng = np.random.default_rng(seed)
-        expected = []
-        for _ in range(trees):
-            sample = rng.integers(0, n, size=n)
-            tree = _oracles._Tree(len(set(y)), min(max(1, round(d**0.5)), d), rng)
-            expected.append(tree.fit(X[sample], codes[sample]))
+        expected = _oracle_trees(X, y, trees, seed)
         forest = RandomForest(trees=trees, seed=seed).fit(X, y)
-        thresholds = np.array([t for tree in forest._forest for _, t, *_ in tree.nodes])
+        thresholds = forest._nodes[1]
         pool = np.concatenate([X.ravel(), thresholds, np.nextafter(thresholds, -np.inf)])
-        fresh = np.random.default_rng(seed).choice(pool, size=(30, d))
-        for old, new in zip(expected, forest._forest, strict=True):
-            nodes = [
-                ("leaf", v) if left == i else (f, t) for i, (f, t, v, left, _) in enumerate(new.nodes)
-            ]
-            assert nodes == _oracle_preorder(old.root)
-            assert np.array_equal(new.importances, old.importances)
+        fresh = np.random.default_rng(seed).choice(pool, size=(30, X.shape[1]))
+        for t, old in enumerate(expected):
+            assert _preorder(forest, t) == _oracle_preorder(old.root)
+            assert np.array_equal(forest._importances[t], old.importances)
             for rows in (X, fresh):
-                assert np.array_equal(new.predict(rows), old.predict(rows))
+                assert np.array_equal(forest._walk(rows)[:, t], old.predict(rows))
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=forest_data(), trees=st.integers(2, 5), seed=st.integers(0, 2**32 - 1), pick=st.data())
+    def test_first_trees_are_the_smaller_forest(self, data, trees, seed, pick):
+        """Each tree has its own stream, so a forest's first t trees are the t-tree forest."""
+        X, y = data
+        t = pick.draw(st.integers(1, trees - 1))
+        small = RandomForest(trees=t, seed=seed).fit(X, y)
+        large = RandomForest(trees=trees, seed=seed).fit(X, y)
+        for i in range(t):
+            assert _preorder(small, i) == _preorder(large, i)
+            assert np.array_equal(small._importances[i], large._importances[i])
+        assert np.array_equal(small._walk(X), large._walk(X)[:, :t])
+
+
+class TestForestEdges:
+    def test_constant_features_give_one_leaf_trees(self):
+        X, y = np.full((6, 3), 2.5), np.array(list("aabbab"))
+        forest = RandomForest(trees=7, seed=1).fit(X, y)
+        assert len(forest._nodes[0]) == 7 and forest._depth == 0
+        assert not forest.feature_importances_.any()
+        assert set(forest.predict(X)) <= {"a", "b"}
+
+    def test_constant_drawn_features_make_a_leaf(self):
+        """Feature 1 is constant and feature 0 splits once: a tree drawing feature 1 at its
+        root is one leaf, and every child holds one value of feature 0, so is a leaf."""
+        X = np.array([[0.0, 7.0], [0.0, 7.0], [1.0, 7.0], [1.0, 7.0]] * 3)
+        y = np.array(list("abab") * 3)
+        forest = RandomForest(trees=40, seed=2).fit(X, y)
+        shapes = [_preorder(forest, t) for t in range(40)]
+        assert all(len(s) in (1, 3) for s in shapes)
+        assert {len(s) for s in shapes} == {1, 3}
+        assert all(s[0] == (0, 0.5) for s in shapes if len(s) == 3)
+        assert forest._depth == 1
+        assert forest.feature_importances_[1] == 0.0
+
+    def test_one_tree(self):
+        rng = np.random.default_rng(4)
+        X, y = blobs(rng, n=20)
+        forest = RandomForest(trees=1, seed=3).fit(X, y)
+        (expected,) = _oracle_trees(X, y, 1, 3)
+        assert _preorder(forest, 0) == _oracle_preorder(expected.root)
+        assert np.array_equal(forest.predict(X), forest.classes_[expected.predict(X)])
+
+    def test_vote_ties_go_to_the_smallest_class(self):
+        X, y = np.arange(6.0)[:, None], np.array(list("abcabc"))
+        forest = RandomForest(trees=4, seed=0).fit(X, y)
+        forest._walk = lambda X: np.array([[2, 1, 1, 2], [0, 2, 2, 0], [1, 0, 2, 1]])
+        assert list(forest.predict(np.zeros((3, 1)))) == ["b", "a", "b"]
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=forest_data(), trees=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_prediction_is_the_majority_of_tree_walks(self, data, trees, seed):
+        X, y = data
+        forest = RandomForest(trees=trees, seed=seed).fit(X, y)
+        k = len(forest.classes_)
+        walks = np.column_stack([old.predict(X) for old in _oracle_trees(X, y, trees, seed)])
+        majority = [np.argmax(np.bincount(row, minlength=k)) for row in walks]
+        assert list(forest.predict(X)) == list(forest.classes_[majority])
+
+
+class TestForestPin:
+    """Fixed outputs of the seeded forest on a small integer dataset, so that a change to
+    how the forest draws or grows its trees shows here; update the figures only with it."""
+
+    i = np.arange(48)
+    y = np.array(["a", "b", "c"])[i % 3]
+    X = np.column_stack([
+        (i % 3) + (i * 5) % 4,  # informative, with overlapping ranges
+        (i * 5) % 7,
+        (i * i) % 5,
+        (i % 3 == 2) + (i * 3) % 2,  # weakly informative
+    ])
+
+    def test_cross_validated_accuracies(self):
+        report = cross_validate(
+            LabeledDataset(self.X, tuple(self.y)), {"rf": {"trees": 12}}, folds=4, repeats=2, seed=1
+        )
+        # correct predictions out of each 12-row test fold
+        assert [round(a * 12) for a in report.results["rf"].accuracies] == [5, 6, 4, 3, 5, 7, 4, 6]
+
+    def test_shadow_importance(self):
+        report = feature_importance(self.X, self.y, runs=8, trees=12, seed=2)
+        assert [(f.hit_rate, f.status) for f in report.features] == [
+            (1.0, "confirmed"), (0.0, "rejected"), (0.0, "rejected"), (0.875, "confirmed"),
+        ]
+
+    def test_node_count(self):
+        forest = RandomForest(trees=10, seed=4).fit(self.X, self.y)
+        assert (len(forest._nodes[0]), forest._depth) == (290, 8)
 
 
 class TestCrossValidate:

@@ -173,6 +173,20 @@ class TestOccurrence:
         st.tuples(st.integers(-4, 4), st.integers(58, 60), st.integers(1, 4), st.sampled_from([1, 2, 3])),
         min_size=1, max_size=8,
     ))
+    def test_span_end_equals_and_formats_as_the_fraction_sum(self, rows):
+        # an integral end is kept as an int; it must stand for the exact sum everywhere
+        points = [Point(F(o, den), p, F(d, den)) for o, p, d, den in rows]
+        end = PatternOccurrence(tuple(points)).span[1]
+        last = max(p.onset for p in points)
+        exact = last + max(p.duration for p in points if p.onset == last)
+        assert end == exact and hash(end) == hash(exact)
+        assert format_time(end) == format_time(exact) and str(end) == str(exact)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.tuples(st.integers(-4, 4), st.integers(58, 60), st.integers(1, 4), st.sampled_from([1, 2, 3])),
+        min_size=1, max_size=8,
+    ))
     def test_points_sorted_in_point_order(self, rows):
         # integral and fractional times side by side, as the int-or-Fraction sort key sees them
         points = [Point(F(o, den), p, F(d, den)) for o, p, d, den in rows]

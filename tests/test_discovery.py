@@ -529,6 +529,16 @@ class TestColumnBound:
     def test_synthetic_pieces(self, seed, occurrences):
         check_round_work(synth_piece(seed, occurrences))
 
+    def test_coverage_led_round_skips_columns(self):
+        """A coverage-led round bounds a column of k >= 2 origins by the longest
+        column, not by the remaining points, so it skips some columns."""
+        ps = synth_piece(0, 6)
+        stats = DiscoveryStats()
+        cosiatec(ps, ("cov",), stats)
+        grid = _Grid(ps)
+        every = _oracles.grid_shapes(grid, _mtp_table(grid))
+        assert [r["shapes"] for r in stats.rounds] == [3744] and len(every) == 4682
+
 
 def exact(grid, coords):
     """Grid codes back on the piece's exact (onset, pitch) pairs."""

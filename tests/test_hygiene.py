@@ -13,9 +13,7 @@ TREES = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in PACK
 MODULES = sorted(name for name in TREES if name != "__init__.py")
 
 # The functions allowed to call themselves, each with why its depth stays small.
-RECURSIVE = {
-    "classifiers._Tree._grow": "each child gets strictly fewer rows, so depth < the fit's row count",
-}
+RECURSIVE: dict[str, str] = {}
 
 
 def _loaded_names(tree: ast.AST) -> set[str]:

@@ -100,7 +100,7 @@ def _read_json(path: str, shape_code: int, read=_json_object):
     """
     try:
         doc = json.loads(_read_text(path))
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: also an int past the digit limit
         raise CliError(EXIT_PARSE, f"{path}: invalid JSON: {exc}") from exc
     try:
         return read(doc)
@@ -255,7 +255,7 @@ def _pp_params_from_args(args) -> polling.PpParams:
         raise CliError(EXIT_CONFIG, str(exc)) from exc
 
 
-def _parse_weights(texts) -> dict[str, Fraction]:
+def _parse_weights(texts) -> dict[str, int | Fraction]:
     weights = {}
     for text in texts or []:
         for item in text.split(","):
@@ -274,9 +274,8 @@ def _curve_csv(header: str, times: list[str], values) -> str:
 
 
 def _times(curve: polling.PollingCurve) -> list[str]:
-    """The curve's grid times by `core.format_time`, built as numerators over one denominator."""
-    (origin, step), den = core.over_common_denominator((curve.origin, curve.resolution))
-    return [core.format_time(Fraction(origin + k * step, den)) for k in range(len(curve))]
+    """The curve's grid times by `core.format_time`."""
+    return [core.format_time(curve.time_at(k)) for k in range(len(curve))]
 
 
 def _presence_csv(curve: polling.PollingCurve, span: polling.Span, records) -> str:
@@ -411,7 +410,7 @@ def cmd_train_pp(args) -> int:
 # eval-boundaries
 
 
-def _boundaries_doc(doc) -> tuple[list[int], Fraction, Fraction, object, object]:
+def _boundaries_doc(doc) -> tuple[list[int], int | Fraction, int | Fraction, object, object]:
     """The predicted boundaries, grid origin and resolution, algorithm and
     piece id (None when absent) of a poll output."""
     resolution = core.to_time(doc.get("resolution", 1))
@@ -512,8 +511,8 @@ def _read_features_csv(path: str) -> tuple[list[str], analysis.LabeledDataset]:
         header = next(reader)
     except StopIteration:
         raise CliError(EXIT_PARSE, f"{path}: empty features file") from None
-    if "group" not in header:
-        raise CliError(EXIT_PARSE, f"{path}: missing 'group' label column")
+    if "group" not in header or len(header) < 2:
+        raise CliError(EXIT_PARSE, f"{path}: line 1: needs a 'group' label and a feature column")
     label_col = header.index("group")
     feature_cols = [i for i in range(len(header)) if i != label_col]
     X, labels = [], []
@@ -521,8 +520,10 @@ def _read_features_csv(path: str) -> tuple[list[str], analysis.LabeledDataset]:
         if not row:
             continue
         try:
+            if len(row) != len(header):
+                raise ValueError(f"{len(row)} fields, the header has {len(header)}")
             X.append([float(row[i]) for i in feature_cols])
-        except (ValueError, IndexError) as exc:
+        except ValueError as exc:
             raise CliError(EXIT_PARSE, f"{path}: line {lineno}: {exc}") from exc
         labels.append(row[label_col])
     if not X:

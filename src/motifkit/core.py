@@ -2,19 +2,21 @@
 
 Time is an exact rational number of crotchets (quarter notes) throughout,
 so grid alignment and boundary comparisons never suffer float tolerance
-problems.  A piece is a lexicographically ordered, duplicate-free set of
-(onset, pitch) points with durations; rests are represented only as gaps
-in time, never as points.
+problems: an `int` when integral, else a `Fraction`, by the one rule
+`as_time` that `to_time`, `Point` and spans apply.  An int equals, orders,
+hashes and formats as the equal `Fraction`, so values, ordering and
+outputs are unchanged; divide two times as `Fraction(a, b)`, since `a / b`
+on ints is a float.  A piece is a lexicographically ordered,
+duplicate-free set of (onset, pitch) points with durations; rests are
+represented only as gaps in time, never as points.
 
 All types are immutable after construction and every function is pure.
 One load of a points CSV or an interchange JSON document parses each
 distinct time string once, and a JSON load builds each distinct
 `[onset, pitch, duration]` row of two time strings into one `Point`;
-nothing is kept from one call to the next.  `PatternOccurrence`, on every
-path, sorts its points on `_sort_key`, which orders them as `Point` does,
-and `PatternRecord` its occurrences by span, integral times as ints in both.
-The interchange emitter writes `json.dumps`' indented layout itself
-(`tests/_oracles.dump_pattern_json` is its reference).
+nothing is kept from one call to the next.  The interchange emitter writes
+`json.dumps`' indented layout itself (`tests/_oracles.dump_pattern_json` is
+its reference).
 """
 
 from __future__ import annotations
@@ -23,8 +25,10 @@ import hashlib
 import json
 import math
 import struct
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
 
@@ -50,29 +54,38 @@ class MonophonyViolation(ValueError):
         super().__init__(f"overlapping notes at onsets {pairs}{more}")
 
 
-def to_time(value) -> Fraction:
-    """Coerce a number or string ('0.5', '1/2', '3') to an exact Time; not a bool.
+def as_time(q: int | Fraction) -> int | Fraction:
+    """The exact time `q` in its one form: an int when integral, else the Fraction."""
+    return q.numerator if q.denominator == 1 else q
 
-    A string of ASCII digits is read by `int`, any other string by `Fraction`'s parser.
+
+def to_time(value) -> int | Fraction:
+    """Coerce a number or string ('0.5', '1/2', '3') to an exact time (`as_time`); not a bool.
+
+    A string of ASCII digits is read by `int`, any other string by `Fraction`'s
+    parser, unless its mantissa and exponent could need more digits than
+    `sys.get_int_max_str_digits()`: `Fraction` would take unbounded time.
     """
     if isinstance(value, str):
+        limit = sys.get_int_max_str_digits()
         try:
             if value.isascii() and value.isdigit():
-                return Fraction(int(value))
-            return Fraction(value.strip())
+                return int(value)
+            mantissa, e, exponent = value.upper().partition("E")
+            if not (e and limit and len(mantissa) + abs(int(exponent)) > limit):
+                return as_time(Fraction(value.strip()))
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"not a rational number: {value!r}") from exc
+        raise ParseError(f"time {value!r} could need more than {limit} digits")
     if isinstance(value, bool):
         raise ParseError(f"expected a number or rational string, got {value!r}")
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
+    if isinstance(value, (int, Fraction)):
+        return as_time(value)
     if isinstance(value, float):
         if not math.isfinite(value):
             raise ParseError(f"not a finite number: {value!r}")
         # exact value of the decimal repr, not of the binary float
-        return Fraction(repr(value))
+        return as_time(Fraction(repr(value)))
     raise ParseError(f"expected a number or rational string, got {value!r}")
 
 
@@ -83,51 +96,42 @@ class _Times(dict):
     and a JSON true must still be rejected where a 1 is read.
     """
 
-    def __missing__(self, text: str) -> Fraction:
+    def __missing__(self, text: str) -> int | Fraction:
         t = self[text] = to_time(text)
         return t
 
-    def read(self, value) -> Fraction:
+    def read(self, value) -> int | Fraction:
         return self[value] if type(value) is str else to_time(value)
 
 
-def format_time(t: Fraction) -> str:
+def format_time(t: int | Fraction) -> str:
     """Render a Time as 'num/den' (or 'num' for integers)."""
     return str(t.numerator) if t.denominator == 1 else f"{t.numerator}/{t.denominator}"
 
 
 @dataclass(frozen=True, order=True)
 class Point:
-    """A note: onset and duration in crotchets, MIDI pitch; ordered by (onset, pitch, duration)."""
+    """A note: onset and duration in crotchets (`as_time`), MIDI pitch; ordered by those three."""
 
-    onset: Fraction
+    onset: int | Fraction
     pitch: int
-    duration: Fraction = Fraction(1)
+    duration: int | Fraction = 1
 
     def __post_init__(self):
         if not 0 <= self.pitch <= 127:
             raise ValueError(f"pitch {self.pitch} outside MIDI range 0-127")
         if self.duration <= 0:
             raise ValueError(f"duration must be > 0, got {self.duration}")
+        object.__setattr__(self, "onset", as_time(self.onset))
+        object.__setattr__(self, "duration", as_time(self.duration))
 
     @property
-    def end(self) -> Fraction:
-        return self.onset + self.duration
+    def end(self) -> int | Fraction:
+        return as_time(self.onset + self.duration)
 
     @property
-    def coord(self) -> tuple[Fraction, int]:
+    def coord(self) -> tuple[int | Fraction, int]:
         return (self.onset, self.pitch)
-
-
-def _int_times(a: Fraction, b: Fraction) -> tuple:
-    """(a, b) with integral times as ints, which compare in C, and exactly with Fractions."""
-    return (a.numerator if a.denominator == 1 else a, b.numerator if b.denominator == 1 else b)
-
-
-def _sort_key(p: Point) -> tuple:
-    """`p`'s place in the point order, with integral times as ints (`_int_times`)."""
-    onset, duration = _int_times(p.onset, p.duration)
-    return (onset, p.pitch, duration)
 
 
 @dataclass(frozen=True)
@@ -178,7 +182,7 @@ class PointSet:
     def span(self) -> tuple[Fraction, Fraction]:
         """[min onset, max note end) of the piece; (0, 0) when empty."""
         if not self.points:
-            return (Fraction(0), Fraction(0))
+            return (0, 0)
         return (self.points[0].onset, max(p.end for p in self.points))
 
 
@@ -187,28 +191,22 @@ class PatternOccurrence:
     """One temporally placed instance of a pattern."""
 
     points: tuple[Point, ...]
-    # [start, end): start = min onset, end = max onset + that note's duration,
-    # an int when both are integral (it compares, hashes and formats as the
-    # equal Fraction); set once at construction, and ignored by equality,
-    # hashing and repr
-    span: tuple[Fraction, Fraction | int] = field(init=False, repr=False, compare=False)
+    # [start, end): start = min onset, end = max onset + that note's duration;
+    # set once at construction, and ignored by equality, hashing and repr
+    span: tuple[int | Fraction, int | Fraction] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.points:
             raise ValueError("occurrence must contain at least one point")
-        points = tuple(sorted(self.points, key=_sort_key))
+        points = tuple(sorted(self.points, key=attrgetter("onset", "pitch", "duration")))
         # the points at the last onset are a suffix of the sorted points
         last_onset = points[-1].onset
         k = len(points) - 1
         while k and points[k - 1].onset == last_onset:
             k -= 1
         duration = max(p.duration for p in points[k:])
-        if last_onset.denominator == 1 == duration.denominator:
-            end = last_onset.numerator + duration.numerator
-        else:
-            end = last_onset + duration
         object.__setattr__(self, "points", points)
-        object.__setattr__(self, "span", (points[0].onset, end))
+        object.__setattr__(self, "span", (points[0].onset, as_time(last_onset + duration)))
 
     def coords(self) -> frozenset[tuple[Fraction, int]]:
         return frozenset(p.coord for p in self.points)
@@ -228,7 +226,7 @@ class PatternRecord:
         object.__setattr__(
             self,
             "occurrences",
-            tuple(sorted(self.occurrences, key=lambda o: _int_times(*o.span))),
+            tuple(sorted(self.occurrences, key=attrgetter("span"))),
         )
 
 
@@ -314,7 +312,7 @@ def subseed(seed: int, *tags) -> int:
 # also accepted.
 
 
-def _time_field(value, times: _Times, path: Callable[[], str]) -> Fraction:
+def _time_field(value, times: _Times, path: Callable[[], str]) -> int | Fraction:
     try:
         return times.read(value)
     except ParseError as exc:
@@ -393,7 +391,7 @@ def load_pattern_file(text: str) -> tuple[str, list[PatternRecord]]:
     """
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: also an int past the digit limit
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("$", "document must be an object")
@@ -513,9 +511,7 @@ def _parse_track(reader: _MidiReader, length: int, tpq: int) -> list[Point]:
         start = active.pop(key)
         if off_tick <= start:
             reader.fail(f"zero-length note (pitch {pitch} at tick {start})")
-        notes.append(
-            Point(Fraction(start, tpq), pitch, Fraction(off_tick - start, tpq))
-        )
+        notes.append(Point(Fraction(start, tpq), pitch, Fraction(off_tick - start, tpq)))
 
     while reader.pos < end:
         tick += reader.varlen()

@@ -43,6 +43,7 @@ from motifkit.core import (
     PatternRecord,
     Point,
     PointSet,
+    as_time,
     over_common_denominator,
 )
 
@@ -51,11 +52,11 @@ from motifkit.core import (
 class Vector2:
     """A translation: time shift in crotchets, pitch shift in semitones."""
 
-    dt: Fraction
+    dt: int | Fraction
     dp: int
 
 
-ZERO = Vector2(Fraction(0), 0)
+ZERO = Vector2(0, 0)
 
 
 def _image(coords, v: _Coord, notes: Mapping[_Coord, Point]) -> tuple[Point, ...]:
@@ -167,7 +168,7 @@ class _Grid:
 
     def vector(self, v: _Coord) -> Vector2:
         dt = (v + 128) >> 8  # dp = v - dt * 256 lies in [-127, 127]
-        return Vector2(Fraction(dt, self.scale), v - dt * 256)
+        return Vector2(as_time(Fraction(dt, self.scale)), v - dt * 256)
 
     def tec(self, shape: Sequence[_Coord], translators: Sequence[_Coord]) -> TEC:
         """The TEC of a shape: its occurrence at each of the sorted `translators`.

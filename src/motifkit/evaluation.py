@@ -81,8 +81,8 @@ def boundary_prf(
 
 def truth_boundaries(
     annotations: Sequence[PatternRecord],
-    origin: Fraction = Fraction(0),
-    resolution: Fraction = Fraction(1),
+    origin: int | Fraction = 0,
+    resolution: int | Fraction = 1,
 ) -> tuple[int, ...]:
     """Deduplicated union of span starts and ends, snapped to the grid.
 
@@ -90,7 +90,7 @@ def truth_boundaries(
     nearest grid index with exact halves going to the earlier index.
     """
     return tuple(sorted({
-        nearest_index((t - origin) / resolution)
+        nearest_index(Fraction(t - origin, resolution))
         for rec in annotations
         for occ in rec.occurrences
         for t in occ.span

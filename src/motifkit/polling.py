@@ -34,7 +34,7 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -43,7 +43,7 @@ from motifkit.core import PatternRecord, over_common_denominator, to_time
 
 BoundarySet = tuple[int, ...]
 
-Span = tuple[Fraction, Fraction]  # [start, end) in crotchets
+Span = tuple[int | Fraction, int | Fraction]  # [start, end) in crotchets
 
 AlgorithmWeights = Mapping[str, Fraction | int | float]
 
@@ -54,17 +54,17 @@ class PollingCurve:
 
     Freshly polled curves are non-negative and sum to the total weighted
     grid coverage of the input occurrences; smoothed curves are arbitrary
-    rational series on the same grid.
+    rational series on the same grid.  Values are Fractions, times exact.
     """
 
-    origin: Fraction
-    resolution: Fraction
+    origin: int | Fraction
+    resolution: int | Fraction
     values: tuple[Fraction, ...]
 
     def __len__(self) -> int:
         return len(self.values)
 
-    def time_at(self, index: int) -> Fraction:
+    def time_at(self, index: int) -> int | Fraction:
         return self.origin + index * self.resolution
 
 
@@ -86,7 +86,7 @@ class PpParams:
 
     window: int = 3
     order: int = 1
-    lam: Fraction = field(default_factory=lambda: Fraction(0))
+    lam: int | Fraction = 0
     use_first: bool = True
     use_second: bool = True
 
@@ -126,13 +126,13 @@ class PpParams:
 # Curve construction
 
 
-def default_span(records: Sequence[PatternRecord], resolution: Fraction) -> Span:
+def default_span(records: Sequence[PatternRecord], resolution: int | Fraction) -> Span:
     """[0, latest occurrence end), or [0, resolution) without occurrences."""
     ends = (occ.span[1] for rec in records for occ in rec.occurrences)
-    return (Fraction(0), max(ends, default=resolution))
+    return (0, max(ends, default=resolution))
 
 
-def grid_cells(spans: Sequence[Span], piece_span: Span, resolution: Fraction) -> list[range]:
+def grid_cells(spans: Sequence[Span], piece_span: Span, resolution: int | Fraction) -> list[range]:
     """Per span [s, e), the indices k of the grid points start + k * resolution inside it.
 
     Raises ValueError unless every span lies inside `piece_span`, whose
@@ -155,7 +155,7 @@ def grid_cells(spans: Sequence[Span], piece_span: Span, resolution: Fraction) ->
 def polling_curve(
     records: Sequence[PatternRecord],
     weights: AlgorithmWeights | None = None,
-    resolution: Fraction = Fraction(1),
+    resolution: int | Fraction = 1,
     piece_span: Span | None = None,
     normalize: bool = False,
 ) -> PollingCurve:
@@ -171,13 +171,14 @@ def polling_curve(
     return PollingCurve(start, resolution, tuple(Fraction(x, den) for x in nums))
 
 
-def _poll(records: Sequence[PatternRecord], weights: AlgorithmWeights | None, resolution: Fraction,
-          piece_span: Span | None, normalize: bool) -> tuple[Fraction, tuple[int, ...], int]:
+def _poll(records: Sequence[PatternRecord], weights: AlgorithmWeights | None,
+          resolution: int | Fraction, piece_span: Span | None,
+          normalize: bool) -> tuple[int | Fraction, tuple[int, ...], int]:
     """The grid origin and :func:`polling_curve`'s values as numerators over one denominator."""
     if resolution <= 0:
         raise ValueError("resolution must be > 0")
     weights = weights or {}
-    wmap: dict[str, Fraction] = {}
+    wmap: dict[str, int | Fraction] = {}
     for rec in records:
         if rec.algorithm_id not in wmap:
             w = to_time(weights.get(rec.algorithm_id, 1))
@@ -553,7 +554,7 @@ def train_pp(
     objective: str = "f1",
     k_folds: int = 3,
     tolerance: int = 1,
-    resolution: Fraction = Fraction(1),
+    resolution: int | Fraction = 1,
     seed: int = 0,
 ) -> PpParams:
     """Cross-validated grid search for boundary-extraction parameters.

@@ -4,9 +4,10 @@ A piece is a shuffled sequence of template placements separated by random
 filler: one-crotchet slots, each a crotchet note or a crotchet rest.
 Templates keep their own note and rest durations, and all time, filler
 lengths and repeat distances included, is counted in crotchets.
-Ground-truth records carry every placement, and the total random duration
-always stays under the configured fraction of the piece.  Generation is a
-pure function of the config, seed included.
+Times are ints (`core.as_time`) but where a template's own durations are
+fractional.  Ground-truth records carry every placement, and the total
+random duration always stays under the configured fraction of the piece.
+Generation is a pure function of the config, seed included.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from motifkit.core import PatternOccurrence, PatternRecord, Point, PointSet, subseed
-from motifkit.core import over_common_denominator
+from motifkit.core import PatternOccurrence, PatternRecord, Point, PointSet, as_time, subseed
 
 REST = None
 
@@ -30,17 +30,17 @@ class PatternTemplate:
     """A named note sequence; pitches use None for rests."""
 
     name: str
-    notes: tuple[tuple[int | None, Fraction], ...]
+    notes: tuple[tuple[int | None, int | Fraction], ...]
 
     def __post_init__(self):
-        if not self.notes:
-            raise ValueError("template must contain at least one note")
+        if not self.pitches():
+            raise ValueError(f"template {self.name}: needs at least one pitched note")
         if any(d <= 0 for _, d in self.notes):
             raise ValueError(f"template {self.name}: note and rest durations must be > 0")
 
     @property
-    def duration(self) -> Fraction:
-        return sum((d for _, d in self.notes), Fraction(0))
+    def duration(self) -> int | Fraction:
+        return sum(d for _, d in self.notes)
 
     def pitches(self) -> list[int]:
         return [p for p, _ in self.notes if p is not None]
@@ -48,15 +48,13 @@ class PatternTemplate:
 
 def template_p1() -> PatternTemplate:
     """Repeated-interval template: 20 crotchets alternating C4 and G#4."""
-    notes = tuple((60 if i % 2 == 0 else 68, Fraction(1)) for i in range(20))
+    notes = tuple((60 if i % 2 == 0 else 68, 1) for i in range(20))
     return PatternTemplate("P1", notes)
 
 
 def template_p2() -> PatternTemplate:
     """Scale template: 20 crotchets ascending the C major scale from C4."""
-    notes = tuple(
-        (60 + 12 * (i // 7) + _MAJOR_STEPS[i % 7], Fraction(1)) for i in range(20)
-    )
+    notes = tuple((60 + 12 * (i // 7) + _MAJOR_STEPS[i % 7], 1) for i in range(20))
     return PatternTemplate("P2", notes)
 
 
@@ -67,7 +65,7 @@ class SynthConfig:
     )
     occurrences_per_template: int = 2
     rest_probability: float = 0.2
-    random_fraction_cap: Fraction = field(default_factory=lambda: Fraction(1, 2))
+    random_fraction_cap: Fraction = Fraction(1, 2)
     seed: int = 0
     pitch_range: tuple[int, int] | None = None
 
@@ -80,6 +78,9 @@ class SynthConfig:
             raise ValueError("random fraction cap must be in (0, 1)")
         if not self.templates:
             raise ValueError("at least one template required")
+        lo, hi = self.pitch_range or (0, 0)
+        if not 0 <= lo <= hi <= 127:
+            raise ValueError(f"pitch range {self.pitch_range} must have 0 <= lo <= hi <= 127")
 
     def effective_pitch_range(self) -> tuple[int, int]:
         if self.pitch_range is not None:
@@ -93,8 +94,8 @@ class SyntheticPiece:
     piece: PointSet
     ground_truth: tuple[PatternRecord, ...]
     seed: int
-    total_duration: Fraction
-    random_duration: Fraction
+    total_duration: int | Fraction
+    random_duration: int
 
 
 def sample_random_segment(
@@ -117,15 +118,15 @@ def sample_random_segment(
 
 
 def _repeat_distances(
-    placements: list[PatternTemplate], ticks: dict[str, int], den: int, lengths: list[int]
-) -> set[int]:
-    """Distance between consecutive same-template placements, in 1/`den`
-    crotchets; `ticks` holds each template's duration in them."""
-    onset = lengths[0] * den
-    starts: dict[str, list[int]] = {}
+    placements: list[PatternTemplate], durations: dict[str, int | Fraction], lengths: list[int]
+) -> set[int | Fraction]:
+    """Distance in crotchets between consecutive same-template placements;
+    `durations` holds each template's duration."""
+    onset = lengths[0]
+    starts: dict[str, list[int | Fraction]] = {}
     for t, gap in zip(placements, lengths[1:]):
         starts.setdefault(t.name, []).append(onset)
-        onset += ticks[t.name] + gap * den
+        onset += durations[t.name] + gap
     return {b - a for s in starts.values() for a, b in zip(s, s[1:])}
 
 
@@ -144,17 +145,16 @@ def _segment_lengths(
     """
     rng = random.Random(subseed(config.seed, "lengths"))
     n_segments = len(placements) + 1
-    numerators, den = over_common_denominator(t.duration for t in config.templates)
-    ticks = {t.name: n for t, n in zip(config.templates, numerators)}
-    expected = (config.occurrences_per_template - 1) * len(ticks)
+    durations = {t.name: t.duration for t in config.templates}
+    expected = (config.occurrences_per_template - 1) * len(durations)
     for _ in range(64):
         lengths = [rng.randint(1, 8) for _ in range(n_segments)]
-        if len(_repeat_distances(placements, ticks, den, lengths)) == expected:
+        if len(_repeat_distances(placements, durations, lengths)) == expected:
             break
     # filler r is under cap × (templates + r) exactly when r < budget,
     # and budget > 0, so shrinking ends by r = 0 at the latest
     cap = config.random_fraction_cap
-    budget = cap / (1 - cap) * Fraction(sum(ticks[t.name] for t in placements), den)
+    budget = cap / (1 - cap) * sum(durations[t.name] for t in placements)
     # shrink order: trail, lead, then inner segments round robin down to 1,
     # finally inner segments to 0
     while sum(lengths) >= budget:
@@ -189,11 +189,11 @@ def synthesize(config: SynthConfig) -> SyntheticPiece:
 
     points: list[Point] = []
     occurrences: dict[str, list[PatternOccurrence]] = {t.name: [] for t in config.templates}
-    now = Fraction(0)
+    now = 0
     for i, length in enumerate(lengths):
         for slot, pitch in enumerate(sample_random_segment(length, config, stream=i)):
             if pitch is not REST:
-                points.append(Point(now + slot, pitch, Fraction(1)))
+                points.append(Point(now + slot, pitch))
         now += length
         if i == len(placements):
             break
@@ -215,8 +215,8 @@ def synthesize(config: SynthConfig) -> SyntheticPiece:
         piece=piece,
         ground_truth=truth,
         seed=config.seed,
-        total_duration=now,
-        random_duration=Fraction(sum(lengths)),
+        total_duration=as_time(now),
+        random_duration=sum(lengths),
     )
 
 

@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -151,6 +152,18 @@ class TestDiscover:
         bad = tmp_path / "bad.csv"
         bad.write_text("0,not-a-pitch,1\n")
         assert run("discover", "--in", bad, "--alg", "sia", "--out", tmp_path / "x.json") == 2
+
+    # 1e5000 used to parse and fail at output (exit 3); 1e999999999 never finished parsing
+    @pytest.mark.parametrize("text", ["1e5000", "1e-5000", "2.5E+10000000", "1e999999999"])
+    def test_oversized_time_exit_2_fast(self, tmp_path, capsys, text):
+        piece = tmp_path / "p.csv"
+        piece.write_text(f"0,60,1\n{text},62,1\n")
+        start = time.perf_counter()
+        code = run("discover", "--in", piece, "--alg", "sia", "--out", tmp_path / "x.json")
+        assert time.perf_counter() - start < 0.5
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {piece}: line 2: ")
+        assert not (tmp_path / "x.json").exists()
 
 
 class TestPoll:
@@ -498,6 +511,19 @@ class TestClassifyImportance:
         bad = tmp_path / "f.csv"
         bad.write_text("a,b\n1,2\n")
         assert run("classify", "--features", bad, "--out", tmp_path / "x.json") == 2
+
+    @pytest.mark.parametrize("command", ["classify", "importance"])
+    @pytest.mark.parametrize("text, line", [
+        ("a,b,group\n1,2,x\n1,2\n", 3),  # a field short: was an IndexError traceback
+        ("a,b,group\n1,2,x\n1,2,3,y\n", 3),  # a field over: was read silently
+        ("group\nx\ny\n", 1),  # no feature column: importance failed in numpy
+    ])
+    def test_malformed_features_exit_2(self, tmp_path, capsys, command, text, line):
+        bad = tmp_path / "f.csv"
+        bad.write_text(text)
+        assert run(command, "--features", bad, "--out", tmp_path / "x.json", "--quiet") == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: line {line}: ")
+        assert not (tmp_path / "x.json").exists()
 
     def test_class_size_violation_exit_3(self, tmp_path, features_csv):
         assert run(
@@ -917,6 +943,10 @@ class TestJsonInputs:
         ("config", "{", 2),
         ("config", "[]", 3),
     ] + [
+        # an int past the interpreter's digit limit is not JSON the decoder can read
+        pytest.param(name, f'{{"boundaries": [1{"0" * 5000}]}}', 2, id=f"{name}-5001-digit-int")
+        for name in ("config", "params", "manifest", "pred")
+    ] + [
         # non-finite numbers and nesting deeper than the JSON decoder recurses
         pytest.param(name, text, 2, id=f"{name}-{case}")
         for name in ("patterns", "features")
@@ -931,6 +961,18 @@ class TestJsonInputs:
         d, cases = json_case
         (d / "doc.json").write_text(text)
         assert run(*cases[name][1], d / "doc.json") == code
+
+    # an int past the digit limit made json.loads raise a bare ValueError (exit 3)
+    @pytest.mark.parametrize("field", ["1" + "0" * 5000, '"1e999999999"', '"1e-5000"'],
+                             ids=["5001-digit-int", "1e999999999", "1e-5000"])
+    def test_oversized_time_in_pattern_file_exit_2(self, json_case, capsys, field):
+        d, cases = json_case
+        doc = d / "doc.json"
+        doc.write_text(_pattern_text(f'[[{field}, 60, "1"]]'))
+        start = time.perf_counter()
+        assert run(*cases["patterns"][1], doc) == 2
+        assert time.perf_counter() - start < 0.5
+        assert capsys.readouterr().err.startswith(f"error: {doc}: ")
 
     @pytest.mark.parametrize("grid", [{"windows": [5.9]}, {"lambdas": [True]}])
     def test_manifest_grid_scalar_misread_exit_3(self, json_case, grid):

@@ -21,6 +21,8 @@ from motifkit.core import (
     parse_midi,
     parse_points_csv,
 )
+from motifkit.discovery import run_algorithm, siatec
+from motifkit.synthesis import PatternTemplate, SynthConfig, synthesize
 
 import _oracles
 import _smf
@@ -543,3 +545,110 @@ class TestParseMidi:
             coords = [(p.onset, p.pitch) for p in ps.points]
             assert coords == sorted(coords)
             assert len(set(coords)) == len(coords)
+
+
+def _one_form(t) -> bool:
+    """Whether the exact time `t` is an int when integral and a Fraction otherwise."""
+    return type(t) is (int if t.denominator == 1 else Fraction)
+
+
+def _point_times(points) -> list:
+    return [t for p in points for t in (p.onset, p.duration)]
+
+
+def _span_times(records) -> list:
+    return [t for rec in records for occ in rec.occurrences for t in occ.span]
+
+
+# integral and fractional times, the integral ones as Fractions
+_TIMES = st.builds(F, st.integers(0, 24), st.sampled_from([1, 2, 3, 4]))
+_LENGTHS = st.builds(F, st.integers(1, 8), st.sampled_from([1, 2, 3, 4]))
+
+
+@st.composite
+def _spelled(draw, t: Fraction) -> str:
+    """`t` as one of the spellings a time string may take."""
+    k = draw(st.integers(1, 3))
+    spellings = [format_time(t), f"{t.numerator * k}/{t.denominator * k}", f" {t} "]
+    if 100 % t.denominator == 0:  # a finite decimal
+        spellings += [str(t.numerator / t.denominator), f"{t * 100}e-2"]
+    return draw(st.sampled_from(spellings))
+
+
+_ROWS = st.lists(st.tuples(_TIMES, st.integers(0, 127), _LENGTHS), min_size=1, max_size=8)
+
+
+class TestOneTimeForm:
+    """Every time read, built or derived is an int when integral and a Fraction otherwise."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=_ROWS, data=st.data())
+    def test_points_csv(self, rows, data):
+        text = "\n".join(
+            f"{data.draw(_spelled(o))},{p},{data.draw(_spelled(d))}" for o, p, d in rows
+        )
+        ps = parse_points_csv(text)
+        assert all(map(_one_form, _point_times(ps.points) + list(ps.span())))
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=_ROWS, data=st.data())
+    def test_pattern_file(self, rows, data):
+        def field(t):
+            plain = [t.numerator] if t.denominator == 1 else []
+            if 100 % t.denominator == 0:
+                plain.append(t.numerator / t.denominator)  # an exact JSON float
+            return data.draw(st.one_of(_spelled(t), *map(st.just, plain)))
+
+        points = [[field(o), p, field(d)] for o, p, d in rows]
+        doc = {"piece": "x", "algorithm": "a",
+               "patterns": [{"id": "p", "occurrences": [{"points": points}]}]}
+        _, records = load_pattern_file(json.dumps(doc))
+        occurrence_points = [p for rec in records for occ in rec.occurrences for p in occ.points]
+        assert all(map(_one_form, _point_times(occurrence_points) + _span_times(records)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        notes=st.lists(st.tuples(st.integers(0, 7), st.integers(1, 7), st.integers(0, 127)),
+                       max_size=8),
+        division=st.sampled_from([1, 2, 3, 4, 6]),
+    )
+    def test_midi(self, notes, division):
+        triples, tick = [], 0
+        for gap, length, pitch in notes:
+            triples.append((tick + gap, pitch, tick + gap + length))
+            tick += gap + length
+        ps = parse_midi(_smf.simple_file(triples, division=division), monophonic=False)
+        assert all(map(_one_form, _point_times(ps.points) + list(ps.span())))
+
+    @given(onset=_TIMES, duration=_LENGTHS)
+    def test_point_given_fractions(self, onset, duration):
+        p = Point(onset, 60, duration)
+        assert (p.onset, p.duration) == (onset, duration)
+        assert all(map(_one_form, (p.onset, p.duration, p.end)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        templates=st.lists(
+            st.lists(st.tuples(st.one_of(st.integers(48, 84), st.none()), _LENGTHS),
+                     max_size=5).map(lambda rest: ((60, F(1, 2)),) + tuple(rest)),
+            min_size=1, max_size=2,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_synthesis(self, templates, seed):
+        config = SynthConfig(
+            templates=tuple(PatternTemplate(f"T{i}", n) for i, n in enumerate(templates)),
+            seed=seed,
+        )
+        sp = synthesize(config)
+        times = _point_times(sp.piece.points) + _span_times(sp.ground_truth)
+        assert all(map(_one_form, times + [sp.total_duration, sp.random_duration]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=_ROWS)
+    def test_discovery(self, rows):
+        ps = PointSet.build([Point(o, p, d) for o, p, d in rows])
+        dts = [v.dt for tec in siatec(ps) for v in tec.translators]
+        spans = [t for alg in ("siatec", "cosiatec", "sia")
+                 for t in _span_times(run_algorithm(alg, ps))]
+        assert all(map(_one_form, dts + spans))

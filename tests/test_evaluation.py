@@ -133,6 +133,21 @@ class TestTruthBoundaries:
         # span [5/2, 7/2): both ends snap with the half-down rule
         assert truth_boundaries([rec]) == (2, 3)
 
+    @pytest.mark.parametrize("origin", [0, 1, -(2**61)])
+    @pytest.mark.parametrize("offset", [0, 1, 3, 5, 6])
+    def test_int_grid_past_float_precision(self, origin, offset):
+        """Int times, origin and resolution divide exactly, where a float quotient would not."""
+        t = 2**60 + offset
+        rec = PatternRecord("t", "p", (PatternOccurrence((Point(t, 60, 1),)),))
+        # an odd t - origin lies on an exact half, which goes to the lower index
+        expected = tuple(sorted({(s - origin) // 2 for s in (t, t + 1)}))
+        assert truth_boundaries([rec], origin=origin, resolution=2) == expected
+
+    def test_exact_half_past_float_precision(self):
+        rec = PatternRecord("t", "p", (PatternOccurrence((Point(2**60 + 3, 60, 1),)),))
+        # [2**60 + 3, 2**60 + 4) over 2: 2**59 + 3/2 snaps down, 2**59 + 2 is on the grid
+        assert truth_boundaries([rec], origin=0, resolution=2) == (2**59 + 1, 2**59 + 2)
+
 
     @given(
         grid=st.sampled_from([F(1, 4), F(1, 3), F(1, 2), F(1), F(3, 2)]),

@@ -1,7 +1,8 @@
 """Static checks over the package source: no unused imports, no private name taken from
 another module, no dead module-level names, no function that calls itself without a
-stated bound on its depth, one copy of the rule that puts exact values on integers, and
-one caller of the indenting JSON encoder."""
+stated bound on its depth, one copy of the rule that puts exact values on integers, one
+of the rule that keeps integral values as ints, and one caller of the indenting JSON
+encoder."""
 
 import ast
 from pathlib import Path
@@ -163,6 +164,39 @@ def test_one_rule_puts_fractions_on_integers():
         if _lcm_of_denominators(node)
     }
     assert found == {RESCALER}, f"{sorted(found)} take an lcm of denominators, not just {RESCALER}"
+
+
+# The one function that keeps an integral exact value as an int.
+INTEGRAL_AS_INT = "core.as_time"
+
+
+def _integral_as_int(node: ast.AST) -> bool:
+    """Whether `node` is `x.numerator if x.denominator == 1 else x` (or the `!=` form)."""
+    if not (isinstance(node, ast.IfExp) and isinstance(node.test, ast.Compare)):
+        return False
+    test = node.test
+    if len(test.ops) != 1 or not isinstance(test.ops[0], (ast.Eq, ast.NotEq)):
+        return False
+    numerator, other = node.body, node.orelse
+    if isinstance(test.ops[0], ast.NotEq):
+        numerator, other = other, numerator
+    sides = [test.left, test.comparators[0]]
+    one = [n for n in sides if isinstance(n, ast.Constant) and n.value == 1]
+    den = [n for n in sides if isinstance(n, ast.Attribute) and n.attr == "denominator"]
+    if not (one and den and isinstance(numerator, ast.Attribute) and numerator.attr == "numerator"):
+        return False
+    return ast.dump(numerator.value) == ast.dump(den[0].value) == ast.dump(other)
+
+
+def test_one_function_keeps_integral_values_as_ints():
+    """Times reach their one form through the one core function, not a module's own int shadow."""
+    found = [
+        name
+        for module in MODULES
+        for name, node in _scoped(TREES[module], module[:-3])
+        if _integral_as_int(node)
+    ]
+    assert found == [INTEGRAL_AS_INT], f"{found} keep integral values as ints, not only {INTEGRAL_AS_INT}"
 
 
 # The one function that may hand `json.dumps` an indent: its pure-Python encoder is

@@ -1,10 +1,11 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from motifkit.core import Point, over_common_denominator
+from motifkit.core import Point
 from motifkit.discovery import Vector2, sia
 from motifkit.synthesis import (
     PatternTemplate,
@@ -39,6 +40,24 @@ class TestTemplates:
     def test_empty_template_rejected(self):
         with pytest.raises(ValueError):
             PatternTemplate("empty", ())
+
+    def test_template_without_pitched_note_rejected(self):
+        # synthesize would fail later, on min() of no pitches
+        with pytest.raises(ValueError, match="template rests: needs at least one pitched note"):
+            PatternTemplate("rests", ((None, F(1)), (None, 2)))
+
+    @pytest.mark.parametrize("pitch_range", [(70, 61), (-1, 60), (60, 128)])
+    def test_bad_pitch_range_rejected(self, pitch_range):
+        # synthesize would fail later, in randrange or on a Point's pitch
+        with pytest.raises(ValueError, match=re.escape(f"pitch range {pitch_range} must")):
+            SynthConfig(pitch_range=pitch_range)
+
+    @pytest.mark.parametrize("pitch_range", [(0, 127), (64, 64)])
+    def test_pitch_range_bounds_accepted(self, pitch_range):
+        piece = synthesize(SynthConfig(pitch_range=pitch_range, rest_probability=0.0)).piece
+        filler = {p.pitch for p in piece.points} - {p for t in (template_p1(), template_p2())
+                                                   for p in t.pitches()}
+        assert filler <= set(range(pitch_range[0], pitch_range[1] + 1))
 
     @pytest.mark.parametrize("notes", [
         ((60, F(1)), (None, F(-1)), (62, F(1))),
@@ -205,10 +224,9 @@ class TestOneClock:
                         for rec in sp.ground_truth for occ in rec.occurrences)
         placements = [by_name[name] for _, name in starts]
         lengths = _segment_lengths(config, placements)
-        numerators, den = over_common_denominator(t.duration for t in templates)
-        ticks = {t.name: n for t, n in zip(templates, numerators)}
+        durations = {t.name: t.duration for t in templates}
         measured = set()
         for rec in sp.ground_truth:
             onsets = sorted(occ.points[0].onset for occ in rec.occurrences)
-            measured |= {(b - a) * den for a, b in zip(onsets, onsets[1:])}
-        assert measured == _repeat_distances(placements, ticks, den, lengths)
+            measured |= {b - a for a, b in zip(onsets, onsets[1:])}
+        assert measured == _repeat_distances(placements, durations, lengths)

@@ -35,6 +35,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import secrets
 import sys
@@ -522,7 +523,10 @@ def _read_features_csv(path: str) -> tuple[list[str], analysis.LabeledDataset]:
         try:
             if len(row) != len(header):
                 raise ValueError(f"{len(row)} fields, the header has {len(header)}")
-            X.append([float(row[i]) for i in feature_cols])
+            values = [float(row[i]) for i in feature_cols]
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"feature values must be finite, got {values}")
+            X.append(values)
         except ValueError as exc:
             raise CliError(EXIT_PARSE, f"{path}: line {lineno}: {exc}") from exc
         labels.append(row[label_col])

@@ -7,23 +7,20 @@ and the steep zero crossings of the derivatives become candidate pattern
 boundaries.
 
 All curve arithmetic is exact, so polynomial reproduction and boundary
-positions are reproducible to the bit.  Inside, a curve is integer
-numerators over one shared denominator, from polling through smoothing,
-differencing and the threshold-and-merge decision.  Fractions are built
-only where a caller reads them: `polling_curve` and `savgol_smooth` return
-a `PollingCurve`, and `boundary_trace` builds the smoothed curve, p1, p2
-and the steepness of each crossing; `extract_boundaries` and `train_pp`
-build none.  Polling puts the piece span, the resolution and every
-occurrence span on one integer tick and adds each occurrence's weight with
-a difference array.  Smoothing applies each least-squares fit as an
-integer kernel over one shared denominator, solved once per (offsets,
-order); a fit whose samples are all equal is that value, and the constant
-runs at the ends of a curve enter a fit through prefix sums of its kernel,
-so the edge padding of boundary extraction costs neither a solve nor a
-product per padded sample.  Parameter training polls each piece once,
-smooths each (piece, window, order) once and re-runs only the
-threshold-and-merge step per lambda and derivative choice.  Times,
-weights, curve values and kernel coefficients all reach integers through
+positions are reproducible to the bit.  A curve is one form throughout:
+integer numerators over one shared denominator, from polling through
+smoothing, differencing and the threshold-and-merge decision; its
+`values` are Fractions built when read.  Polling puts the piece span, the
+resolution and every occurrence span on one integer tick and adds each
+occurrence's weight with a difference array.  Smoothing has one edge
+rule: the curve is padded with `window` copies of each end value and
+every output is the centred fit, one integer kernel per (window, order).
+A fit whose samples are all equal is that value, and the constant runs at
+the ends of a curve enter a fit through prefix sums of its kernel, so the
+padding costs neither a solve nor a product per padded sample.  Parameter
+training polls each piece once, smooths each (piece, window, order) once
+and re-runs only the threshold-and-merge step per lambda and derivative
+choice.  Times, weights and kernel coefficients reach integers through
 one rule, `core.over_common_denominator`.
 """
 
@@ -50,19 +47,28 @@ AlgorithmWeights = Mapping[str, Fraction | int | float]
 
 @dataclass(frozen=True)
 class PollingCurve:
-    """Salience values on the grid origin + k * resolution, k = 0..n-1.
+    """Salience values nums[k] / den on the grid origin + k * resolution, k = 0..n-1.
 
     Freshly polled curves are non-negative and sum to the total weighted
     grid coverage of the input occurrences; smoothed curves are arbitrary
-    rational series on the same grid.  Values are Fractions, times exact.
+    rational series on the same grid.  `den` is positive; times are exact.
     """
 
     origin: int | Fraction
     resolution: int | Fraction
-    values: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int = 1
+
+    def __post_init__(self):
+        if self.den < 1:
+            raise ValueError(f"curve denominator must be positive, got {self.den}")
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.nums)
 
     def time_at(self, index: int) -> int | Fraction:
         return self.origin + index * self.resolution
@@ -167,14 +173,6 @@ def polling_curve(
     [0, max span end); with `normalize` the curve is divided by the total
     weight of the algorithms present.
     """
-    start, nums, den = _poll(records, weights, resolution, piece_span, normalize)
-    return PollingCurve(start, resolution, tuple(Fraction(x, den) for x in nums))
-
-
-def _poll(records: Sequence[PatternRecord], weights: AlgorithmWeights | None,
-          resolution: int | Fraction, piece_span: Span | None,
-          normalize: bool) -> tuple[int | Fraction, tuple[int, ...], int]:
-    """The grid origin and :func:`polling_curve`'s values as numerators over one denominator."""
     if resolution <= 0:
         raise ValueError("resolution must be > 0")
     weights = weights or {}
@@ -207,15 +205,11 @@ def _poll(records: Sequence[PatternRecord], weights: AlgorithmWeights | None,
     total = sum(iw.values())
     if normalize and total > 0:
         den = total  # (c / den) / (total / den) = c / total
-    return start, nums, den
+    return PollingCurve(start, resolution, nums, den)
 
 
 # ---------------------------------------------------------------------------
 # Savitzky-Golay smoothing (exact least squares on integers)
-
-# Distinct (offsets, order) fits kept; boundary extraction needs one per
-# (window, order), plain smoothing one more per truncated edge position.
-_FIT_CACHE_SIZE = 256
 
 
 def _solve_linear(a: list[list[Fraction]], rhs: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -236,21 +230,19 @@ def _solve_linear(a: list[list[Fraction]], rhs: list[list[Fraction]]) -> list[li
     return [row[k:] for row in m]
 
 
-@functools.lru_cache(maxsize=_FIT_CACHE_SIZE)
-def _fit_weights(
-    offsets: tuple[int, ...], order: int
-) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+@functools.cache
+def _fit_weights(half: int, order: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     """Integer weights w, their prefix sums and denominator d with fit(0) = sum w_j * y_j / d.
 
     The fit is the degree-`order` least-squares polynomial through the
-    samples y_j at positions `offsets`, relative to the evaluation point;
-    the effective order drops when the window holds too few points.  The
-    value at 0 is row 0 of the inverse normal matrix M applied to the
-    design, so w_j / d = sum_e c_e * x_j**e where M c = e_0.  The prefix
-    sums (prefix[k] = w_0 + ... + w_{k-1}) weigh a run of equal samples
-    with one product.
+    samples y_j at offsets -half..half from the evaluation point, and
+    order < 2 * half + 1.  The value at 0 is row 0 of the inverse normal
+    matrix M applied to the design, so w_j / d = sum_e c_e * x_j**e where
+    M c = e_0.  The prefix sums (prefix[k] = w_0 + ... + w_{k-1}) weigh a
+    run of equal samples with one product.
     """
-    k = min(order, len(offsets) - 1) + 1
+    offsets = range(-half, half + 1)
+    k = order + 1
     moments = [sum(x**e for x in offsets) for e in range(2 * k - 1)]
     normal = [[Fraction(moments[r + c]) for c in range(k)] for r in range(k)]
     coeffs = [row[0] for row in _solve_linear(normal, [[Fraction(int(r == 0))] for r in range(k)])]
@@ -261,84 +253,53 @@ def _fit_weights(
     return weights, (0, *itertools.accumulate(weights)), den // common
 
 
-def _smooth(ys: tuple[int, ...], window: int, order: int) -> tuple[tuple[int, ...], int]:
-    """Smoothed integer samples as numerators over one shared denominator.
+def _smooth(ys: Sequence[int], window: int, order: int) -> tuple[tuple[int, ...], int]:
+    """The samples padded with `window` copies of each end value and smoothed.
 
-    Samples [0, head) equal the first and samples (tail, n) the last.  A
-    window inside either run gives that value without a fit; any other
-    window takes the runs' share from the kernel's prefix sums and
-    multiplies only the samples in between, so an output costs at most
+    Returns the n + 2 * window smoothed samples as numerators over one
+    shared denominator, each the centred fit of its window.  A window
+    inside the run of equal samples at either end gives that value without
+    a fit, which covers every window that would reach past the padding;
+    any other window takes the runs' share from the kernel's prefix sums
+    and multiplies only the samples in between, so an output costs at most
     tail - head + 1 products however long the window is.
     """
-    n = len(ys)
+    if not ys:
+        raise ValueError("cannot smooth an empty curve")
     first, last = ys[0], ys[-1]
+    ys = (first,) * window + tuple(ys) + (last,) * window
+    n = len(ys)
     head = next((j for j, y in enumerate(ys) if y != first), n)
     tail = next((j for j in range(n - 1, -1, -1) if ys[j] != last), -1)
     half = window // 2
-    interior = _fit_weights(tuple(range(-half, half + 1)), order)
-    truncated = {}
-    for i in itertools.chain(range(half), range(n - half, n)):
-        lo, hi = max(0, i - half), min(n - 1, i + half)
-        if hi >= head and lo <= tail:
-            truncated[i] = _fit_weights(tuple(range(lo - i, hi - i + 1)), order)
-    den = math.lcm(interior[2], *(fit[2] for fit in truncated.values()))
+    weights, prefix, den = _fit_weights(half, order)
     out = []
     for i in range(n):
-        lo, hi = max(0, i - half), min(n - 1, i + half)
+        lo, hi = i - half, i + half
         if hi < head or lo > tail:
-            out.append(ys[lo] * den)
+            out.append((first if hi < head else last) * den)
             continue
-        weights, prefix, fit_den = truncated.get(i, interior)
         a, b = max(lo, head), min(hi, tail) + 1  # the samples outside both runs
         dot = sum(map(operator.mul, weights[a - lo : b - lo], ys[a:b]))
         if lo < head:
             dot += first * prefix[head - lo]
         if hi > tail:
             dot += last * (prefix[-1] - prefix[tail + 1 - lo])
-        out.append(dot * (den // fit_den))
+        out.append(dot)
     return tuple(out), den
 
 
 def savgol_smooth(curve: PollingCurve, window: int, order: int) -> PollingCurve:
-    """Least-squares polynomial smoothing with one-sided truncated edges.
+    """Least-squares polynomial smoothing, on the curve's own grid.
 
-    Interior values come from a degree-`order` fit over the centered
-    window, evaluated at the center; near the edges the window is
-    truncated to the available one-sided samples and the fit is evaluated
-    at the edge position itself.
-
-    The arithmetic is exact on integers: the curve is scaled to integers
-    over one denominator, each fit is a fixed integer kernel over one
-    shared denominator (memoised per offsets and order), and every output
-    is one integer over the product of the two; the returned curve's
-    Fractions are built from those integers at the end.  Boundary
-    extraction smooths its integers without this function and so builds no
-    Fraction for the smoothed curve.  A window lying inside the run of
-    equal samples at either end of the curve gives that value without a
-    fit, since a least-squares polynomial reproduces a constant, and a
-    window overlapping such a run weighs it with one product; so a window
-    of w on n samples costs about (n + w) * (samples outside the end runs)
-    products, and edge padding costs no solve.
-
-    The truncated edges are what grows with the window: each of the
-    window − 1 edge positions whose window reaches past a run needs its own
-    exact fit, one solve of the normal equations over Fractions.  The fits
-    depend only on the offsets and the order, and the last 256 are cached,
-    so a call pays them once per (window, order).  On a 201-sample curve
-    at order 2 with a cold cache (Python 3.11, Intel Xeon), window 11 took
-    0.007 s, 51 0.018 s, 101 0.023 s and 201 0.067 s; warm, each under
-    0.006 s.  Boundary extraction pays none of it: it pads the curve with
-    `window` copies of each end value, so every window that reaches an end
-    lies in an equal run, and it solves only the interior fit.
+    Each value is the degree-`order` fit over the centred window, evaluated
+    at its centre, with the curve extended by its end values as boundary
+    extraction extends it: this is `boundary_trace`'s smoothed curve without
+    the padding.  The arithmetic is exact on integers.
     """
-    n = len(curve)
     _check_smoothing(window, order)
-    if window > n:
-        raise ValueError(f"window {window} exceeds curve length {n}")
-    ys, scale = over_common_denominator(curve.values)
-    nums, den = _smooth(ys, window, order)
-    values = tuple(Fraction(x, den * scale) for x in nums)
-    return PollingCurve(curve.origin, curve.resolution, values)
+    nums, den = _smooth(curve.nums, window, order)
+    return PollingCurve(curve.origin, curve.resolution, nums[window:-window], den * curve.den)
 
 
 def derivatives(curve: PollingCurve) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
@@ -440,24 +401,22 @@ class _Signal(NamedTuple):
     key_den: int  # a crossing's steepness is its key / key_den
 
 
-def _signal(ys: tuple[int, ...], scale: int, window: int, order: int) -> _Signal:
+def _signal(curve: PollingCurve, window: int, order: int) -> _Signal:
     """The smoothed padded curve, p1, p2 and their crossings, sorted, on integers.
 
-    The curve is ys[k] / scale.  It is extended on both sides with
-    `window` copies of its edge values and smoothed with :func:`_smooth`,
-    so boundaries at the very start or end of the piece see the same flat
-    context as interior ones without inventing any slope.  No Fraction is
-    built here; `boundary_trace` builds the ones its trace holds.
-    Crossing positions are mapped back to grid indices of the curve and
-    clipped to [0, n].  Every steepness change / span becomes the integer
-    key change * (L / span) over key_den = den * L, L the least common
-    multiple of the spans, so sorting by (index, key, derivative) sorts by
-    exact steepness.
+    :func:`_smooth` extends the curve on both sides with `window` copies of
+    its edge values, so boundaries at the very start or end of the piece
+    see the same flat context as interior ones without inventing any
+    slope.  No Fraction is built here.  Crossing positions are mapped back
+    to grid indices of the curve and clipped to [0, n].  Every steepness
+    change / span becomes the integer key change * (L / span) over
+    key_den = den * L, L the least common multiple of the spans, so sorting
+    by (index, key, derivative) sorts by exact steepness.
     """
-    n = len(ys)
+    n = len(curve)
     pad = window
-    v, den = _smooth((ys[0],) * pad + ys + (ys[-1],) * pad, window, order)
-    den *= scale
+    v, den = _smooth(curve.nums, window, order)
+    den *= curve.den
     p1 = [b - a for a, b in zip(v, v[1:])]
     p2 = [b - a for a, b in zip(p1, p1[1:])]
     c1, c2 = _crossings(p1), _crossings(p2)
@@ -513,7 +472,7 @@ def boundary_trace(curve: PollingCurve, params: PpParams) -> BoundaryTrace:
     steeper).  The trace holds the signal and every crossing's fate as
     exact Fractions.
     """
-    sig = _signal(*over_common_denominator(curve.values), params.window, params.order)
+    sig = _signal(curve, params.window, params.order)
     owner: list[int | None] = [None] * len(sig.crossings)
     kept = _decide(sig.crossings, sig.key_den, params, owner)
     use = (None, params.use_first, params.use_second)
@@ -527,10 +486,9 @@ def boundary_trace(curve: PollingCurve, params: PpParams) -> BoundaryTrace:
         else:
             fate, into = "merged", kept[b][0]
         crossings.append(Crossing(idx, Fraction(key, sig.key_den), d, fate, into))
-    smoothed = tuple(Fraction(x, sig.den) for x in sig.smoothed)
     origin = curve.origin - params.window * curve.resolution
     return BoundaryTrace(
-        smoothed=PollingCurve(origin, curve.resolution, smoothed),
+        smoothed=PollingCurve(origin, curve.resolution, sig.smoothed, sig.den),
         p1=tuple(Fraction(x, sig.den) for x in sig.p1),
         p2=tuple(Fraction(x, sig.den) for x in sig.p2),
         boundaries=tuple(b[0] for b in kept),
@@ -540,7 +498,7 @@ def boundary_trace(curve: PollingCurve, params: PpParams) -> BoundaryTrace:
 
 def extract_boundaries(curve: PollingCurve, params: PpParams) -> BoundarySet:
     """The boundaries of :func:`boundary_trace`, as grid indices of `curve`."""
-    sig = _signal(*over_common_denominator(curve.values), params.window, params.order)
+    sig = _signal(curve, params.window, params.order)
     return tuple(b[0] for b in _decide(sig.crossings, sig.key_den, params))
 
 
@@ -581,7 +539,7 @@ def train_pp(
     for slot, piece_idx in enumerate(order):
         folds[slot % k_folds].append(piece_idx)
 
-    polls = [_poll(records, None, resolution, None, False)[1:] for records, _ in pieces]
+    curves = [polling_curve(records, resolution=resolution) for records, _ in pieces]
     # Only the decision step depends on lambda and the derivative flags.
     signals: dict[tuple[int, int, int], tuple[list[_Crossing], int]] = {}
 
@@ -590,7 +548,7 @@ def train_pp(
         for i in indices:
             smoothing = (i, params.window, params.order)
             if smoothing not in signals:
-                sig = _signal(*polls[i], params.window, params.order)
+                sig = _signal(curves[i], params.window, params.order)
                 signals[smoothing] = sig.crossings, sig.key_den
             predicted = [b[0] for b in _decide(*signals[smoothing], params)]
             prf = evaluation.boundary_prf(predicted, pieces[i][1], tolerance)

@@ -35,6 +35,8 @@ class PatternTemplate:
     def __post_init__(self):
         if not self.pitches():
             raise ValueError(f"template {self.name}: needs at least one pitched note")
+        if not all(0 <= p <= 127 for p in self.pitches()):
+            raise ValueError(f"template {self.name}: pitches must lie in the MIDI range 0-127")
         if any(d <= 0 for _, d in self.notes):
             raise ValueError(f"template {self.name}: note and rest durations must be > 0")
 

@@ -35,7 +35,7 @@ from motifkit.analysis import (
     sample_random_excerpts,
 )
 from motifkit.cli import main as cli_main
-from motifkit.core import Point, PointSet
+from motifkit.core import Point, PointSet, over_common_denominator
 from motifkit.discovery import cosiatec, mtps_to_records, sia, siatec, tecs_to_records
 from motifkit.evaluation import boundary_prf, occurrence_recovery, truth_boundaries
 from motifkit.polling import PollingCurve, PpParams, extract_boundaries, polling_curve, savgol_smooth
@@ -204,7 +204,7 @@ def test_criterion_06_savgol_polynomial_reproduction():
             values = tuple(
                 sum(c * F(t) ** e for e, c in enumerate(coeffs)) for t in range(14)
             )
-            curve = PollingCurve(F(0), F(1), values)
+            curve = PollingCurve(F(0), F(1), *over_common_denominator(values))
             smoothed = savgol_smooth(curve, window, order)
             half = window // 2
             for i in range(half, len(values) - half):

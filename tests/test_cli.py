@@ -18,6 +18,7 @@ from motifkit.core import (
     dump_pattern_json,
     format_time,
     load_pattern_file,
+    over_common_denominator,
     parse_points_csv,
 )
 from motifkit.discovery import cosiatec, tecs_to_records
@@ -227,7 +228,8 @@ class TestPoll:
         assert run("poll", "--in", a, b, "--resolution", "1/2", "--window", 5, "--order", 2,
                    "--out-dir", out, "--quiet") == 0
         values = read_signal(out / "piece.curve.csv")
-        curve = polling.PollingCurve(values[0][0], F(1, 2), tuple(v for _, v in values))
+        curve = polling.PollingCurve(
+            values[0][0], F(1, 2), *over_common_denominator(v for _, v in values))
         trace = polling.boundary_trace(curve, polling.PpParams(window=5, order=2))
         smoothed = trace.smoothed
         assert smoothed.origin == -F(5, 2)
@@ -303,7 +305,7 @@ _lengths = st.builds(F, st.integers(1, 8), st.integers(1, 4))
 @settings(max_examples=100, deadline=None)
 @given(origin=_times, resolution=_lengths, n=st.integers(0, 30))
 def test_time_column_formats_each_grid_time(origin, resolution, n):
-    curve = polling.PollingCurve(origin, resolution, (F(0),) * n)
+    curve = polling.PollingCurve(origin, resolution, *over_common_denominator((F(0),) * n))
     assert cli._times(curve) == [format_time(curve.time_at(k)) for k in range(n)]
 
 
@@ -517,6 +519,9 @@ class TestClassifyImportance:
         ("a,b,group\n1,2,x\n1,2\n", 3),  # a field short: was an IndexError traceback
         ("a,b,group\n1,2,x\n1,2,3,y\n", 3),  # a field over: was read silently
         ("group\nx\ny\n", 1),  # no feature column: importance failed in numpy
+        ("a,b,group\n1,2,x\n1,nan,y\n", 3),  # non-finite values exited 3 without a line
+        ("a,b,group\n1,inf,x\n1,2,y\n", 2),
+        ("a,b,group\n1,2,x\n-inf,2,y\n", 3),
     ])
     def test_malformed_features_exit_2(self, tmp_path, capsys, command, text, line):
         bad = tmp_path / "f.csv"

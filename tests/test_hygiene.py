@@ -1,8 +1,8 @@
 """Static checks over the package source: no unused imports, no private name taken from
 another module, no dead module-level names, no function that calls itself without a
 stated bound on its depth, one copy of the rule that puts exact values on integers, one
-of the rule that keeps integral values as ints, and one caller of the indenting JSON
-encoder."""
+of the rule that keeps integral values as ints, one caller of the indenting JSON encoder
+and one of the smoothing kernel."""
 
 import ast
 from pathlib import Path
@@ -204,13 +204,17 @@ def test_one_function_keeps_integral_values_as_ints():
 INDENTED_JSON = "cli._json_text"
 
 
-def _indented_dumps(node: ast.AST) -> bool:
-    """Whether `node` calls `json.dumps` (or a bare `dumps`) with an `indent` keyword."""
+def _calls(node: ast.AST, name: str) -> bool:
+    """Whether `node` calls `name`, bare or as an attribute."""
     if not isinstance(node, ast.Call):
         return False
     f = node.func
-    name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
-    return name == "dumps" and any(kw.arg == "indent" for kw in node.keywords)
+    return (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) == name
+
+
+def _indented_dumps(node: ast.AST) -> bool:
+    """Whether `node` calls `json.dumps` (or a bare `dumps`) with an `indent` keyword."""
+    return _calls(node, "dumps") and any(kw.arg == "indent" for kw in node.keywords)
 
 
 def test_one_function_indents_json():
@@ -221,3 +225,18 @@ def test_one_function_indents_json():
         if _indented_dumps(node)
     }
     assert found == {INDENTED_JSON}, f"{sorted(found)} indent json.dumps, not just {INDENTED_JSON}"
+
+
+# The one function that asks for a smoothing kernel: savgol_smooth and boundary
+# extraction share one edge rule, so they share the one call that pads and fits.
+KERNEL_CALLER = "polling._smooth"
+
+
+def test_one_function_asks_for_a_smoothing_kernel():
+    found = [
+        name
+        for module in MODULES
+        for name, node in _scoped(TREES[module], module[:-3])
+        if _calls(node, "_fit_weights")
+    ]
+    assert found == [KERNEL_CALLER], f"{found} call _fit_weights, not only {KERNEL_CALLER} once"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from motifkit import polling
-from motifkit.core import PatternOccurrence, PatternRecord, Point
+from motifkit.core import PatternOccurrence, PatternRecord, Point, over_common_denominator
 from motifkit.polling import (
     PollingCurve,
     PpParams,
@@ -34,7 +34,13 @@ def rec(alg, *spans):
 
 
 def curve_of(values):
-    return PollingCurve(F(0), F(1), tuple(F(v) for v in values))
+    return PollingCurve(F(0), F(1), *over_common_denominator(F(v) for v in values))
+
+
+def padded(values, window):
+    """`values` with `window` copies of each end value, as boundary extraction smooths it."""
+    values = list(values)
+    return [values[0]] * window + values + [values[-1]] * window
 
 
 class TestPollingCurve:
@@ -56,6 +62,12 @@ class TestPollingCurve:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError, match="negative weight"):
             polling_curve([rec("a", (0, 2))], weights={"a": -1})
+
+    @pytest.mark.parametrize("den", [0, -2])
+    def test_nonpositive_denominator_rejected(self, den):
+        # a negative one would flip every sign the boundary decision reads
+        with pytest.raises(ValueError, match="denominator must be positive"):
+            PollingCurve(0, 1, (1, 2, 3), den)
 
     def test_span_violation_rejected(self):
         with pytest.raises(ValueError, match="outside piece span"):
@@ -116,7 +128,7 @@ class TestPollingCurveOracle:
 class TestSavgol:
     def test_parabola_unchanged(self):
         c = curve_of([0, 1, 4, 9, 16])
-        assert savgol_smooth(c, 5, 2).values == c.values
+        assert savgol_smooth(c, 5, 2).values[2:-2] == c.values[2:-2]
 
     def test_constant_unchanged(self):
         c = curve_of([3] * 7)
@@ -129,8 +141,15 @@ class TestSavgol:
         assert savgol_smooth(c, 3, 1).values == (0, 1, 1, 1, 0)
 
     def test_window_longer_than_curve(self):
-        with pytest.raises(ValueError, match="window"):
-            savgol_smooth(curve_of([1, 2, 3]), 5, 2)
+        got = savgol_smooth(curve_of([1, 2, 3]), 5, 2).values
+        assert list(got) == _oracles.brute_savgol(padded([1, 2, 3], 5), 5, 2)[5:-5]
+
+    def test_empty_curve_rejected(self):
+        empty = PollingCurve(0, 1, ())
+        with pytest.raises(ValueError, match="empty curve"):
+            savgol_smooth(empty, 3, 1)
+        with pytest.raises(ValueError, match="empty curve"):
+            boundary_trace(empty, PpParams())
 
     def test_matches_float_oracle(self):
         rng = random.Random(1)
@@ -140,7 +159,7 @@ class TestSavgol:
             window = rng.choice([w for w in (3, 5, 7) if w <= n])
             order = rng.randrange(1, window)
             got = savgol_smooth(curve_of(values), window, order).values
-            want = _oracles.float_savgol(values, window, order)
+            want = _oracles.float_savgol(padded(values, window), window, order)[window:-window]
             assert max(abs(g - w) for g, w in zip(got, want)) < 1e-9
 
     def test_polynomial_reproduction_interior(self):
@@ -177,7 +196,16 @@ class TestExactSmoothing:
         window = data.draw(st.sampled_from(range(3, len(curve) + 1, 2)))
         order = data.draw(st.integers(1, window - 1))
         got = savgol_smooth(curve, window, order)
-        assert list(got.values) == _oracles.brute_savgol(curve.values, window, order)
+        want = _oracles.brute_savgol(padded(curve.values, window), window, order)
+        assert list(got.values) == want[window:-window]
+
+    @settings(max_examples=150, deadline=None)
+    @given(curve=_curves(), window=st.sampled_from([3, 5, 7, 9, 15, 31]), data=st.data())
+    def test_is_the_boundary_signal_unpadded(self, curve, window, data):
+        """Plain smoothing is boundary extraction's, at windows longer than the curve too."""
+        order = data.draw(st.integers(1, window - 1))
+        smoothed = boundary_trace(curve, PpParams(window, order)).smoothed
+        assert savgol_smooth(curve, window, order).values == smoothed.values[window:-window]
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -198,8 +226,8 @@ class TestExactSmoothing:
                               normalize=normalize)
         params = PpParams(window=window, order=min(order, window - 1))
         trace = boundary_trace(curve, params)
-        padded = (curve.values[0],) * window + curve.values + (curve.values[-1],) * window
-        assert list(trace.smoothed.values) == _oracles.brute_savgol(padded, window, params.order)
+        want = _oracles.brute_savgol(padded(curve.values, window), window, params.order)
+        assert list(trace.smoothed.values) == want
 
 
     @pytest.mark.parametrize("window, order", [(41, 1), (41, 3), (23, 2), (9, 4)])
@@ -207,8 +235,8 @@ class TestExactSmoothing:
         """The end runs' prefix sums, when every window holds all of a short curve."""
         curve = curve_of([F(1, 2), 0, 3, F(-7, 3), 3, 3, F(5, 4)])
         trace = boundary_trace(curve, PpParams(window=window, order=order))
-        padded = (curve.values[0],) * window + curve.values + (curve.values[-1],) * window
-        assert list(trace.smoothed.values) == _oracles.brute_savgol(padded, window, order)
+        want = _oracles.brute_savgol(padded(curve.values, window), window, order)
+        assert list(trace.smoothed.values) == want
 
 
 class TestDerivatives:
@@ -445,18 +473,14 @@ class TestTrainPp:
         assert len(calls) == len(pieces) * 4
         assert set(calls) == {(3, 1), (3, 2), (5, 1), (7, 3)}
 
-    def test_builds_no_polling_curve(self, monkeypatch):
-        built = []
-        curve_type = polling.PollingCurve
+    def test_reads_no_curve_values(self, monkeypatch):
+        """Training works on the curves' integers and builds none of their Fractions."""
+        def values(curve):
+            raise AssertionError("train_pp read PollingCurve.values")
 
-        def counted(*args):
-            built.append(args)
-            return curve_type(*args)
-
-        monkeypatch.setattr(polling, "PollingCurve", counted)
+        monkeypatch.setattr(polling.PollingCurve, "values", property(values))
         grid = [PpParams(window=w, order=1, lam=lam) for w in (3, 5) for lam in (F(0), F(1))]
         train_pp(self.make_pieces(), grid, k_folds=2, resolution=F(1, 2))
-        assert built == []
 
     def make_pieces(self):
         pieces = []

@@ -46,6 +46,12 @@ class TestTemplates:
         with pytest.raises(ValueError, match="template rests: needs at least one pitched note"):
             PatternTemplate("rests", ((None, F(1)), (None, 2)))
 
+    @pytest.mark.parametrize("pitch", [-1, 128, 200])
+    def test_template_pitch_outside_midi_range_rejected(self, pitch):
+        # synthesize would fail later, in Point, with a message naming no template
+        with pytest.raises(ValueError, match="template hi: pitches must lie in the MIDI range"):
+            PatternTemplate("hi", ((pitch, 1), (60, 1)))
+
     @pytest.mark.parametrize("pitch_range", [(70, 61), (-1, 60), (60, 128)])
     def test_bad_pitch_range_rejected(self, pitch_range):
         # synthesize would fail later, in randrange or on a Point's pitch

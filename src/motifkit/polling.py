@@ -15,13 +15,14 @@ resolution and every occurrence span on one integer tick and adds each
 occurrence's weight with a difference array.  Smoothing has one edge
 rule: the curve is padded with `window` copies of each end value and
 every output is the centred fit, one integer kernel per (window, order).
-A fit whose samples are all equal is that value, and the constant runs at
-the ends of a curve enter a fit through prefix sums of its kernel, so the
-padding costs neither a solve nor a product per padded sample.  Parameter
-training polls each piece once, smooths each (piece, window, order) once
-and re-runs only the threshold-and-merge step per lambda and derivative
-choice.  Times, weights and kernel coefficients reach integers through
-one rule, `core.over_common_denominator`.
+The constant runs at the ends of a curve enter a fit through prefix sums
+of its kernel and the samples between them through one convolution, so
+the padding costs neither a solve nor a product per padded sample.
+Parameter training polls each piece once, smooths each piece once per
+distinct kernel (orders 2k and 2k + 1 share one) and re-runs only the
+threshold-and-merge step per lambda and derivative choice.  Times,
+weights and kernel coefficients reach integers through one rule,
+`core.over_common_denominator`.
 """
 
 from __future__ import annotations
@@ -29,11 +30,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from motifkit import evaluation
 from motifkit.core import PatternRecord, over_common_denominator, to_time
@@ -51,7 +53,8 @@ class PollingCurve:
 
     Freshly polled curves are non-negative and sum to the total weighted
     grid coverage of the input occurrences; smoothed curves are arbitrary
-    rational series on the same grid.  `den` is positive; times are exact.
+    rational series on the same grid.  `den` is positive and shares no
+    factor with every numerator; times are exact.
     """
 
     origin: int | Fraction
@@ -62,6 +65,10 @@ class PollingCurve:
     def __post_init__(self):
         if self.den < 1:
             raise ValueError(f"curve denominator must be positive, got {self.den}")
+        # lowest terms, so curves with equal values compare and hash equal
+        common = math.gcd(self.den, *self.nums)
+        object.__setattr__(self, "nums", tuple(x // common for x in self.nums))
+        object.__setattr__(self, "den", self.den // common)
 
     @property
     def values(self) -> tuple[Fraction, ...]:
@@ -253,40 +260,42 @@ def _fit_weights(half: int, order: int) -> tuple[tuple[int, ...], tuple[int, ...
     return weights, (0, *itertools.accumulate(weights)), den // common
 
 
-def _smooth(ys: Sequence[int], window: int, order: int) -> tuple[tuple[int, ...], int]:
+def _smooth(ys: Sequence[int], window: int, order: int) -> tuple[list[int], int]:
     """The samples padded with `window` copies of each end value and smoothed.
 
     Returns the n + 2 * window smoothed samples as numerators over one
-    shared denominator, each the centred fit of its window.  A window
-    inside the run of equal samples at either end gives that value without
-    a fit, which covers every window that would reach past the padding;
-    any other window takes the runs' share from the kernel's prefix sums
-    and multiplies only the samples in between, so an output costs at most
-    tail - head + 1 products however long the window is.
+    shared denominator, each the centred fit of its window.  The padded
+    curve is a run of `first` up to `head`, the samples head..tail, and a
+    run of `last` after `tail`.  A window takes the runs' share from the
+    kernel's prefix sums, one product per run, and the samples in between
+    enter through one convolution with the kernel, so the padding costs no
+    product however long the window is.  The arithmetic is int64 when no
+    sum of products can overflow it and Python ints otherwise.
     """
     if not ys:
         raise ValueError("cannot smooth an empty curve")
     first, last = ys[0], ys[-1]
-    ys = (first,) * window + tuple(ys) + (last,) * window
-    n = len(ys)
-    head = next((j for j, y in enumerate(ys) if y != first), n)
-    tail = next((j for j in range(n - 1, -1, -1) if ys[j] != last), -1)
     half = window // 2
     weights, prefix, den = _fit_weights(half, order)
-    out = []
-    for i in range(n):
-        lo, hi = i - half, i + half
-        if hi < head or lo > tail:
-            out.append((first if hi < head else last) * den)
-            continue
-        a, b = max(lo, head), min(hi, tail) + 1  # the samples outside both runs
-        dot = sum(map(operator.mul, weights[a - lo : b - lo], ys[a:b]))
-        if lo < head:
-            dot += first * prefix[head - lo]
-        if hi > tail:
-            dot += last * (prefix[-1] - prefix[tail + 1 - lo])
-        out.append(dot)
-    return tuple(out), den
+    # every output is a sum of products of distinct weights and samples
+    exact = max(1, max(map(abs, ys))) * sum(map(abs, weights)) >= 2**63
+    dtype = object if exact else np.int64
+    y = np.array(ys, dtype)
+    n = len(ys) + 2 * window
+    off_first, off_last = np.flatnonzero(y != first), np.flatnonzero(y != last)
+    head = window + int(off_first[0]) if off_first.size else n
+    tail = window + int(off_last[-1]) if off_last.size else -1
+    tail = max(tail, head - 1)  # a constant curve is all head run, counted once
+    lo = np.arange(-half, n - half)  # each output's first window position
+    prefix = np.array(prefix, dtype)
+    out = first * prefix[np.clip(head - lo, 0, window)] + last * (
+        prefix[-1] - prefix[np.clip(tail + 1 - lo, 0, window)]
+    )
+    if head <= tail:
+        # the padding keeps head - half >= 0 and tail + half < n
+        kernel = np.array(weights[::-1], dtype)
+        out[head - half : tail + half + 1] += np.convolve(y[head - window : tail + 1 - window], kernel)
+    return out.tolist(), den
 
 
 def savgol_smooth(curve: PollingCurve, window: int, order: int) -> PollingCurve:
@@ -393,7 +402,7 @@ _Crossing = tuple[int, int, int]
 
 
 class _Signal(NamedTuple):
-    smoothed: tuple[int, ...]  # the padded curve, smoothed, numerators over den
+    smoothed: list[int]  # the padded curve, smoothed, numerators over den
     p1: list[int]  # its first differences, numerators over den
     p2: list[int]  # its second differences, numerators over den
     den: int
@@ -540,13 +549,15 @@ def train_pp(
         folds[slot % k_folds].append(piece_idx)
 
     curves = [polling_curve(records, resolution=resolution) for records, _ in pieces]
-    # Only the decision step depends on lambda and the derivative flags.
+    # Only the decision step depends on lambda and the derivative flags.  A
+    # centred fit's odd-degree term vanishes at the centre, so orders 2k and
+    # 2k + 1 share one kernel and one signal.
     signals: dict[tuple[int, int, int], tuple[list[_Crossing], int]] = {}
 
     def score(params: PpParams, indices: Sequence[int]) -> Fraction:
         total = Fraction(0)
         for i in indices:
-            smoothing = (i, params.window, params.order)
+            smoothing = (i, params.window, params.order // 2)
             if smoothing not in signals:
                 sig = _signal(curves[i], params.window, params.order)
                 signals[smoothing] = sig.crossings, sig.key_den

@@ -94,9 +94,12 @@ def brute_max_matching(predicted, truth, tolerance):
 def float_savgol(values, window, order):
     """Savitzky-Golay smoothing via numpy float least squares.
 
-    Same contract as the library: centered window, one-sided truncation at
-    the edges, evaluation at the output position, effective order reduced
-    when the truncated window is small.
+    Each output is the least-squares polynomial through the given samples
+    within `window // 2` positions of it, evaluated at its position.  Near
+    either end that window holds fewer samples on one side, and the degree
+    drops below `order` when it holds too few to fit it.  Padded with
+    `window` copies of each end value, every original position has its
+    full centred window.
     """
     import numpy as np
 
@@ -135,9 +138,10 @@ def _brute_solve(a, rhs):
 def brute_savgol(values, window, order):
     """Savitzky-Golay smoothing with one exact least-squares solve per output.
 
-    Same contract as `float_savgol`, in Fractions: every window, edge or
-    interior, constant or not, builds its design and normal equations and
-    solves them for the fitted polynomial's value at the output position.
+    The outputs of `float_savgol`, in Fractions: every window, near an end
+    or not, constant or not, builds its design and normal equations from
+    the given samples it holds and solves them for the fitted polynomial's
+    value at the output position.
     """
     values = [Fraction(v) for v in values]
     n = len(values)

@@ -2,7 +2,7 @@
 another module, no dead module-level names, no function that calls itself without a
 stated bound on its depth, one copy of the rule that puts exact values on integers, one
 of the rule that keeps integral values as ints, one caller of the indenting JSON encoder
-and one of the smoothing kernel."""
+and one function that asks for the smoothing kernel and applies it."""
 
 import ast
 from pathlib import Path
@@ -240,3 +240,14 @@ def test_one_function_asks_for_a_smoothing_kernel():
         if _calls(node, "_fit_weights")
     ]
     assert found == [KERNEL_CALLER], f"{found} call _fit_weights, not only {KERNEL_CALLER} once"
+
+
+def test_one_function_convolves():
+    """The kernel is applied where it is asked for, so a second smoothing rule cannot hide."""
+    found = [
+        name
+        for module in MODULES
+        for name, node in _scoped(TREES[module], module[:-3])
+        if _calls(node, "convolve")
+    ]
+    assert found == [KERNEL_CALLER], f"{found} call convolve, not only {KERNEL_CALLER} once"

@@ -69,6 +69,19 @@ class TestPollingCurve:
         with pytest.raises(ValueError, match="denominator must be positive"):
             PollingCurve(0, 1, (1, 2, 3), den)
 
+    @pytest.mark.parametrize("nums, den, low_nums, low_den", [
+        ((2,), 2, (1,), 1),
+        ((0, 4, -6), 2, (0, 2, -3), 1),
+        ((3, 9), 6, (1, 3), 2),
+        ((0, 0), 5, (0, 0), 1),
+        ((), 7, (), 1),
+    ])
+    def test_equal_values_compare_and_hash_equal(self, nums, den, low_nums, low_den):
+        curve, lowest = PollingCurve(0, 1, nums, den), PollingCurve(0, 1, low_nums, low_den)
+        assert curve == lowest and hash(curve) == hash(lowest)
+        assert (curve.nums, curve.den) == (low_nums, low_den)
+        assert curve.values == lowest.values
+
     def test_span_violation_rejected(self):
         with pytest.raises(ValueError, match="outside piece span"):
             polling_curve([rec("a", (0, 6))], piece_span=(F(0), F(4)))
@@ -237,6 +250,51 @@ class TestExactSmoothing:
         trace = boundary_trace(curve, PpParams(window=window, order=order))
         want = _oracles.brute_savgol(padded(curve.values, window), window, order)
         assert list(trace.smoothed.values) == want
+
+
+def _int64_overflows(ys, window, order):
+    """Whether `_smooth` must leave int64 for Python ints on these samples."""
+    weights = polling._fit_weights(window // 2, order)[0]
+    return max(1, max(map(abs, ys))) * sum(map(abs, weights)) >= 2**63
+
+
+class TestExactIntegerRange:
+    """Smoothing stays exact on either side of its int64 / Python-int choice."""
+
+    @pytest.mark.parametrize("ys, window, order", [
+        ([2**62, -(2**62), 2**62 - 1, 3, -(2**62) + 5, 2**62], 5, 2),
+        ([-(2**62)] * 3 + [2**62, 0, 1] + [2**62 + 7] * 2, 7, 3),
+        ([0, 1, 10**30, -2, 0], 3, 1),
+        ([5, -(10**20)], 9, 4),
+    ])
+    def test_python_ints_equal_per_window_solve(self, ys, window, order):
+        assert _int64_overflows(ys, window, order)
+        nums, _ = polling._smooth(tuple(ys), window, order)
+        assert all(type(x) is int for x in nums)
+        got = savgol_smooth(curve_of(ys), window, order)
+        assert list(got.values) == _oracles.brute_savgol(padded(ys, window), window, order)[window:-window]
+
+    def test_int64_at_its_edge_equals_per_window_solve(self):
+        top = (2**63 - 1) // 3  # window 3, order 1 weighs three samples by 1
+        ys = [top, top, -top, top, top, -top, -top]
+        assert not _int64_overflows(ys, 3, 1)
+        got = savgol_smooth(curve_of(ys), 3, 1)
+        assert list(got.values) == _oracles.brute_savgol(padded(ys, 3), 3, 1)[3:-3]
+        assert all(type(x) is int for x in polling._smooth(tuple(ys), 3, 1)[0])
+
+    def test_zero_curve_whose_kernel_outgrows_int64(self):
+        # weights this large overflow int64 even though every sample is 0
+        ys = [0] * 5
+        assert _int64_overflows(ys, 43, 40)
+        assert savgol_smooth(curve_of(ys), 43, 40).values == (0,) * 5
+        nums, _ = polling._smooth(tuple(ys), 43, 40)
+        assert nums == [0] * (5 + 2 * 43)
+
+    @pytest.mark.parametrize("half", range(1, 11))
+    def test_orders_two_k_and_two_k_plus_one_share_a_kernel(self, half):
+        """A centred fit's odd-degree term is 0 at the centre."""
+        for order in range(0, 2 * half, 2):
+            assert polling._fit_weights(half, order) == polling._fit_weights(half, order + 1)
 
 
 class TestDerivatives:
@@ -472,6 +530,29 @@ class TestTrainPp:
         train_pp(pieces, grid, k_folds=2)
         assert len(calls) == len(pieces) * 4
         assert set(calls) == {(3, 1), (3, 2), (5, 1), (7, 3)}
+
+    def test_orders_sharing_a_kernel_smooth_once(self, monkeypatch):
+        """Orders 2k and 2k + 1 of one window share one smoothing pass per piece."""
+        calls = []
+        smooth = polling._smooth
+
+        def counted(ys, window, order):
+            calls.append((window, order // 2))
+            return smooth(ys, window, order)
+
+        monkeypatch.setattr(polling, "_smooth", counted)
+        grid = [
+            PpParams(window=w, order=o, lam=lam, use_first=first)
+            for w, o in [(5, 2), (5, 3), (7, 4), (7, 5)]
+            for lam in (F(0), F(1, 2), F(2))
+            for first in (True, False)
+        ]
+        pieces = self.make_pieces()
+        best = train_pp(pieces, grid, k_folds=2)
+        assert len(calls) == 2 * len(pieces)
+        assert set(calls) == {(5, 1), (7, 2)}
+        monkeypatch.setattr(polling, "_smooth", smooth)
+        assert best == _oracles.brute_train_pp(pieces, grid, k_folds=2)
 
     def test_reads_no_curve_values(self, monkeypatch):
         """Training works on the curves' integers and builds none of their Fractions."""

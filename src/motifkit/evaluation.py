@@ -2,14 +2,16 @@
 
 Boundaries match in one sweep of both sorted lists: the tolerance windows
 have equal widths, so their ends rise together and the greedy matching is
-maximum (Glover 1967, convex bipartite graphs).
+maximum (Glover 1967, convex bipartite graphs).  A matching is scored as
+integer counts first: `BoundaryCounts.ratio` holds the one precision,
+recall and F1 rule, and `boundary_prf` builds its Fractions from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from motifkit.core import PatternOccurrence, PatternRecord, nearest_index
 
@@ -20,6 +22,25 @@ class PrfScore:
     recall: Fraction
     f1: Fraction
     matches: int
+
+
+class BoundaryCounts(NamedTuple):
+    """The matching of predicted to truth boundaries, as counts."""
+
+    matches: int
+    predicted: int
+    truth: int
+
+    def ratio(self, objective: str) -> tuple[int, int]:
+        """Precision m/p, recall m/t or F1 2m/(p + t) as (numerator, denominator).
+
+        F1 is 2PR / (P + R) with P = m/p and R = m/t.  Without a match, which
+        an empty predicted or truth set implies, every ratio is 0/1.
+        """
+        m, p, t = self
+        if not m:
+            return 0, 1
+        return {"precision": (m, p), "recall": (m, t), "f1": (2 * m, p + t)}[objective]
 
 
 @dataclass(frozen=True)
@@ -54,29 +75,31 @@ def _max_matching(predicted: Sequence, truth: Sequence, tolerance) -> int:
     return matches
 
 
-def boundary_prf(
-    predicted: Sequence, truth: Sequence, tolerance=1
-) -> PrfScore:
-    """Precision/recall/F1 of boundary positions under a matching tolerance.
+def boundary_counts(predicted: Sequence, truth: Sequence, tolerance=1) -> BoundaryCounts:
+    """Matches, predicted and truth counts of boundary positions under a matching tolerance.
 
     Matching is the maximum one-to-one assignment of predicted to truth
     positions with |p - t| <= tolerance.  In ascending order, each
     prediction takes the least unmatched truth in its window; the windows
     have equal widths, so their ends rise together, no later prediction
-    reaches a truth an earlier one passed, and the sweep is maximum.  Empty
-    predicted (or truth) sets score 0 precision (recall); the units of
-    positions and tolerance must agree (grid indices or times).
+    reaches a truth an earlier one passed, and the sweep is maximum.  The
+    units of positions and tolerance must agree (grid indices or times).
     """
     if tolerance < 0:
         raise ValueError("tolerance must be >= 0")
-    predicted = list(predicted)
-    truth = list(truth)
-    matches = _max_matching(predicted, truth, tolerance)
-    precision = Fraction(matches, len(predicted)) if predicted else Fraction(0)
-    recall = Fraction(matches, len(truth)) if truth else Fraction(0)
-    # 2PR / (P + R) with P = m / |predicted| and R = m / |truth|
-    f1 = Fraction(2 * matches, len(predicted) + len(truth)) if matches else Fraction(0)
-    return PrfScore(precision=precision, recall=recall, f1=f1, matches=matches)
+    return BoundaryCounts(_max_matching(predicted, truth, tolerance), len(predicted), len(truth))
+
+
+def boundary_prf(
+    predicted: Sequence, truth: Sequence, tolerance=1
+) -> PrfScore:
+    """Precision/recall/F1 of :func:`boundary_counts` as Fractions.
+
+    Empty predicted (or truth) sets score 0 precision (recall).
+    """
+    counts = boundary_counts(list(predicted), list(truth), tolerance)
+    precision, recall, f1 = (Fraction(*counts.ratio(o)) for o in ("precision", "recall", "f1"))
+    return PrfScore(precision=precision, recall=recall, f1=f1, matches=counts.matches)
 
 
 def truth_boundaries(

@@ -18,9 +18,12 @@ every output is the centred fit, one integer kernel per (window, order).
 The constant runs at the ends of a curve enter a fit through prefix sums
 of its kernel and the samples between them through one convolution, so
 the padding costs neither a solve nor a product per padded sample.
-Parameter training polls each piece once, smooths each piece once per
-distinct kernel (orders 2k and 2k + 1 share one) and re-runs only the
-threshold-and-merge step per lambda and derivative choice.  Times,
+Parameter training polls each piece once and smooths it once per
+distinct kernel (orders 2k and 2k + 1 share one).  It splits each
+signal's crossings once per derivative choice, runs the
+threshold-and-merge step once per distinct signal, lambda and derivative
+choice, and scores each decision on integer matching counts, so a
+candidate's mean over the folds is its only Fraction.  Times,
 weights and kernel coefficients reach integers through one rule,
 `core.over_common_denominator`.
 """
@@ -529,8 +532,8 @@ def train_pp(
     Each piece is a (records, truth boundary indices) pair.  Pieces are
     dealt into `k_folds` folds (seeded shuffle, then round robin); every
     parameter candidate is scored by the mean objective over validation
-    folds and the best one wins, ties broken by smaller window then
-    smaller lambda.
+    folds and the best one wins, ties broken by smaller window, then
+    smaller lambda, then smaller order.
     """
     if objective not in ("precision", "recall", "f1"):
         raise ValueError(f"objective must be precision|recall|f1, got {objective!r}")
@@ -549,26 +552,40 @@ def train_pp(
         folds[slot % k_folds].append(piece_idx)
 
     curves = [polling_curve(records, resolution=resolution) for records, _ in pieces]
-    # Only the decision step depends on lambda and the derivative flags.  A
-    # centred fit's odd-degree term vanishes at the centre, so orders 2k and
-    # 2k + 1 share one kernel and one signal.
-    signals: dict[tuple[int, int, int], tuple[list[_Crossing], int]] = {}
+    # A centred fit's odd-degree term vanishes at the centre, so orders 2k and
+    # 2k + 1 share one kernel and one signal.  Each signal's sorted crossings
+    # are split once per pair of derivative flags, so each lambda only filters
+    # and merges.
+    signals: dict[tuple[int, int, int], tuple[dict[tuple[bool, bool], list[_Crossing]], int]] = {}
+    pairs: dict[tuple, tuple[int, int]] = {}
 
-    def score(params: PpParams, indices: Sequence[int]) -> Fraction:
-        total = Fraction(0)
-        for i in indices:
-            smoothing = (i, params.window, params.order // 2)
+    def pair(params: PpParams, i: int) -> tuple[int, int]:
+        """The objective on piece i as (numerator, denominator), decided once per
+        distinct signal, lambda and derivative flags."""
+        smoothing = (i, params.window, params.order // 2)
+        flags = (params.use_first, params.use_second)
+        decision = (*smoothing, params.lam, *flags)
+        if decision not in pairs:
             if smoothing not in signals:
                 sig = _signal(curves[i], params.window, params.order)
-                signals[smoothing] = sig.crossings, sig.key_den
-            predicted = [b[0] for b in _decide(*signals[smoothing], params)]
-            prf = evaluation.boundary_prf(predicted, pieces[i][1], tolerance)
-            total += getattr(prf, objective)
-        return total / len(indices)
+                signals[smoothing] = {(True, True): sig.crossings}, sig.key_den
+            splits, key_den = signals[smoothing]
+            if flags not in splits:
+                use = (None, *flags)
+                splits[flags] = [c for c in splits[True, True] if use[c[2]]]
+            predicted = [b[0] for b in _decide(splits[flags], key_den, params)]
+            counts = evaluation.boundary_counts(predicted, pieces[i][1], tolerance)
+            pairs[decision] = counts.ratio(objective)
+        return pairs[decision]
 
     def rank(params: PpParams) -> tuple:
-        fold_scores = [score(params, fold) for fold in folds if fold]
-        mean = sum(fold_scores, Fraction(0)) / len(fold_scores)
+        # the mean over folds of each fold's mean, as one Fraction: piece i of
+        # fold f adds num / (den * |f|), each scaled to the least common
+        # denominator of those terms
+        terms = [(num, den * len(fold))
+                 for fold in folds for num, den in (pair(params, i) for i in fold)]
+        lcm = math.lcm(*(den for _, den in terms))
+        mean = Fraction(sum(num * (lcm // den) for num, den in terms), lcm * k_folds)
         return -mean, params.window, params.lam, params.order
 
     return min(candidates, key=rank)

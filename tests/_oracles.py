@@ -135,19 +135,20 @@ def _brute_solve(a, rhs):
     return [row[k:] for row in m]
 
 
-def brute_savgol(values, window, order):
+def brute_savgol(values, window, order, outputs=None):
     """Savitzky-Golay smoothing with one exact least-squares solve per output.
 
     The outputs of `float_savgol`, in Fractions: every window, near an end
     or not, constant or not, builds its design and normal equations from
     the given samples it holds and solves them for the fitted polynomial's
-    value at the output position.
+    value at the output position.  `outputs`, a range of positions
+    (default all), names the outputs to solve for.
     """
     values = [Fraction(v) for v in values]
     n = len(values)
     half = window // 2
     out = []
-    for i in range(n):
+    for i in range(n) if outputs is None else outputs:
         lo = max(0, i - half)
         hi = min(n - 1, i + half)
         xs = range(lo - i, hi - i + 1)

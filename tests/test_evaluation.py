@@ -2,10 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from motifkit.core import PatternOccurrence, PatternRecord, Point, PointSet
 from motifkit.evaluation import (
+    boundary_counts,
     boundary_prf,
     occurrence_recovery,
     truth_boundaries,
@@ -69,6 +70,30 @@ class TestBoundaryPrf:
         assert prf.matches == _oracles.brute_max_matching(predicted, truth, tolerance * unit)
         p, r = prf.precision, prf.recall
         assert prf.f1 == (2 * p * r / (p + r) if p + r else 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        predicted=st.lists(st.integers(0, 12), max_size=8),
+        truth=st.lists(st.integers(0, 12), max_size=8),
+        tolerance=st.integers(0, 3),
+    )
+    @example(predicted=[], truth=[3, 5], tolerance=1)
+    @example(predicted=[3], truth=[], tolerance=0)
+    @example(predicted=[], truth=[], tolerance=2)
+    def test_counts_ratio_is_the_score(self, predicted, truth, tolerance):
+        """Each objective's integer pair is boundary_prf's Fraction: m/p, m/t and 2m/(p + t), or 0."""
+        counts = boundary_counts(predicted, truth, tolerance)
+        prf = boundary_prf(predicted, truth, tolerance)
+        m, p, t = counts
+        assert (m, p, t) == (prf.matches, len(predicted), len(truth))
+        want = {
+            "precision": F(m, p) if p else 0,
+            "recall": F(m, t) if t else 0,
+            "f1": F(2 * m, p + t) if m else 0,
+        }
+        for objective, score in want.items():
+            num, den = counts.ratio(objective)
+            assert F(num, den) == getattr(prf, objective) == score
 
     def test_tolerance_zero_is_set_intersection(self):
         rng = random.Random(1)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from motifkit import polling
+from motifkit import evaluation, polling
 from motifkit.core import PatternOccurrence, PatternRecord, Point, over_common_denominator
 from motifkit.polling import (
     PollingCurve,
@@ -209,8 +209,9 @@ class TestExactSmoothing:
         window = data.draw(st.sampled_from(range(3, len(curve) + 1, 2)))
         order = data.draw(st.integers(1, window - 1))
         got = savgol_smooth(curve, window, order)
-        want = _oracles.brute_savgol(padded(curve.values, window), window, order)
-        assert list(got.values) == want[window:-window]
+        middle = range(window, window + len(curve))
+        want = _oracles.brute_savgol(padded(curve.values, window), window, order, middle)
+        assert list(got.values) == want
 
     @settings(max_examples=150, deadline=None)
     @given(curve=_curves(), window=st.sampled_from([3, 5, 7, 9, 15, 31]), data=st.data())
@@ -553,6 +554,59 @@ class TestTrainPp:
         assert set(calls) == {(5, 1), (7, 2)}
         monkeypatch.setattr(polling, "_smooth", smooth)
         assert best == _oracles.brute_train_pp(pieces, grid, k_folds=2)
+
+    def test_decides_each_signal_once(self, monkeypatch):
+        """One decision per piece, window, order // 2, lambda and derivative flags."""
+        calls = []
+        decide = polling._decide
+
+        def counted(crossings, key_den, params, owner=None):
+            calls.append((params.window, params.order // 2, params.lam, params.use_first, params.use_second))
+            return decide(crossings, key_den, params, owner)
+
+        monkeypatch.setattr(polling, "_decide", counted)
+        grid = [
+            PpParams(window=w, order=o, lam=lam, use_first=first, use_second=second)
+            for w, o in [(5, 2), (5, 3), (7, 1), (7, 4), (7, 5)]
+            for lam in (F(0), F(1, 2), F(2))
+            for first, second in [(True, True), (False, True), (True, False)]
+        ]
+        pieces = self.make_pieces()
+        best = train_pp(pieces, grid, k_folds=2)
+        distinct = {(p.window, p.order // 2, p.lam, p.use_first, p.use_second) for p in grid}
+        assert len(distinct) == 27
+        assert sorted(calls) == sorted([*distinct] * len(pieces))
+        monkeypatch.setattr(polling, "_decide", decide)
+        assert best == _oracles.brute_train_pp(pieces, grid, k_folds=2)
+
+    @pytest.mark.parametrize("objective", ["precision", "recall", "f1"])
+    def test_scores_on_counts(self, monkeypatch, objective):
+        """Training scores the matching counts and never builds boundary_prf's Fractions."""
+        grid = [PpParams(window=w, order=o, lam=lam) for w, o in [(3, 1), (3, 2), (5, 4)]
+                for lam in (F(0), F(1, 2))]
+        pieces = self.make_pieces()[:3]
+        want = _oracles.brute_train_pp(pieces, grid, objective=objective, k_folds=2)
+
+        def prf(*args):
+            raise AssertionError("train_pp called evaluation.boundary_prf")
+
+        monkeypatch.setattr(evaluation, "boundary_prf", prf)
+        assert train_pp(pieces, grid, objective=objective, k_folds=2) == want
+
+    def test_ties_break_by_window_then_lambda_then_order(self):
+        """Without truth every candidate scores 0, so the tie-break alone ranks them."""
+        pieces = [(records, []) for records, _ in self.make_pieces()]
+        ranked = [
+            PpParams(window=3, order=1, lam=F(0)),
+            PpParams(window=3, order=2, lam=F(0)),  # the larger order loses only to a smaller one
+            PpParams(window=3, order=1, lam=F(1, 2)),  # a larger lambda loses to any order
+            PpParams(window=3, order=2, lam=F(1)),
+            PpParams(window=5, order=1, lam=F(0)),  # a larger window loses to any lambda and order
+        ]
+        grid = ranked[::-1]
+        for want in ranked:
+            assert train_pp(pieces, grid, k_folds=2) == want
+            grid.remove(want)
 
     def test_reads_no_curve_values(self, monkeypatch):
         """Training works on the curves' integers and builds none of their Fractions."""

@@ -234,20 +234,17 @@ def _derivative_flags(choice) -> dict[str, bool]:
 
 
 def _pp_params_from_args(args) -> polling.PpParams:
-    base = {}
+    """`polling.PpParams`' defaults, then --params-file's params, then the flags given."""
+    merged = polling.PpParams().to_json_dict()
     if args.params_file:
-        base = _read_json(
+        merged.update(_read_json(
             args.params_file,
             EXIT_CONFIG,
             lambda doc: _json_object(_json_object(doc).get("params", doc)),
-        )
-    merged = {
-        "window": args.window if args.window is not None else base.get("window", 3),
-        "order": args.order if args.order is not None else base.get("order", 1),
-        "lambda": args.lam if args.lam is not None else base.get("lambda", 0),
-        "use_first": base.get("use_first", True),
-        "use_second": base.get("use_second", True),
-    }
+        ))
+    for name, value in (("window", args.window), ("order", args.order), ("lambda", args.lam)):
+        if value is not None:
+            merged[name] = value
     if args.derivatives:
         merged.update(_derivative_flags(args.derivatives))
     try:
@@ -482,7 +479,12 @@ def cmd_features(args) -> int:
     piece = _read_piece(args.piece) if args.piece else None
     all_records: list[tuple[str, list[core.PatternRecord]]] = []
     for path in args.patterns or []:
-        all_records.append(_load_pattern_file(path))
+        piece_id, records = _load_pattern_file(path)
+        if piece is not None and piece_id != piece.title:
+            raise CliError(
+                EXIT_INCONSISTENT, f"{path}: piece id {piece_id!r} does not match {piece.title!r}"
+            )
+        all_records.append((piece_id, records))
     for _, records in all_records:
         X, labels = analysis.features_of_records(records)
         rows.extend((list(x), label) for x, label in zip(X, labels))

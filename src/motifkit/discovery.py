@@ -14,17 +14,17 @@ pitches in 0-127, so a vector, a difference of codes, decodes uniquely and
 int order is (onset, pitch) order: the hot loops add and hash plain ints.
 Translators are read off SIA's vector table (Meredith, Lemstrom & Wiggins
 2002), and COSIATEC and SIATECCompress rank candidate TECs in exact integer
-arithmetic, with no floats or Fractions.  A COSIATEC round is best-first:
-it builds a table column's shapes, and scores them in descending order of
-an exact upper bound on the ordering's leading figure, only while a bound
-can reach the best candidate so far.  Ratio, coverage and size prune;
-compactness has no bound, so a compactness-led round builds and scores
-every shape.  The emitted TECs are those of scoring every shape.  One
-compact-segment rule (`_segments`, an integer compare per step) splits
-patterns for COSIATEC's candidates, `compactness_trawl` and SIARCT alike.
-Each occurrence is built once, on the grid, as the piece's own notes
-(`_image`), durations included: a TEC holds its occurrences, and `_records`
-builds every pattern record.
+arithmetic, with no floats or Fractions.  A COSIATEC round is one
+best-first queue: column groups and shapes, each at an exact upper bound on
+the ordering's leading figure, are taken greatest first while a bound can
+reach the best candidate so far; a column group builds its shapes, a shape
+is scored.  Ratio, coverage and size prune; compactness has no bound, so a
+compactness-led round builds and scores every shape.  The emitted TECs are
+those of scoring every shape.  One compact-segment rule (`_segments`, an
+integer compare per step) splits patterns for COSIATEC's candidates,
+`compactness_trawl` and SIARCT alike.  Each occurrence is built once, on the
+grid, as the piece's own notes (`_image`), durations included: a TEC holds
+its occurrences, and `_records` builds every pattern record.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
+from itertools import count
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from motifkit.core import (
@@ -251,8 +251,8 @@ class DiscoveryStats:
     candidate (`_best`), and adds that TEC (`chosen`) and whether it
     compressed and so was emitted.  `seconds` holds each stage's wall time:
     the grid and vector table, the translator search and counting (in
-    COSIATEC, the best-first loop that builds, bounds and scores shapes), the
-    ranking (in COSIATEC, sorting the columns by length), and building the
+    COSIATEC, the best-first queue that builds, bounds and scores shapes), the
+    ranking (in COSIATEC, grouping the columns by length), and building the
     emitted TECs (in COSIATEC, also removing their points).  Counts come from
     lengths at hand once per round, never per candidate.
     """
@@ -460,9 +460,9 @@ DEFAULT_ORDER = ("cr", "comp", "cov", "size")
 # translator), the remaining point count and m.  Coverage is at most s*t,
 # and s*t/(s+t-1) never falls as t grows.  Capping the ratio's coverage at
 # the point count would make it fall as t grows, and the bound fail.  None
-# falls as s or t grows, so s = k, t = the longest column caps a column of
-# k >= 2 origins, whose shapes have at least 2 points; a one-origin column's
-# single point has every remaining point as a translator, so t = rest.
+# falls as s or t grows, so `_best` queues the columns of k >= 2 origins,
+# whose shapes have at least 2 points, at s = k, t = the longest column; a
+# one-origin column's single point has every remaining point as a translator.
 _BOUNDS: dict[str, Callable[[int, int, int, int], int]] = {
     "cr": lambda s, t, rest, m: s * t * m // (s + t - 1),
     "cov": lambda s, t, rest, m: min(s * t, rest),
@@ -496,81 +496,57 @@ def _rank_key(order: Sequence[str], n: int) -> Callable[[_Candidate], tuple]:
     return key
 
 
-def _leading_bound(order: Sequence[str], n: int) -> tuple[Callable, Callable]:
-    """`_BOUNDS` on the leading figure under `_rank_key(order, n)`, of a shape and of a
-    column of k origins whose shapes have at most t translators; compactness has none
-    that the table gives, so infinite ones."""
+def _leading_bound(order: Sequence[str], n: int) -> Callable[[int, int, int], int | float]:
+    """`_BOUNDS` on the leading figure under `_rank_key(order, n)`, as ``bound(s, t, rest)``;
+    compactness has none that the table gives, so an infinite one."""
     f = _BOUNDS.get((*order, *DEFAULT_ORDER)[0])
     if f is None:
-        return (lambda shape, table, rest: math.inf), (lambda k, t, rest: math.inf)
+        return lambda s, t, rest: math.inf
     m = 4 * n * n
-
-    def bound(shape: tuple[_Coord, ...], table: _Table, rest: int) -> int:
-        t = min(map(len, map(table.__getitem__, shape[1:])), default=rest)
-        return f(len(shape), t, rest, m)
-
-    return bound, lambda k, t, rest: f(k, t, rest, m)
+    return lambda s, t, rest: f(s, t, rest, m)
 
 
 def _best(
-    columns: Sequence[list[_Coord]], grid: _Grid, table: _Table, key: Callable, bounds: tuple
+    groups: Mapping[int, list], grid: _Grid, table: _Table, key: Callable, bound: Callable
 ) -> tuple[_Candidate, set, int]:
     """A round's least-keyed candidate, the distinct shapes built, and the count scored.
 
-    Columns, by descending bound `cap` (longest first, the one-origin columns,
-    which share one shape, a single point, at their own bound), are built while
-    `cap` reaches the best leading figure `lead`, shapes filed by exact bound; the
-    shapes above `cap`, then the rest, are scored best bound first until a bound
-    is strictly below `lead`.
+    One heap holds the work, each item at its exact bound on the leading figure: the
+    columns of each length k >= 2 in `groups` (s = k, t = the longest column), one of
+    the one-origin columns, which share one shape, a single point (s = 1, t = rest),
+    and each shape built (t its smallest table column).  While the greatest bound
+    reaches the best leading figure `lead`, columns build their shapes and compact
+    segments, and a shape is scored.  Entries are (-bound, number, item), numbers
+    unique and the columns' first: items are never compared, and at an equal bound
+    every shape is built before any is scored.
     """
-    shape_bound, column_bound = bounds
     rest = len(grid.coords)
-    longest = len(columns[0]) if columns else 0
-    heap, by_bound, built = [], {}, set()  # heap: the negated keys of by_bound
-    best, best_key, lead, scored = None, None, -math.inf, 0
-
-    def score_above(cap: float) -> None:
-        nonlocal best, best_key, lead, scored
-        while heap and -heap[0] > cap and -heap[0] >= lead:
-            for s in by_bound.pop(-heapq.heappop(heap)):
-                c = _score(s, grid, table)
-                scored += 1
-                c_key = key(c)
-                if best_key is None or c_key < best_key:
-                    best, best_key, lead = c, c_key, -c_key[0]
-
-    def walk() -> Iterable[tuple[int, Iterable[list[_Coord]]]]:
-        """Column groups as (cap, columns) by descending cap; the one-origin columns,
-        which share one shape, as one column at their own cap."""
-        ones = [columns[-1]] if columns and len(columns[-1]) == 1 else []
-        one_cap = column_bound(1, rest, rest)
-        for k, group in groupby(columns, len):
-            if k < 2:
-                break
-            cap = column_bound(k, longest, rest)
-            if ones and one_cap > cap:
-                yield one_cap, ones
-                ones = []
-            yield cap, group
-        if ones:
-            yield one_cap, ones
-
-    for cap, group in walk():
-        score_above(cap)
-        if cap < lead:
-            break
-        for origins in group:
+    longest = max(groups, default=0)
+    heap = [
+        (-bound(k, longest if k > 1 else rest, rest), i, cols if k > 1 else cols[:1])
+        for i, (k, cols) in enumerate(groups.items())
+    ]
+    heapq.heapify(heap)
+    seq = count(len(heap))
+    built, best, best_key, lead, scored = set(), None, None, -math.inf, 0
+    while heap and -heap[0][0] >= lead:
+        _, i, item = heapq.heappop(heap)
+        if i >= len(groups):  # a shape
+            c = _score(item, grid, table)
+            scored += 1
+            c_key = key(c)
+            if best_key is None or c_key < best_key:
+                best, best_key, lead = c, c_key, -c_key[0]
+            continue
+        for origins in item:
             shapes = [_shape(origins)]
             if len(origins) > 2:  # a 2-point MTP's only segment is itself
                 shapes += map(_shape, _segments(origins, grid, 1, 2))
             for s in shapes:
                 if s not in built:
                     built.add(s)
-                    b = shape_bound(s, table, rest)
-                    if b not in by_bound:
-                        heapq.heappush(heap, -b)
-                    by_bound.setdefault(b, []).append(s)
-    score_above(-math.inf)
+                    t = min(map(len, map(table.__getitem__, s[1:])), default=rest)
+                    heapq.heappush(heap, (-bound(len(s), t, rest), next(seq), s))
     return best, built, scored
 
 
@@ -594,37 +570,40 @@ def cosiatec(
     give the occurrence a TEC of its own.  Each round reads every
     candidate's translators off one vector table (`_translators`).
 
-    Rounds are best-first (`_best`): shapes are scored in descending order
-    of an exact upper bound on the ordering's leading figure, and the round
-    stops at the first bound strictly below the best leading figure found.
-    The bound takes a shape's size s and its smallest table column t, which
-    holds every translator: s*t/(s+t-1) for compression ratio, min(s*t,
-    remaining points) for coverage, s for size (`_BOUNDS`); a column of k
-    origins is built only while its bound at s = k, t = the longest column
-    (the remaining points for a single origin), can reach it.  So ratio- and
-    size-led orderings build and score few shapes, coverage-led ones score
-    few, compactness-led ones all.  The chosen TEC is the one scoring every
-    shape gives.
+    A round is one best-first queue (`_best`) over the table's columns,
+    grouped by length, and the shapes they build, each at an exact upper
+    bound on the ordering's leading figure; it takes the greatest bound
+    until one is strictly below the best leading figure found.  The bound
+    takes a shape's size s and its smallest table column t, which holds
+    every translator: s*t/(s+t-1) for compression ratio, min(s*t, remaining
+    points) for coverage, s for size (`_BOUNDS`); the columns of k origins
+    are queued at s = k, t = the longest column (the remaining points for a
+    single origin).  So ratio- and size-led orderings build and score few
+    shapes, coverage-led ones score few, compactness-led ones all.  The
+    chosen TEC is the one scoring every shape gives.
 
     The best TEC maximizes the `tie_break` quality ordering (defaults to
-    compression ratio, compactness, coverage, pattern size), with
-    `tec_quality` measured against the remaining points and compared in
-    exact integer arithmetic.  Once no TEC compresses (best ratio <= 1) or
-    fewer than two points remain, the residue is emitted as a single
-    zero-translator TEC.  Covers partition the input exactly.  `stats`, if
-    given, records each round and its chosen TEC.
+    compression ratio, compactness, coverage, pattern size): each
+    candidate's figures (`_Candidate`) are counted against the remaining
+    points and compared in exact integer arithmetic.  Once no TEC
+    compresses (best ratio <= 1) or fewer than two points remain, the
+    residue is emitted as a single zero-translator TEC.  Covers partition
+    the input exactly.  `stats`, if given, records each round and its
+    chosen TEC.
     """
     key = _rank_key(tie_break, len(ps))
-    bounds = _leading_bound(tie_break, len(ps))
+    bound = _leading_bound(tie_break, len(ps))
     stats = _started(stats)
     grid = _Grid(ps)
     out = []
     while len(grid.coords) >= 2:
         table = _mtp_table(grid)
         stats.lap("table")
-        columns = sorted(table.values(), key=len, reverse=True)
+        groups: dict[int, list[list[_Coord]]] = {}
+        for origins in table.values():
+            groups.setdefault(len(origins), []).append(origins)
         stats.lap("rank")
-        best, built, scored = _best(columns, grid, table, key, bounds)
+        best, built, scored = _best(groups, grid, table, key, bound)
         stats.lap("search")
         stats.add_round(grid, table, built, scored, best)
         if not best.compresses():

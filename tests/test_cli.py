@@ -413,6 +413,20 @@ class TestEvalBoundaries:
         assert not (tmp_path / "eval.csv").exists()
         assert run("eval-boundaries", "--pred", pred, "--truth", tmp_path / "a.truth.json") == 0
 
+    def test_features_piece_must_match_patterns(self, tmp_path, capsys):
+        for name, seed in (("a", 1), ("b", 2)):
+            assert run("synth", "--seed", seed, "--name", name, "--out-dir", tmp_path,
+                       "--quiet") == 0
+        out = tmp_path / "f.csv"
+        capsys.readouterr()
+        assert run("features", "--piece", tmp_path / "a.csv", "--patterns",
+                   tmp_path / "b.truth.json", "--random", 2, "--out", out, "--quiet") == 4
+        err = capsys.readouterr().err
+        assert "'b' does not match 'a'" in err and "Traceback" not in err
+        assert not out.exists()
+        assert run("features", "--piece", tmp_path / "a.csv", "--patterns",
+                   tmp_path / "a.truth.json", "--random", 2, "--out", out, "--quiet") == 0
+
     def test_long_matching_chain(self, tmp_path, capsys):
         records = [PatternRecord("t", f"p{i}", (PatternOccurrence((Point(F(i), 60),)),))
                    for i in range(1200)]

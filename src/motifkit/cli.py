@@ -228,6 +228,9 @@ def cmd_discover(args) -> int:
 # poll
 
 
+_DERIVATIVES = ("first", "second", "both")  # --derivatives and a manifest's grid
+
+
 def _derivative_flags(choice) -> dict[str, bool]:
     """PpParams' use_first and use_second for a --derivatives choice."""
     return {"use_first": choice in ("first", "both"), "use_second": choice in ("second", "both")}
@@ -367,19 +370,29 @@ def _paths(value) -> list[str]:
     return value
 
 
+# A manifest's grid keys, each with its default list.
+_GRID_DEFAULTS = {"windows": [3, 5], "orders": [1, 2], "lambdas": [0], "derivatives": ["both"]}
+
+
 def _manifest(doc) -> tuple[list[tuple[list[str], str]], list[polling.PpParams]]:
     """Each piece's (pattern file paths, truth file path), and the parameter grid."""
     pieces = [(_paths(entry["patterns"]), _paths([entry["truth"]])[0]) for entry in doc["pieces"]]
-    grid_spec = doc.get("grid", {})
+    spec = {**_GRID_DEFAULTS, **doc.get("grid", {})}
+    unknown = sorted(set(spec) - set(_GRID_DEFAULTS))
+    if unknown:
+        raise ValueError(f"unknown grid keys {unknown}")
+    flags = spec["derivatives"]
+    if not isinstance(flags, list) or any(f not in _DERIVATIVES for f in flags):
+        raise ValueError(f"grid derivatives must be a list of first, second or both, got {flags!r}")
     grid = [
         polling.PpParams.from_json_dict(
             {"window": w, "order": o, "lambda": lam, **_derivative_flags(flag)}
         )
-        for w in grid_spec.get("windows", [3, 5])
-        for o in grid_spec.get("orders", [1, 2])
+        for w in spec["windows"]
+        for o in spec["orders"]
         if o < w
-        for lam in grid_spec.get("lambdas", [0])
-        for flag in grid_spec.get("derivatives", ["both"])
+        for lam in spec["lambdas"]
+        for flag in flags
     ]
     return pieces, grid
 
@@ -632,7 +645,7 @@ def _poll_flags(p: argparse.ArgumentParser):
         help="steepness threshold (default 0, or --params-file's)",
     )
     p.add_argument(
-        "--derivatives", choices=["first", "second", "both"], default=None,
+        "--derivatives", choices=_DERIVATIVES, default=None,
         help="(default both, or --params-file's)",
     )
     p.add_argument("--params-file", default=None, help="trained params JSON from train-pp")

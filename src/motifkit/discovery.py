@@ -5,7 +5,9 @@ patterns), SIATEC (translational equivalence classes), COSIATEC (greedy
 cover by best TEC with removal), SIATECCompress (greedy cover without
 removal), SIAR (vector table restricted to r lexicographic successors),
 and a compactness trawler, together with compression-ratio and
-compactness quality measures.
+compactness quality measures.  Compactness has one rule: a pattern's size
+over the set points whose onsets lie in its onset span, its temporal
+window (`_Grid.window`).
 
 Internally each point is one int, its grid code ``onset * 256 + pitch``
 (onsets as numerators over their least common denominator, by
@@ -108,7 +110,7 @@ class TecQuality:
 # Integer encoding
 
 # A grid code: onset numerator * 256 + pitch (a vector: a difference of codes).  Decoded
-# only in onset lookups (`>> 8`), `bbox` pitches (`& 255`, negative onsets too) and `_Grid.vector`.
+# only in onset lookups (`>> 8`) and `_Grid.vector`.
 _Coord = int
 _Table = dict[_Coord, list[_Coord]]  # positive vector -> sorted origins (the MTPs)
 
@@ -140,16 +142,6 @@ class _Grid:
     def window(self, lo: int, hi: int) -> int:
         """Number of set points with onsets in [lo, hi]; both must be set onsets."""
         return self.stop[hi] - self.first[lo]
-
-    def inside(self, cs: Sequence[_Coord], mode: str) -> int:
-        """Set points in the onset span of sorted set points `cs` (``bbox``: and pitch range)."""
-        lo, hi = self.first[cs[0] >> 8], self.stop[cs[-1] >> 8]
-        if mode == "temporal":
-            return hi - lo
-        if mode == "bbox":
-            plo, phi = min(c & 255 for c in cs), max(c & 255 for c in cs)
-            return sum(plo <= c & 255 <= phi for c in self.coords[lo:hi])
-        raise ValueError(f"unknown compactness mode {mode!r}")
 
     def on_grid(self, pattern: Sequence[Point]) -> dict[_Coord, Point]:
         """The pattern's points by grid code, sorted; each must be a set point."""
@@ -363,29 +355,25 @@ def _shape(origins: Sequence[_Coord]) -> tuple[_Coord, ...]:
 
 
 def _segments(
-    coords: Sequence[_Coord], grid: _Grid, a: Fraction | int, b: int, mode: str = "temporal"
+    coords: Sequence[_Coord], grid: _Grid, a: Fraction | int, b: int
 ) -> list[tuple[_Coord, ...]]:
     """Maximal left-to-right runs of the sorted set points `coords` with compactness >= a.
 
     A run takes the next point while ``(len + 1) * a.denominator >=
-    a.numerator * inside``, `inside` counting the set points in the extended
-    run's window (`_Grid.inside`); a point that fails starts a new run.  Runs
-    of at least `b` points are kept, a one-point run only if it passes the
-    same test (other set points can share its onset).
+    a.numerator * window``, `window` counting the set points in the extended
+    run's onset span (`_Grid.window`, inlined); a point that fails starts a
+    new run.  Runs of at least `b` points are kept, a one-point run only if
+    it passes the same test (other set points can share its onset).
     """
     num, den = a.numerator, a.denominator
-    temporal = mode == "temporal"
     first, stop = grid.first, grid.stop
     out = []
     i, n = 0, len(coords)
     while i < n:  # the run is coords[i:j]
         lo, j = first[coords[i] >> 8], i + 1
-        # temporal: the window lookup of `_Grid.inside`, inlined for COSIATEC
-        while j < n and (j - i + 1) * den >= num * (
-            stop[coords[j] >> 8] - lo if temporal else grid.inside(coords[i : j + 1], mode)
-        ):
+        while j < n and (j - i + 1) * den >= num * (stop[coords[j] >> 8] - lo):
             j += 1
-        if j - i >= b and (j - i > 1 or den >= num * grid.inside(coords[i:j], mode)):
+        if j - i >= b and (j - i > 1 or den >= num * (stop[coords[i] >> 8] - lo)):
             out.append(tuple(coords[i:j]))
         i = j
     return out
@@ -395,26 +383,21 @@ def _segments(
 # Quality measures
 
 
-def compactness(
-    pattern: Sequence[Point], ps: PointSet, mode: str = "temporal"
-) -> Fraction:
-    """Pattern size over the number of set points inside its window.
-
-    ``temporal`` counts set points whose onset lies in the pattern's onset
-    range; ``bbox`` additionally restricts to the pattern's pitch range.
-    """
+def compactness(pattern: Sequence[Point], ps: PointSet) -> Fraction:
+    """Pattern size over the number of set points whose onsets lie in its onset range."""
     pts = tuple(pattern)
     if not pts:
         raise ValueError("pattern must be nonempty")
     grid = _Grid(ps)
-    return Fraction(len(pts), grid.inside(list(grid.on_grid(pts)), mode))
+    cs = list(grid.on_grid(pts))
+    return Fraction(len(pts), grid.window(cs[0] >> 8, cs[-1] >> 8))
 
 
-def tec_quality(tec: TEC, ps: PointSet, mode: str = "temporal") -> TecQuality:
+def tec_quality(tec: TEC, ps: PointSet) -> TecQuality:
     coverage = len(tec.covered)
     return TecQuality(
         compression_ratio=Fraction(coverage, len(tec.pattern) + len(tec.translators) - 1),
-        compactness=compactness(tec.pattern, ps, mode=mode),
+        compactness=compactness(tec.pattern, ps),
         coverage=coverage,
     )
 
@@ -437,7 +420,7 @@ class _Candidate(NamedTuple):
 
 
 def _score(shape: tuple[_Coord, ...], grid: _Grid, table: _Table) -> _Candidate:
-    """The shape's TEC with the counts its quality is made of, in temporal mode."""
+    """The shape's TEC with the counts its quality is made of."""
     translators = _translators(shape, grid, table)
     least = translators[0]  # the least occurrence spans its first and last codes
     window = grid.window(least >> 8, (least + shape[-1]) >> 8)
@@ -664,16 +647,13 @@ def _threshold(a: Fraction, b: int) -> Fraction:
 
 
 def compactness_trawl(
-    pattern: Sequence[Point],
-    ps: PointSet,
-    a: Fraction,
-    b: int,
-    mode: str = "temporal",
+    pattern: Sequence[Point], ps: PointSet, a: Fraction, b: int
 ) -> list[tuple[Point, ...]]:
     """Split a pattern into maximal left-to-right segments of compactness >= a.
 
-    The scan extends the current segment while its compactness stays at or
-    above `a`; a violating point closes the segment and starts a new one.
+    The scan extends the current segment while its compactness (size over
+    the set points in its onset span) stays at or above `a`; a violating
+    point closes the segment and starts a new one.
     Only segments with at least `b` points are kept, and a one-point
     segment only if it is itself that compact.  The scan runs on grid
     integers, one cross-multiplied compare per point (`_segments`); COSIATEC's
@@ -682,7 +662,7 @@ def compactness_trawl(
     a = _threshold(a, b)
     grid = _Grid(ps)
     notes = grid.on_grid(pattern)
-    return [tuple(notes[c] for c in seg) for seg in _segments(list(notes), grid, a, b, mode)]
+    return [tuple(notes[c] for c in seg) for seg in _segments(list(notes), grid, a, b)]
 
 
 def siarct(

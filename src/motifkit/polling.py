@@ -124,7 +124,11 @@ class PpParams:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "PpParams":
-        """Window and order must be JSON integers, and the flags JSON booleans."""
+        """The keys of `to_json_dict` and no others; window and order must be JSON
+        integers, and the flags JSON booleans."""
+        unknown = sorted(set(obj) - {"window", "order", "lambda", "use_first", "use_second"})
+        if unknown:
+            raise ValueError(f"unknown params keys {unknown}")
         fields = {
             "window": obj["window"],
             "order": obj["order"],

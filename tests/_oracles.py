@@ -278,26 +278,22 @@ def brute_train_pp(pieces, grid, objective="f1", k_folds=3, tolerance=1,
     return best[1]
 
 
-def brute_compactness(pattern, points, mode="temporal"):
-    """Pattern size over the set points in its onset range (and pitch range for bbox)."""
+def brute_compactness(pattern, points):
+    """Pattern size over the set points in its onset range."""
     lo, hi = min(p.onset for p in pattern), max(p.onset for p in pattern)
-    inside = [q for q in points if lo <= q.onset <= hi]
-    if mode == "bbox":
-        plo, phi = min(p.pitch for p in pattern), max(p.pitch for p in pattern)
-        inside = [q for q in inside if plo <= q.pitch <= phi]
-    return Fraction(len(pattern), len(inside))
+    return Fraction(len(pattern), sum(1 for q in points if lo <= q.onset <= hi))
 
 
-def brute_trawl(pattern, points, a, b, mode="temporal"):
+def brute_trawl(pattern, points, a, b):
     """Left-to-right segments of compactness >= a and >= b points, on exact onsets."""
     out, segment = [], []
 
     def close():
-        if len(segment) >= b and brute_compactness(segment, points, mode) >= a:
+        if len(segment) >= b and brute_compactness(segment, points) >= a:
             out.append(tuple(segment))
 
     for p in sorted(pattern):
-        if not segment or brute_compactness(segment + [p], points, mode) >= a:
+        if not segment or brute_compactness(segment + [p], points) >= a:
             segment = segment + [p]
         else:
             close()

@@ -469,6 +469,34 @@ class TestTrainPp:
         doc = json.loads(out.read_text())
         assert doc["params"]["lambda"] == "0"
 
+    @pytest.mark.parametrize("grid, named", [
+        ({"window": [7]}, "'window'"),
+        ({"windows": [3], "derivative": ["first"]}, "'derivative'"),
+        ({"derivatives": ["frist"]}, "'frist'"),
+        ({"derivatives": ["first", "Both"]}, "'Both'"),
+        ({"derivatives": "both"}, "'both'"),
+    ])
+    def test_bad_grid_exit_3(self, tmp_path, capsys, grid, named):
+        """An unknown grid key or derivatives value is named, not trained past."""
+        truth = str(write_patterns(tmp_path / "t.json", "t", (0, 4), (4, 7), (9, 12)))
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"pieces": [{"patterns": [truth], "truth": truth}] * 3,
+                                        "grid": grid}))
+        out = tmp_path / "params.json"
+        capsys.readouterr()
+        assert run("train-pp", "--manifest", manifest, "--out", out, "--quiet") == 3
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_params_file_key_exit_3(self, tmp_path, capsys):
+        patterns = str(write_patterns(tmp_path / "a.json", "a", (0, 3), (4, 7), (9, 12)))
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({"window": 7, "ordr": 3}))
+        capsys.readouterr()
+        assert run("poll", "--in", patterns, "--out-dir", tmp_path / "out", "--quiet",
+                   "--params-file", params) == 3
+        assert "'ordr'" in capsys.readouterr().err
+
 
 class TestClassifyImportance:
     @pytest.fixture()

@@ -283,17 +283,10 @@ class TestCompactness:
         pattern = (pt(F(1, 4), 0),)
         for measure in (
             lambda: compactness(pattern, ps),
-            lambda: compactness(pattern, ps, mode="bbox"),
             lambda: compactness_trawl(pattern, ps, F(1), 1),
         ):
             with pytest.raises(ValueError, match="not in the point set"):
                 measure()
-
-    def test_bbox_variant(self):
-        ps = pset((0, 60), (1, 80), (2, 60))
-        # high note is outside the pitch box of the pattern
-        assert compactness((pt(0, 60), pt(2, 60)), ps, mode="bbox") == 1
-        assert compactness((pt(0, 60), pt(2, 60)), ps, mode="temporal") == F(2, 3)
 
 
 class TestTrawler:
@@ -343,7 +336,7 @@ class TestTrawler:
         assert built == [_Grid, _Grid]
 
     def test_grid_segments_match_brute_trawler(self):
-        """Every vector-table column, for a below 1 and in both modes."""
+        """Every vector-table column, for a below 1."""
         rng = random.Random(977)  # the criterion-01 small corpus
         for _ in range(200):
             ps = random_pointset(rng)
@@ -352,9 +345,8 @@ class TestTrawler:
                 pattern = grid.points(origins)
                 for a in (F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4), F(1)):
                     for b in (1, 2, 3):
-                        for mode in ("temporal", "bbox"):
-                            got = [grid.points(s) for s in _segments(origins, grid, a, b, mode)]
-                            assert got == _oracles.brute_trawl(pattern, ps.points, a, b, mode)
+                        got = [grid.points(s) for s in _segments(origins, grid, a, b)]
+                        assert got == _oracles.brute_trawl(pattern, ps.points, a, b)
 
 
 class TestTecQuality:
@@ -614,13 +606,21 @@ class TestTrawlOracle:
     @settings(max_examples=150, deadline=None)
     @given(ps=st.one_of(fractional_pieces, dense_pieces), data=st.data())
     def test_equals_brute_trawler(self, ps, data):
-        """Below-1 thresholds and the bbox mode, on exact onsets."""
+        """Below-1 thresholds, on exact onsets."""
         pattern = data.draw(st.lists(st.sampled_from(ps.points), min_size=1, unique=True))
         a = data.draw(st.sampled_from([F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4), F(1)]))
         b = data.draw(st.integers(1, 3))
-        mode = data.draw(st.sampled_from(["temporal", "bbox"]))
-        got = compactness_trawl(pattern, ps, a, b, mode)
-        assert got == _oracles.brute_trawl(pattern, ps.points, a, b, mode)
+        got = compactness_trawl(pattern, ps, a, b)
+        assert got == _oracles.brute_trawl(pattern, ps.points, a, b)
+
+
+class TestCompactnessOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(ps=st.one_of(fractional_pieces, dense_pieces), data=st.data())
+    def test_equals_brute_compactness(self, ps, data):
+        """Shared and fractional onsets, the pattern in any order."""
+        pattern = data.draw(st.lists(st.sampled_from(ps.points), min_size=1, unique=True))
+        assert compactness(pattern, ps) == _oracles.brute_compactness(pattern, ps.points)
 
 
 # the points (0, 60, 1) (1, 62, 1) (4, 60, 1) (5, 62, 3): the pair repeats at

@@ -1,8 +1,9 @@
 """Static checks over the package source: no unused imports, no private name taken from
 another module, no dead module-level names, no function that calls itself without a
 stated bound on its depth, one copy of the rule that puts exact values on integers, one
-of the rule that keeps integral values as ints, one caller of the indenting JSON encoder
-and one function that asks for the smoothing kernel and applies it."""
+of the rule that keeps integral values as ints, one caller of the indenting JSON encoder,
+one function that asks for the smoothing kernel and applies it, and one count of a
+discovery grid's temporal window."""
 
 import ast
 from pathlib import Path
@@ -251,3 +252,19 @@ def test_one_function_convolves():
         if _calls(node, "convolve")
     ]
     assert found == [KERNEL_CALLER], f"{found} call convolve, not only {KERNEL_CALLER} once"
+
+
+# The functions that read a discovery grid's onset index (`_Grid.first`, `_Grid.stop`):
+# the one that builds it, the one window count, and the compact-segment scan that
+# inlines that count.  `_Grid` is private to discovery, so only discovery can read it.
+WINDOW_READERS = {"discovery._Grid._index", "discovery._Grid.window", "discovery._segments"}
+
+
+def test_one_window_count():
+    """Compactness has one rule, so a second count of a pattern's window cannot come back."""
+    found = {
+        name
+        for name, node in _scoped(TREES["discovery.py"], "discovery")
+        if isinstance(node, ast.Attribute) and node.attr in ("first", "stop")
+    }
+    assert found == WINDOW_READERS, f"{sorted(found)} read a grid's first or stop"

@@ -320,7 +320,7 @@ def _stratified_folds(
 
 def cross_validate(
     dataset: LabeledDataset,
-    classifiers: Mapping[str, dict] | Sequence[str] = ("rf", "nb", "lda"),
+    classifiers: Mapping[str, dict],
     folds: int = 10,
     repeats: int = 3,
     balance: bool = True,
@@ -328,6 +328,9 @@ def cross_validate(
     pca_components: int | None = None,
 ) -> CvReport:
     """Repeated stratified k-fold cross-validation.
+
+    `classifiers` maps each kind (``rf``, ``nb``, ``lda``) to its
+    `train_classifier` params.
 
     Balancing downsamples every class to the minority count before
     splitting.  The scaler/PCA preprocessing, when requested, is fit on
@@ -338,10 +341,9 @@ def cross_validate(
         raise ValueError(f"folds must be >= 2, got {folds}")
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
-    if isinstance(classifiers, Mapping):
-        spec = dict(classifiers)
-    else:
-        spec = {kind: {} for kind in classifiers}
+    if not isinstance(classifiers, Mapping):
+        raise TypeError(f"classifiers must map kind to params, got {type(classifiers).__name__}")
+    spec = dict(classifiers)
     if not spec:
         raise ValueError("no classifiers to cross-validate")
     if balance:

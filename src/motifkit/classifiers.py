@@ -116,8 +116,8 @@ class RandomForest:
 
     trees: int = 200
     seed: int = 0
-    classes_: np.ndarray = field(default=None, repr=False)
-    feature_importances_: np.ndarray = field(default=None, repr=False)
+    classes_: np.ndarray = field(default=None, init=False, repr=False)
+    feature_importances_: np.ndarray = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.trees < 1:
@@ -229,7 +229,7 @@ class GaussianNaiveBayes:
     finite on constant features.
     """
 
-    classes_: np.ndarray = field(default=None, repr=False)
+    classes_: np.ndarray = field(default=None, init=False, repr=False)
 
     def fit(self, X, y) -> "GaussianNaiveBayes":
         X, codes, classes = _as_arrays(X, y)
@@ -268,7 +268,7 @@ class LinearDiscriminant:
     added to its diagonal before solving.
     """
 
-    classes_: np.ndarray = field(default=None, repr=False)
+    classes_: np.ndarray = field(default=None, init=False, repr=False)
 
     def fit(self, X, y) -> "LinearDiscriminant":
         X, codes, classes = _as_arrays(X, y)

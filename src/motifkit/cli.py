@@ -374,13 +374,20 @@ def _paths(value) -> list[str]:
 _GRID_DEFAULTS = {"windows": [3, 5], "orders": [1, 2], "lambdas": [0], "derivatives": ["both"]}
 
 
+def _known_keys(obj, keys, what: str) -> dict:
+    """`obj`, a JSON object whose keys are all among `keys`."""
+    unknown = sorted(set(_json_object(obj)) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown {what} keys {unknown}")
+    return obj
+
+
 def _manifest(doc) -> tuple[list[tuple[list[str], str]], list[polling.PpParams]]:
     """Each piece's (pattern file paths, truth file path), and the parameter grid."""
-    pieces = [(_paths(entry["patterns"]), _paths([entry["truth"]])[0]) for entry in doc["pieces"]]
-    spec = {**_GRID_DEFAULTS, **doc.get("grid", {})}
-    unknown = sorted(set(spec) - set(_GRID_DEFAULTS))
-    if unknown:
-        raise ValueError(f"unknown grid keys {unknown}")
+    doc = _known_keys(doc, ("pieces", "grid"), "manifest")
+    entries = [_known_keys(entry, ("patterns", "truth"), "manifest piece") for entry in doc["pieces"]]
+    pieces = [(_paths(entry["patterns"]), _paths([entry["truth"]])[0]) for entry in entries]
+    spec = {**_GRID_DEFAULTS, **_known_keys(doc.get("grid", {}), _GRID_DEFAULTS, "grid")}
     flags = spec["derivatives"]
     if not isinstance(flags, list) or any(f not in _DERIVATIVES for f in flags):
         raise ValueError(f"grid derivatives must be a list of first, second or both, got {flags!r}")
@@ -401,9 +408,17 @@ def cmd_train_pp(args) -> int:
     paths, grid = _read_json(args.manifest, EXIT_CONFIG, _manifest)
     pieces = []
     for pattern_paths, truth_path in paths:
-        records = [rec for path in pattern_paths for rec in _load_pattern_file(path)[1]]
-        truth = evaluation.truth_boundaries(_load_pattern_file(truth_path)[1])
-        pieces.append((records, truth))
+        piece_id, truth_records = _load_pattern_file(truth_path)
+        records = []
+        for path in pattern_paths:
+            pattern_piece, recs = _load_pattern_file(path)
+            if pattern_piece != piece_id:
+                raise CliError(
+                    EXIT_INCONSISTENT,
+                    f"{path}: piece id {pattern_piece!r} does not match truth piece id {piece_id!r}",
+                )
+            records += recs
+        pieces.append((records, evaluation.truth_boundaries(truth_records)))
     best = polling.train_pp(
         pieces, grid, objective=args.objective, k_folds=args.folds,
         tolerance=args.tolerance, seed=args.seed,

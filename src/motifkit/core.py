@@ -234,7 +234,7 @@ class PatternRecord:
 # Points CSV
 
 
-def parse_points_csv(text: str, title: str = "", monophonic: bool = False) -> PointSet:
+def parse_points_csv(text: str, title: str = "") -> PointSet:
     """Parse `onset,pitch,duration` lines into a PointSet.
 
     Onset and duration accept decimals or `num/den` rationals; a pitch of
@@ -266,7 +266,7 @@ def parse_points_csv(text: str, title: str = "", monophonic: bool = False) -> Po
             points.append(Point(onset, pitch, duration))
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
-    return PointSet.build(points, title=title, monophonic=monophonic)
+    return PointSet.build(points, title=title)
 
 
 def emit_points_csv(ps: PointSet) -> str:
@@ -562,12 +562,12 @@ def _parse_track(reader: _MidiReader, length: int, tpq: int) -> list[Point]:
     return notes
 
 
-def parse_midi(data: bytes, monophonic: bool = True, title: str = "") -> PointSet:
+def parse_midi(data: bytes, title: str = "") -> PointSet:
     """Parse the densest track (most notes) of a Standard MIDI File (format 0 or 1).
 
     Onsets and durations are exact tick ratios against the header's
     ticks-per-quarter.  A note-on with velocity 0 acts as a note-off.
-    With `monophonic` set, overlapping notes raise MonophonyViolation.
+    The track must be monophonic: overlapping notes raise MonophonyViolation.
     """
     reader = _MidiReader(data)
     if reader.read(4) != b"MThd":
@@ -600,4 +600,4 @@ def parse_midi(data: bytes, monophonic: bool = True, title: str = "") -> PointSe
         tracks.append(_parse_track(reader, chunk_len, division))
 
     chosen = max(tracks, key=len, default=[])
-    return PointSet.build(chosen, title=title, monophonic=monophonic)
+    return PointSet.build(chosen, title=title, monophonic=True)

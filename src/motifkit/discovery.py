@@ -156,7 +156,7 @@ class _Grid:
 
     def points(self, cs: Sequence[_Coord]) -> tuple[Point, ...]:
         """The notes at grid codes `cs`, in their order."""
-        return tuple(map(self.by_coord.__getitem__, cs))
+        return _image(cs, 0, self.by_coord)
 
     def vector(self, v: _Coord) -> Vector2:
         dt = (v + 128) >> 8  # dp = v - dt * 256 lies in [-127, 127]
@@ -665,26 +665,23 @@ def compactness_trawl(
     return [tuple(notes[c] for c in seg) for seg in _segments(list(notes), grid, a, b)]
 
 
-def siarct(
-    ps: PointSet, a: Fraction, b: int, r: int | None = None
-) -> list[tuple[Vector2, tuple[Point, ...]]]:
-    """SIA(R) patterns filtered through the compactness trawler.
+def siarct(ps: PointSet, a: Fraction, b: int) -> list[tuple[Vector2, tuple[Point, ...]]]:
+    """SIA patterns filtered through the compactness trawler: the segments of ``siarct:<a>,<b>``.
 
-    Each MTP of the (optionally r-restricted) vector table is trawled as a
-    column of grid integers, by the integer rule of `compactness_trawl`
-    (`_segments`); surviving segments are returned with their source
-    vector, deduplicated and sorted (`_trawled`).
+    Each MTP of the vector table is trawled as a column of grid integers, by
+    the integer rule of `compactness_trawl` (`_segments`); surviving segments
+    are returned with their source vector, deduplicated and sorted (`_trawled`).
     """
-    grid, found = _trawled(ps, a, b, r)
+    grid, found = _trawled(ps, a, b)
     return [(grid.vector(v), grid.points(seg)) for v, seg in found]
 
 
-def _trawled(ps: PointSet, a: Fraction, b: int, r: int | None = None) -> tuple[_Grid, list]:
+def _trawled(ps: PointSet, a: Fraction, b: int) -> tuple[_Grid, list]:
     """SIARCT on the grid: the grid, and its sorted, distinct (vector, segment) pairs."""
     a = _threshold(a, b)
     grid = _Grid(ps)
     # grid order is the exact order: onsets scale by one positive factor
-    found = {(v, s) for v, origins in _columns(grid, r) for s in _segments(origins, grid, a, b)}
+    found = {(v, s) for v, origins in _columns(grid) for s in _segments(origins, grid, a, b)}
     return grid, sorted(found)
 
 

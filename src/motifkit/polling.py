@@ -125,7 +125,8 @@ class PpParams:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "PpParams":
         """The keys of `to_json_dict` and no others; window and order must be JSON
-        integers, and the flags JSON booleans."""
+        integers, and the flags JSON booleans, not both false: such params keep
+        no crossing, so they find no boundary."""
         unknown = sorted(set(obj) - {"window", "order", "lambda", "use_first", "use_second"})
         if unknown:
             raise ValueError(f"unknown params keys {unknown}")
@@ -139,6 +140,8 @@ class PpParams:
             kind = bool if key.startswith("use_") else int
             if type(value) is not kind:
                 raise TypeError(f"{key} must be a JSON {kind.__name__}, got {value!r}")
+        if not (fields["use_first"] or fields["use_second"]):
+            raise ValueError("use_first and use_second are both false")
         return cls(lam=obj.get("lambda", 0), **fields)
 
 
@@ -528,12 +531,13 @@ def train_pp(
     objective: str = "f1",
     k_folds: int = 3,
     tolerance: int = 1,
-    resolution: int | Fraction = 1,
     seed: int = 0,
 ) -> PpParams:
     """Cross-validated grid search for boundary-extraction parameters.
 
-    Each piece is a (records, truth boundary indices) pair.  Pieces are
+    Each piece is a (records, truth boundary indices) pair, the indices on
+    the grid of its polling curve: origin 0, resolution 1, as
+    `evaluation.truth_boundaries` gives them by default.  Pieces are
     dealt into `k_folds` folds (seeded shuffle, then round robin); every
     parameter candidate is scored by the mean objective over validation
     folds and the best one wins, ties broken by smaller window, then
@@ -555,7 +559,7 @@ def train_pp(
     for slot, piece_idx in enumerate(order):
         folds[slot % k_folds].append(piece_idx)
 
-    curves = [polling_curve(records, resolution=resolution) for records, _ in pieces]
+    curves = [polling_curve(records) for records, _ in pieces]
     # A centred fit's odd-degree term vanishes at the centre, so orders 2k and
     # 2k + 1 share one kernel and one signal.  Each signal's sorted crossings
     # are split once per pair of derivative flags, so each lambda only filters

@@ -15,7 +15,12 @@ from motifkit.analysis import (
     fit_scaler_pca,
     sample_random_excerpts,
 )
-from motifkit.classifiers import RandomForest, train_classifier
+from motifkit.classifiers import (
+    GaussianNaiveBayes,
+    LinearDiscriminant,
+    RandomForest,
+    train_classifier,
+)
 from motifkit.core import PatternOccurrence, PatternRecord, Point, PointSet
 from motifkit.synthesis import SynthConfig, synthesize, template_p1
 
@@ -239,6 +244,17 @@ class TestClassifiers:
         with pytest.raises(ValueError):
             train_classifier("nb", np.zeros((4, 2)), np.array(["a"] * 4))
 
+    @pytest.mark.parametrize("cls, fitted", [
+        (RandomForest, "classes_"),
+        (RandomForest, "feature_importances_"),
+        (GaussianNaiveBayes, "classes_"),
+        (LinearDiscriminant, "classes_"),
+    ])
+    def test_fitted_state_is_not_a_constructor_argument(self, cls, fitted):
+        """Only `fit` sets what it learns, so an unfitted model cannot claim it."""
+        with pytest.raises(TypeError):
+            cls(**{fitted: np.array(["a", "b"])})
+
     def test_lda_singular_covariance_ridge(self):
         X = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
         y = np.array(["a", "a", "b", "b"])
@@ -457,11 +473,16 @@ class TestCrossValidate:
                 LabeledDataset(X, tuple(y)), {"nb": {}}, folds=5, repeats=1, balance=False
             )
 
-    @pytest.mark.parametrize("spec", [{}, ()])
+    @pytest.mark.parametrize("spec", [{}])
     def test_empty_classifier_spec_rejected(self, spec):
         ds = LabeledDataset(np.zeros((8, 2)), ("a", "b") * 4)
         with pytest.raises(ValueError, match="no classifiers"):
             cross_validate(ds, spec, folds=2, repeats=1)
+
+    def test_classifier_kinds_must_map_to_params(self):
+        ds = LabeledDataset(np.zeros((8, 2)), ("a", "b") * 4)
+        with pytest.raises(TypeError, match="map kind to params"):
+            cross_validate(ds, ["nb"], folds=2, repeats=1)
 
     def test_balancing_downsamples(self):
         rng = np.random.default_rng(6)

@@ -488,6 +488,40 @@ class TestTrainPp:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("top, entry", [
+        ({"grids": {"windows": [7]}}, {}),
+        ({}, {"truht": "t.json"}),
+    ], ids=["grids", "truht"])
+    def test_unknown_manifest_key_exit_3(self, tmp_path, capsys, top, entry):
+        """A top-level or piece key the manifest does not define is named, not trained past."""
+        truth = str(write_patterns(tmp_path / "t.json", "t", (0, 4), (4, 7), (9, 12)))
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(
+            {"pieces": [{"patterns": [truth], "truth": truth, **entry}] * 3, **top}
+        ))
+        out = tmp_path / "params.json"
+        capsys.readouterr()
+        assert run("train-pp", "--manifest", manifest, "--out", out, "--quiet") == 3
+        assert repr(next(iter({**top, **entry}))) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_patterns_must_match_truth_piece(self, tmp_path, capsys):
+        """A piece's pattern files and truth file name one piece, as poll's inputs must."""
+        truth = write_patterns(tmp_path / "t.json", "t", (0, 4), (4, 7), (9, 12))
+        other = tmp_path / "q.json"
+        other.write_text(json.dumps({**json.loads(truth.read_text()), "piece": "q"}))
+        pieces = [{"patterns": [str(truth)], "truth": str(truth)}] * 2
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(
+            {"pieces": pieces + [{"patterns": [str(truth), str(other)], "truth": str(truth)}]}
+        ))
+        out = tmp_path / "params.json"
+        capsys.readouterr()
+        assert run("train-pp", "--manifest", manifest, "--out", out, "--quiet") == 4
+        err = capsys.readouterr().err
+        assert str(other) in err and "'q'" in err and "'p'" in err
+        assert not out.exists()
+
     def test_unknown_params_file_key_exit_3(self, tmp_path, capsys):
         patterns = str(write_patterns(tmp_path / "a.json", "a", (0, 3), (4, 7), (9, 12)))
         params = tmp_path / "params.json"
@@ -987,6 +1021,8 @@ class TestJsonInputs:
         ("params", '{"window": 3, "order": 1, "lambda": true}', 3),
         ("params", '{"window": 3, "order": 1, "use_first": "false"}', 3),
         ("params", '{"window": 5.9, "order": 1}', 3),
+        # params that keep no crossing find no boundary
+        ("params", '{"use_first": false, "use_second": false, "window": 3, "order": 1}', 3),
         ("config", "{", 2),
         ("config", "[]", 3),
     ] + [

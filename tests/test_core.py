@@ -513,8 +513,6 @@ class TestParseMidi:
         data = _smf.simple_file([(0, 60, 960), (480, 62, 960)])
         with pytest.raises(MonophonyViolation):
             parse_midi(data)
-        ps = parse_midi(data, monophonic=False)
-        assert len(ps) == 2
 
     def test_velocity_zero_closes_note(self):
         events = _smf.note_event(0, 0x90, 60, 64) + _smf.note_event(480, 0x90, 60, 0)
@@ -541,7 +539,7 @@ class TestParseMidi:
                 notes.append((tick, rng.randrange(0, 128), tick + length))
                 tick += length
             division = rng.choice([96, 480, 960])
-            ps = parse_midi(_smf.simple_file(notes, division=division), monophonic=False)
+            ps = parse_midi(_smf.simple_file(notes, division=division))
             coords = [(p.onset, p.pitch) for p in ps.points]
             assert coords == sorted(coords)
             assert len(set(coords)) == len(coords)
@@ -617,7 +615,7 @@ class TestOneTimeForm:
         for gap, length, pitch in notes:
             triples.append((tick + gap, pitch, tick + gap + length))
             tick += gap + length
-        ps = parse_midi(_smf.simple_file(triples, division=division), monophonic=False)
+        ps = parse_midi(_smf.simple_file(triples, division=division))
         assert all(map(_one_form, _point_times(ps.points) + list(ps.span())))
 
     @given(onset=_TIMES, duration=_LENGTHS)

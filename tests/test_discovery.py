@@ -332,7 +332,7 @@ class TestTrawler:
 
             monkeypatch.setattr(cls, "__init__", counted)
         ps = pset(*[(i, 60 + i % 3) for i in range(12)], (5, 70), (20, 60), (21, 61))
-        assert siarct(ps, F(2, 3), 2) and siarct(ps, F(1, 2), 2, r=3)
+        assert siarct(ps, F(2, 3), 2) and siarct(ps, F(1, 2), 2)
         assert built == [_Grid, _Grid]
 
     def test_grid_segments_match_brute_trawler(self):

@@ -2,15 +2,16 @@
 another module, no dead module-level names, no function that calls itself without a
 stated bound on its depth, one copy of the rule that puts exact values on integers, one
 of the rule that keeps integral values as ints, one caller of the indenting JSON encoder,
-one function that asks for the smoothing kernel and applies it, and one count of a
-discovery grid's temporal window."""
+one function that asks for the smoothing kernel and applies it, one count of a
+discovery grid's temporal window, and no default that only the tests override."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "motifkit"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "motifkit"
 TREES = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
 MODULES = sorted(name for name in TREES if name != "__init__.py")
 
@@ -268,3 +269,55 @@ def test_one_window_count():
         if isinstance(node, ast.Attribute) and node.attr in ("first", "stop")
     }
     assert found == WINDOW_READERS, f"{sorted(found)} read a grid's first or stop"
+
+
+# Where a default's callers live: the package, the demos and the benchmark, not the tests.
+CALLERS = [ROOT / "src" / "motifkit", ROOT / "demos", ROOT / "perfbench"]
+
+
+def _defaulted(node: ast.AST, cls: str | None = None):
+    """(called name, parameter, position or None) of each defaulted parameter under `node`.
+
+    A method's position does not count `self` or `cls`, and `__init__` is called by its
+    class's name; a keyword-only parameter has no position.
+    """
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from _defaulted(child, child.name)
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = child.args
+            positional = args.posonlyargs + args.args
+            name = cls if child.name == "__init__" else child.name
+            first = len(positional) - len(args.defaults)
+            for i, arg in enumerate(positional[first:], first):
+                yield name, arg.arg, i - (cls is not None)
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield name, arg.arg, None
+            yield from _defaulted(child)
+        else:
+            yield from _defaulted(child, cls)
+
+
+def _passes(call: ast.Call, param: str, position: int | None) -> bool:
+    """Whether `call` passes `param`, by keyword or at its position."""
+    if any(kw.arg == param for kw in call.keywords):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def test_every_default_has_a_caller():
+    """Each settable value is set by a caller outside the tests, or it is not an option."""
+    calls = [
+        node
+        for path in sorted(p for d in CALLERS for p in d.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+    ]
+    unpassed = [
+        f"{name}({param})"
+        for module in MODULES
+        for name, param, position in _defaulted(TREES[module])
+        if not any(_calls(call, name) and _passes(call, param, position) for call in calls)
+    ]
+    assert not unpassed, f"{unpassed} are never passed outside the tests"

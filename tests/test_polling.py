@@ -498,14 +498,13 @@ class TestTrainPp:
     @given(
         case=_training_sets(),
         objective=st.sampled_from(["precision", "recall", "f1"]),
-        resolution=st.sampled_from([F(1), F(1, 2)]),
         seed=st.integers(0, 3),
         folds=st.integers(2, 3),
     )
-    def test_equals_extracting_every_candidate(self, case, objective, resolution, seed, folds):
+    def test_equals_extracting_every_candidate(self, case, objective, seed, folds):
         pieces, grid = case
         folds = min(folds, len(pieces))
-        kwargs = dict(objective=objective, k_folds=folds, resolution=resolution, seed=seed)
+        kwargs = dict(objective=objective, k_folds=folds, seed=seed)
         assert train_pp(pieces, grid, **kwargs) == _oracles.brute_train_pp(pieces, grid, **kwargs)
 
     @pytest.mark.parametrize("lambdas, flags", [
@@ -615,7 +614,7 @@ class TestTrainPp:
 
         monkeypatch.setattr(polling.PollingCurve, "values", property(values))
         grid = [PpParams(window=w, order=1, lam=lam) for w in (3, 5) for lam in (F(0), F(1))]
-        train_pp(self.make_pieces(), grid, k_folds=2, resolution=F(1, 2))
+        train_pp(self.make_pieces(), grid, k_folds=2)
 
     def make_pieces(self):
         pieces = []

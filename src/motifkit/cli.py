@@ -388,9 +388,16 @@ def _manifest(doc) -> tuple[list[tuple[list[str], str]], list[polling.PpParams]]
     entries = [_known_keys(entry, ("patterns", "truth"), "manifest piece") for entry in doc["pieces"]]
     pieces = [(_paths(entry["patterns"]), _paths([entry["truth"]])[0]) for entry in entries]
     spec = {**_GRID_DEFAULTS, **_known_keys(doc.get("grid", {}), _GRID_DEFAULTS, "grid")}
+    for key, values in spec.items():
+        if not isinstance(values, list):
+            raise ValueError(f"grid {key} must be a JSON array, got {values!r}")
+    # typed before `o < w` filters them, so a bad value is named, not filtered away
+    for value in spec["windows"] + spec["orders"]:
+        if type(value) is not int:
+            raise TypeError(f"grid windows and orders must be JSON integers, got {value!r}")
     flags = spec["derivatives"]
-    if not isinstance(flags, list) or any(f not in _DERIVATIVES for f in flags):
-        raise ValueError(f"grid derivatives must be a list of first, second or both, got {flags!r}")
+    if any(f not in _DERIVATIVES for f in flags):
+        raise ValueError(f"grid derivatives must be first, second or both, got {flags!r}")
     grid = [
         polling.PpParams.from_json_dict(
             {"window": w, "order": o, "lambda": lam, **_derivative_flags(flag)}

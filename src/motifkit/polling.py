@@ -17,10 +17,12 @@ rule: the curve is padded with `window` copies of each end value and
 every output is the centred fit, one integer kernel per (window, order).
 The constant runs at the ends of a curve enter a fit through prefix sums
 of its kernel and the samples between them through one convolution, so
-the padding costs neither a solve nor a product per padded sample.
-Parameter training polls each piece once and smooths it once per
-distinct kernel (orders 2k and 2k + 1 share one).  It splits each
-signal's crossings once per derivative choice, runs the
+the padding costs neither a solve nor a product per padded sample.  One
+call smooths a curve with any number of kernels, one aligned row each,
+and one array scan of every row's two differences finds all their zero
+crossings.  Parameter training polls each piece once and smooths it once,
+with all of its distinct kernels (orders 2k and 2k + 1 share one).  It
+splits each signal's crossings once per derivative choice, runs the
 threshold-and-merge step once per distinct signal, lambda and derivative
 choice, and scores each decision on integer matching counts, so a
 candidate's mean over the folds is its only Fraction.  Times,
@@ -270,42 +272,50 @@ def _fit_weights(half: int, order: int) -> tuple[tuple[int, ...], tuple[int, ...
     return weights, (0, *itertools.accumulate(weights)), den // common
 
 
-def _smooth(ys: Sequence[int], window: int, order: int) -> tuple[list[int], int]:
-    """The samples padded with `window` copies of each end value and smoothed.
+def _smooth(ys: Sequence[int], kernels: Sequence[tuple[int, int]]) -> tuple[np.ndarray, list[int]]:
+    """The samples padded with copies of their end values and smoothed by each kernel.
 
-    Returns the n + 2 * window smoothed samples as numerators over one
-    shared denominator, each the centred fit of its window.  The padded
-    curve is a run of `first` up to `head`, the samples head..tail, and a
-    run of `last` after `tail`.  A window takes the runs' share from the
-    kernel's prefix sums, one product per run, and the samples in between
-    enter through one convolution with the kernel, so the padding costs no
-    product however long the window is.  The arithmetic is int64 when no
-    sum of products can overflow it and Python ints otherwise.
+    Returns one row per (window, order) kernel, each the n + 2 * W centred
+    fits at curve indices -W..n + W - 1, W the largest window, as
+    numerators over that kernel's denominator.  The padded curve is a run
+    of `first` up to `head`, the samples head..tail, and a run of `last`
+    after `tail`.  A window takes the runs' share from its kernel's prefix
+    sums, one product per run and one gather for all rows, and the samples
+    in between enter through one convolution per kernel, so the padding
+    costs no product however long the window is.  The fits a row has
+    beyond its own window see only one end value, so they are constant.
+    The arithmetic is int64 when no fit and no difference the boundary
+    decision takes of them can overflow it, and Python ints otherwise.
     """
     if not ys:
         raise ValueError("cannot smooth an empty curve")
     first, last = ys[0], ys[-1]
-    half = window // 2
-    weights, prefix, den = _fit_weights(half, order)
-    # every output is a sum of products of distinct weights and samples
-    exact = max(1, max(map(abs, ys))) * sum(map(abs, weights)) >= 2**63
+    fits = [_fit_weights(window // 2, order) for window, order in kernels]
+    widest = max(window for window, _ in kernels)
+    # a fit is a sum of products of distinct weights and samples, and a
+    # crossing's change |b - a| of the second difference is at most 8 fits
+    exact = 8 * max(1, max(map(abs, ys))) * max(sum(map(abs, w)) for w, _, _ in fits) >= 2**63
     dtype = object if exact else np.int64
     y = np.array(ys, dtype)
-    n = len(ys) + 2 * window
+    n = len(ys) + 2 * widest
     off_first, off_last = np.flatnonzero(y != first), np.flatnonzero(y != last)
-    head = window + int(off_first[0]) if off_first.size else n
-    tail = window + int(off_last[-1]) if off_last.size else -1
+    head = widest + int(off_first[0]) if off_first.size else n
+    tail = widest + int(off_last[-1]) if off_last.size else -1
     tail = max(tail, head - 1)  # a constant curve is all head run, counted once
-    lo = np.arange(-half, n - half)  # each output's first window position
-    prefix = np.array(prefix, dtype)
-    out = first * prefix[np.clip(head - lo, 0, window)] + last * (
-        prefix[-1] - prefix[np.clip(tail + 1 - lo, 0, window)]
+    halves = [window // 2 for window, _ in kernels]
+    lo = np.arange(n) - np.array(halves)[:, None]  # each output's first window position
+    # each kernel's prefix sums, its total repeated up to one past the largest window
+    prefix = np.array([p + p[-1:] * (widest + 1 - len(p)) for _, p, _ in fits], dtype)
+    rows = np.arange(len(kernels))[:, None]
+    out = first * prefix[rows, np.clip(head - lo, 0, widest)] + last * (
+        prefix[:, -1:] - prefix[rows, np.clip(tail + 1 - lo, 0, widest)]
     )
     if head <= tail:
         # the padding keeps head - half >= 0 and tail + half < n
-        kernel = np.array(weights[::-1], dtype)
-        out[head - half : tail + half + 1] += np.convolve(y[head - window : tail + 1 - window], kernel)
-    return out.tolist(), den
+        middle = y[head - widest : tail + 1 - widest]
+        for row, half, (weights, _, _) in zip(out, halves, fits):
+            row[head - half : tail + half + 1] += np.convolve(middle, np.array(weights[::-1], dtype))
+    return out, [den for _, _, den in fits]
 
 
 def savgol_smooth(curve: PollingCurve, window: int, order: int) -> PollingCurve:
@@ -317,8 +327,8 @@ def savgol_smooth(curve: PollingCurve, window: int, order: int) -> PollingCurve:
     the padding.  The arithmetic is exact on integers.
     """
     _check_smoothing(window, order)
-    nums, den = _smooth(curve.nums, window, order)
-    return PollingCurve(curve.origin, curve.resolution, nums[window:-window], den * curve.den)
+    rows, (den,) = _smooth(curve.nums, [(window, order)])
+    return PollingCurve(curve.origin, curve.resolution, rows[0, window:-window].tolist(), den * curve.den)
 
 
 def derivatives(curve: PollingCurve) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
@@ -333,42 +343,6 @@ def derivatives(curve: PollingCurve) -> tuple[tuple[Fraction, ...], tuple[Fracti
 
 # ---------------------------------------------------------------------------
 # Boundary extraction
-
-
-def _crossings(f: Sequence[int]) -> list[tuple[int, int, int]]:
-    """Zero crossings of an integer sequence as (index, change, span) triples.
-
-    A crossing happens where the sign flips directly between neighbours,
-    or across a run of exact zeros flanked by opposite signs (a single
-    zero sample is the degenerate run).  Direct flips are positioned at
-    the index with the smaller magnitude (the later one on ties); runs at
-    their center, rounded later.  Steepness is change / span: the absolute
-    change across the crossing divided by its index span, 1 for a direct
-    flip.  Signs, magnitudes and steepness order do not change when every
-    sample is divided by one positive denominator, so the crossings of
-    the numerators are those of the exact signal.
-    """
-    out = []
-    n = len(f)
-    i = 0
-    while i < n - 1:
-        a, b = f[i], f[i + 1]
-        if a != 0 and b != 0 and (a < 0) != (b < 0):
-            pos = i if abs(a) < abs(b) else i + 1
-            out.append((pos, abs(b - a), 1))
-            i += 1
-        elif b == 0 and a != 0:
-            j = i + 1
-            while j < n and f[j] == 0:
-                j += 1
-            if j < n and (a < 0) != (f[j] < 0):
-                run_lo, run_hi = i + 1, j - 1
-                pos = (run_lo + run_hi + 1) // 2  # center, rounded later
-                out.append((pos, abs(f[j] - a), j - i))
-            i = j
-        else:
-            i += 1
-    return out
 
 
 @dataclass(frozen=True)
@@ -412,42 +386,64 @@ _Crossing = tuple[int, int, int]
 
 
 class _Signal(NamedTuple):
-    smoothed: list[int]  # the padded curve, smoothed, numerators over den
-    p1: list[int]  # its first differences, numerators over den
-    p2: list[int]  # its second differences, numerators over den
+    """One kernel's signal on integers; the arrays are views of `_signals`' rows."""
+
+    smoothed: np.ndarray  # the padded curve, smoothed, numerators over den
+    p1: np.ndarray  # its first differences, numerators over den
+    p2: np.ndarray  # its second differences, numerators over den
     den: int
     crossings: list[_Crossing]  # sorted
     key_den: int  # a crossing's steepness is its key / key_den
 
 
-def _signal(curve: PollingCurve, window: int, order: int) -> _Signal:
-    """The smoothed padded curve, p1, p2 and their crossings, sorted, on integers.
+def _signals(curve: PollingCurve, kernels: Sequence[tuple[int, int]]) -> list[_Signal]:
+    """Per (window, order) kernel, the curve padded with `window` copies of its
+    edge values, smoothed, differenced twice, and the zero crossings of both
+    differences, sorted: one array pass for all kernels, and no Fraction.
 
-    :func:`_smooth` extends the curve on both sides with `window` copies of
-    its edge values, so boundaries at the very start or end of the piece
-    see the same flat context as interior ones without inventing any
-    slope.  No Fraction is built here.  Crossing positions are mapped back
-    to grid indices of the curve and clipped to [0, n].  Every steepness
-    change / span becomes the integer key change * (L / span) over
-    key_den = den * L, L the least common multiple of the spans, so sorting
+    The padding gives boundaries at the very start or end of the piece the
+    flat context of interior ones.  A crossing is a pair of consecutive
+    nonzero samples i < j of one row with opposite signs; a direct flip
+    (j = i + 1) sits at the smaller magnitude (the later index on ties), a
+    run of zeros at its centre, rounded later.  Its steepness is
+    |f[j] - f[i]| / (j - i), whose order one positive denominator does not
+    change.  P'[t] spans grid points t..t+1 and P''[t] is centred on t+1;
+    positions map to grid indices of the curve, clipped to [0, n].  The fits
+    a row has beyond its own window are constant and add no crossing.  Each
+    steepness becomes the integer key change * (L / span) over key_den =
+    den * L, L the least common multiple of the signal's spans, so sorting
     by (index, key, derivative) sorts by exact steepness.
     """
-    n = len(curve)
-    pad = window
-    v, den = _smooth(curve.nums, window, order)
-    den *= curve.den
-    p1 = [b - a for a, b in zip(v, v[1:])]
-    p2 = [b - a for a, b in zip(p1, p1[1:])]
-    c1, c2 = _crossings(p1), _crossings(p2)
-    lcm = math.lcm(*(span for _, _, span in c1), *(span for _, _, span in c2))
-    # P'[t] spans grid points t..t+1; runs already center it, direct flips
-    # at index t refer to the grid point t itself.  P''[t] is centered on
-    # grid point t+1.
-    crossings = sorted(
-        [(min(max(pos - pad, 0), n), change * (lcm // span), 1) for pos, change, span in c1]
-        + [(min(max(pos + 1 - pad, 0), n), change * (lcm // span), 2) for pos, change, span in c2]
-    )
-    return _Signal(v, p1, p2, den, crossings, den * lcm)
+    n, count, widest = len(curve), len(kernels), max(window for window, _ in kernels)
+    rows, dens = _smooth(curve.nums, kernels)
+    p1 = np.diff(rows)
+    p2 = np.diff(p1)
+    # each kernel's p1 row, then its p2 row with a trailing 0, in one scan
+    f = np.zeros((2 * count, p1.shape[1]), p1.dtype)
+    f[0::2], f[1::2, :-1] = p1, p2
+    row, col = np.nonzero(f)
+    v = f[row, col]
+    a, b = v[:-1], v[1:]
+    flip = (row[:-1] == row[1:]) & ((a < 0) != (b < 0))
+    row, i, j, a, b = row[:-1][flip], col[:-1][flip], col[1:][flip], a[flip], b[flip]
+    pos = np.where((j == i + 1) & (abs(a) < abs(b)), i, (i + j + 1) >> 1)
+    derivative = 1 + (row & 1)
+    index = np.clip(pos + derivative - 1 - widest, 0, n)
+    # kernel k's crossings, both derivatives, are the ones of rows 2k and 2k + 1
+    cuts = np.searchsorted(row, np.arange(0, 2 * count + 1, 2)).tolist()
+    index, change, span, derivative = (x.tolist() for x in (index, abs(b - a), j - i, derivative))
+    signals = []
+    for k, ((window, _), den) in enumerate(zip(kernels, dens)):
+        part = slice(cuts[k], cuts[k + 1])
+        lcm = math.lcm(*span[part])
+        keys = [c * (lcm // s) for c, s in zip(change[part], span[part])]
+        lo, hi = widest - window, widest + n + window
+        den *= curve.den
+        signals.append(_Signal(
+            rows[k, lo:hi], p1[k, lo : hi - 1], p2[k, lo : hi - 2], den,
+            sorted(zip(index[part], keys, derivative[part])), den * lcm,
+        ))
+    return signals
 
 
 def _decide(
@@ -491,7 +487,7 @@ def boundary_trace(curve: PollingCurve, params: PpParams) -> BoundaryTrace:
     steeper).  The trace holds the signal and every crossing's fate as
     exact Fractions.
     """
-    sig = _signal(curve, params.window, params.order)
+    (sig,) = _signals(curve, [(params.window, params.order)])
     owner: list[int | None] = [None] * len(sig.crossings)
     kept = _decide(sig.crossings, sig.key_den, params, owner)
     use = (None, params.use_first, params.use_second)
@@ -507,9 +503,9 @@ def boundary_trace(curve: PollingCurve, params: PpParams) -> BoundaryTrace:
         crossings.append(Crossing(idx, Fraction(key, sig.key_den), d, fate, into))
     origin = curve.origin - params.window * curve.resolution
     return BoundaryTrace(
-        smoothed=PollingCurve(origin, curve.resolution, sig.smoothed, sig.den),
-        p1=tuple(Fraction(x, sig.den) for x in sig.p1),
-        p2=tuple(Fraction(x, sig.den) for x in sig.p2),
+        smoothed=PollingCurve(origin, curve.resolution, sig.smoothed.tolist(), sig.den),
+        p1=tuple(Fraction(x, sig.den) for x in sig.p1.tolist()),
+        p2=tuple(Fraction(x, sig.den) for x in sig.p2.tolist()),
         boundaries=tuple(b[0] for b in kept),
         crossings=tuple(crossings),
     )
@@ -517,7 +513,7 @@ def boundary_trace(curve: PollingCurve, params: PpParams) -> BoundaryTrace:
 
 def extract_boundaries(curve: PollingCurve, params: PpParams) -> BoundarySet:
     """The boundaries of :func:`boundary_trace`, as grid indices of `curve`."""
-    sig = _signal(curve, params.window, params.order)
+    (sig,) = _signals(curve, [(params.window, params.order)])
     return tuple(b[0] for b in _decide(sig.crossings, sig.key_den, params))
 
 
@@ -541,7 +537,9 @@ def train_pp(
     dealt into `k_folds` folds (seeded shuffle, then round robin); every
     parameter candidate is scored by the mean objective over validation
     folds and the best one wins, ties broken by smaller window, then
-    smaller lambda, then smaller order.
+    smaller lambda, then smaller order.  Candidates equal on all three,
+    such as ones that differ only in derivative flags, go to the earliest
+    in grid order.
     """
     if objective not in ("precision", "recall", "f1"):
         raise ValueError(f"objective must be precision|recall|f1, got {objective!r}")
@@ -559,12 +557,16 @@ def train_pp(
     for slot, piece_idx in enumerate(order):
         folds[slot % k_folds].append(piece_idx)
 
-    curves = [polling_curve(records) for records, _ in pieces]
     # A centred fit's odd-degree term vanishes at the centre, so orders 2k and
-    # 2k + 1 share one kernel and one signal.  Each signal's sorted crossings
-    # are split once per pair of derivative flags, so each lambda only filters
-    # and merges.
-    signals: dict[tuple[int, int, int], tuple[dict[tuple[bool, bool], list[_Crossing]], int]] = {}
+    # 2k + 1 share one kernel and one signal, and each piece is smoothed once
+    # with all of its kernels.  Each signal's sorted crossings are split once
+    # per pair of derivative flags, so each lambda only filters and merges.
+    kernels = {(p.window, p.order // 2): (p.window, p.order) for p in candidates}
+    signals = {
+        (i, *smoothing): ({(True, True): sig.crossings}, sig.key_den)
+        for i, (records, _) in enumerate(pieces)
+        for smoothing, sig in zip(kernels, _signals(polling_curve(records), [*kernels.values()]))
+    }
     pairs: dict[tuple, tuple[int, int]] = {}
 
     def pair(params: PpParams, i: int) -> tuple[int, int]:
@@ -574,9 +576,6 @@ def train_pp(
         flags = (params.use_first, params.use_second)
         decision = (*smoothing, params.lam, *flags)
         if decision not in pairs:
-            if smoothing not in signals:
-                sig = _signal(curves[i], params.window, params.order)
-                signals[smoothing] = {(True, True): sig.crossings}, sig.key_den
             splits, key_den = signals[smoothing]
             if flags not in splits:
                 use = (None, *flags)

@@ -475,9 +475,14 @@ class TestTrainPp:
         ({"derivatives": ["frist"]}, "'frist'"),
         ({"derivatives": ["first", "Both"]}, "'Both'"),
         ({"derivatives": "both"}, "'both'"),
+        ({"lambdas": "01"}, "'01'"),
+        ({"lambdas": {"0": 1}}, "{'0': 1}"),
+        ({"windows": [True]}, "True"),
+        ({"orders": ["2"]}, "'2'"),
     ])
     def test_bad_grid_exit_3(self, tmp_path, capsys, grid, named):
-        """An unknown grid key or derivatives value is named, not trained past."""
+        """An unknown grid key, a grid value that is not an array, or a bad window, order
+        or derivatives value is named, not trained past."""
         truth = str(write_patterns(tmp_path / "t.json", "t", (0, 4), (4, 7), (9, 12)))
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps({"pieces": [{"patterns": [truth], "truth": truth}] * 3,

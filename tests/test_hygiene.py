@@ -2,8 +2,9 @@
 another module, no dead module-level names, no function that calls itself without a
 stated bound on its depth, one copy of the rule that puts exact values on integers, one
 of the rule that keeps integral values as ints, one caller of the indenting JSON encoder,
-one function that asks for the smoothing kernel and applies it, one count of a
-discovery grid's temporal window, and no default that only the tests override."""
+one function that asks for the smoothing kernel and applies it, one that finds zero
+crossings, one count of a discovery grid's temporal window, and no default that only
+the tests override."""
 
 import ast
 from pathlib import Path
@@ -253,6 +254,20 @@ def test_one_function_convolves():
         if _calls(node, "convolve")
     ]
     assert found == [KERNEL_CALLER], f"{found} call convolve, not only {KERNEL_CALLER} once"
+
+
+# The one function that finds zero crossings: every kernel's differences and their
+# crossings come from one array scan, so a second crossing rule cannot come back.
+CROSSING_FINDER = "polling._signals"
+
+
+def test_one_function_finds_crossings():
+    found = {
+        name
+        for name, node in _scoped(TREES["polling.py"], "polling")
+        if _calls(node, "diff") or _calls(node, "nonzero")
+    }
+    assert found == {CROSSING_FINDER}, f"{sorted(found)} call diff or nonzero, not only {CROSSING_FINDER}"
 
 
 # The functions that read a discovery grid's onset index (`_Grid.first`, `_Grid.stop`):

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -254,9 +255,10 @@ class TestExactSmoothing:
 
 
 def _int64_overflows(ys, window, order):
-    """Whether `_smooth` must leave int64 for Python ints on these samples."""
+    """Whether `_smooth` must leave int64 for Python ints on these samples: a
+    crossing's change is at most 8 times a fit."""
     weights = polling._fit_weights(window // 2, order)[0]
-    return max(1, max(map(abs, ys))) * sum(map(abs, weights)) >= 2**63
+    return 8 * max(1, max(map(abs, ys))) * sum(map(abs, weights)) >= 2**63
 
 
 class TestExactIntegerRange:
@@ -270,26 +272,34 @@ class TestExactIntegerRange:
     ])
     def test_python_ints_equal_per_window_solve(self, ys, window, order):
         assert _int64_overflows(ys, window, order)
-        nums, _ = polling._smooth(tuple(ys), window, order)
-        assert all(type(x) is int for x in nums)
+        rows, _ = polling._smooth(tuple(ys), [(window, order)])
+        assert all(type(x) is int for x in rows[0].tolist())
         got = savgol_smooth(curve_of(ys), window, order)
         assert list(got.values) == _oracles.brute_savgol(padded(ys, window), window, order)[window:-window]
 
     def test_int64_at_its_edge_equals_per_window_solve(self):
-        top = (2**63 - 1) // 3  # window 3, order 1 weighs three samples by 1
-        ys = [top, top, -top, top, top, -top, -top]
-        assert not _int64_overflows(ys, 3, 1)
-        got = savgol_smooth(curve_of(ys), 3, 1)
-        assert list(got.values) == _oracles.brute_savgol(padded(ys, 3), 3, 1)[3:-3]
-        assert all(type(x) is int for x in polling._smooth(tuple(ys), 3, 1)[0])
+        """The edge itself takes int64 and one above it Python ints; both are exact."""
+        for above in (0, 1):
+            # window 3, order 1 weighs three samples by 1, and a change is at most 8 fits
+            top = (2**63 - 1) // 24 + above
+            ys = [top, top, -top, top, top, -top, -top]
+            assert _int64_overflows(ys, 3, 1) == bool(above)
+            got = savgol_smooth(curve_of(ys), 3, 1)
+            assert list(got.values) == _oracles.brute_savgol(padded(ys, 3), 3, 1)[3:-3]
+            rows, _ = polling._smooth(tuple(ys), [(3, 1)])
+            assert rows.dtype == (object if above else np.int64)
+            assert all(type(x) is int for x in rows[0].tolist())
+            want = _oracles.brute_boundary_trace([F(y) for y in ys], 3, 1)
+            trace = boundary_trace(curve_of(ys), PpParams(3, 1))
+            assert _as_tuples(trace) == want[3] and trace.boundaries == want[4]
 
     def test_zero_curve_whose_kernel_outgrows_int64(self):
         # weights this large overflow int64 even though every sample is 0
         ys = [0] * 5
         assert _int64_overflows(ys, 43, 40)
         assert savgol_smooth(curve_of(ys), 43, 40).values == (0,) * 5
-        nums, _ = polling._smooth(tuple(ys), 43, 40)
-        assert nums == [0] * (5 + 2 * 43)
+        rows, _ = polling._smooth(tuple(ys), [(43, 40)])
+        assert rows.tolist() == [[0] * (5 + 2 * 43)]
 
     @pytest.mark.parametrize("half", range(1, 11))
     def test_orders_two_k_and_two_k_plus_one_share_a_kernel(self, half):
@@ -473,6 +483,41 @@ class TestBoundaryTraceCrossings:
 
 
 @st.composite
+def _integer_curves(draw):
+    """1-60 integer samples: free values, runs of equal values or one constant, each
+    bounded by a top on either side of smoothing's int64 guard."""
+    top = draw(st.sampled_from([2, 40, 2**40, (2**63 - 1) // 24, 2**62, 10**30]))
+    values = st.integers(-top, top)
+    kind = draw(st.sampled_from(["free", "runs", "constant"]))
+    if kind == "constant":
+        return [draw(values)] * draw(st.integers(1, 60))
+    if kind == "runs":
+        runs = draw(st.lists(st.tuples(values, st.integers(1, 12)), min_size=1, max_size=8))
+        return [v for v, length in runs for _ in range(length)][:60]
+    return draw(st.lists(values, min_size=1, max_size=60))
+
+
+_kernels = st.sampled_from([3, 5, 7, 9, 15, 31, 75]).flatmap(
+    lambda window: st.tuples(st.just(window), st.integers(1, min(window - 1, 8))))
+
+
+class TestSignalsTogether:
+    @settings(max_examples=150, deadline=None)
+    @given(ys=_integer_curves(), den=st.sampled_from([1, 2, 6]),
+           kernels=st.lists(_kernels, min_size=1, max_size=4))
+    def test_each_row_is_its_kernel_alone(self, ys, den, kernels):
+        """Smoothing a curve with several kernels at once gives each the signal it has alone."""
+        curve = PollingCurve(0, 1, tuple(ys), den)
+        together = polling._signals(curve, kernels)
+        assert len(together) == len(kernels)
+        for kernel, sig in zip(kernels, together):
+            (alone,) = polling._signals(curve, [kernel])
+            for field in ("smoothed", "p1", "p2"):
+                assert getattr(sig, field).tolist() == getattr(alone, field).tolist()
+            assert (sig.den, sig.crossings, sig.key_den) == (alone.den, alone.crossings, alone.key_den)
+
+
+@st.composite
 def _training_sets(draw):
     """Random pieces and a grid of few distinct values, so scores and ranks tie."""
     pieces = []
@@ -515,9 +560,9 @@ class TestTrainPp:
         calls = []
         smooth = polling._smooth
 
-        def counted(ys, window, order):
-            calls.append((window, order))
-            return smooth(ys, window, order)
+        def counted(ys, kernels):
+            calls.append(sorted(kernels))
+            return smooth(ys, kernels)
 
         monkeypatch.setattr(polling, "_smooth", counted)
         grid = [
@@ -528,17 +573,16 @@ class TestTrainPp:
         ]
         pieces = self.make_pieces()
         train_pp(pieces, grid, k_folds=2)
-        assert len(calls) == len(pieces) * 4
-        assert set(calls) == {(3, 1), (3, 2), (5, 1), (7, 3)}
+        assert calls == [[(3, 1), (3, 2), (5, 1), (7, 3)]] * len(pieces)
 
     def test_orders_sharing_a_kernel_smooth_once(self, monkeypatch):
-        """Orders 2k and 2k + 1 of one window share one smoothing pass per piece."""
+        """Orders 2k and 2k + 1 of one window share one kernel of each piece's one smoothing."""
         calls = []
         smooth = polling._smooth
 
-        def counted(ys, window, order):
-            calls.append((window, order // 2))
-            return smooth(ys, window, order)
+        def counted(ys, kernels):
+            calls.append(sorted((window, order // 2) for window, order in kernels))
+            return smooth(ys, kernels)
 
         monkeypatch.setattr(polling, "_smooth", counted)
         grid = [
@@ -549,8 +593,7 @@ class TestTrainPp:
         ]
         pieces = self.make_pieces()
         best = train_pp(pieces, grid, k_folds=2)
-        assert len(calls) == 2 * len(pieces)
-        assert set(calls) == {(5, 1), (7, 2)}
+        assert calls == [[(5, 1), (7, 2)]] * len(pieces)
         monkeypatch.setattr(polling, "_smooth", smooth)
         assert best == _oracles.brute_train_pp(pieces, grid, k_folds=2)
 
@@ -606,6 +649,12 @@ class TestTrainPp:
         for want in ranked:
             assert train_pp(pieces, grid, k_folds=2) == want
             grid.remove(want)
+        # candidates equal on all three, here differing only in derivative flags,
+        # go to the earliest in grid order
+        tied = [PpParams(window=3, order=1, lam=F(0), use_first=False), PpParams(window=3, order=1, lam=F(0))]
+        for grid in (tied, tied[::-1]):
+            assert train_pp(pieces, grid, k_folds=2) == grid[0]
+            assert _oracles.brute_train_pp(pieces, grid, k_folds=2) == grid[0]
 
     def test_reads_no_curve_values(self, monkeypatch):
         """Training works on the curves' integers and builds none of their Fractions."""

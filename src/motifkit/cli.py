@@ -14,9 +14,14 @@ command's long flag names, with - or _ between words ("in", "lambda",
 
 Exit codes: 0 success, 2 input/parse error, 3 invalid configuration,
 4 inconsistent inputs.  A file that cannot be read, or does not parse as
-its format, exits 2 with its path leading the message; a config file,
-params file or manifest of the wrong shape exits 3.  Any other value the
-library rejects with a ValueError exits 3.
+its format, exits 2 with its path leading the message; a config file of
+the wrong shape exits 3.  Three JSON documents have a declared shape, and
+an unknown key in one is an error: poll's --params-file (train-pp's output
+or a bare params object) and train-pp's --manifest exit 3, eval-boundaries'
+--pred (poll's <p>.boundaries.json) exits 2, and the message names the file
+and a JSON path such as $.grid.lambdas[0].  Any other value the library
+rejects with a ValueError exits 3, as do params values, checked once the
+flags are merged over the file.
 
 poll writes, for piece id <p>: <p>.curve.csv; <p>.presence.csv, 1 where an
 occurrence covers a grid point; <p>.boundaries.json, the boundaries' grid
@@ -82,22 +87,11 @@ def _read_text(path: str, newline: str | None = None) -> str:
         raise CliError(EXIT_PARSE, f"cannot read {path}: {exc}") from exc
 
 
-# What interpreting a JSON document of the wrong shape raises: a missing
-# key, a value of the wrong type, or a number out of range.
-_SHAPE_ERRORS = (ArithmeticError, AttributeError, LookupError, TypeError, ValueError)
-
-
-def _json_object(doc) -> dict:
-    if not isinstance(doc, dict):
-        raise TypeError("expected a JSON object")
-    return doc
-
-
-def _read_json(path: str, shape_code: int, read=_json_object):
+def _read_json(path: str, shape_code: int, read):
     """The JSON document at `path`, interpreted by `read`.
 
-    Text that is not JSON exits 2; a document that `read` rejects with one
-    of `_SHAPE_ERRORS` exits `shape_code`.
+    Text that is not JSON exits 2; a document that `read` rejects with a
+    ValueError, such as a `core.SchemaError` naming the node, exits `shape_code`.
     """
     try:
         doc = json.loads(_read_text(path))
@@ -105,8 +99,8 @@ def _read_json(path: str, shape_code: int, read=_json_object):
         raise CliError(EXIT_PARSE, f"{path}: invalid JSON: {exc}") from exc
     try:
         return read(doc)
-    except _SHAPE_ERRORS as exc:
-        raise CliError(shape_code, f"{path}: {type(exc).__name__}: {exc}") from exc
+    except ValueError as exc:
+        raise CliError(shape_code, f"{path}: {exc}") from exc
 
 
 def _csv_text(rows) -> str:
@@ -182,7 +176,7 @@ def _apply_config_file(parser: argparse.ArgumentParser, args: argparse.Namespace
     """
     if not args.config:
         return
-    doc = _read_json(args.config, EXIT_CONFIG)
+    doc = _read_json(args.config, EXIT_CONFIG, lambda doc: core.check_shape(doc, dict))
     # argparse exposes a parser's flags and their types only through its
     # actions; parsed again without defaults, argv yields just the flags it gives
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
@@ -236,24 +230,28 @@ def _derivative_flags(choice) -> dict[str, bool]:
     return {"use_first": choice in ("first", "both"), "use_second": choice in ("second", "both")}
 
 
+# train-pp's output document
+_TRAINED_SHAPE = core.JsonObject(
+    {"objective": str, "folds": int, "seed": int, "params": polling.PpParams.SHAPE}, ("params",)
+)
+
+
+def _params_file(doc) -> dict:
+    """The params of train-pp's output document, or a bare params object."""
+    if isinstance(doc, dict) and "params" in doc:
+        return core.check_shape(doc, _TRAINED_SHAPE)["params"]
+    return core.check_shape(doc, polling.PpParams.SHAPE)
+
+
 def _pp_params_from_args(args) -> polling.PpParams:
     """`polling.PpParams`' defaults, then --params-file's params, then the flags given."""
-    merged = polling.PpParams().to_json_dict()
-    if args.params_file:
-        merged.update(_read_json(
-            args.params_file,
-            EXIT_CONFIG,
-            lambda doc: _json_object(_json_object(doc).get("params", doc)),
-        ))
+    merged = _read_json(args.params_file, EXIT_CONFIG, _params_file) if args.params_file else {}
     for name, value in (("window", args.window), ("order", args.order), ("lambda", args.lam)):
         if value is not None:
             merged[name] = value
     if args.derivatives:
         merged.update(_derivative_flags(args.derivatives))
-    try:
-        return polling.PpParams.from_json_dict(merged)
-    except _SHAPE_ERRORS as exc:
-        raise CliError(EXIT_CONFIG, str(exc)) from exc
+    return polling.PpParams.from_json_dict(merged)
 
 
 def _parse_weights(texts) -> dict[str, int | Fraction]:
@@ -364,50 +362,38 @@ def cmd_poll(args) -> int:
 # train-pp
 
 
-def _paths(value) -> list[str]:
-    if not isinstance(value, list) or not all(isinstance(p, str) for p in value):
-        raise TypeError(f"expected a list of file paths, got {value!r}")
-    return value
-
+_MANIFEST_SHAPE = core.JsonObject({
+    "pieces": [core.JsonObject({"patterns": [str], "truth": str}, ("patterns", "truth"))],
+    "grid": core.JsonObject(
+        {"windows": [int], "orders": [int], "lambdas": [core.TIME], "derivatives": [str]}
+    ),
+}, ("pieces",))
 
 # A manifest's grid keys, each with its default list.
 _GRID_DEFAULTS = {"windows": [3, 5], "orders": [1, 2], "lambdas": [0], "derivatives": ["both"]}
 
 
-def _known_keys(obj, keys, what: str) -> dict:
-    """`obj`, a JSON object whose keys are all among `keys`."""
-    unknown = sorted(set(_json_object(obj)) - set(keys))
-    if unknown:
-        raise ValueError(f"unknown {what} keys {unknown}")
-    return obj
-
-
 def _manifest(doc) -> tuple[list[tuple[list[str], str]], list[polling.PpParams]]:
     """Each piece's (pattern file paths, truth file path), and the parameter grid."""
-    doc = _known_keys(doc, ("pieces", "grid"), "manifest")
-    entries = [_known_keys(entry, ("patterns", "truth"), "manifest piece") for entry in doc["pieces"]]
-    pieces = [(_paths(entry["patterns"]), _paths([entry["truth"]])[0]) for entry in entries]
-    spec = {**_GRID_DEFAULTS, **_known_keys(doc.get("grid", {}), _GRID_DEFAULTS, "grid")}
-    for key, values in spec.items():
-        if not isinstance(values, list):
-            raise ValueError(f"grid {key} must be a JSON array, got {values!r}")
-    # typed before `o < w` filters them, so a bad value is named, not filtered away
-    for value in spec["windows"] + spec["orders"]:
-        if type(value) is not int:
-            raise TypeError(f"grid windows and orders must be JSON integers, got {value!r}")
-    flags = spec["derivatives"]
-    if any(f not in _DERIVATIVES for f in flags):
-        raise ValueError(f"grid derivatives must be first, second or both, got {flags!r}")
-    grid = [
-        polling.PpParams.from_json_dict(
-            {"window": w, "order": o, "lambda": lam, **_derivative_flags(flag)}
-        )
-        for w in spec["windows"]
-        for o in spec["orders"]
-        if o < w
-        for lam in spec["lambdas"]
-        for flag in flags
-    ]
+    doc = core.check_shape(doc, _MANIFEST_SHAPE)
+    pieces = [(entry["patterns"], entry["truth"]) for entry in doc["pieces"]]
+    spec = {**_GRID_DEFAULTS, **doc.get("grid", {})}
+    for i, flag in enumerate(spec["derivatives"]):
+        if flag not in _DERIVATIVES:
+            raise core.SchemaError(
+                f"$.grid.derivatives[{i}]", f"must be first, second or both, got {flag!r}"
+            )
+    try:
+        grid = [
+            polling.PpParams(w, o, lam, **_derivative_flags(flag))
+            for w in spec["windows"]
+            for o in spec["orders"]
+            if o < w
+            for lam in spec["lambdas"]
+            for flag in spec["derivatives"]
+        ]
+    except ValueError as exc:  # a window, order or lambda the params' value rules reject
+        raise core.SchemaError("$.grid", str(exc)) from exc
     return pieces, grid
 
 
@@ -443,33 +429,37 @@ def cmd_train_pp(args) -> int:
 # eval-boundaries
 
 
-def _boundaries_doc(doc) -> tuple[list[int], int | Fraction, int | Fraction, object, object]:
-    """The predicted boundaries, grid origin and resolution, algorithm and
-    piece id (None when absent) of a poll output."""
-    resolution = core.to_time(doc.get("resolution", 1))
-    if resolution <= 0:
-        raise ValueError("resolution must be > 0")
-    origin = core.to_time(doc.get("origin", 0))
-    boundaries = list(doc["boundaries"])
-    for b in boundaries:
-        if type(b) is not int:
-            raise TypeError(f"a boundary must be a JSON integer, got {b!r}")
-    return boundaries, origin, resolution, doc.get("algorithm", "pp"), doc.get("piece")
+# Every key poll writes, and the algorithm the scores name (default pp).
+_BOUNDARIES_SHAPE = core.JsonObject({
+    "piece": str, "origin": core.TIME, "resolution": core.TIME, "params": polling.PpParams.SHAPE,
+    "boundaries": [int], "times": [core.TIME], "algorithm": str,
+}, ("boundaries",))
+
+
+def _boundaries_doc(doc) -> dict:
+    """A poll output whose resolution is > 0 and whose boundaries increase from 0 up."""
+    doc = core.check_shape(doc, _BOUNDARIES_SHAPE)
+    if core.to_time(doc.get("resolution", 1)) <= 0:
+        raise core.SchemaError("$.resolution", f"must be > 0, got {doc['resolution']!r}")
+    boundaries = doc["boundaries"]
+    for i, b in enumerate(boundaries):
+        if b < 0 or i and b <= boundaries[i - 1]:
+            raise core.SchemaError(f"$.boundaries[{i}]", f"must be increasing and >= 0, got {b!r}")
+    return doc
 
 
 def cmd_eval_boundaries(args) -> int:
-    predicted, origin, resolution, algorithm, pred_piece = _read_json(
-        args.pred, EXIT_PARSE, _boundaries_doc
-    )
+    pred = _read_json(args.pred, EXIT_PARSE, _boundaries_doc)
     piece_id, truth_records = _load_pattern_file(args.truth)
-    if pred_piece is not None and pred_piece != piece_id:
+    if pred.get("piece", piece_id) != piece_id:
         raise CliError(
-            EXIT_INCONSISTENT, f"truth piece id {piece_id!r} does not match {pred_piece!r}"
+            EXIT_INCONSISTENT, f"truth piece id {piece_id!r} does not match {pred['piece']!r}"
         )
+    origin, resolution = core.to_time(pred.get("origin", 0)), core.to_time(pred.get("resolution", 1))
     truth = evaluation.truth_boundaries(truth_records, origin, resolution)
-    prf = evaluation.boundary_prf(predicted, truth, args.tolerance)
+    prf = evaluation.boundary_prf(pred["boundaries"], truth, args.tolerance)
     if args.out:
-        _atomic_write(Path(args.out), _scores_csv(piece_id, algorithm, prf))
+        _atomic_write(Path(args.out), _scores_csv(piece_id, pred.get("algorithm", "pp"), prf))
     print(
         f"precision={float(prf.precision):.4f} recall={float(prf.recall):.4f} "
         f"f1={float(prf.f1):.4f} matches={prf.matches}"

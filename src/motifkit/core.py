@@ -24,12 +24,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import reprlib
 import struct
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import attrgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 
 class ParseError(ValueError):
@@ -37,7 +38,7 @@ class ParseError(ValueError):
 
 
 class SchemaError(ParseError):
-    """Interchange JSON violates the schema; `path` names the offending node."""
+    """A JSON document violates its schema; `path` names the offending node."""
 
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
@@ -301,6 +302,45 @@ def subseed(seed: int, *tags) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Declared JSON shapes: a kind is int (not a bool), bool, str, dict (any
+# object), TIME (`to_time`'s rule), [kind] (an array of it) or a JsonObject.
+
+TIME = "time"
+_KIND_NAMES = {int: "an integer", bool: "true or false", str: "a string", list: "an array", dict: "an object"}
+
+
+class JsonObject(NamedTuple):
+    """An object kind: each key's kind, and the keys that must be present; no other key may be."""
+
+    kinds: dict
+    required: tuple[str, ...] = ()
+
+
+def check_shape(doc, shape):
+    """`doc`, unless SchemaError names its shallowest, then first, node not of the kind `shape`
+    declares for it."""
+    work = [("$", doc, shape)]
+    for path, node, kind in work:  # no recursion: `work` grows while it is read
+        base = list if isinstance(kind, list) else dict if isinstance(kind, JsonObject) else kind
+        if kind is TIME:
+            try:
+                to_time(node)
+            except ParseError as exc:
+                raise SchemaError(path, str(exc)) from exc
+        elif type(node) is not base:
+            raise SchemaError(path, f"expected {_KIND_NAMES[base]}, got {reprlib.repr(node)}")
+        elif base is list:
+            work += [(f"{path}[{i}]", item, kind[0]) for i, item in enumerate(node)]
+        elif isinstance(kind, JsonObject):
+            unknown = sorted(set(node) - set(kind.kinds))
+            missing = [key for key in kind.required if key not in node]
+            if unknown or missing:
+                raise SchemaError(path, f"unknown keys {unknown}" if unknown else f"missing keys {missing}")
+            work += [(f"{path}.{key}", value, kind.kinds[key]) for key, value in node.items()]
+    return doc
+
+
+# ---------------------------------------------------------------------------
 # Pattern interchange JSON
 #
 # {"piece": str, "algorithm": str,
@@ -309,7 +349,8 @@ def subseed(seed: int, *tags) -> int:
 #                                 "span": [start, end]   (optional)}]}]}
 #
 # Onsets/durations are decimal strings or "num/den"; plain JSON numbers are
-# also accepted.
+# also accepted.  Unlike the CLI's declared documents (`check_shape`), these
+# files are read by fused per-row checks, and unknown keys are ignored.
 
 
 def _time_field(value, times: _Times, path: Callable[[], str]) -> int | Fraction:

@@ -43,7 +43,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from motifkit import evaluation
-from motifkit.core import PatternRecord, over_common_denominator, to_time
+from motifkit.core import TIME, JsonObject, PatternRecord, check_shape, over_common_denominator, to_time
 
 BoundarySet = tuple[int, ...]
 
@@ -115,6 +115,11 @@ class PpParams:
             raise ValueError("lambda must be >= 0")
         object.__setattr__(self, "lam", lam)
 
+    # `to_json_dict`'s document; `from_json_dict` gives a missing key its default
+    SHAPE = JsonObject(
+        {"window": int, "order": int, "lambda": TIME, "use_first": bool, "use_second": bool}
+    )
+
     def to_json_dict(self) -> dict:
         return {
             "window": self.window,
@@ -125,26 +130,13 @@ class PpParams:
         }
 
     @classmethod
-    def from_json_dict(cls, obj: dict) -> "PpParams":
-        """The keys of `to_json_dict` and no others; window and order must be JSON
-        integers, and the flags JSON booleans, not both false: such params keep
-        no crossing, so they find no boundary."""
-        unknown = sorted(set(obj) - {"window", "order", "lambda", "use_first", "use_second"})
-        if unknown:
-            raise ValueError(f"unknown params keys {unknown}")
-        fields = {
-            "window": obj["window"],
-            "order": obj["order"],
-            "use_first": obj.get("use_first", True),
-            "use_second": obj.get("use_second", True),
-        }
-        for key, value in fields.items():
-            kind = bool if key.startswith("use_") else int
-            if type(value) is not kind:
-                raise TypeError(f"{key} must be a JSON {kind.__name__}, got {value!r}")
-        if not (fields["use_first"] or fields["use_second"]):
+    def from_json_dict(cls, obj) -> "PpParams":
+        """Params from a `SHAPE` document; use_first and use_second must not both be
+        false: such params keep no crossing, so they find no boundary."""
+        obj = {**cls().to_json_dict(), **check_shape(obj, cls.SHAPE)}
+        if not (obj["use_first"] or obj["use_second"]):
             raise ValueError("use_first and use_second are both false")
-        return cls(lam=obj.get("lambda", 0), **fields)
+        return cls(obj["window"], obj["order"], obj["lambda"], obj["use_first"], obj["use_second"])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import csv
+import io
 import json
 import tempfile
 import time
@@ -9,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from motifkit import analysis, cli, polling
+from motifkit import analysis, cli, core, polling
 from motifkit.cli import main
 from motifkit.core import (
     PatternOccurrence,
@@ -954,16 +956,45 @@ def _replaced(node, path, value):
     return copy
 
 
+def _replacements(template):
+    """(path, value): `template`'s node at `path` to be replaced by `value`."""
+    return st.tuples(st.sampled_from(list(_node_paths(template))), _JSON)
+
+
 def _documents(template):
     """Arbitrary bytes, text and JSON values, and `template` with one node replaced."""
     return st.one_of(
         st.binary(max_size=24),
         st.text(max_size=24).map(lambda t: t.encode("utf-8", "surrogatepass")),
         _JSON.map(lambda v: json.dumps(v).encode()),
-        st.tuples(st.sampled_from(list(_node_paths(template))), _JSON).map(
-            lambda pv: json.dumps(_replaced(template, *pv)).encode()
-        ),
+        _replacements(template).map(lambda pv: json.dumps(_replaced(template, *pv)).encode()),
     )
+
+
+def _json_path(path) -> str:
+    return "$" + "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)
+
+
+def _declared(kind, path):
+    """The kind that the declaration `kind` gives the node at `path`."""
+    for key in path:
+        kind = kind[0] if isinstance(kind, list) else kind.kinds[key]
+    return kind
+
+
+def _json_types(kind) -> tuple:
+    """The types of the JSON values among which `kind` admits some."""
+    if isinstance(kind, list):
+        return (list,)
+    if isinstance(kind, core.JsonObject):
+        return (dict,)
+    return (int, float, str) if kind is core.TIME else (kind,)
+
+
+# The declared shape of each JSON input that has one.
+_SHAPES = {
+    "params": cli._TRAINED_SHAPE, "manifest": cli._MANIFEST_SHAPE, "pred": cli._BOUNDARIES_SHAPE,
+}
 
 
 @pytest.fixture(scope="module")
@@ -993,6 +1024,11 @@ def json_case(tmp_path_factory):
     }
 
 
+def _malformed(name, text, code, path=None, id=None):
+    """A malformed-document case; its id, unless given, is pytest's own for (name, text, code)."""
+    return pytest.param(name, text, code, path, id=id or f"{name}-{text}-{code}")
+
+
 def _pattern_text(points, span='["0", "1"]'):
     return (
         '{"piece": "p", "algorithm": "a", "patterns": [{"id": "x", "occurrences": '
@@ -1010,33 +1046,48 @@ class TestJsonInputs:
         (d / "doc.json").write_text(json.dumps(doc))
         assert run(*argv, d / "doc.json") == 0
 
-    @pytest.mark.parametrize("name, text, code", [
-        ("params", "{", 2),
-        ("params", "[1]", 3),
-        ("params", '{"params": {"window": null}}', 3),
-        ("manifest", "{", 2),
-        ("manifest", '{"pieces": [{"patterns": []}]}', 3),
-        ("manifest", '{"pieces": 5}', 3),
-        ("manifest", '{"pieces": [], "grid": {"windows": [4]}}', 3),
-        ("pred", "{", 2),
-        ("pred", '{"boundaries": ["x"]}', 2),
-        ("pred", '{"boundaries": [0.9, true, 7.99]}', 2),
-        ("pred", '{"boundaries": [1], "resolution": 0}', 2),
-        ("pred", '{"boundaries": [1], "resolution": true}', 2),
-        ("params", '{"window": 3, "order": 1, "lambda": true}', 3),
-        ("params", '{"window": 3, "order": 1, "use_first": "false"}', 3),
-        ("params", '{"window": 5.9, "order": 1}', 3),
+    @pytest.mark.parametrize("name, text, code, path", [
+        _malformed("params", "{", 2),
+        _malformed("params", "[1]", 3, "$"),
+        _malformed("params", '{"params": {"window": null}}', 3, "$.params.window"),
+        _malformed("manifest", "{", 2),
+        _malformed("manifest", '{"pieces": [{"patterns": []}]}', 3, "$.pieces[0]"),
+        _malformed("manifest", '{"pieces": 5}', 3, "$.pieces"),
+        _malformed("manifest", '{"pieces": [], "grid": {"windows": [4]}}', 3, "$.grid"),
+        _malformed("pred", "{", 2),
+        _malformed("pred", '{"boundaries": ["x"]}', 2, "$.boundaries[0]"),
+        _malformed("pred", '{"boundaries": [0.9, true, 7.99]}', 2, "$.boundaries[0]"),
+        _malformed("pred", '{"boundaries": [1], "resolution": 0}', 2, "$.resolution"),
+        _malformed("pred", '{"boundaries": [1], "resolution": true}', 2, "$.resolution"),
+        _malformed("params", '{"window": 3, "order": 1, "lambda": true}', 3, "$.lambda"),
+        _malformed("params", '{"window": 3, "order": 1, "use_first": "false"}', 3, "$.use_first"),
+        _malformed("params", '{"window": 5.9, "order": 1}', 3, "$.window"),
         # params that keep no crossing find no boundary
-        ("params", '{"use_first": false, "use_second": false, "window": 3, "order": 1}', 3),
-        ("config", "{", 2),
-        ("config", "[]", 3),
+        _malformed("params", '{"use_first": false, "use_second": false, "window": 3, "order": 1}', 3),
+        _malformed("config", "{", 2),
+        _malformed("config", "[]", 3, "$"),
+        # an unknown key, a value of another kind, or boundaries out of order, once misread
+        _malformed("pred", '{"boundaries": [0, 4], "resolution": "1", "resoluton": "1/2"}', 2, "$",
+                   id="pred-misspelt-resolution"),
+        _malformed("pred", '{"boundaries": [1], "boundries": [2]}', 2, "$",
+                   id="pred-misspelt-boundaries"),
+        _malformed("pred", '{"boundaries": [0, 4], "algorithm": 5}', 2, "$.algorithm",
+                   id="pred-numeric-algorithm"),
+        _malformed("pred", '{"boundaries": {"1": 0}}', 2, "$.boundaries", id="pred-object"),
+        _malformed("pred", '{"boundaries": [9, 1, 1, -4]}', 2, "$.boundaries[1]",
+                   id="pred-unsorted"),
+        _malformed("pred", '{"boundaries": [0, 4, 4]}', 2, "$.boundaries[2]", id="pred-duplicate"),
+        _malformed("pred", '{"boundaries": [-4]}', 2, "$.boundaries[0]", id="pred-negative"),
+        _malformed("params", '{"params": {"window": 3}, "extra": 1}', 3, "$",
+                   id="params-unknown-key-beside-params"),
+        _malformed("manifest", '{"pieces": "ab"}', 3, "$.pieces", id="manifest-string-pieces"),
     ] + [
         # an int past the interpreter's digit limit is not JSON the decoder can read
-        pytest.param(name, f'{{"boundaries": [1{"0" * 5000}]}}', 2, id=f"{name}-5001-digit-int")
+        _malformed(name, f'{{"boundaries": [1{"0" * 5000}]}}', 2, id=f"{name}-5001-digit-int")
         for name in ("config", "params", "manifest", "pred")
     ] + [
         # non-finite numbers and nesting deeper than the JSON decoder recurses
-        pytest.param(name, text, 2, id=f"{name}-{case}")
+        _malformed(name, text, 2, id=f"{name}-{case}")
         for name in ("patterns", "features")
         for case, text in (
             ("nan-onset", _pattern_text('[[NaN, 60, "1"]]')),
@@ -1045,10 +1096,15 @@ class TestJsonInputs:
             ("deep-nesting", "[" * 100_000),
         )
     ])
-    def test_malformed_document_exit_code(self, json_case, name, text, code):
+    def test_malformed_document_exit_code(self, json_case, capsys, name, text, code, path):
+        """Each case exits with its code; one about a node of a declared document names
+        the file and the node's JSON path."""
         d, cases = json_case
         (d / "doc.json").write_text(text)
+        capsys.readouterr()
         assert run(*cases[name][1], d / "doc.json") == code
+        if path is not None:
+            assert f"{d / 'doc.json'}: {path}: " in capsys.readouterr().err
 
     # an int past the digit limit made json.loads raise a bare ValueError (exit 3)
     @pytest.mark.parametrize("field", ["1" + "0" * 5000, '"1e999999999"', '"1e-5000"'],
@@ -1073,7 +1129,40 @@ class TestJsonInputs:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_fuzz_exits_with_a_documented_code(self, json_case, name, data):
+        """Any document exits with a documented code.  A node of a declared document
+        replaced by a JSON value of a type its kind does not admit exits nonzero, and
+        the message names the node's JSON path."""
         d, cases = json_case
         template, argv = cases[name]
-        (d / "doc.json").write_bytes(data.draw(_documents(template)))
-        assert run(*argv, d / "doc.json") in (0, 2, 3, 4)
+        doc = data.draw(st.one_of(_documents(template), _replacements(template)))
+        rejected = False
+        if isinstance(doc, tuple):
+            path, value = doc
+            doc = json.dumps(_replaced(template, path, value)).encode()
+            shape = _SHAPES.get(name)
+            rejected = shape is not None and type(value) not in _json_types(_declared(shape, path))
+        (d / "doc.json").write_bytes(doc)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run(*argv, d / "doc.json")
+        if rejected:
+            assert code != 0
+            assert f"{d / 'doc.json'}: {_json_path(path)}: " in err.getvalue()
+        else:
+            assert code in (0, 2, 3, 4)
+
+    def test_outputs_pass_their_declarations(self, synth_dir, tmp_path):
+        """poll's boundaries document and train-pp's params document, as written, are
+        documents of their declared shapes, which eval-boundaries and poll read back."""
+        truth = synth_dir / "piece.truth.json"
+        pred, params = tmp_path / "poll" / "piece.boundaries.json", tmp_path / "params.json"
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"pieces": [{"patterns": [str(truth)], "truth": str(truth)}] * 3}))
+        assert run("poll", "--in", truth, "--out-dir", tmp_path / "poll", "--quiet") == 0
+        assert run("train-pp", "--manifest", manifest, "--out", params, "--quiet") == 0
+        for path, shape in ((pred, cli._BOUNDARIES_SHAPE), (params, cli._TRAINED_SHAPE)):
+            doc = json.loads(path.read_text())
+            assert core.check_shape(doc, shape) == json.loads(path.read_text())
+        assert run("eval-boundaries", "--pred", pred, "--truth", truth) == 0
+        assert run("poll", "--in", truth, "--params-file", params, "--out-dir", tmp_path / "again",
+                   "--quiet") == 0

@@ -33,9 +33,7 @@ from motifkit.discovery import (
     cosiatec,
     siatec_compress,
     siar,
-    siarct,
     compactness,
-    compactness_trawl,
     tec_quality,
     run_algorithm,
 )

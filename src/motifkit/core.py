@@ -30,7 +30,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import attrgetter
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class ParseError(ValueError):
@@ -78,16 +78,14 @@ def to_time(value) -> int | Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"not a rational number: {value!r}") from exc
         raise ParseError(f"time {value!r} could need more than {limit} digits")
-    if isinstance(value, bool):
-        raise ParseError(f"expected a number or rational string, got {value!r}")
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, (int, Fraction)) and type(value) is not bool:
         return as_time(value)
     if isinstance(value, float):
         if not math.isfinite(value):
             raise ParseError(f"not a finite number: {value!r}")
         # exact value of the decimal repr, not of the binary float
         return as_time(Fraction(repr(value)))
-    raise ParseError(f"expected a number or rational string, got {value!r}")
+    raise ParseError(f"expected a number or rational string, got {reprlib.repr(value)}")
 
 
 class _Times(dict):
@@ -245,7 +243,7 @@ def parse_points_csv(text: str, title: str = "") -> PointSet:
     points = []
     times = _Times()
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip().rstrip("\r")
+        line = raw.strip()
         if not line or line.startswith("#"):
             continue
         fields = [f.strip() for f in line.split(",")]
@@ -353,25 +351,25 @@ def check_shape(doc, shape):
 # files are read by fused per-row checks, and unknown keys are ignored.
 
 
-def _time_field(value, times: _Times, path: Callable[[], str]) -> int | Fraction:
+def _time_field(value, times: _Times, path: str) -> int | Fraction:
     try:
         return times.read(value)
     except ParseError as exc:
-        raise SchemaError(path(), str(exc)) from exc
+        raise SchemaError(path, str(exc)) from exc
 
 
-def _point_from_json(row, times: _Times, path: Callable[[], str]) -> Point:
+def _point_from_json(row, times: _Times, path: str) -> Point:
     if not isinstance(row, list) or len(row) != 3:
-        raise SchemaError(path(), "point must be [onset, pitch, duration]")
+        raise SchemaError(path, "point must be [onset, pitch, duration]")
     onset, pitch, duration = row
-    onset = _time_field(onset, times, lambda: f"{path()}[0]")
+    onset = _time_field(onset, times, f"{path}[0]")
     if type(pitch) is not int:  # a JSON true is a bool, not an int
-        raise SchemaError(f"{path()}[1]", "pitch must be an integer")
-    duration = _time_field(duration, times, lambda: f"{path()}[2]")
+        raise SchemaError(f"{path}[1]", "pitch must be an integer")
+    duration = _time_field(duration, times, f"{path}[2]")
     try:
         return Point(onset, pitch, duration)
     except ValueError as exc:
-        raise SchemaError(path(), str(exc)) from exc
+        raise SchemaError(path, str(exc)) from exc
 
 
 def _row_key(row) -> tuple[str, int, str] | None:
@@ -386,24 +384,22 @@ def _row_key(row) -> tuple[str, int, str] | None:
     return None
 
 
-def _occurrence_from_json(
-    obj, path: Callable[[], str], times: _Times, points: dict[tuple, Point]
-) -> PatternOccurrence:
-    """One occurrence, which `path()` names in an error.
+def _occurrence_from_json(obj, path: str, times: _Times, points: dict[tuple, Point]) -> PatternOccurrence:
+    """One occurrence, which `path` names in an error.
 
     `points` maps each row `_row_key` admits, as read so far, to its Point.
     """
     if not isinstance(obj, dict):
-        raise SchemaError(path(), "occurrence must be an object")
+        raise SchemaError(path, "occurrence must be an object")
     rows = obj.get("points")
     if not isinstance(rows, list) or not rows:
-        raise SchemaError(f"{path()}.points", "must be a nonempty array")
+        raise SchemaError(f"{path}.points", "must be a nonempty array")
     occurrence = []
     for k, row in enumerate(rows):
         key = _row_key(row)
         point = points.get(key)
         if point is None:
-            point = _point_from_json(row, times, lambda: f"{path()}.points[{k}]")
+            point = _point_from_json(row, times, f"{path}.points[{k}]")
             if key is not None:
                 points[key] = point
         occurrence.append(point)
@@ -411,12 +407,12 @@ def _occurrence_from_json(
     if "span" in obj:
         span_json = obj["span"]
         if not isinstance(span_json, list) or len(span_json) != 2:
-            raise SchemaError(f"{path()}.span", "span must be [start, end]")
-        start = _time_field(span_json[0], times, lambda: f"{path()}.span[0]")
-        end = _time_field(span_json[1], times, lambda: f"{path()}.span[1]")
+            raise SchemaError(f"{path}.span", "span must be [start, end]")
+        start = _time_field(span_json[0], times, f"{path}.span[0]")
+        end = _time_field(span_json[1], times, f"{path}.span[1]")
         if (start, end) != occ.span:
             raise SchemaError(
-                f"{path()}.span",
+                f"{path}.span",
                 f"inconsistent with points: stated [{start}, {end}), "
                 f"computed [{occ.span[0]}, {occ.span[1]})",
             )
@@ -457,7 +453,7 @@ def load_pattern_file(text: str) -> tuple[str, list[PatternRecord]]:
         if not isinstance(occs_json, list) or not occs_json:
             raise SchemaError(f"$.patterns[{i}].occurrences", "must be a nonempty array")
         occs = [
-            _occurrence_from_json(o, lambda: f"$.patterns[{i}].occurrences[{j}]", times, points)
+            _occurrence_from_json(o, f"$.patterns[{i}].occurrences[{j}]", times, points)
             for j, o in enumerate(occs_json)
         ]
         records.append(PatternRecord(algorithm, pid, tuple(occs)))

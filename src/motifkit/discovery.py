@@ -4,10 +4,10 @@ Implements the translation-based family: SIA (maximal translatable
 patterns), SIATEC (translational equivalence classes), COSIATEC (greedy
 cover by best TEC with removal), SIATECCompress (greedy cover without
 removal), SIAR (vector table restricted to r lexicographic successors),
-and a compactness trawler, together with compression-ratio and
-compactness quality measures.  Compactness has one rule: a pattern's size
-over the set points whose onsets lie in its onset span, its temporal
-window (`_Grid.window`).
+and SIARCT (SIA's patterns through a compactness trawler), together with
+compression-ratio and compactness quality measures.  Compactness has one
+rule: a pattern's size over the set points whose onsets lie in its onset
+span, its temporal window (`_Grid.window`).
 
 Internally each point is one int, its grid code ``onset * 256 + pitch``
 (onsets as numerators over their least common denominator, by
@@ -23,10 +23,10 @@ reach the best candidate so far; a column group builds its shapes, a shape
 is scored.  Ratio, coverage and size prune; compactness has no bound, so a
 compactness-led round builds and scores every shape.  The emitted TECs are
 those of scoring every shape.  One compact-segment rule (`_segments`, an
-integer compare per step) splits patterns for COSIATEC's candidates,
-`compactness_trawl` and SIARCT alike.  Each occurrence is built once, on the
-grid, as the piece's own notes (`_image`), durations included: a TEC holds
-its occurrences, and `_records` builds every pattern record.
+integer compare per step) splits patterns for COSIATEC's candidates and
+SIARCT's alike.  Each occurrence is built once, on the grid, as the piece's
+own notes (`_image`), durations included: a TEC holds its occurrences, and
+`_records` builds every pattern record.
 """
 
 from __future__ import annotations
@@ -634,51 +634,18 @@ def siatec_compress(
 
 
 # ---------------------------------------------------------------------------
-# Compactness trawler / SIARCT
+# SIARCT: SIA's patterns through the compactness trawler
 
 
-def _threshold(a: Fraction, b: int) -> Fraction:
-    """The trawler's compactness threshold `a` as a Fraction, with `b` checked."""
+def _trawled(ps: PointSet, a: Fraction, b: int) -> tuple[_Grid, list]:
+    """SIARCT on the grid: the grid, and its sorted, distinct (vector, segment) pairs.
+
+    Each MTP of the vector table is split into its compact segments (`_segments`).
+    """
     if not 0 < a <= 1:
         raise ValueError("compactness threshold must be in (0, 1]")
     if b < 1:
         raise ValueError("minimum segment size must be >= 1")
-    return Fraction(a)
-
-
-def compactness_trawl(
-    pattern: Sequence[Point], ps: PointSet, a: Fraction, b: int
-) -> list[tuple[Point, ...]]:
-    """Split a pattern into maximal left-to-right segments of compactness >= a.
-
-    The scan extends the current segment while its compactness (size over
-    the set points in its onset span) stays at or above `a`; a violating
-    point closes the segment and starts a new one.
-    Only segments with at least `b` points are kept, and a one-point
-    segment only if it is itself that compact.  The scan runs on grid
-    integers, one cross-multiplied compare per point (`_segments`); COSIATEC's
-    compact segments and `siarct` use the same rule.
-    """
-    a = _threshold(a, b)
-    grid = _Grid(ps)
-    notes = grid.on_grid(pattern)
-    return [tuple(notes[c] for c in seg) for seg in _segments(list(notes), grid, a, b)]
-
-
-def siarct(ps: PointSet, a: Fraction, b: int) -> list[tuple[Vector2, tuple[Point, ...]]]:
-    """SIA patterns filtered through the compactness trawler: the segments of ``siarct:<a>,<b>``.
-
-    Each MTP of the vector table is trawled as a column of grid integers, by
-    the integer rule of `compactness_trawl` (`_segments`); surviving segments
-    are returned with their source vector, deduplicated and sorted (`_trawled`).
-    """
-    grid, found = _trawled(ps, a, b)
-    return [(grid.vector(v), grid.points(seg)) for v, seg in found]
-
-
-def _trawled(ps: PointSet, a: Fraction, b: int) -> tuple[_Grid, list]:
-    """SIARCT on the grid: the grid, and its sorted, distinct (vector, segment) pairs."""
-    a = _threshold(a, b)
     grid = _Grid(ps)
     # grid order is the exact order: onsets scale by one positive factor
     found = {(v, s) for v, origins in _columns(grid) for s in _segments(origins, grid, a, b)}

@@ -27,6 +27,7 @@ occurrence on its integer grid.
 import json
 import math
 import random
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -360,7 +361,8 @@ def to_time(value) -> Fraction:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"not a rational number: {value!r}") from exc
-    raise ParseError(f"expected a number or rational string, got {value!r}")
+    # shortened as `check_shape` shortens the values it rejects
+    raise ParseError(f"expected a number or rational string, got {reprlib.repr(value)}")
 
 
 def _time_field(value, path: str) -> Fraction:

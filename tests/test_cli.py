@@ -3,6 +3,9 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from fractions import Fraction
@@ -28,6 +31,7 @@ from motifkit.discovery import cosiatec, tecs_to_records
 import _oracles
 
 F = Fraction
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(*argv):
@@ -119,6 +123,12 @@ class TestDiscover:
         assert run("discover", "--in", synth_dir / "piece.csv", "--alg", alg, "--out", out) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: invalid algorithm spec") and err.count("\n") == 1, err
+        assert not out.exists()
+
+    def test_bad_siarct_threshold_exit_3(self, synth_dir, capsys):
+        out = synth_dir / "x.json"
+        assert run("discover", "--in", synth_dir / "piece.csv", "--alg", "siarct:0,2", "--out", out) == 3
+        assert "compactness threshold must be in (0, 1]" in capsys.readouterr().err
         assert not out.exists()
 
     def test_stats_file(self, synth_dir):
@@ -1105,6 +1115,21 @@ class TestJsonInputs:
         assert run(*cases[name][1], d / "doc.json") == code
         if path is not None:
             assert f"{d / 'doc.json'}: {path}: " in capsys.readouterr().err
+
+    def test_deep_time_value_in_one_short_line(self, json_case):
+        """A time's message shortens the value it rejects, as the walker's own messages do.
+
+        The CLI runs in a process of its own: under pytest's deeper stack, the JSON decoder
+        would give up on the nesting first."""
+        d, cases = json_case
+        (d / "doc.json").write_text('{"boundaries": [], "origin": ' + "[" * 980 + "]" * 980 + "}")
+        proc = subprocess.run(
+            [sys.executable, "-m", "motifkit.cli", *map(str, cases["pred"][1]), d / "doc.json"],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert f"{d / 'doc.json'}: $.origin: " in proc.stderr
+        assert proc.stderr.count("\n") == 1 and len(proc.stderr) < 200, proc.stderr
 
     # an int past the digit limit made json.loads raise a bare ValueError (exit 3)
     @pytest.mark.parametrize("field", ["1" + "0" * 5000, '"1e999999999"', '"1e-5000"'],

@@ -13,13 +13,11 @@ from motifkit.discovery import (
     Vector2,
     ZERO,
     compactness,
-    compactness_trawl,
     cosiatec,
     mtps_to_records,
     run_algorithm,
     sia,
     siar,
-    siarct,
     siatec,
     siatec_compress,
     tec_quality,
@@ -32,6 +30,7 @@ from motifkit.discovery import (
     _segments,
     _shape,
     _translators,
+    _trawled,
 )
 from motifkit.synthesis import SynthConfig, synthesize
 
@@ -50,6 +49,12 @@ def pset(*coords):
 
 def vec(dt, dp):
     return Vector2(F(dt), dp)
+
+
+def trawl(pattern, ps, a, b):
+    """The pattern's compact segments, as the piece's notes (`_segments` on its grid)."""
+    grid = _Grid(ps)
+    return [grid.points(s) for s in _segments(list(grid.on_grid(pattern)), grid, a, b)]
 
 
 def random_pointset(rng, max_points=12, onset_range=8, pitch_range=12):
@@ -280,31 +285,26 @@ class TestCompactness:
         # on this piece's integer grid, (1/4, 0) must not pass for the note
         # (0, 64), whose code 64 is 1/4 * 256 + 0, nor for (0, 0) or (1, 0)
         ps = pset((0, 0), (0, 64), (1, 0))
-        pattern = (pt(F(1, 4), 0),)
-        for measure in (
-            lambda: compactness(pattern, ps),
-            lambda: compactness_trawl(pattern, ps, F(1), 1),
-        ):
-            with pytest.raises(ValueError, match="not in the point set"):
-                measure()
+        with pytest.raises(ValueError, match="not in the point set"):
+            compactness((pt(F(1, 4), 0),), ps)
 
 
 class TestTrawler:
     def test_whole_pattern_survives(self):
-        segs = compactness_trawl(FOUR.points, FOUR, F(1), 2)
+        segs = trawl(FOUR.points, FOUR, F(1), 2)
         assert segs == [FOUR.points]
 
     def test_split_on_interleaved_point(self):
         ps = pset((0, 60), (1, 62), (2, 99), (3, 60), (4, 62))
         pattern = (pt(0, 60), pt(1, 62), pt(3, 60), pt(4, 62))
-        segs = compactness_trawl(pattern, ps, F(1), 2)
+        segs = trawl(pattern, ps, F(1), 2)
         assert [tuple(p.coord for p in s) for s in segs] == [
             ((0, 60), (1, 62)),
             ((3, 60), (4, 62)),
         ]
 
     def test_min_size_filters_all(self):
-        assert compactness_trawl(FOUR.points, FOUR, F(1), 5) == []
+        assert trawl(FOUR.points, FOUR, F(1), 5) == []
 
     def test_output_satisfies_thresholds(self):
         rng = random.Random(8)
@@ -316,7 +316,7 @@ class TestTrawler:
             mtp = rng.choice(mtps)
             a = F(rng.randrange(1, 5), 4)
             b = rng.randrange(1, 4)
-            for seg in compactness_trawl(mtp.points, ps, a, b):
+            for seg in trawl(mtp.points, ps, a, b):
                 assert len(seg) >= b
                 assert compactness(seg, ps) >= a
 
@@ -332,7 +332,7 @@ class TestTrawler:
 
             monkeypatch.setattr(cls, "__init__", counted)
         ps = pset(*[(i, 60 + i % 3) for i in range(12)], (5, 70), (20, 60), (21, 61))
-        assert siarct(ps, F(2, 3), 2) and siarct(ps, F(1, 2), 2)
+        assert run_algorithm("siarct:2/3,2", ps) and run_algorithm("siarct:1/2,2", ps)
         assert built == [_Grid, _Grid]
 
     def test_grid_segments_match_brute_trawler(self):
@@ -610,7 +610,7 @@ class TestTrawlOracle:
         pattern = data.draw(st.lists(st.sampled_from(ps.points), min_size=1, unique=True))
         a = data.draw(st.sampled_from([F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4), F(1)]))
         b = data.draw(st.integers(1, 3))
-        got = compactness_trawl(pattern, ps, a, b)
+        got = trawl(pattern, ps, a, b)
         assert got == _oracles.brute_trawl(pattern, ps.points, a, b)
 
 
@@ -705,10 +705,11 @@ class TestOccurrenceOracle:
     def test_second_occurrence_is_the_first_moved_by_the_vector(self, ps):
         """A record orders its two occurrences by span, so they are compared as a pair."""
         notes = {p.coord: p for p in ps.points}
+        grid, trawled = _trawled(ps, F(1, 2), 2)
         for spec, found in (
             ("sia", [(m.vector, m.points) for m in sia(ps)]),
             ("siar:2", [(m.vector, m.points) for m in siar(ps, 2)]),
-            ("siarct:1/2,2", siarct(ps, F(1, 2), 2)),
+            ("siarct:1/2,2", [(grid.vector(v), grid.points(seg)) for v, seg in trawled]),
         ):
             for (v, pattern), record in zip(found, run_algorithm(spec, ps), strict=True):
                 moved = tuple(notes[(p.onset + v.dt, p.pitch + v.dp)] for p in pattern)
@@ -811,6 +812,15 @@ class TestRunAlgorithm:
         with pytest.raises(ValueError, match="invalid algorithm spec"):
             run_algorithm("siar:x", FOUR)
 
+    @pytest.mark.parametrize("spec, message", [
+        ("siarct:0,2", r"compactness threshold must be in \(0, 1\]"),
+        ("siarct:3/2,2", r"compactness threshold must be in \(0, 1\]"),
+        ("siarct:1,0", "minimum segment size must be >= 1"),
+    ])
+    def test_bad_siarct_argument(self, spec, message):
+        with pytest.raises(ValueError, match=f"invalid algorithm spec .*: {message}"):
+            run_algorithm(spec, FOUR)
+
     @pytest.mark.parametrize("spec", ["sia:junk", "siatec:junk", "sia:"])
     def test_argument_for_argless_algorithm(self, spec):
         with pytest.raises(ValueError, match="invalid algorithm spec .* takes no argument"):
@@ -827,6 +837,8 @@ class TestRunAlgorithm:
 class TestSiarct:
     def test_segments_meet_thresholds(self):
         ps = pset((0, 60), (1, 62), (2, 99), (3, 60), (4, 62), (10, 60), (11, 62))
-        for v, seg in siarct(ps, F(1), 2):
+        grid, found = _trawled(ps, F(1), 2)
+        for (_, seg), record in zip(found, run_algorithm("siarct:1,2", ps), strict=True):
+            assert grid.points(seg) in [o.points for o in record.occurrences]
             assert len(seg) >= 2
-            assert compactness(seg, ps) >= 1
+            assert compactness(grid.points(seg), ps) >= 1

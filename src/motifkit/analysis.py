@@ -121,19 +121,6 @@ def extract_features(occ: PatternOccurrence) -> np.ndarray:
     return np.array(values, dtype=float)
 
 
-def features_of_records(
-    records: Sequence[PatternRecord],
-) -> tuple[np.ndarray, list[str]]:
-    """Feature matrix plus the algorithm id of each occurrence's record."""
-    rows, labels = [], []
-    for rec in records:
-        for occ in rec.occurrences:
-            rows.append(extract_features(occ))
-            labels.append(rec.algorithm_id)
-    X = np.array(rows) if rows else np.empty((0, len(FEATURE_NAMES)))
-    return X, labels
-
-
 @dataclass(frozen=True)
 class LabeledDataset:
     """Feature rows with one group label per row."""

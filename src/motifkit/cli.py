@@ -10,7 +10,10 @@ classify and importance take --seed (default 0); synth without --seed draws
 one at random.  Every command but discover and eval-boundaries takes --quiet.
 Every command takes --config, a JSON object of flag values: its keys are the
 command's long flag names, with - or _ between words ("in", "lambda",
-"rest_prob"), and a flag given on the command line wins over its key.
+"rest_prob").  A flag takes its table default, then the config's value, then
+the command line's: the command line wins, and it replaces a list flag's
+config list rather than adding to it.  A required flag must be given on the
+command line; argparse asks for it before the config file is read.
 
 Exit codes: 0 success, 2 input/parse error, 3 invalid configuration,
 4 inconsistent inputs.  A file that cannot be read, or does not parse as
@@ -140,64 +143,55 @@ def _say(args, message: str):
         print(message)
 
 
-def _config_arg(action: argparse.Action, value):
+def _dest(flag: str, keywords: dict) -> str:
+    """The namespace attribute argparse gives the value of --`flag`."""
+    return keywords.get("dest", flag.replace("-", "_"))
+
+
+def _config_arg(keywords: dict, value):
     """One JSON string or number, parsed as the flag parses its command-line text."""
     if isinstance(value, bool) or not isinstance(value, (str, int, float)):
         raise TypeError(f"expected a string or a number, got {value!r}")
-    parsed = (action.type or str)(value if isinstance(value, str) else json.dumps(value))
-    if action.choices is not None and parsed not in action.choices:
-        raise ValueError(f"{parsed!r} is not one of {list(action.choices)}")
+    parsed = keywords.get("type", str)(value if isinstance(value, str) else json.dumps(value))
+    if "choices" in keywords and parsed not in keywords["choices"]:
+        raise ValueError(f"{parsed!r} is not one of {list(keywords['choices'])}")
     return parsed
 
 
-def _config_value(action: argparse.Action, value):
-    """A config value as its flag would parse it from the command line.
+def _config_value(keywords: dict, value):
+    """A config value as its flag, declared by its argparse `keywords`, would parse it
+    from the command line.
 
     A flag without arguments takes true or false, a flag that collects
     several arguments a list of them, and any other flag one argument.
     """
-    if action.nargs == 0:
+    if keywords.get("action") == "store_true":
         if not isinstance(value, bool):
             raise TypeError(f"expected true or false, got {value!r}")
         return value
-    if action.nargs in ("+", "*") or isinstance(action, argparse._AppendAction):
+    if keywords.get("nargs") in ("+", "*") or keywords.get("action") == "append":
         if not isinstance(value, list):
             raise TypeError(f"expected a list, got {value!r}")
-        return [_config_arg(action, v) for v in value]
-    return _config_arg(action, value)
+        return [_config_arg(keywords, v) for v in value]
+    return _config_arg(keywords, value)
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, args: argparse.Namespace, argv=None):
-    """Set every flag the command line `argv` does not give from the JSON config file.
-
-    `parser` is the one that parsed `argv` into `args`; this drops its
-    defaults.  The file's keys are the long flag names, - or _ between words.
-    Unknown keys and values their flag's type or choices reject exit 3.
-    """
-    if not args.config:
-        return
-    doc = _read_json(args.config, EXIT_CONFIG, lambda doc: core.check_shape(doc, dict))
-    # argparse exposes a parser's flags and their types only through its
-    # actions; parsed again without defaults, argv yields just the flags it gives
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    flags = {
-        a.option_strings[-1][2:].replace("-", "_"): a
-        for a in commands.choices[args.command]._actions
-        if a.dest not in ("help", "config")
-    }
-    for action in flags.values():
-        action.default = argparse.SUPPRESS
-    given = vars(parser.parse_args(argv))
+def _read_config(path: str, flags: dict) -> dict:
+    """The flag values of the JSON config file at `path`, by destination, for a command
+    of `flags`.  Its keys are the long flag names, - or _ between words; unknown keys
+    and values their flag's type or choices reject exit 3."""
+    doc = _read_json(path, EXIT_CONFIG, lambda doc: core.check_shape(doc, dict))
+    by_key = {flag.replace("-", "_"): (_dest(flag, kw), kw) for flag, kw in flags.items()}
+    values = {}
     for key, value in doc.items():
-        action = flags.get(key.replace("-", "_"))
-        if action is None:
-            raise CliError(EXIT_CONFIG, f"{args.config}: unknown config key {key!r}")
+        if key.replace("-", "_") not in by_key:
+            raise CliError(EXIT_CONFIG, f"{path}: unknown config key {key!r}")
+        dest, keywords = by_key[key.replace("-", "_")]
         try:
-            value = _config_value(action, value)
+            values[dest] = _config_value(keywords, value)
         except (TypeError, ValueError) as exc:
-            raise CliError(EXIT_CONFIG, f"{args.config}: {key}: {exc}") from exc
-        if action.dest not in given:
-            setattr(args, action.dest, value)
+            raise CliError(EXIT_CONFIG, f"{path}: {key}: {exc}") from exc
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +332,9 @@ def cmd_poll(args) -> int:
     _atomic_write(
         out / f"{piece_id}.smoothed.csv", _curve_csv("value", times, trace.smoothed.values)
     )
-    _atomic_write(out / f"{piece_id}.deriv1.csv", _curve_csv("dvalue", times, trace.p1))
-    _atomic_write(out / f"{piece_id}.deriv2.csv", _curve_csv("d2value", times[1:], trace.p2))
+    p1, p2 = polling.derivatives(trace.smoothed)
+    _atomic_write(out / f"{piece_id}.deriv1.csv", _curve_csv("dvalue", times, p1))
+    _atomic_write(out / f"{piece_id}.deriv2.csv", _curve_csv("d2value", times[1:], p2))
     _atomic_write(out / f"{piece_id}.presence.csv", presence)
     boundary_doc = {
         "piece": piece_id,
@@ -500,29 +495,29 @@ def cmd_synth(args) -> int:
 
 
 def cmd_features(args) -> int:
-    rows: list[tuple[list[float], str]] = []
     piece = _read_piece(args.piece) if args.piece else None
-    all_records: list[tuple[str, list[core.PatternRecord]]] = []
+    annotations: list[core.PatternRecord] = []
     for path in args.patterns or []:
         piece_id, records = _load_pattern_file(path)
         if piece is not None and piece_id != piece.title:
             raise CliError(
                 EXIT_INCONSISTENT, f"{path}: piece id {piece_id!r} does not match {piece.title!r}"
             )
-        all_records.append((piece_id, records))
-    for _, records in all_records:
-        X, labels = analysis.features_of_records(records)
-        rows.extend((list(x), label) for x, label in zip(X, labels))
+        annotations += records
+    rows = [
+        (analysis.extract_features(occ), rec.algorithm_id)
+        for rec in annotations
+        for occ in rec.occurrences
+    ]
     if args.random is not None:
         if piece is None:
             raise CliError(EXIT_CONFIG, "--random requires --piece for excerpt sampling")
-        annotations = [rec for _, records in all_records for rec in records]
         if not annotations:
             raise CliError(EXIT_CONFIG, "--random requires at least one pattern file")
-        for occ in analysis.sample_random_excerpts(
+        excerpts = analysis.sample_random_excerpts(
             [(piece, annotations)], repeats=args.random, seed=args.seed
-        ):
-            rows.append((list(analysis.extract_features(occ)), "random"))
+        )
+        rows += [(analysis.extract_features(occ), "random") for occ in excerpts]
     if not rows:
         raise CliError(EXIT_CONFIG, "no occurrences to featurize")
     table = [[repr(float(v)) for v in values] + [label] for values, label in rows]
@@ -604,149 +599,104 @@ def cmd_importance(args) -> int:
 # Parser
 
 
-_COMMON = {
-    "out-dir": dict(default=".", help="output directory (default .)"),
-    "seed": dict(type=int, default=0, help="random seed (default 0)"),
-    "quiet": dict(action="store_true", help="suppress status output"),
+# The shared flags, spread into the commands that read them.
+_OUT_DIR = {"out-dir": dict(default=".", help="output directory (default .)")}
+_SEED = {"seed": dict(type=int, default=0, help="random seed (default 0)")}
+_QUIET = {"quiet": dict(action="store_true", default=False, help="suppress status output")}
+
+# Each command's help line and flags, in the order help lists them: a flag's long name
+# and its argparse keywords.  The parser gets every default as SUPPRESS, so what it
+# parses is only what the command line gives, and `main` can put that over the
+# defaults and the --config values as plain dicts.
+_COMMANDS = {
+    "discover": ("run a discovery algorithm over a piece", {
+        "in": dict(dest="input", required=True, help="piece (CSV or MIDI)"),
+        "alg": dict(
+            required=True,
+            help="sia|siatec|cosiatec[:<key>,<key>...]|siatec-compress:<key>|siar:<r>|siarct:<a>,<b>"
+            " (cosiatec keys: cr|comp|cov|size|comp>=<a>, e.g. cosiatec:comp,size)",
+        ),
+        "out": dict(required=True, help="interchange JSON output path"),
+        "stats": dict(
+            default=None,
+            help="also write a JSON file of what siatec, cosiatec or siatec-compress did: points,"
+            " vectors, distinct candidate shapes built and shapes scored per round, seconds per"
+            " stage, and each cosiatec round's chosen TEC",
+        ),
+    }),
+    "poll": ("fuse pattern files into a polling curve", {
+        "in": dict(dest="inputs", nargs="+", required=True, help="pattern JSON files"),
+        "truth": dict(default=None, help="ground-truth pattern JSON"),
+        "weight": dict(action="append", default=None, help="algorithm=weight (repeatable)"),
+        "resolution": dict(default="1", help="grid resolution in crotchets (default 1)"),
+        "span": dict(default=None, help="piece span start,end (default 0,latest end)"),
+        "window": dict(
+            type=int, default=None,
+            help="odd smoothing window in grid steps (default 3, or --params-file's); the cost"
+            " grows with the window: on a 103-point curve 2001 took 0.02 s of CPU time and 6001"
+            " took 0.04 s (Python 3.11, shared 2-CPU host)",
+        ),
+        "order": dict(type=int, default=None, help="(default 1, or --params-file's)"),
+        "lambda": dict(dest="lam", default=None, help="steepness threshold (default 0, or --params-file's)"),
+        "derivatives": dict(choices=_DERIVATIVES, default=None, help="(default both, or --params-file's)"),
+        "params-file": dict(default=None, help="trained params JSON from train-pp"),
+        "normalize": dict(action="store_true", default=False, help="divide the curve by total weight"),
+        "tolerance": dict(type=int, default=1, help="boundary match tolerance (grid steps)"),
+        **_OUT_DIR, **_QUIET,
+    }),
+    "train-pp": ("grid-search boundary parameters by cross-validation", {
+        "manifest": dict(
+            required=True,
+            help="JSON manifest with pieces and grid; each piece is smoothed once per distinct"
+            " kernel (a grid window and order, orders 2k and 2k+1 sharing one), at the cost"
+            " poll --window states (0.02 s at window 2001 and 0.04 s at 6001 on a 103-point curve)",
+        ),
+        "objective": dict(choices=["precision", "recall", "f1"], default="f1"),
+        "folds": dict(type=int, default=3),
+        "tolerance": dict(type=int, default=1),
+        "out": dict(required=True, help="output params JSON"),
+        **_SEED, **_QUIET,
+    }),
+    "eval-boundaries": ("score predicted boundaries against truth", {
+        "pred": dict(required=True, help="boundaries JSON (from poll)"),
+        "truth": dict(required=True, help="ground-truth pattern JSON"),
+        "tolerance": dict(type=int, default=1),
+        "out": dict(default=None, help="scores CSV path"),
+    }),
+    "synth": ("generate a synthetic piece with planted patterns", {
+        "name": dict(default=None, help="output basename (default synthetic-<seed>)"),
+        "occurrences": dict(type=int, default=2, help="per template (default 2)"),
+        "rest-prob": dict(type=float, default=0.2, help="(default 0.2)"),
+        "cap": dict(default="1/2", help="random-fraction cap in (0,1) (default 1/2)"),
+        "seed": dict(type=int, default=None, help="random seed (default: drawn, echoed)"),
+        **_OUT_DIR, **_QUIET,
+    }),
+    "features": ("extract feature rows from pattern files", {
+        "piece": dict(default=None, help="piece file (needed for --random)"),
+        "patterns": dict(nargs="+", default=None, help="pattern JSON files"),
+        "random": dict(type=int, default=None, help="random excerpts per occurrence"),
+        "out": dict(required=True, help="features CSV path"),
+        **_SEED, **_QUIET,
+    }),
+    "classify": ("cross-validated classification report", {
+        "features": dict(required=True, help="features CSV"),
+        "classifiers": dict(default="rf,nb,lda", help="comma list (default rf,nb,lda)"),
+        "folds": dict(type=int, default=10),
+        "repeats": dict(type=int, default=3),
+        "trees": dict(type=int, default=None, help="random forest size"),
+        "pca": dict(type=int, default=None, help="PCA components (default: raw features)"),
+        "no-balance": dict(action="store_true", default=False, help="skip class balancing"),
+        "out": dict(required=True, help="report JSON path"),
+        **_SEED, **_QUIET,
+    }),
+    "importance": ("shadow-feature importance report", {
+        "features": dict(required=True, help="features CSV"),
+        "runs": dict(type=int, default=20),
+        "trees": dict(type=int, default=100),
+        "out": dict(required=True, help="report JSON path"),
+        **_SEED, **_QUIET,
+    }),
 }
-
-
-def _add_common(sub: argparse.ArgumentParser, *flags: str):
-    """The shared `flags` the command reads, and --config, which every command takes."""
-    for flag in flags:
-        sub.add_argument(f"--{flag}", **_COMMON[flag])
-    sub.add_argument(
-        "--config", default=None,
-        help="JSON file of flag values keyed by long flag name; the command line wins",
-    )
-
-
-def _discover_flags(p: argparse.ArgumentParser):
-    p.add_argument("--in", dest="input", required=True, help="piece (CSV or MIDI)")
-    p.add_argument(
-        "--alg",
-        required=True,
-        help="sia|siatec|cosiatec[:<key>,<key>...]|siatec-compress:<key>|siar:<r>|siarct:<a>,<b>"
-        " (cosiatec keys: cr|comp|cov|size|comp>=<a>, e.g. cosiatec:comp,size)",
-    )
-    p.add_argument("--out", required=True, help="interchange JSON output path")
-    p.add_argument(
-        "--stats", default=None,
-        help="also write a JSON file of what siatec, cosiatec or siatec-compress did: points,"
-        " vectors, distinct candidate shapes built and shapes scored per round, seconds per"
-        " stage, and each cosiatec round's chosen TEC",
-    )
-    _add_common(p)
-
-
-def _poll_flags(p: argparse.ArgumentParser):
-    p.add_argument("--in", dest="inputs", nargs="+", required=True, help="pattern JSON files")
-    p.add_argument("--truth", default=None, help="ground-truth pattern JSON")
-    p.add_argument("--weight", action="append", default=None, help="algorithm=weight (repeatable)")
-    p.add_argument("--resolution", default="1", help="grid resolution in crotchets (default 1)")
-    p.add_argument("--span", default=None, help="piece span start,end (default 0,latest end)")
-    p.add_argument(
-        "--window", type=int, default=None,
-        help="odd smoothing window in grid steps (default 3, or --params-file's); the cost"
-        " grows with the window: on a 103-point curve 2001 took 0.02 s of CPU time and 6001"
-        " took 0.04 s (Python 3.11, shared 2-CPU host)",
-    )
-    p.add_argument("--order", type=int, default=None, help="(default 1, or --params-file's)")
-    p.add_argument(
-        "--lambda", dest="lam", default=None,
-        help="steepness threshold (default 0, or --params-file's)",
-    )
-    p.add_argument(
-        "--derivatives", choices=_DERIVATIVES, default=None,
-        help="(default both, or --params-file's)",
-    )
-    p.add_argument("--params-file", default=None, help="trained params JSON from train-pp")
-    p.add_argument("--normalize", action="store_true", help="divide the curve by total weight")
-    p.add_argument("--tolerance", type=int, default=1, help="boundary match tolerance (grid steps)")
-    _add_common(p, "out-dir", "quiet")
-
-
-def _train_pp_flags(p: argparse.ArgumentParser):
-    p.add_argument(
-        "--manifest", required=True,
-        help="JSON manifest with pieces and grid; each piece is smoothed once per distinct"
-        " kernel (a grid window and order, orders 2k and 2k+1 sharing one), at the cost"
-        " poll --window states (0.02 s at window 2001 and 0.04 s at 6001 on a 103-point curve)",
-    )
-    p.add_argument("--objective", choices=["precision", "recall", "f1"], default="f1")
-    p.add_argument("--folds", type=int, default=3)
-    p.add_argument("--tolerance", type=int, default=1)
-    p.add_argument("--out", required=True, help="output params JSON")
-    _add_common(p, "seed", "quiet")
-
-
-def _eval_boundaries_flags(p: argparse.ArgumentParser):
-    p.add_argument("--pred", required=True, help="boundaries JSON (from poll)")
-    p.add_argument("--truth", required=True, help="ground-truth pattern JSON")
-    p.add_argument("--tolerance", type=int, default=1)
-    p.add_argument("--out", default=None, help="scores CSV path")
-    _add_common(p)
-
-
-def _synth_flags(p: argparse.ArgumentParser):
-    p.add_argument("--name", default=None, help="output basename (default synthetic-<seed>)")
-    p.add_argument("--occurrences", type=int, default=2, help="per template (default 2)")
-    p.add_argument("--rest-prob", type=float, default=0.2, help="(default 0.2)")
-    p.add_argument("--cap", default="1/2", help="random-fraction cap in (0,1) (default 1/2)")
-    p.add_argument("--seed", type=int, default=None, help="random seed (default: drawn, echoed)")
-    _add_common(p, "out-dir", "quiet")
-
-
-def _features_flags(p: argparse.ArgumentParser):
-    p.add_argument("--piece", default=None, help="piece file (needed for --random)")
-    p.add_argument("--patterns", nargs="+", default=None, help="pattern JSON files")
-    p.add_argument("--random", type=int, default=None, help="random excerpts per occurrence")
-    p.add_argument("--out", required=True, help="features CSV path")
-    _add_common(p, "seed", "quiet")
-
-
-def _classify_flags(p: argparse.ArgumentParser):
-    p.add_argument("--features", required=True, help="features CSV")
-    p.add_argument("--classifiers", default="rf,nb,lda", help="comma list (default rf,nb,lda)")
-    p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--trees", type=int, default=None, help="random forest size")
-    p.add_argument("--pca", type=int, default=None, help="PCA components (default: raw features)")
-    p.add_argument("--no-balance", action="store_true", help="skip class balancing")
-    p.add_argument("--out", required=True, help="report JSON path")
-    _add_common(p, "seed", "quiet")
-
-
-def _importance_flags(p: argparse.ArgumentParser):
-    p.add_argument("--features", required=True, help="features CSV")
-    p.add_argument("--runs", type=int, default=20)
-    p.add_argument("--trees", type=int, default=100)
-    p.add_argument("--out", required=True, help="report JSON path")
-    _add_common(p, "seed", "quiet")
-
-
-def _commands() -> tuple:
-    """Each command's name, help line, flag adder and handler, in the order help lists them.
-
-    Built on each call, so the parser takes each handler as this module
-    binds it then: perfbench's tracer replaces the handlers to time them.
-    """
-    return (
-        ("discover", "run a discovery algorithm over a piece", _discover_flags, cmd_discover),
-        ("poll", "fuse pattern files into a polling curve", _poll_flags, cmd_poll),
-        (
-            "train-pp", "grid-search boundary parameters by cross-validation",
-            _train_pp_flags, cmd_train_pp,
-        ),
-        (
-            "eval-boundaries", "score predicted boundaries against truth",
-            _eval_boundaries_flags, cmd_eval_boundaries,
-        ),
-        ("synth", "generate a synthetic piece with planted patterns", _synth_flags, cmd_synth),
-        ("features", "extract feature rows from pattern files", _features_flags, cmd_features),
-        ("classify", "cross-validated classification report", _classify_flags, cmd_classify),
-        ("importance", "shadow-feature importance report", _importance_flags, cmd_importance),
-    )
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -756,28 +706,33 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         description="Pattern discovery, polling fusion, evaluation, synthesis, classification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = _commands()
-    names = [name for name, *_ in commands]
-    if command in names:
+    if command in _COMMANDS:
         # a top-level error ("unrecognized arguments") prints the usage line,
         # which lists every command as the full parser's does
-        sub.metavar = "{" + ",".join(names) + "}"
-    for name, summary, add_flags, handler in commands:
-        if command not in names or command == name:
+        sub.metavar = "{" + ",".join(_COMMANDS) + "}"
+    for name, (summary, flags) in _COMMANDS.items():
+        if command not in _COMMANDS or command == name:
             p = sub.add_parser(name, help=summary)
-            add_flags(p)
-            p.set_defaults(func=handler)
+            for flag, keywords in flags.items():
+                p.add_argument(f"--{flag}", **{**keywords, "default": argparse.SUPPRESS})
+            p.add_argument(
+                "--config", default=argparse.SUPPRESS,
+                help="JSON file of flag values keyed by long flag name; the command line wins",
+            )
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # building one command's parser costs a fifth of building all of them
-    parser = build_parser(argv[0] if argv else None)
-    args = parser.parse_args(argv)
+    given = vars(build_parser(argv[0] if argv else None).parse_args(argv))
+    command = given["command"]
+    flags = _COMMANDS[command][1]
+    defaults = {_dest(flag, keywords): keywords.get("default") for flag, keywords in flags.items()}
     try:
-        _apply_config_file(parser, args, argv)
-        return args.func(args)
+        config = _read_config(given["config"], flags) if given.get("config") else {}
+        handler = globals()["cmd_" + command.replace("-", "_")]  # as bound now: tracers replace it
+        return handler(argparse.Namespace(**{**defaults, **config, **given}))
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -325,12 +325,12 @@ def savgol_smooth(curve: PollingCurve, window: int, order: int) -> PollingCurve:
 
 def derivatives(curve: PollingCurve) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     """First and second forward differences (lengths n-1 and n-2)."""
-    v = curve.values
+    v = curve.nums
     if len(v) < 3:
         raise ValueError("curve must have at least 3 values")
-    p1 = tuple(b - a for a, b in zip(v, v[1:]))
-    p2 = tuple(b - a for a, b in zip(p1, p1[1:]))
-    return p1, p2
+    p1 = [b - a for a, b in zip(v, v[1:])]
+    p2 = [b - a for a, b in zip(p1, p1[1:])]
+    return tuple(Fraction(x, curve.den) for x in p1), tuple(Fraction(x, curve.den) for x in p2)
 
 
 # ---------------------------------------------------------------------------
@@ -360,14 +360,13 @@ class BoundaryTrace:
     """The signal `boundary_trace` decides on, its crossings and its boundaries.
 
     `smoothed` is the edge-padded curve after smoothing; its origin lies
-    `window` grid steps before the input's.  p1[j] sits at smoothed.time_at(j)
-    and p2[j] at smoothed.time_at(j + 1).  `boundaries` index the input curve;
-    `crossings` lists every crossing of p1 and p2 in decision order.
+    `window` grid steps before the input's.  Of its `derivatives` p1 and p2,
+    p1[j] sits at smoothed.time_at(j) and p2[j] at smoothed.time_at(j + 1).
+    `boundaries` index the input curve; `crossings` lists every crossing of
+    p1 and p2 in decision order.
     """
 
     smoothed: PollingCurve
-    p1: tuple[Fraction, ...]
-    p2: tuple[Fraction, ...]
     boundaries: BoundarySet
     crossings: tuple[Crossing, ...]
 
@@ -378,11 +377,9 @@ _Crossing = tuple[int, int, int]
 
 
 class _Signal(NamedTuple):
-    """One kernel's signal on integers; the arrays are views of `_signals`' rows."""
+    """One kernel's signal on integers; `smoothed` is a view of `_signals`' rows."""
 
     smoothed: np.ndarray  # the padded curve, smoothed, numerators over den
-    p1: np.ndarray  # its first differences, numerators over den
-    p2: np.ndarray  # its second differences, numerators over den
     den: int
     crossings: list[_Crossing]  # sorted
     key_den: int  # a crossing's steepness is its key / key_den
@@ -432,7 +429,7 @@ def _signals(curve: PollingCurve, kernels: Sequence[tuple[int, int]]) -> list[_S
         lo, hi = widest - window, widest + n + window
         den *= curve.den
         signals.append(_Signal(
-            rows[k, lo:hi], p1[k, lo : hi - 1], p2[k, lo : hi - 2], den,
+            rows[k, lo:hi], den,
             sorted(zip(index[part], keys, derivative[part])), den * lcm,
         ))
     return signals
@@ -496,8 +493,6 @@ def boundary_trace(curve: PollingCurve, params: PpParams) -> BoundaryTrace:
     origin = curve.origin - params.window * curve.resolution
     return BoundaryTrace(
         smoothed=PollingCurve(origin, curve.resolution, sig.smoothed.tolist(), sig.den),
-        p1=tuple(Fraction(x, sig.den) for x in sig.p1.tolist()),
-        p2=tuple(Fraction(x, sig.den) for x in sig.p2.tolist()),
         boundaries=tuple(b[0] for b in kept),
         crossings=tuple(crossings),
     )

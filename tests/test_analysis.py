@@ -11,7 +11,6 @@ from motifkit.analysis import (
     cross_validate,
     extract_features,
     feature_importance,
-    features_of_records,
     fit_scaler_pca,
     sample_random_excerpts,
 )
@@ -103,12 +102,6 @@ class TestFeatures:
     def test_feature_count(self):
         assert len(FEATURE_NAMES) == 26
         assert len(extract_features(occ((0, 60)))) == 26
-
-    def test_features_of_records_labels(self):
-        rec = PatternRecord("alg-a", "p", (occ((0, 60)), occ((5, 62))))
-        X, labels = features_of_records([rec])
-        assert X.shape == (2, 26)
-        assert labels == ["alg-a", "alg-a"]
 
 
 class TestRandomExcerpts:

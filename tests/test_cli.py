@@ -244,15 +244,16 @@ class TestPoll:
             values[0][0], F(1, 2), *over_common_denominator(v for _, v in values))
         trace = polling.boundary_trace(curve, polling.PpParams(window=5, order=2))
         smoothed = trace.smoothed
+        p1, p2 = polling.derivatives(smoothed)
         assert smoothed.origin == -F(5, 2)
         assert read_signal(out / "piece.smoothed.csv") == [
             (smoothed.time_at(j), v) for j, v in enumerate(smoothed.values)
         ]
         assert read_signal(out / "piece.deriv1.csv") == [
-            (smoothed.time_at(j), v) for j, v in enumerate(trace.p1)
+            (smoothed.time_at(j), v) for j, v in enumerate(p1)
         ]
         assert read_signal(out / "piece.deriv2.csv") == [
-            (smoothed.time_at(j + 1), v) for j, v in enumerate(trace.p2)
+            (smoothed.time_at(j + 1), v) for j, v in enumerate(p2)
         ]
         doc = json.loads((out / "piece.boundaries.json").read_text())
         assert tuple(doc["boundaries"]) == trace.boundaries
@@ -438,6 +439,30 @@ class TestEvalBoundaries:
         assert not out.exists()
         assert run("features", "--piece", tmp_path / "a.csv", "--patterns",
                    tmp_path / "a.truth.json", "--random", 2, "--out", out, "--quiet") == 0
+
+    def test_features_rows_in_file_record_and_occurrence_order(self, tmp_path):
+        """One row per occurrence, labelled with its file's algorithm id, then the random rows."""
+        assert run("synth", "--seed", 1, "--name", "p", "--out-dir", tmp_path, "--quiet") == 0
+        b = tmp_path / "b.json"
+        b_records = [
+            PatternRecord("b", "x", tuple(
+                PatternOccurrence(tuple(Point(F(s + i), 60 + i) for i in range(3))) for s in (0, 5))),
+            PatternRecord("b", "y", (PatternOccurrence((Point(F(9), 62), Point(F(11), 67))),)),
+        ]
+        b.write_text(dump_pattern_json("p", "b", b_records))
+        a = write_patterns(tmp_path / "a.json", "a", (0, 4), (6, 8), (10, 15))
+        _, a_records = load_pattern_file(a.read_text())
+        out = tmp_path / "f.csv"
+        assert run("features", "--piece", tmp_path / "p.csv", "--patterns", b, a,
+                   "--random", 1, "--out", out, "--quiet") == 0
+        rows = read_rows(out)
+        expected = [
+            [repr(float(v)) for v in analysis.extract_features(occ)] + [rec.algorithm_id]
+            for rec in b_records + a_records
+            for occ in rec.occurrences
+        ]
+        assert rows[:len(expected)] == expected
+        assert [row[-1] for row in rows[len(expected):]] == ["random"] * len(expected)
 
     def test_long_matching_chain(self, tmp_path, capsys):
         records = [PatternRecord("t", f"p{i}", (PatternOccurrence((Point(F(i), 60),)),))
@@ -733,6 +758,16 @@ class TestFlags:
         assert run("synth", "--config", cfg, "--name", "p", "--out-dir", tmp_path) == 0
         assert len(built) == 1
 
+    def test_main_parses_argv_once(self, tmp_path, monkeypatch):
+        parsed = []
+        parse_args = argparse.ArgumentParser.parse_args
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args",
+                            lambda *a: parsed.append(1) or parse_args(*a))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 7, "quiet": True}))
+        assert run("synth", "--config", cfg, "--name", "p", "--out-dir", tmp_path) == 0
+        assert len(parsed) == 1
+
 
 def _parse_outcome(parser, argv, capsys):
     """What parsing `argv` gives: the parsed flags or the exit code, and stdout and stderr."""
@@ -763,7 +798,7 @@ class TestOneCommandParser:
                 cases.append([command, *required, a.option_strings[0], "x"])
         return cases
 
-    @pytest.mark.parametrize("command", [name for name, *_ in cli._commands()])
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
     def test_reads_argv_as_the_full_parser(self, capsys, command):
         for argv in self.argv_cases(command):
             one = _parse_outcome(cli.build_parser(command), argv, capsys)
@@ -774,7 +809,7 @@ class TestOneCommandParser:
         assert run("synth") == 7
 
     def test_builds_only_the_named_command(self):
-        names = [name for name, *_ in cli._commands()]
+        names = list(cli._COMMANDS)
         assert list(_subparsers(cli.build_parser("poll"))) == ["poll"]
         assert list(_subparsers(cli.build_parser("nonesuch"))) == names
         assert list(_subparsers(cli.build_parser())) == names
@@ -819,6 +854,43 @@ class TestConfigFile:
                    "--out-dir", tmp_path / "flags", "--quiet") == 0
         for suffix in (".csv", ".config.json"):
             assert (tmp_path / f"c{suffix}").read_bytes() == (tmp_path / "flags" / f"c{suffix}").read_bytes()
+
+    def test_command_line_list_replaces_the_config_list(self, tmp_path):
+        """A list flag takes the config's list, and the command line's replaces it whole."""
+        a = write_patterns(tmp_path / "a.json", "a", (0, 4), (6, 10))
+        b = write_patterns(tmp_path / "b.json", "b", (2, 8))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"weight": ["a=2"]}))
+
+        def curve(name, *flags):
+            assert run("poll", "--in", a, b, *flags, "--out-dir", tmp_path / name, "--quiet") == 0
+            return (tmp_path / name / "p.curve.csv").read_bytes()
+
+        assert curve("cfg", "--config", cfg) == curve("flag", "--weight", "a=2") != curve("none")
+        assert curve("both", "--config", cfg, "--weight", "b=3") == curve("b3", "--weight", "b=3")
+        assert curve("b3") != curve("a2b3", "--weight", "a=2", "--weight", "b=3")
+
+    def test_command_line_patterns_replace_the_config_patterns(self, tmp_path):
+        a = write_patterns(tmp_path / "a.json", "a", (0, 4), (6, 10))
+        b = write_patterns(tmp_path / "b.json", "b", (2, 8))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"patterns": [str(a)]}))
+
+        def features(name, *flags):
+            assert run("features", *flags, "--out", tmp_path / name, "--quiet") == 0
+            return (tmp_path / name).read_bytes()
+
+        assert features("cfg.csv", "--config", cfg) == features("flag.csv", "--patterns", a)
+        assert features("both.csv", "--config", cfg, "--patterns", b) == features("b.csv", "--patterns", b)
+        assert features("b.csv", "--patterns", b) != features("ab.csv", "--patterns", a, b)
+
+    def test_required_flags_must_be_on_the_command_line(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alg": "sia", "out": str(tmp_path / "x.json")}))
+        with pytest.raises(SystemExit) as exc:
+            run("discover", "--in", "p.csv", "--config", cfg)
+        assert exc.value.code == 2
+        assert "the following arguments are required: --alg, --out" in capsys.readouterr().err
 
 
 class TestConfigAgainstDefaults:

@@ -1,11 +1,12 @@
 """Static checks over the package source: no unused imports, no private name taken from
-another module, no module-level name that only the tests read (the package's modules,
-the demos, the benchmark and the acceptance tests count; `__init__.py`'s re-exports do
-not), no function that calls itself without a stated bound on its depth, one copy of
-the rule that puts exact values on integers, one of the rule that keeps integral values
-as ints, one caller of the indenting JSON encoder, one function that asks for the
-smoothing kernel and applies it, one that finds zero crossings, one count of a discovery
-grid's temporal window, and no default that only the tests override."""
+another module (a motifkit one, the standard library or any other library), no
+module-level name that only the tests read (the package's modules, the demos, the
+benchmark and the acceptance tests count; `__init__.py`'s re-exports do not), no
+function that calls itself without a stated bound on its depth, one copy of the rule
+that puts exact values on integers, one of the rule that keeps integral values as ints,
+one caller of the indenting JSON encoder, one function that asks for the smoothing
+kernel and applies it, one that finds zero crossings, one count of a discovery grid's
+temporal window, and no default that only the tests override."""
 
 import ast
 from pathlib import Path
@@ -58,11 +59,16 @@ def test_no_unused_import(module):
 
 
 def _private_names_taken(tree: ast.AST) -> list[str]:
-    """`module._name` for each private name the tree imports or reads off a motifkit module."""
-    modules = {}  # local name -> motifkit module, for `from motifkit import core`
+    """`module._name` for each private name the tree imports from a module, or reads off an
+    imported module: a motifkit one or any other, the standard library's included."""
+    modules = {}  # local name -> module, for `import argparse` and `from motifkit import core`
     found = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("motifkit"):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                local = alias.asname or alias.name.partition(".")[0]
+                modules[local] = alias.name if alias.asname else local
+        elif isinstance(node, ast.ImportFrom) and node.module:
             for alias in node.names:
                 if node.module == "motifkit":
                     modules[alias.asname or alias.name] = alias.name
@@ -77,9 +83,10 @@ def _private_names_taken(tree: ast.AST) -> list[str]:
 
 @pytest.mark.parametrize("module", MODULES)
 def test_no_private_name_from_another_module(module):
-    """A rule two modules share is public in one of them, not copied or reached into."""
+    """A rule two modules share is public in one of them, not copied or reached into, and
+    no module leans on another library's internals."""
     found = _private_names_taken(TREES[module])
-    assert not found, f"{module} takes the private names {found} from other motifkit modules"
+    assert not found, f"{module} takes the private names {found} from other modules"
 
 
 # Where a name counts as used: the package's modules (not `__init__.py`, whose imports

@@ -22,9 +22,12 @@ the wrong shape exits 3.  Three JSON documents have a declared shape, and
 an unknown key in one is an error: poll's --params-file (train-pp's output
 or a bare params object) and train-pp's --manifest exit 3, eval-boundaries'
 --pred (poll's <p>.boundaries.json) exits 2, and the message names the file
-and a JSON path such as $.grid.lambdas[0].  Any other value the library
-rejects with a ValueError exits 3, as do params values, checked once the
-flags are merged over the file.
+and a JSON path such as $.grid.lambdas[0]; --params-file is checked whole,
+value rules too, where it is read, then the flags given replace its values.
+Pattern files read together (poll's, a train-pp piece's, eval-boundaries'
+--truth with --pred's piece, each of features' with --piece) name one piece:
+one reader loads them, and the first naming another exits 4 with its path.
+Any other value the library rejects with a ValueError exits 3.
 
 poll writes, for piece id <p>: <p>.curve.csv; <p>.presence.csv, 1 where an
 occurrence covers a grid point; <p>.boundaries.json, the boundaries' grid
@@ -41,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -115,27 +119,30 @@ def _csv_text(rows) -> str:
 
 def _read_piece(path: str) -> core.PointSet:
     p = Path(path)
-    title = p.stem
-    if p.suffix.lower() in (".mid", ".midi"):
+    try:
+        if p.suffix.lower() in (".mid", ".midi"):
+            return core.parse_midi(p.read_bytes(), title=p.stem)
+        return core.parse_points_csv(_read_text(path), title=p.stem)
+    except OSError as exc:
+        raise CliError(EXIT_PARSE, f"cannot read {path}: {exc}") from exc
+    except (core.ParseError, core.MonophonyViolation) as exc:
+        raise CliError(EXIT_PARSE, f"{path}: {exc}") from exc
+
+
+def _pattern_files(paths, piece: str | None = None) -> tuple[str | None, list[core.PatternRecord]]:
+    """The piece id and, in file order, the records of the pattern files at `paths`, each
+    of which must name `piece`, or the first file's piece when `piece` is None."""
+    records = []
+    for path in paths:
         try:
-            data = p.read_bytes()
-        except OSError as exc:
-            raise CliError(EXIT_PARSE, f"cannot read {path}: {exc}") from exc
-        try:
-            return core.parse_midi(data, title=title)
-        except (core.ParseError, core.MonophonyViolation) as exc:
+            piece_id, recs = core.load_pattern_file(_read_text(path))
+        except core.ParseError as exc:
             raise CliError(EXIT_PARSE, f"{path}: {exc}") from exc
-    try:
-        return core.parse_points_csv(_read_text(path), title=title)
-    except core.ParseError as exc:
-        raise CliError(EXIT_PARSE, f"{path}: {exc}") from exc
-
-
-def _load_pattern_file(path: str) -> tuple[str, list[core.PatternRecord]]:
-    try:
-        return core.load_pattern_file(_read_text(path))
-    except core.ParseError as exc:
-        raise CliError(EXIT_PARSE, f"{path}: {exc}") from exc
+        piece = piece_id if piece is None else piece
+        if piece_id != piece:
+            raise CliError(EXIT_INCONSISTENT, f"{path}: piece id {piece_id!r} does not match {piece!r}")
+        records += recs
+    return piece, records
 
 
 def _say(args, message: str):
@@ -230,22 +237,26 @@ _TRAINED_SHAPE = core.JsonObject(
 )
 
 
-def _params_file(doc) -> dict:
-    """The params of train-pp's output document, or a bare params object."""
+def _params_file(doc) -> polling.PpParams:
+    """The params of train-pp's output document, or of a bare params object."""
     if isinstance(doc, dict) and "params" in doc:
-        return core.check_shape(doc, _TRAINED_SHAPE)["params"]
-    return core.check_shape(doc, polling.PpParams.SHAPE)
+        path, params = "$.params", core.check_shape(doc, _TRAINED_SHAPE)["params"]
+    else:
+        path, params = "$", core.check_shape(doc, polling.PpParams.SHAPE)
+    try:
+        return polling.PpParams.from_json_dict(params)
+    except ValueError as exc:  # a value rule: the shape is checked above
+        raise core.SchemaError(path, str(exc)) from exc
 
 
 def _pp_params_from_args(args) -> polling.PpParams:
-    """`polling.PpParams`' defaults, then --params-file's params, then the flags given."""
-    merged = _read_json(args.params_file, EXIT_CONFIG, _params_file) if args.params_file else {}
-    for name, value in (("window", args.window), ("order", args.order), ("lambda", args.lam)):
-        if value is not None:
-            merged[name] = value
+    """--params-file's params, or `polling.PpParams`' defaults, then the flags given."""
+    params = _read_json(args.params_file, EXIT_CONFIG, _params_file) if args.params_file else None
+    flags = {"window": args.window, "order": args.order, "lam": args.lam}
+    given = {name: value for name, value in flags.items() if value is not None}
     if args.derivatives:
-        merged.update(_derivative_flags(args.derivatives))
-    return polling.PpParams.from_json_dict(merged)
+        given.update(_derivative_flags(args.derivatives))
+    return dataclasses.replace(params or polling.PpParams(), **given)
 
 
 def _parse_weights(texts) -> dict[str, int | Fraction]:
@@ -295,19 +306,8 @@ def _scores_csv(piece_id: str, algorithm, prf: evaluation.PrfScore) -> str:
 
 
 def cmd_poll(args) -> int:
-    inputs = [_load_pattern_file(p) for p in args.inputs]
-    pieces = {piece for piece, _ in inputs}
-    if len(pieces) > 1:
-        raise CliError(EXIT_INCONSISTENT, f"conflicting piece ids across inputs: {sorted(pieces)}")
-    piece_id = next(iter(pieces))
-    truth_records = None
-    if args.truth:
-        truth_piece, truth_records = _load_pattern_file(args.truth)
-        if truth_piece != piece_id:
-            raise CliError(
-                EXIT_INCONSISTENT, f"truth piece id {truth_piece!r} does not match {piece_id!r}"
-            )
-    records = [rec for _, recs in inputs for rec in recs]
+    piece_id, records = _pattern_files(args.inputs)
+    truth_records = _pattern_files([args.truth], piece_id)[1] if args.truth else None
     all_records = records + (truth_records or [])
     weights = _parse_weights(args.weight)
     resolution = core.to_time(args.resolution)
@@ -396,16 +396,8 @@ def cmd_train_pp(args) -> int:
     paths, grid = _read_json(args.manifest, EXIT_CONFIG, _manifest)
     pieces = []
     for pattern_paths, truth_path in paths:
-        piece_id, truth_records = _load_pattern_file(truth_path)
-        records = []
-        for path in pattern_paths:
-            pattern_piece, recs = _load_pattern_file(path)
-            if pattern_piece != piece_id:
-                raise CliError(
-                    EXIT_INCONSISTENT,
-                    f"{path}: piece id {pattern_piece!r} does not match truth piece id {piece_id!r}",
-                )
-            records += recs
+        piece_id, truth_records = _pattern_files([truth_path])
+        records = _pattern_files(pattern_paths, piece_id)[1]
         pieces.append((records, evaluation.truth_boundaries(truth_records)))
     best = polling.train_pp(
         pieces, grid, objective=args.objective, k_folds=args.folds,
@@ -445,11 +437,7 @@ def _boundaries_doc(doc) -> dict:
 
 def cmd_eval_boundaries(args) -> int:
     pred = _read_json(args.pred, EXIT_PARSE, _boundaries_doc)
-    piece_id, truth_records = _load_pattern_file(args.truth)
-    if pred.get("piece", piece_id) != piece_id:
-        raise CliError(
-            EXIT_INCONSISTENT, f"truth piece id {piece_id!r} does not match {pred['piece']!r}"
-        )
+    piece_id, truth_records = _pattern_files([args.truth], pred.get("piece"))
     origin, resolution = core.to_time(pred.get("origin", 0)), core.to_time(pred.get("resolution", 1))
     truth = evaluation.truth_boundaries(truth_records, origin, resolution)
     prf = evaluation.boundary_prf(pred["boundaries"], truth, args.tolerance)
@@ -496,14 +484,9 @@ def cmd_synth(args) -> int:
 
 def cmd_features(args) -> int:
     piece = _read_piece(args.piece) if args.piece else None
-    annotations: list[core.PatternRecord] = []
-    for path in args.patterns or []:
-        piece_id, records = _load_pattern_file(path)
-        if piece is not None and piece_id != piece.title:
-            raise CliError(
-                EXIT_INCONSISTENT, f"{path}: piece id {piece_id!r} does not match {piece.title!r}"
-            )
-        annotations += records
+    # file by file: without --piece, files of several pieces make one table
+    title = piece.title if piece is not None else None
+    annotations = [rec for path in args.patterns or [] for rec in _pattern_files([path], title)[1]]
     rows = [
         (analysis.extract_features(occ), rec.algorithm_id)
         for rec in annotations
@@ -563,13 +546,10 @@ def _read_features_csv(path: str) -> tuple[list[str], analysis.LabeledDataset]:
 
 def cmd_classify(args) -> int:
     _, dataset = _read_features_csv(args.features)
-    kinds = [k.strip() for k in args.classifiers.split(",") if k.strip()]
-    spec = {}
-    for kind in kinds:
-        params = {}
-        if kind == "rf" and args.trees is not None:
-            params["trees"] = args.trees
-        spec[kind] = params
+    spec = {
+        kind: {"trees": args.trees} if kind == "rf" and args.trees is not None else {}
+        for kind in (k.strip() for k in args.classifiers.split(",")) if kind
+    }
     report = analysis.cross_validate(
         dataset, spec, folds=args.folds, repeats=args.repeats, balance=not args.no_balance,
         seed=args.seed, pca_components=args.pca,
@@ -583,8 +563,6 @@ def cmd_classify(args) -> int:
 
 def cmd_importance(args) -> int:
     names, dataset = _read_features_csv(args.features)
-    if len(set(dataset.labels)) < 2:
-        raise CliError(EXIT_CONFIG, "need at least 2 groups for importance analysis")
     report = analysis.feature_importance(
         dataset.X, list(dataset.labels), feature_names=names,
         runs=args.runs, trees=args.trees, seed=args.seed,
@@ -730,7 +708,7 @@ def main(argv=None) -> int:
     flags = _COMMANDS[command][1]
     defaults = {_dest(flag, keywords): keywords.get("default") for flag, keywords in flags.items()}
     try:
-        config = _read_config(given["config"], flags) if given.get("config") else {}
+        config = _read_config(given["config"], flags) if "config" in given else {}
         handler = globals()["cmd_" + command.replace("-", "_")]  # as bound now: tracers replace it
         return handler(argparse.Namespace(**{**defaults, **config, **given}))
     except CliError as exc:

@@ -57,6 +57,13 @@ def write_patterns(path, algorithm, *spans):
     return path
 
 
+def renamed(path, piece):
+    """A copy of the pattern file at `path` that names `piece`, beside it as <piece>.json."""
+    other = path.with_name(f"{piece}.json")
+    other.write_text(json.dumps({**json.loads(path.read_text()), "piece": piece}))
+    return other
+
+
 @pytest.fixture()
 def synth_dir(tmp_path):
     assert run("synth", "--seed", 42, "--name", "piece", "--out-dir", tmp_path, "--quiet") == 0
@@ -310,6 +317,16 @@ class TestPoll:
         other.write_text(json.dumps(doc))
         assert run("poll", "--in", a, other, "--out-dir", tmp_path) == 4
 
+    def test_first_input_of_another_piece_exit_4_naming_it(self, tmp_path, capsys):
+        """Inputs are read in order, so a later unparseable file does not hide the mismatch."""
+        p = write_patterns(tmp_path / "p.json", "a", (0, 4))
+        q = renamed(p, "q")
+        (tmp_path / "bad.json").write_text("{")
+        capsys.readouterr()
+        assert run("poll", "--in", p, q, tmp_path / "bad.json", "--out-dir", tmp_path / "out") == 4
+        assert f"{q}: piece id 'q' does not match 'p'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 _times = st.builds(F, st.integers(-12, 12), st.integers(1, 4))
 _lengths = st.builds(F, st.integers(1, 8), st.integers(1, 4))
@@ -425,6 +442,20 @@ class TestEvalBoundaries:
         assert "'b' does not match 'a'" in err and "Traceback" not in err
         assert not (tmp_path / "eval.csv").exists()
         assert run("eval-boundaries", "--pred", pred, "--truth", tmp_path / "a.truth.json") == 0
+
+    def test_truth_of_another_piece_names_the_truth_file(self, tmp_path, capsys):
+        p = write_patterns(tmp_path / "p.json", "a", (0, 4), (4, 8))
+        q = renamed(p, "q")
+        assert run("poll", "--in", p, "--out-dir", tmp_path, "--quiet") == 0
+        capsys.readouterr()
+        assert run("eval-boundaries", "--pred", tmp_path / "p.boundaries.json", "--truth", q) == 4
+        assert f"{q}: piece id 'q' does not match 'p'" in capsys.readouterr().err
+
+    def test_features_without_piece_takes_files_of_two_pieces(self, tmp_path):
+        p = write_patterns(tmp_path / "p.json", "a", (0, 4), (4, 8))
+        out = tmp_path / "f.csv"
+        assert run("features", "--patterns", p, renamed(p, "q"), "--out", out, "--quiet") == 0
+        assert len(read_rows(out)) == 4
 
     def test_features_piece_must_match_patterns(self, tmp_path, capsys):
         for name, seed in (("a", 1), ("b", 2)):
@@ -573,6 +604,36 @@ class TestTrainPp:
                    "--params-file", params) == 3
         assert "'ordr'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc, path", [
+        ({"window": 4}, "$"),
+        ({"use_first": False, "use_second": False}, "$"),
+        ({"objective": "f1", "folds": 3, "seed": 0, "params": {
+            "window": 5, "order": 7, "lambda": "0", "use_first": True, "use_second": True}},
+         "$.params"),
+    ])
+    def test_params_file_value_rule_names_file_and_path(self, tmp_path, capsys, doc, path):
+        """A params file is checked whole where it is read, so the flags given cannot mend it."""
+        patterns = write_patterns(tmp_path / "a.json", "a", (0, 3), (4, 7), (9, 12))
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("poll", "--in", patterns, "--params-file", params, "--window", 7,
+                   "--derivatives", "both", "--out-dir", tmp_path / "out", "--quiet") == 3
+        assert f"{params}: {path}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_flags_given_replace_params_file_values(self, tmp_path):
+        patterns = write_patterns(tmp_path / "a.json", "a", (0, 3), (4, 7), (9, 12))
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(
+            {"window": 5, "order": 2, "lambda": "1/2", "use_first": False, "use_second": True}
+        ))
+        assert run("poll", "--in", patterns, "--params-file", params, "--window", 7,
+                   "--derivatives", "both", "--out-dir", tmp_path, "--quiet") == 0
+        assert json.loads((tmp_path / "p.boundaries.json").read_text())["params"] == {
+            "window": 7, "order": 2, "lambda": "1/2", "use_first": True, "use_second": True
+        }
+
 
 class TestClassifyImportance:
     @pytest.fixture()
@@ -653,6 +714,16 @@ class TestClassifyImportance:
             "classify", "--features", features_csv, "--folds", 50,
             "--out", tmp_path / "x.json", "--quiet",
         ) == 3
+
+    @pytest.mark.parametrize("command", ["classify", "importance"])
+    def test_one_group_exit_3(self, tmp_path, capsys, command):
+        features = tmp_path / "f.csv"
+        features.write_text("a,b,group\n" + "".join(f"{i},{i % 3},x\n" for i in range(12)))
+        capsys.readouterr()
+        assert run(command, "--features", features, "--out", tmp_path / "r.json", "--quiet") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "r.json").exists()
 
     def test_empty_classifier_list_exit_3(self, synth_dir, features_csv, capsys):
         out = synth_dir / "cv.json"
@@ -828,6 +899,13 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"seed": 7, "name": "x"}))
         assert run("synth", "--config", cfg, "--seed", 9, "--out-dir", tmp_path, "--quiet") == 0
         assert json.loads((tmp_path / "x.config.json").read_text())["seed"] == 9
+
+    def test_empty_config_path_exit_2(self, tmp_path, capsys):
+        """An empty --config is a path that cannot be read, not the absence of a config."""
+        out = tmp_path / "o"
+        assert run("synth", "--seed", 9, "--out-dir", out, "--config", "") == 2
+        assert "cannot read : " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -6,7 +6,9 @@ function that calls itself without a stated bound on its depth, one copy of the 
 that puts exact values on integers, one of the rule that keeps integral values as ints,
 one caller of the indenting JSON encoder, one function that asks for the smoothing
 kernel and applies it, one that finds zero crossings, one count of a discovery grid's
-temporal window, and no default that only the tests override."""
+temporal window, one CLI reader that exits on pattern files of two pieces, and no
+default, of a parameter or of a dataclass or NamedTuple field, that only the tests
+override."""
 
 import ast
 from pathlib import Path
@@ -236,12 +238,14 @@ def test_one_function_keeps_integral_values_as_ints():
 INDENTED_JSON = "cli._json_text"
 
 
+def _name(node: ast.AST) -> str | None:
+    """The name `node` ends in, bare or as an attribute."""
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
 def _calls(node: ast.AST, name: str) -> bool:
     """Whether `node` calls `name`, bare or as an attribute."""
-    if not isinstance(node, ast.Call):
-        return False
-    f = node.func
-    return (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) == name
+    return isinstance(node, ast.Call) and _name(node.func) == name
 
 
 def _indented_dumps(node: ast.AST) -> bool:
@@ -315,18 +319,67 @@ def test_one_window_count():
     assert found == WINDOW_READERS, f"{sorted(found)} read a grid's first or stop"
 
 
+# The one function that exits 4 on pattern files naming two pieces: poll, train-pp,
+# eval-boundaries and features read their pattern files through it.
+PIECE_ID_CHECKER = "cli._pattern_files"
+
+
+def test_one_function_checks_piece_ids():
+    found = {
+        name
+        for name, node in _scoped(TREES["cli.py"], "cli")
+        if isinstance(node, ast.Name) and node.id == "EXIT_INCONSISTENT" and isinstance(node.ctx, ast.Load)
+    }
+    assert found == {PIECE_ID_CHECKER}, f"{sorted(found)} read EXIT_INCONSISTENT, not only {PIECE_ID_CHECKER}"
+
+
 # Where a default's callers live: the package, the demos and the benchmark, not the tests.
 CALLERS = [ROOT / "src" / "motifkit", ROOT / "demos", ROOT / "perfbench"]
+
+# The defaults only the tests set, each with why it stays.
+TEST_SET_DEFAULTS = {
+    "SynthConfig(templates)": "the fractional-template property tests plant other templates,"
+    " and synthesis with user templates (ROADMAP item 6) builds on it",
+    "SynthConfig(pitch_range)": "every synth <name>.config.json holds \"pitch_range\": null,"
+    " a golden byte: removing the field changes the format, which belongs to ROADMAP item 6",
+}
+
+
+def _fields(cls: ast.ClassDef) -> list[tuple[str, bool]]:
+    """(field, whether it has a default) of each constructor parameter of a dataclass or
+    NamedTuple, in order; a plain class, and an `init=False` field, have none."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+    if not any(_name(d) == "dataclass" for d in decorators) and not any(
+        _name(b) == "NamedTuple" for b in cls.bases
+    ):
+        return []
+    fields = []
+    for node in cls.body:
+        if not (isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)):
+            continue
+        value = node.value
+        if isinstance(value, ast.Call) and _name(value.func) == "field":
+            keywords = {kw.arg: kw.value for kw in value.keywords}
+            if getattr(keywords.get("init"), "value", True) is False:
+                continue
+            fields.append((node.target.id, "default" in keywords or "default_factory" in keywords))
+        else:
+            fields.append((node.target.id, value is not None))
+    return fields
 
 
 def _defaulted(node: ast.AST, cls: str | None = None):
     """(called name, parameter, position or None) of each defaulted parameter under `node`.
 
     A method's position does not count `self` or `cls`, and `__init__` is called by its
-    class's name; a keyword-only parameter has no position.
+    class's name, as is a dataclass or NamedTuple for its fields; a keyword-only
+    parameter has no position.
     """
     for child in ast.iter_child_nodes(node):
         if isinstance(child, ast.ClassDef):
+            for i, (field, defaulted) in enumerate(_fields(child)):
+                if defaulted:
+                    yield child.name, field, i
             yield from _defaulted(child, child.name)
         elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
             args = child.args
@@ -350,18 +403,39 @@ def _passes(call: ast.Call, param: str, position: int | None) -> bool:
     return position is not None and len(call.args) > position
 
 
+def _named_calls(node: ast.AST, owner: str | None = None, cls: str | None = None):
+    """(called name, call) of each call under `node`, the name bare or as an attribute.
+
+    `owner` is the class whose body holds `node`, and `cls` the class that `cls` names
+    in the classmethod that holds it: a `cls(...)` call there calls that class.
+    """
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from _named_calls(child, child.name)
+            continue
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            in_classmethod = any(_name(d) == "classmethod" for d in child.decorator_list)
+            yield from _named_calls(child, None, owner if in_classmethod else cls)
+            continue
+        if isinstance(child, ast.Call):
+            name = _name(child.func)
+            yield (cls if name == "cls" and cls else name), child
+        yield from _named_calls(child, owner, cls)
+
+
 def test_every_default_has_a_caller():
     """Each settable value is set by a caller outside the tests, or it is not an option."""
     calls = [
-        node
+        named
         for path in sorted(p for d in CALLERS for p in d.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Call)
+        for named in _named_calls(ast.parse(path.read_text(encoding="utf-8")))
     ]
-    unpassed = [
+    unpassed = {
         f"{name}({param})"
         for module in MODULES
         for name, param, position in _defaulted(TREES[module])
-        if not any(_calls(call, name) and _passes(call, param, position) for call in calls)
-    ]
-    assert not unpassed, f"{unpassed} are never passed outside the tests"
+        if not any(called == name and _passes(call, param, position) for called, call in calls)
+    }
+    listed = set(TEST_SET_DEFAULTS)
+    assert unpassed <= listed, f"{sorted(unpassed - listed)} are never passed outside the tests"
+    assert listed <= unpassed, f"{sorted(listed - unpassed)} are now passed outside the tests"

@@ -13,7 +13,9 @@ command's long flag names, with - or _ between words ("in", "lambda",
 "rest_prob").  A flag takes its table default, then the config's value, then
 the command line's: the command line wins, and it replaces a list flag's
 config list rather than adding to it.  A required flag must be given on the
-command line; argparse asks for it before the config file is read.
+command line; argparse asks for it before the config file is read.  A flag
+whose table default is None is absent only when left out: an empty value
+is read like any other, so `--truth ""` exits 2 as a path that cannot be read.
 
 Exit codes: 0 success, 2 input/parse error, 3 invalid configuration,
 4 inconsistent inputs.  A file that cannot be read, or does not parse as
@@ -23,7 +25,8 @@ an unknown key in one is an error: poll's --params-file (train-pp's output
 or a bare params object) and train-pp's --manifest exit 3, eval-boundaries'
 --pred (poll's <p>.boundaries.json) exits 2, and the message names the file
 and a JSON path such as $.grid.lambdas[0]; --params-file is checked whole,
-value rules too, where it is read, then the flags given replace its values.
+value rules too, where it is read, then the flags given replace its values,
+and a value rule they break exits 3 naming them, as "--window 4: ...".
 Pattern files read together (poll's, a train-pp piece's, eval-boundaries'
 --truth with --pred's piece, each of features' with --piece) name one piece:
 one reader loads them, and the first naming another exits 4 with its path.
@@ -207,7 +210,7 @@ def _read_config(path: str, flags: dict) -> dict:
 
 def cmd_discover(args) -> int:
     piece = _read_piece(args.input)
-    stats = discovery.DiscoveryStats() if args.stats else None
+    stats = discovery.DiscoveryStats() if args.stats is not None else None
     records = discovery.run_algorithm(args.alg, piece, stats)
     text = core.dump_pattern_json(piece.title, args.alg, records)
     _atomic_write(Path(args.out), text)
@@ -250,13 +253,21 @@ def _params_file(doc) -> polling.PpParams:
 
 
 def _pp_params_from_args(args) -> polling.PpParams:
-    """--params-file's params, or `polling.PpParams`' defaults, then the flags given."""
-    params = _read_json(args.params_file, EXIT_CONFIG, _params_file) if args.params_file else None
-    flags = {"window": args.window, "order": args.order, "lam": args.lam}
-    given = {name: value for name, value in flags.items() if value is not None}
-    if args.derivatives:
-        given.update(_derivative_flags(args.derivatives))
-    return dataclasses.replace(params or polling.PpParams(), **given)
+    """--params-file's params, or `polling.PpParams`' defaults, then the flags given; a
+    value rule they break exits 3 naming them."""
+    params = polling.PpParams()
+    if args.params_file is not None:
+        params = _read_json(args.params_file, EXIT_CONFIG, _params_file)
+    flags = {"window": args.window, "order": args.order, "lambda": args.lam, "derivatives": args.derivatives}
+    given = {flag: value for flag, value in flags.items() if value is not None}
+    fields = {"lam" if f == "lambda" else f: v for f, v in given.items() if f != "derivatives"}
+    if "derivatives" in given:
+        fields.update(_derivative_flags(given["derivatives"]))
+    try:
+        return dataclasses.replace(params, **fields)
+    except ValueError as exc:
+        named = " ".join(f"--{flag} {value}" for flag, value in given.items())
+        raise CliError(EXIT_CONFIG, f"{named}: {exc}") from exc
 
 
 def _parse_weights(texts) -> dict[str, int | Fraction]:
@@ -307,11 +318,11 @@ def _scores_csv(piece_id: str, algorithm, prf: evaluation.PrfScore) -> str:
 
 def cmd_poll(args) -> int:
     piece_id, records = _pattern_files(args.inputs)
-    truth_records = _pattern_files([args.truth], piece_id)[1] if args.truth else None
+    truth_records = _pattern_files([args.truth], piece_id)[1] if args.truth is not None else None
     all_records = records + (truth_records or [])
     weights = _parse_weights(args.weight)
     resolution = core.to_time(args.resolution)
-    if args.span:
+    if args.span is not None:
         parts = args.span.split(",")
         if len(parts) != 2:
             raise CliError(EXIT_CONFIG, "span must be start,end")
@@ -441,7 +452,7 @@ def cmd_eval_boundaries(args) -> int:
     origin, resolution = core.to_time(pred.get("origin", 0)), core.to_time(pred.get("resolution", 1))
     truth = evaluation.truth_boundaries(truth_records, origin, resolution)
     prf = evaluation.boundary_prf(pred["boundaries"], truth, args.tolerance)
-    if args.out:
+    if args.out is not None:
         _atomic_write(Path(args.out), _scores_csv(piece_id, pred.get("algorithm", "pp"), prf))
     print(
         f"precision={float(prf.precision):.4f} recall={float(prf.recall):.4f} "
@@ -455,13 +466,15 @@ def cmd_eval_boundaries(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    if args.name == "":
+        raise CliError(EXIT_CONFIG, "--name must not be empty")
     seed = args.seed if args.seed is not None else secrets.randbits(48)
     config = synthesis.SynthConfig(
         occurrences_per_template=args.occurrences, rest_probability=args.rest_prob,
         random_fraction_cap=core.to_time(args.cap), seed=seed,
     )
     piece = synthesis.synthesize(config)
-    name = args.name or f"synthetic-{seed}"
+    name = args.name if args.name is not None else f"synthetic-{seed}"
     out = Path(args.out_dir)
     _atomic_write(out / f"{name}.csv", core.emit_points_csv(piece.piece))
     _atomic_write(
@@ -483,7 +496,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_features(args) -> int:
-    piece = _read_piece(args.piece) if args.piece else None
+    piece = _read_piece(args.piece) if args.piece is not None else None
     # file by file: without --piece, files of several pieces make one table
     title = piece.title if piece is not None else None
     annotations = [rec for path in args.patterns or [] for rec in _pattern_files([path], title)[1]]
@@ -625,9 +638,8 @@ _COMMANDS = {
     "train-pp": ("grid-search boundary parameters by cross-validation", {
         "manifest": dict(
             required=True,
-            help="JSON manifest with pieces and grid; each piece is smoothed once per distinct"
-            " kernel (a grid window and order, orders 2k and 2k+1 sharing one), at the cost"
-            " poll --window states (0.02 s at window 2001 and 0.04 s at 6001 on a 103-point curve)",
+            help="JSON manifest with pieces and grid; each piece is smoothed once per distinct kernel"
+            " (a grid window and order, orders 2k and 2k+1 sharing one), at poll --window's cost",
         ),
         "objective": dict(choices=["precision", "recall", "f1"], default="f1"),
         "folds": dict(type=int, default=3),

@@ -1,10 +1,11 @@
 """Boundary scoring with tolerance and planted-pattern recovery metrics.
 
-Boundaries match in one sweep of both sorted lists: the tolerance windows
-have equal widths, so their ends rise together and the greedy matching is
-maximum (Glover 1967, convex bipartite graphs).  A matching is scored as
-integer counts first: `BoundaryCounts.ratio` holds the one precision,
-recall and F1 rule, and `boundary_prf` builds its Fractions from it.
+A boundary score is one type, `PrfScore`: the integer counts of a maximum
+matching, whose `ratio` holds the one precision, recall and F1 rule and
+whose exact Fraction views are built from it when read.  Boundaries match
+in one sweep of both sorted lists: the tolerance windows have equal widths,
+so their ends rise together and the greedy matching is maximum (Glover
+1967, convex bipartite graphs).
 """
 
 from __future__ import annotations
@@ -16,15 +17,7 @@ from typing import NamedTuple, Sequence
 from motifkit.core import PatternOccurrence, PatternRecord, nearest_index
 
 
-@dataclass(frozen=True)
-class PrfScore:
-    precision: Fraction
-    recall: Fraction
-    f1: Fraction
-    matches: int
-
-
-class BoundaryCounts(NamedTuple):
+class PrfScore(NamedTuple):
     """The matching of predicted to truth boundaries, as counts."""
 
     matches: int
@@ -41,6 +34,18 @@ class BoundaryCounts(NamedTuple):
         if not m:
             return 0, 1
         return {"precision": (m, p), "recall": (m, t), "f1": (2 * m, p + t)}[objective]
+
+    @property
+    def precision(self) -> Fraction:
+        return Fraction(*self.ratio("precision"))
+
+    @property
+    def recall(self) -> Fraction:
+        return Fraction(*self.ratio("recall"))
+
+    @property
+    def f1(self) -> Fraction:
+        return Fraction(*self.ratio("f1"))
 
 
 @dataclass(frozen=True)
@@ -62,8 +67,18 @@ class RecoveryReport:
         return all(p.recovered for p in self.planted)
 
 
-def _max_matching(predicted: Sequence, truth: Sequence, tolerance) -> int:
-    """Maximum one-to-one matching between values within `tolerance`, by one sorted sweep."""
+def boundary_prf(predicted: Sequence, truth: Sequence, tolerance=1) -> PrfScore:
+    """The maximum one-to-one matching of predicted to truth boundary positions
+    with |p - t| <= tolerance.
+
+    In ascending order, each prediction takes the least unmatched truth in its
+    window; the windows have equal widths, so their ends rise together, no
+    later prediction reaches a truth an earlier one passed, and the sweep is
+    maximum.  The units of positions and tolerance must agree (grid indices or
+    times).  Empty predicted (or truth) sets score 0 precision (recall).
+    """
+    if tolerance < 0:
+        raise ValueError("tolerance must be >= 0")
     truth = sorted(truth)
     matches = j = 0
     for p in sorted(predicted):
@@ -72,34 +87,7 @@ def _max_matching(predicted: Sequence, truth: Sequence, tolerance) -> int:
         if j < len(truth) and truth[j] <= p + tolerance:
             matches += 1
             j += 1
-    return matches
-
-
-def boundary_counts(predicted: Sequence, truth: Sequence, tolerance=1) -> BoundaryCounts:
-    """Matches, predicted and truth counts of boundary positions under a matching tolerance.
-
-    Matching is the maximum one-to-one assignment of predicted to truth
-    positions with |p - t| <= tolerance.  In ascending order, each
-    prediction takes the least unmatched truth in its window; the windows
-    have equal widths, so their ends rise together, no later prediction
-    reaches a truth an earlier one passed, and the sweep is maximum.  The
-    units of positions and tolerance must agree (grid indices or times).
-    """
-    if tolerance < 0:
-        raise ValueError("tolerance must be >= 0")
-    return BoundaryCounts(_max_matching(predicted, truth, tolerance), len(predicted), len(truth))
-
-
-def boundary_prf(
-    predicted: Sequence, truth: Sequence, tolerance=1
-) -> PrfScore:
-    """Precision/recall/F1 of :func:`boundary_counts` as Fractions.
-
-    Empty predicted (or truth) sets score 0 precision (recall).
-    """
-    counts = boundary_counts(list(predicted), list(truth), tolerance)
-    precision, recall, f1 = (Fraction(*counts.ratio(o)) for o in ("precision", "recall", "f1"))
-    return PrfScore(precision=precision, recall=recall, f1=f1, matches=counts.matches)
+    return PrfScore(matches, len(predicted), len(truth))
 
 
 def truth_boundaries(

@@ -568,8 +568,7 @@ def train_pp(
                 use = (None, *flags)
                 splits[flags] = [c for c in splits[True, True] if use[c[2]]]
             predicted = [b[0] for b in _decide(splits[flags], key_den, params)]
-            counts = evaluation.boundary_counts(predicted, pieces[i][1], tolerance)
-            pairs[decision] = counts.ratio(objective)
+            pairs[decision] = evaluation.boundary_prf(predicted, pieces[i][1], tolerance).ratio(objective)
         return pairs[decision]
 
     def rank(params: PpParams) -> tuple:

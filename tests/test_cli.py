@@ -635,6 +635,30 @@ class TestTrainPp:
         }
 
 
+    @pytest.mark.parametrize("flags, message", [
+        ({"window": 4}, "--window 4: window must be an odd integer >= 3"),
+        ({"lambda": "abc"}, "--lambda abc: not a rational number: 'abc'"),
+        ({"window": 3, "derivatives": "first"},
+         "--window 3 --derivatives first: order must satisfy 1 <= order < window"),
+    ], ids=["window", "lambda", "window-derivatives"])
+    @pytest.mark.parametrize("source", ["command line", "config"])
+    def test_flag_value_rule_names_the_flags_given(self, tmp_path, capsys, flags, message, source):
+        """A value rule that the flags given break over a valid params file names those
+        flags; a config file keys them by the same long names."""
+        patterns = write_patterns(tmp_path / "a.json", "a", (0, 3), (4, 7), (9, 12))
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({"window": 5, "order": 3}))
+        given = [arg for flag, value in flags.items() for arg in (f"--{flag}", value)]
+        if source == "config":
+            given = ["--config", tmp_path / "cfg.json"]
+            given[1].write_text(json.dumps(flags))
+        capsys.readouterr()
+        assert run("poll", "--in", patterns, "--params-file", params, *given,
+                   "--out-dir", tmp_path / "out", "--quiet") == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+
 class TestClassifyImportance:
     @pytest.fixture()
     def features_csv(self, synth_dir):
@@ -969,6 +993,35 @@ class TestConfigFile:
             run("discover", "--in", "p.csv", "--config", cfg)
         assert exc.value.code == 2
         assert "the following arguments are required: --alg, --out" in capsys.readouterr().err
+
+
+class TestEmptyValue:
+    """An empty value given to an optional flag is that value, not the flag left out."""
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (["poll", "--in", "T", "--truth", "", "--out-dir", "W"], 2, "cannot read : "),
+        (["poll", "--in", "T", "--params-file", "", "--out-dir", "W"], 2, "cannot read : "),
+        (["features", "--piece", "", "--patterns", "T", "--out", "F"], 2, "cannot read : "),
+        (["poll", "--in", "T", "--span", "", "--out-dir", "W"], 3, "span must be start,end"),
+        (["discover", "--in", "P", "--alg", "siatec", "--out", "D", "--stats", ""], 2, ""),
+        (["eval-boundaries", "--pred", "B", "--truth", "T", "--out", ""], 2, ""),
+        (["synth", "--name", "", "--seed", "2", "--out-dir", "W"], 3, "--name"),
+    ], ids=["poll-truth", "poll-params-file", "features-piece", "poll-span", "discover-stats",
+            "eval-boundaries-out", "synth-name"])
+    def test_exits_and_writes_nothing(self, synth_dir, monkeypatch, capsys, argv, code, message):
+        work = synth_dir / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)  # an empty output path names the working directory
+        (synth_dir / "b.json").write_text(json.dumps({"piece": "piece", "boundaries": [0, 4]}))
+        paths = {"T": "piece.truth.json", "P": "piece.csv", "D": "d.json", "B": "b.json",
+                 "W": "work", "F": "work/f.csv"}
+        argv = [str(synth_dir / paths[a]) if a in paths else a for a in argv]
+        capsys.readouterr()
+        assert run(*argv) == code
+        out, err = capsys.readouterr()
+        assert message in err
+        assert out == ""
+        assert not any(work.iterdir())
 
 
 class TestConfigAgainstDefaults:

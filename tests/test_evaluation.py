@@ -6,7 +6,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from motifkit.core import PatternOccurrence, PatternRecord, Point, PointSet
 from motifkit.evaluation import (
-    boundary_counts,
     boundary_prf,
     occurrence_recovery,
     truth_boundaries,
@@ -81,18 +80,18 @@ class TestBoundaryPrf:
     @example(predicted=[3], truth=[], tolerance=0)
     @example(predicted=[], truth=[], tolerance=2)
     def test_counts_ratio_is_the_score(self, predicted, truth, tolerance):
-        """Each objective's integer pair is boundary_prf's Fraction: m/p, m/t and 2m/(p + t), or 0."""
-        counts = boundary_counts(predicted, truth, tolerance)
+        """The score is the matching's counts, and each objective's integer pair is its
+        exact view: m/p, m/t and 2m/(p + t), or 0."""
         prf = boundary_prf(predicted, truth, tolerance)
-        m, p, t = counts
-        assert (m, p, t) == (prf.matches, len(predicted), len(truth))
+        m, p, t = prf.matches, prf.predicted, prf.truth
+        assert prf == (_oracles.brute_max_matching(predicted, truth, tolerance), len(predicted), len(truth))
         want = {
             "precision": F(m, p) if p else 0,
             "recall": F(m, t) if t else 0,
             "f1": F(2 * m, p + t) if m else 0,
         }
         for objective, score in want.items():
-            num, den = counts.ratio(objective)
+            num, den = prf.ratio(objective)
             assert F(num, den) == getattr(prf, objective) == score
 
     def test_tolerance_zero_is_set_intersection(self):

@@ -6,9 +6,9 @@ function that calls itself without a stated bound on its depth, one copy of the 
 that puts exact values on integers, one of the rule that keeps integral values as ints,
 one caller of the indenting JSON encoder, one function that asks for the smoothing
 kernel and applies it, one that finds zero crossings, one count of a discovery grid's
-temporal window, one CLI reader that exits on pattern files of two pieces, and no
-default, of a parameter or of a dataclass or NamedTuple field, that only the tests
-override."""
+temporal window, one CLI reader that exits on pattern files of two pieces, no CLI
+handler that tests an optional flag's value for truth, and no default, of a parameter
+or of a dataclass or NamedTuple field, that only the tests override."""
 
 import ast
 from pathlib import Path
@@ -331,6 +331,45 @@ def test_one_function_checks_piece_ids():
         if isinstance(node, ast.Name) and node.id == "EXIT_INCONSISTENT" and isinstance(node.ctx, ast.Load)
     }
     assert found == {PIECE_ID_CHECKER}, f"{sorted(found)} read EXIT_INCONSISTENT, not only {PIECE_ID_CHECKER}"
+
+
+def _optional_flags() -> set[str]:
+    """The destinations of the CLI's single-value flags whose table default is None."""
+    from motifkit import cli
+
+    return {
+        cli._dest(flag, keywords)
+        for _, flags in cli._COMMANDS.values()
+        for flag, keywords in flags.items()
+        if "default" in keywords and keywords["default"] is None
+        and "nargs" not in keywords and "action" not in keywords
+    }
+
+
+def _truth_tested(node: ast.AST) -> list[ast.AST]:
+    """The expressions `node` tests for truth: an if, while, assert or conditional
+    expression's test, an and/or operand, a not's operand, a comprehension's condition."""
+    if isinstance(node, (ast.If, ast.While, ast.IfExp, ast.Assert)):
+        return [node.test]
+    if isinstance(node, ast.BoolOp):
+        return node.values
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+        return [node.operand]
+    return node.ifs if isinstance(node, ast.comprehension) else []
+
+
+def test_no_optional_flag_tested_for_truth():
+    """A handler tells an optional flag left out by `is None`, so an empty value given
+    reaches its reader and fails there, not as the flag's absence."""
+    optional = _optional_flags()
+    found = {
+        name
+        for name, node in _scoped(TREES["cli.py"], "cli")
+        for test in _truth_tested(node)
+        if isinstance(test, ast.Attribute) and isinstance(test.value, ast.Name)
+        and test.value.id == "args" and test.attr in optional
+    }
+    assert not found, f"{sorted(found)} test an optional flag's value for truth, not `is None`"
 
 
 # Where a default's callers live: the package, the demos and the benchmark, not the tests.

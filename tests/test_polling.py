@@ -622,16 +622,17 @@ class TestTrainPp:
 
     @pytest.mark.parametrize("objective", ["precision", "recall", "f1"])
     def test_scores_on_counts(self, monkeypatch, objective):
-        """Training scores the matching counts and never builds boundary_prf's Fractions."""
+        """Training scores the matching counts and never reads a score's Fraction views."""
         grid = [PpParams(window=w, order=o, lam=lam) for w, o in [(3, 1), (3, 2), (5, 4)]
                 for lam in (F(0), F(1, 2))]
         pieces = self.make_pieces()[:3]
         want = _oracles.brute_train_pp(pieces, grid, objective=objective, k_folds=2)
 
-        def prf(*args):
-            raise AssertionError("train_pp called evaluation.boundary_prf")
+        def view(score):
+            raise AssertionError("train_pp read a PrfScore Fraction view")
 
-        monkeypatch.setattr(evaluation, "boundary_prf", prf)
+        for name in ("precision", "recall", "f1"):
+            monkeypatch.setattr(evaluation.PrfScore, name, property(view))
         assert train_pp(pieces, grid, objective=objective, k_folds=2) == want
 
     def test_ties_break_by_window_then_lambda_then_order(self):

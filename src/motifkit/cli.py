@@ -2,8 +2,18 @@
 
 Subcommands: discover, poll, train-pp, eval-boundaries, synth, features,
 classify, importance.  Every randomized subcommand echoes its effective
-seed into its outputs, files are written atomically (temp + rename), and
-a rerun with the same configuration produces byte-identical files.
+seed into its outputs, and a rerun with the same configuration produces
+byte-identical files.
+
+A command writes its files only after it has checked every target: none
+may be an existing directory, each one's parent must be a directory or be
+creatable as one, and no two may name one file.  A target that fails exits
+2 naming its flag, as "--stats sub: is a directory", and no file is
+written.  Each file is then written atomically (temp + rename), but the set
+is not: a failure between two renames leaves the files renamed before it.
+A name that becomes a file name must be one path component: not empty, "."
+or "..", and without "/" or NUL.  synth's --name exits 3 otherwise, and poll exits
+2 naming the pattern file whose piece id is not one.
 
 poll and synth write into --out-dir (default .).  train-pp, features,
 classify and importance take --seed (default 0); synth without --seed draws
@@ -148,9 +158,36 @@ def _pattern_files(paths, piece: str | None = None) -> tuple[str | None, list[co
     return piece, records
 
 
-def _say(args, message: str):
-    if not args.quiet:
-        print(message)
+def _file_name(name: str, code: int, what: str) -> str:
+    """`name`, which becomes a file name: one path component, so neither empty, `.`
+    nor `..`, and without `/` or NUL; otherwise exit `code` naming `what`."""
+    if name in ("", ".", "..") or "/" in name or "\0" in name:
+        raise CliError(code, f"{what} {name!r} is not one path component")
+    return name
+
+
+def _check_targets(outputs):
+    """Exit 2 naming the flag of the first (flag, path, text) output whose path cannot be
+    written: an existing directory, a path under one that is not a directory, or the file
+    of an earlier output."""
+    real = {}  # each parent checked -> its path with symlinks resolved
+    named = {}  # each file, by its real parent -> the flag and path naming it
+    for flag, path, _ in outputs:
+        path = Path(path)
+        try:
+            if path.is_dir() and not path.is_symlink():  # a symlink is replaced, not written through
+                raise CliError(EXIT_PARSE, f"--{flag} {path}: is a directory")
+            if path.parent not in real:
+                ancestor = next(p for p in path.parents if p.exists())  # "." and "/" exist
+                if not ancestor.is_dir():
+                    raise CliError(EXIT_PARSE, f"--{flag} {path}: {ancestor} is not a directory")
+                real[path.parent] = os.path.realpath(path.parent)
+        except (OSError, ValueError) as exc:  # ValueError: NUL in a directory's name
+            raise CliError(EXIT_PARSE, f"--{flag} {path}: {exc}") from exc
+        file = os.path.join(real[path.parent], path.name)
+        if file in named:
+            raise CliError(EXIT_PARSE, f"{named[file]} and --{flag} {path} name one file")
+        named[file] = f"--{flag} {path}"
 
 
 def _dest(flag: str, keywords: dict) -> str:
@@ -208,18 +245,16 @@ def _read_config(path: str, flags: dict) -> dict:
 # discover
 
 
-def cmd_discover(args) -> int:
+def cmd_discover(args):
     piece = _read_piece(args.input)
     stats = discovery.DiscoveryStats() if args.stats is not None else None
     records = discovery.run_algorithm(args.alg, piece, stats)
-    text = core.dump_pattern_json(piece.title, args.alg, records)
-    _atomic_write(Path(args.out), text)
+    outputs = [("out", args.out, core.dump_pattern_json(piece.title, args.alg, records))]
     if stats is not None:
         doc = {"piece": piece.title, "algorithm": args.alg, **stats.to_json_dict()}
-        _atomic_write(Path(args.stats), _json_text(doc))
+        outputs.append(("stats", args.stats, _json_text(doc)))
     occurrences = sum(len(r.occurrences) for r in records)
-    print(f"patterns={len(records)} occurrences={occurrences}")
-    return 0
+    return outputs, [f"patterns={len(records)} occurrences={occurrences}"]
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +351,9 @@ def _scores_csv(piece_id: str, algorithm, prf: evaluation.PrfScore) -> str:
     ])
 
 
-def cmd_poll(args) -> int:
+def cmd_poll(args):
     piece_id, records = _pattern_files(args.inputs)
+    _file_name(piece_id, EXIT_PARSE, f"{args.inputs[0]}: piece id")
     truth_records = _pattern_files([args.truth], piece_id)[1] if args.truth is not None else None
     all_records = records + (truth_records or [])
     weights = _parse_weights(args.weight)
@@ -332,36 +368,32 @@ def cmd_poll(args) -> int:
     params = _pp_params_from_args(args)
     curve = polling.polling_curve(records, weights, resolution, span, normalize=args.normalize)
     trace = polling.boundary_trace(curve, params)
-    presence = _presence_csv(curve, span, all_records)
+    times = _times(trace.smoothed)
+    p1, p2 = polling.derivatives(trace.smoothed)
+    files = {  # <piece_id>.<key> in --out-dir
+        "curve.csv": _curve_csv("value", _times(curve), curve.values),
+        "smoothed.csv": _curve_csv("value", times, trace.smoothed.values),
+        "deriv1.csv": _curve_csv("dvalue", times, p1),
+        "deriv2.csv": _curve_csv("d2value", times[1:], p2),
+        "presence.csv": _presence_csv(curve, span, all_records),
+        "boundaries.json": _json_text({
+            "piece": piece_id,
+            "origin": core.format_time(curve.origin),
+            "resolution": core.format_time(resolution),
+            "params": params.to_json_dict(),
+            "boundaries": list(trace.boundaries),
+            "times": [core.format_time(curve.time_at(i)) for i in trace.boundaries],
+        }),
+    }
+    lines = []
     if truth_records is not None:
         truth = evaluation.truth_boundaries(truth_records, curve.origin, resolution)
         prf = evaluation.boundary_prf(trace.boundaries, truth, args.tolerance)
-
+        files["scores.csv"] = _scores_csv(piece_id, "pp", prf)
+        lines.append(f"precision={float(prf.precision):.4f} recall={float(prf.recall):.4f} f1={float(prf.f1):.4f}")
+    lines.append(f"boundaries={len(trace.boundaries)} grid_points={len(curve)}")
     out = Path(args.out_dir)
-    times = _times(trace.smoothed)
-    _atomic_write(out / f"{piece_id}.curve.csv", _curve_csv("value", _times(curve), curve.values))
-    _atomic_write(
-        out / f"{piece_id}.smoothed.csv", _curve_csv("value", times, trace.smoothed.values)
-    )
-    p1, p2 = polling.derivatives(trace.smoothed)
-    _atomic_write(out / f"{piece_id}.deriv1.csv", _curve_csv("dvalue", times, p1))
-    _atomic_write(out / f"{piece_id}.deriv2.csv", _curve_csv("d2value", times[1:], p2))
-    _atomic_write(out / f"{piece_id}.presence.csv", presence)
-    boundary_doc = {
-        "piece": piece_id,
-        "origin": core.format_time(curve.origin),
-        "resolution": core.format_time(resolution),
-        "params": params.to_json_dict(),
-        "boundaries": list(trace.boundaries),
-        "times": [core.format_time(curve.time_at(i)) for i in trace.boundaries],
-    }
-    _atomic_write(out / f"{piece_id}.boundaries.json", _json_text(boundary_doc))
-
-    if truth_records is not None:
-        _atomic_write(out / f"{piece_id}.scores.csv", _scores_csv(piece_id, "pp", prf))
-        _say(args, f"precision={float(prf.precision):.4f} recall={float(prf.recall):.4f} f1={float(prf.f1):.4f}")
-    _say(args, f"boundaries={len(trace.boundaries)} grid_points={len(curve)}")
-    return 0
+    return [("out-dir", out / f"{piece_id}.{key}", text) for key, text in files.items()], lines
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +435,7 @@ def _manifest(doc) -> tuple[list[tuple[list[str], str]], list[polling.PpParams]]
     return pieces, grid
 
 
-def cmd_train_pp(args) -> int:
+def cmd_train_pp(args):
     paths, grid = _read_json(args.manifest, EXIT_CONFIG, _manifest)
     pieces = []
     for pattern_paths, truth_path in paths:
@@ -418,9 +450,9 @@ def cmd_train_pp(args) -> int:
         "objective": args.objective, "folds": args.folds, "seed": args.seed,
         "params": best.to_json_dict(),
     }
-    _atomic_write(Path(args.out), _json_text(out_doc))
-    _say(args, f"best window={best.window} order={best.order} lambda={best.lam}")
-    return 0
+    return [("out", args.out, _json_text(out_doc))], [
+        f"best window={best.window} order={best.order} lambda={best.lam}"
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -446,56 +478,51 @@ def _boundaries_doc(doc) -> dict:
     return doc
 
 
-def cmd_eval_boundaries(args) -> int:
+def cmd_eval_boundaries(args):
     pred = _read_json(args.pred, EXIT_PARSE, _boundaries_doc)
     piece_id, truth_records = _pattern_files([args.truth], pred.get("piece"))
     origin, resolution = core.to_time(pred.get("origin", 0)), core.to_time(pred.get("resolution", 1))
     truth = evaluation.truth_boundaries(truth_records, origin, resolution)
     prf = evaluation.boundary_prf(pred["boundaries"], truth, args.tolerance)
-    if args.out is not None:
-        _atomic_write(Path(args.out), _scores_csv(piece_id, pred.get("algorithm", "pp"), prf))
-    print(
+    scores = _scores_csv(piece_id, pred.get("algorithm", "pp"), prf)
+    return [("out", args.out, scores)] if args.out is not None else [], [
         f"precision={float(prf.precision):.4f} recall={float(prf.recall):.4f} "
         f"f1={float(prf.f1):.4f} matches={prf.matches}"
-    )
-    return 0
+    ]
 
 
 # ---------------------------------------------------------------------------
 # synth
 
 
-def cmd_synth(args) -> int:
-    if args.name == "":
-        raise CliError(EXIT_CONFIG, "--name must not be empty")
+def cmd_synth(args):
     seed = args.seed if args.seed is not None else secrets.randbits(48)
+    name = _file_name(args.name, EXIT_CONFIG, "--name") if args.name is not None else f"synthetic-{seed}"
     config = synthesis.SynthConfig(
         occurrences_per_template=args.occurrences, rest_probability=args.rest_prob,
         random_fraction_cap=core.to_time(args.cap), seed=seed,
     )
     piece = synthesis.synthesize(config)
-    name = args.name if args.name is not None else f"synthetic-{seed}"
-    out = Path(args.out_dir)
-    _atomic_write(out / f"{name}.csv", core.emit_points_csv(piece.piece))
-    _atomic_write(
-        out / f"{name}.truth.json",
-        core.dump_pattern_json(name, synthesis.GROUND_TRUTH_ID, piece.ground_truth),
-    )
     config_doc = synthesis.config_to_json_dict(config)
     config_doc["name"] = name
     config_doc["total_duration"] = core.format_time(piece.total_duration)
     config_doc["random_duration"] = core.format_time(piece.random_duration)
-    _atomic_write(out / f"{name}.config.json", _json_text(config_doc))
-    _say(args, f"notes={len(piece.piece)} duration={piece.total_duration} "
-               f"random={piece.random_duration} seed={seed}")
-    return 0
+    files = {
+        "csv": core.emit_points_csv(piece.piece),
+        "truth.json": core.dump_pattern_json(name, synthesis.GROUND_TRUTH_ID, piece.ground_truth),
+        "config.json": _json_text(config_doc),
+    }
+    out = Path(args.out_dir)
+    return [("out-dir", out / f"{name}.{key}", text) for key, text in files.items()], [
+        f"notes={len(piece.piece)} duration={piece.total_duration} random={piece.random_duration} seed={seed}"
+    ]
 
 
 # ---------------------------------------------------------------------------
 # features
 
 
-def cmd_features(args) -> int:
+def cmd_features(args):
     piece = _read_piece(args.piece) if args.piece is not None else None
     # file by file: without --piece, files of several pieces make one table
     title = piece.title if piece is not None else None
@@ -517,9 +544,8 @@ def cmd_features(args) -> int:
     if not rows:
         raise CliError(EXIT_CONFIG, "no occurrences to featurize")
     table = [[repr(float(v)) for v in values] + [label] for values, label in rows]
-    _atomic_write(Path(args.out), _csv_text([list(analysis.FEATURE_NAMES) + ["group"]] + table))
-    _say(args, f"rows={len(rows)} seed={args.seed}")
-    return 0
+    text = _csv_text([list(analysis.FEATURE_NAMES) + ["group"]] + table)
+    return [("out", args.out, text)], [f"rows={len(rows)} seed={args.seed}"]
 
 
 def _read_features_csv(path: str) -> tuple[list[str], analysis.LabeledDataset]:
@@ -557,7 +583,7 @@ def _read_features_csv(path: str) -> tuple[list[str], analysis.LabeledDataset]:
 # classify / importance
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args):
     _, dataset = _read_features_csv(args.features)
     spec = {
         kind: {"trees": args.trees} if kind == "rf" and args.trees is not None else {}
@@ -567,23 +593,22 @@ def cmd_classify(args) -> int:
         dataset, spec, folds=args.folds, repeats=args.repeats, balance=not args.no_balance,
         seed=args.seed, pca_components=args.pca,
     )
-    _atomic_write(Path(args.out), _json_text(report.to_json_dict()))
-    for name in sorted(report.results):
-        res = report.results[name]
-        _say(args, f"{name}: accuracy={res.accuracy_mean:.4f} (var {res.accuracy_variance:.6f})")
-    return 0
+    return [("out", args.out, _json_text(report.to_json_dict()))], [
+        f"{name}: accuracy={res.accuracy_mean:.4f} (var {res.accuracy_variance:.6f})"
+        for name, res in sorted(report.results.items())
+    ]
 
 
-def cmd_importance(args) -> int:
+def cmd_importance(args):
     names, dataset = _read_features_csv(args.features)
     report = analysis.feature_importance(
         dataset.X, list(dataset.labels), feature_names=names,
         runs=args.runs, trees=args.trees, seed=args.seed,
     )
-    _atomic_write(Path(args.out), _json_text(report.to_json_dict()))
     confirmed = [f.name for f in report.features if f.status == "confirmed"]
-    _say(args, f"confirmed={len(confirmed)} of {len(report.features)} features")
-    return 0
+    return [("out", args.out, _json_text(report.to_json_dict()))], [
+        f"confirmed={len(confirmed)} of {len(report.features)} features"
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -713,6 +738,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run the command `argv` names: its handler returns its outputs, (flag, path, text)
+    in write order, and its status lines; every path is checked before any is written,
+    and the lines are printed unless --quiet is given."""
     argv = sys.argv[1:] if argv is None else argv
     # building one command's parser costs a fifth of building all of them
     given = vars(build_parser(argv[0] if argv else None).parse_args(argv))
@@ -721,8 +749,15 @@ def main(argv=None) -> int:
     defaults = {_dest(flag, keywords): keywords.get("default") for flag, keywords in flags.items()}
     try:
         config = _read_config(given["config"], flags) if "config" in given else {}
+        values = {**defaults, **config, **given}
         handler = globals()["cmd_" + command.replace("-", "_")]  # as bound now: tracers replace it
-        return handler(argparse.Namespace(**{**defaults, **config, **given}))
+        outputs, lines = handler(argparse.Namespace(**values))
+        _check_targets(outputs)
+        for flag, path, text in outputs:
+            try:
+                _atomic_write(Path(path), text)
+            except (OSError, ValueError) as exc:  # ValueError: NUL in the file's name
+                raise CliError(EXIT_PARSE, f"--{flag} {path}: {exc}") from exc
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
@@ -732,6 +767,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    if not values.get("quiet"):  # discover and eval-boundaries have no --quiet
+        for line in lines:
+            print(line)
+    return 0
 
 
 if __name__ == "__main__":

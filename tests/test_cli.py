@@ -899,9 +899,10 @@ class TestOneCommandParser:
             one = _parse_outcome(cli.build_parser(command), argv, capsys)
             assert one == _parse_outcome(cli.build_parser(), argv, capsys), argv
 
-    def test_calls_the_handler_the_module_binds(self, monkeypatch):
-        monkeypatch.setattr(cli, "cmd_synth", lambda args: 7)
-        assert run("synth") == 7
+    def test_calls_the_handler_the_module_binds(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "cmd_synth", lambda args: ([], ["bound now"]))
+        assert run("synth") == 0
+        assert capsys.readouterr().out == "bound now\n"
 
     def test_builds_only_the_named_command(self):
         names = list(cli._COMMANDS)
@@ -1003,8 +1004,8 @@ class TestEmptyValue:
         (["poll", "--in", "T", "--params-file", "", "--out-dir", "W"], 2, "cannot read : "),
         (["features", "--piece", "", "--patterns", "T", "--out", "F"], 2, "cannot read : "),
         (["poll", "--in", "T", "--span", "", "--out-dir", "W"], 3, "span must be start,end"),
-        (["discover", "--in", "P", "--alg", "siatec", "--out", "D", "--stats", ""], 2, ""),
-        (["eval-boundaries", "--pred", "B", "--truth", "T", "--out", ""], 2, ""),
+        (["discover", "--in", "P", "--alg", "siatec", "--out", "D", "--stats", ""], 2, "--stats"),
+        (["eval-boundaries", "--pred", "B", "--truth", "T", "--out", ""], 2, "--out"),
         (["synth", "--name", "", "--seed", "2", "--out-dir", "W"], 3, "--name"),
     ], ids=["poll-truth", "poll-params-file", "features-piece", "poll-span", "discover-stats",
             "eval-boundaries-out", "synth-name"])
@@ -1022,6 +1023,121 @@ class TestEmptyValue:
         assert message in err
         assert out == ""
         assert not any(work.iterdir())
+
+
+def _tree(root):
+    """Every path under `root`, with each file's bytes."""
+    return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+class TestOutputTargets:
+    """Every output target is checked before any file is written."""
+
+    @pytest.fixture()
+    def inputs(self, synth_dir):
+        """The synth directory with the inputs each command reads, an empty directory
+        `dir`, and a regular file `file`."""
+        truth = str(synth_dir / "piece.truth.json")
+        (synth_dir / "b.json").write_text(json.dumps({"piece": "piece", "boundaries": [0, 4]}))
+        (synth_dir / "m.json").write_text(
+            json.dumps({"pieces": [{"patterns": [truth], "truth": truth}] * 3})
+        )
+        assert run("features", "--piece", synth_dir / "piece.csv", "--patterns", truth,
+                   "--random", 3, "--out", synth_dir / "f.csv", "--quiet") == 0
+        (synth_dir / "dir").mkdir()
+        (synth_dir / "file").write_text("")
+        return synth_dir
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["discover", "--in", "P", "--alg", "siatec", "--out", "dir"], "out"),
+        (["discover", "--in", "P", "--alg", "siatec", "--out", "d.json", "--stats", "dir"], "stats"),
+        (["poll", "--in", "T", "--out-dir", "file/sub"], "out-dir"),
+        (["train-pp", "--manifest", "m.json", "--out", "dir"], "out"),
+        (["eval-boundaries", "--pred", "b.json", "--truth", "T", "--out", "dir"], "out"),
+        (["synth", "--seed", "2", "--out-dir", "file/sub"], "out-dir"),
+        (["features", "--patterns", "T", "--out", "dir"], "out"),
+        (["classify", "--features", "f.csv", "--folds", "2", "--repeats", "1", "--trees", "5",
+          "--out", "dir"], "out"),
+        (["importance", "--features", "f.csv", "--runs", "2", "--trees", "5", "--out", "dir"], "out"),
+    ], ids=["discover-out", "discover-stats", "poll-out-dir", "train-pp-out", "eval-boundaries-out",
+            "synth-out-dir", "features-out", "classify-out", "importance-out"])
+    def test_unwritable_target_exits_2_naming_its_flag(self, inputs, monkeypatch, capsys, argv, flag):
+        monkeypatch.chdir(inputs)
+        argv = [{"P": "piece.csv", "T": "piece.truth.json"}.get(a, a) for a in argv]
+        before = _tree(inputs)
+        capsys.readouterr()
+        assert run(*argv) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith(f"error: --{flag} ")
+        assert out == ""
+        assert _tree(inputs) == before
+
+    @pytest.mark.parametrize("stats", ["x.json", "./x.json", "link/x.json"])
+    def test_two_flags_on_one_file_exit_2(self, synth_dir, monkeypatch, capsys, stats):
+        monkeypatch.chdir(synth_dir)
+        (synth_dir / "link").symlink_to(synth_dir)
+        before = _tree(synth_dir)
+        capsys.readouterr()
+        assert run("discover", "--in", "piece.csv", "--alg", "siatec",
+                   "--out", "x.json", "--stats", stats) == 2
+        out, err = capsys.readouterr()
+        assert err == f"error: --out x.json and --stats {Path(stats)} name one file\n"
+        assert out == ""
+        assert _tree(synth_dir) == before
+
+    @pytest.mark.parametrize("piece", ["../escaped", "", "a/b", ".", "..", "a\0b"])
+    def test_piece_id_must_be_one_path_component(self, synth_dir, capsys, piece):
+        patterns = synth_dir / "bad.json"
+        doc = json.loads((synth_dir / "piece.truth.json").read_text())
+        patterns.write_text(json.dumps({**doc, "piece": piece}))
+        before = _tree(synth_dir)
+        capsys.readouterr()
+        assert run("poll", "--in", patterns, "--out-dir", synth_dir / "out") == 2
+        out, err = capsys.readouterr()
+        assert err == f"error: {patterns}: piece id {piece!r} is not one path component\n"
+        assert out == ""
+        assert _tree(synth_dir) == before
+
+    @pytest.mark.parametrize("name", ["sub/x", ".", "..", "x\0"])
+    def test_synth_name_must_be_one_path_component(self, tmp_path, capsys, name):
+        capsys.readouterr()
+        assert run("synth", "--name", name, "--seed", 2, "--out-dir", tmp_path) == 3
+        out, err = capsys.readouterr()
+        assert err == f"error: --name {name!r} is not one path component\n"
+        assert out == ""
+        assert not any(tmp_path.iterdir())
+
+    def test_failed_write_names_its_flag_and_keeps_earlier_files(self, synth_dir, monkeypatch, capsys):
+        """The set of files is not atomic: a failure at the second rename leaves the first."""
+        monkeypatch.chdir(synth_dir)
+        renames = []
+
+        def replace(src, dst):
+            renames.append(dst)
+            if len(renames) == 2:
+                raise OSError(28, "No space left on device")
+            os.rename(src, dst)
+
+        monkeypatch.setattr(cli.os, "replace", replace)
+        before = _tree(synth_dir)
+        capsys.readouterr()
+        assert run("discover", "--in", "piece.csv", "--alg", "siatec",
+                   "--out", "d.json", "--stats", "s.json") == 2
+        out, err = capsys.readouterr()
+        assert err == "error: --stats s.json: [Errno 28] No space left on device\n"
+        assert out == ""
+        assert set(_tree(synth_dir)) - set(before) == {synth_dir / "d.json"}
+
+    def test_symlink_target_is_replaced(self, synth_dir, capsys):
+        """A target that is a symlink to a directory is replaced by the file, as rename does."""
+        (synth_dir / "dir").mkdir()
+        link = synth_dir / "link"
+        link.symlink_to(synth_dir / "dir")
+        (synth_dir / "b.json").write_text(json.dumps({"piece": "piece", "boundaries": [0, 4]}))
+        assert run("eval-boundaries", "--pred", synth_dir / "b.json",
+                   "--truth", synth_dir / "piece.truth.json", "--out", link) == 0
+        assert not link.is_symlink() and link.read_text().startswith("piece,algorithm,")
+        assert not any((synth_dir / "dir").iterdir())
 
 
 class TestConfigAgainstDefaults:

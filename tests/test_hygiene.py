@@ -7,8 +7,9 @@ that puts exact values on integers, one of the rule that keeps integral values a
 one caller of the indenting JSON encoder, one function that asks for the smoothing
 kernel and applies it, one that finds zero crossings, one count of a discovery grid's
 temporal window, one CLI reader that exits on pattern files of two pieces, no CLI
-handler that tests an optional flag's value for truth, and no default, of a parameter
-or of a dataclass or NamedTuple field, that only the tests override."""
+handler that tests an optional flag's value for truth, one CLI function that writes
+files and prints, and no default, of a parameter or of a dataclass or NamedTuple field,
+that only the tests override."""
 
 import ast
 from pathlib import Path
@@ -331,6 +332,20 @@ def test_one_function_checks_piece_ids():
         if isinstance(node, ast.Name) and node.id == "EXIT_INCONSISTENT" and isinstance(node.ctx, ast.Load)
     }
     assert found == {PIECE_ID_CHECKER}, f"{sorted(found)} read EXIT_INCONSISTENT, not only {PIECE_ID_CHECKER}"
+
+
+# The one function that writes the CLI's files and prints its lines: each handler
+# returns its outputs, so every target is checked before any file is written.
+CLI_WRITER = "cli.main"
+
+
+def test_only_main_writes_or_prints():
+    found = {
+        name
+        for name, node in _scoped(TREES["cli.py"], "cli")
+        if _calls(node, "_atomic_write") or _calls(node, "print")
+    }
+    assert found == {CLI_WRITER}, f"{sorted(found - {CLI_WRITER})} write or print, not only {CLI_WRITER}"
 
 
 def _optional_flags() -> set[str]:

@@ -5,16 +5,8 @@ Run:  python demos/01_geometric_discovery.py
 
 from fractions import Fraction
 
-from motifkit import (
-    PointSet,
-    Point,
-    sia,
-    siar,
-    siatec,
-    cosiatec,
-    siatec_compress,
-    tec_quality,
-)
+from motifkit.core import Point, PointSet
+from motifkit.discovery import cosiatec, sia, siar, siatec, siatec_compress, tec_quality
 
 F = Fraction
 

@@ -9,16 +9,10 @@ Run:  python demos/02_pattern_polling.py
 
 from fractions import Fraction
 
-from motifkit import (
-    PpParams,
-    SynthConfig,
-    boundary_prf,
-    extract_boundaries,
-    polling_curve,
-    run_algorithm,
-    synthesize,
-    truth_boundaries,
-)
+from motifkit.discovery import run_algorithm
+from motifkit.evaluation import boundary_prf, truth_boundaries
+from motifkit.polling import PpParams, extract_boundaries, polling_curve
+from motifkit.synthesis import SynthConfig, synthesize
 
 F = Fraction
 

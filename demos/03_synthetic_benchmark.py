@@ -19,13 +19,9 @@ Run:  python demos/03_synthetic_benchmark.py
 
 from fractions import Fraction
 
-from motifkit import (
-    SynthConfig,
-    cosiatec,
-    occurrence_recovery,
-    synthesize,
-)
-from motifkit.discovery import tecs_to_records
+from motifkit.discovery import cosiatec, tecs_to_records
+from motifkit.evaluation import occurrence_recovery
+from motifkit.synthesis import SynthConfig, synthesize
 
 F = Fraction
 THRESHOLD = F(4, 5)

@@ -9,16 +9,15 @@ Run:  python demos/04_feature_classification.py
 
 import numpy as np
 
-from motifkit import (
+from motifkit.analysis import (
     FEATURE_NAMES,
     LabeledDataset,
-    SynthConfig,
     cross_validate,
     extract_features,
     feature_importance,
     sample_random_excerpts,
-    synthesize,
 )
+from motifkit.synthesis import SynthConfig, synthesize
 
 rows, labels = [], []
 for seed in range(30):

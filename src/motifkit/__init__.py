@@ -6,74 +6,14 @@ The package covers the full experimental chain: ingesting symbolic music
 boundary extraction, boundary and recovery metrics, synthetic benchmark
 generation with planted patterns, and a feature-based comparative
 classification pipeline.
-"""
 
-from motifkit.core import (
-    Point,
-    PointSet,
-    PatternOccurrence,
-    PatternRecord,
-    MonophonyViolation,
-    ParseError,
-    SchemaError,
-    parse_midi,
-    parse_points_csv,
-    emit_points_csv,
-    load_pattern_file,
-    dump_pattern_json,
-    to_time,
-)
-from motifkit.discovery import (
-    Vector2,
-    MTP,
-    TEC,
-    TecQuality,
-    sia,
-    siatec,
-    cosiatec,
-    siatec_compress,
-    siar,
-    compactness,
-    tec_quality,
-    run_algorithm,
-)
-from motifkit.polling import (
-    PollingCurve,
-    PpParams,
-    polling_curve,
-    savgol_smooth,
-    derivatives,
-    extract_boundaries,
-    train_pp,
-)
-from motifkit.evaluation import (
-    PrfScore,
-    RecoveryReport,
-    boundary_prf,
-    truth_boundaries,
-    occurrence_recovery,
-)
-from motifkit.synthesis import (
-    PatternTemplate,
-    SynthConfig,
-    SyntheticPiece,
-    template_p1,
-    template_p2,
-    sample_random_segment,
-    synthesize,
-)
-from motifkit.analysis import (
-    FEATURE_NAMES,
-    LabeledDataset,
-    PcaModel,
-    CvReport,
-    ImportanceReport,
-    sample_random_excerpts,
-    extract_features,
-    fit_scaler_pca,
-    cross_validate,
-    feature_importance,
-)
-from motifkit.classifiers import train_classifier
+Import the modules by name (`from motifkit import discovery` or
+`from motifkit.discovery import cosiatec`): the package itself re-exports
+nothing, so `import motifkit` loads no module, and each import loads only
+what it needs.  numpy is loaded by `analysis` and `classifiers` when they
+are imported, and by `polling` on its first smoothing.  So of the CLI
+commands, `poll`, `train-pp`, `features`, `classify` and `importance`
+load numpy, and `synth`, `discover` and `eval-boundaries` do not.
+"""
 
 __version__ = "0.1.0"

@@ -3,7 +3,8 @@
 Subcommands: discover, poll, train-pp, eval-boundaries, synth, features,
 classify, importance.  Every randomized subcommand echoes its effective
 seed into its outputs, and a rerun with the same configuration produces
-byte-identical files.
+byte-identical files, except the wall-clock "seconds" per stage that
+discover's --stats file records.
 
 A command writes its files only after it has checked every target: none
 may be an existing directory, each one's parent must be a directory or be
@@ -69,7 +70,7 @@ from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
-from motifkit import analysis, core, discovery, evaluation, polling, synthesis
+from motifkit import core, discovery, evaluation, polling, synthesis
 
 EXIT_PARSE = 2
 EXIT_CONFIG = 3
@@ -523,6 +524,8 @@ def cmd_synth(args):
 
 
 def cmd_features(args):
+    from motifkit import analysis  # numpy's import is paid only by the commands that use it
+
     piece = _read_piece(args.piece) if args.piece is not None else None
     # file by file: without --piece, files of several pieces make one table
     title = piece.title if piece is not None else None
@@ -550,6 +553,8 @@ def cmd_features(args):
 
 def _read_features_csv(path: str) -> tuple[list[str], analysis.LabeledDataset]:
     """The feature columns' header names, and the rows with their groups."""
+    from motifkit import analysis
+
     # line ends untranslated, as csv.reader expects: a quoted "\r" stays in its field
     reader = csv.reader(io.StringIO(_read_text(path, newline=""), newline=""))
     try:
@@ -584,6 +589,8 @@ def _read_features_csv(path: str) -> tuple[list[str], analysis.LabeledDataset]:
 
 
 def cmd_classify(args):
+    from motifkit import analysis
+
     _, dataset = _read_features_csv(args.features)
     spec = {
         kind: {"trees": args.trees} if kind == "rf" and args.trees is not None else {}
@@ -600,6 +607,8 @@ def cmd_classify(args):
 
 
 def cmd_importance(args):
+    from motifkit import analysis
+
     names, dataset = _read_features_csv(args.features)
     report = analysis.feature_importance(
         dataset.X, list(dataset.labels), feature_names=names,

@@ -40,8 +40,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-import numpy as np
-
 from motifkit import evaluation
 from motifkit.core import TIME, JsonObject, PatternRecord, check_shape, over_common_denominator, to_time
 
@@ -279,6 +277,8 @@ def _smooth(ys: Sequence[int], kernels: Sequence[tuple[int, int]]) -> tuple[np.n
     The arithmetic is int64 when no fit and no difference the boundary
     decision takes of them can overflow it, and Python ints otherwise.
     """
+    import numpy as np  # here, so that importing polling does not load numpy
+
     if not ys:
         raise ValueError("cannot smooth an empty curve")
     first, last = ys[0], ys[-1]
@@ -299,8 +299,9 @@ def _smooth(ys: Sequence[int], kernels: Sequence[tuple[int, int]]) -> tuple[np.n
     # each kernel's prefix sums, its total repeated up to one past the largest window
     prefix = np.array([p + p[-1:] * (widest + 1 - len(p)) for _, p, _ in fits], dtype)
     rows = np.arange(len(kernels))[:, None]
-    out = first * prefix[rows, np.clip(head - lo, 0, widest)] + last * (
-        prefix[:, -1:] - prefix[rows, np.clip(tail + 1 - lo, 0, widest)]
+    # np.minimum(np.maximum(...)) clips, at well under half np.clip's cost on small arrays
+    out = first * prefix[rows, np.minimum(np.maximum(head - lo, 0), widest)] + last * (
+        prefix[:, -1:] - prefix[rows, np.minimum(np.maximum(tail + 1 - lo, 0), widest)]
     )
     if head <= tail:
         # the padding keeps head - half >= 0 and tail + half < n
@@ -403,6 +404,8 @@ def _signals(curve: PollingCurve, kernels: Sequence[tuple[int, int]]) -> list[_S
     den * L, L the least common multiple of the signal's spans, so sorting
     by (index, key, derivative) sorts by exact steepness.
     """
+    import numpy as np  # here, so that importing polling does not load numpy
+
     n, count, widest = len(curve), len(kernels), max(window for window, _ in kernels)
     rows, dens = _smooth(curve.nums, kernels)
     p1 = np.diff(rows)
@@ -417,7 +420,7 @@ def _signals(curve: PollingCurve, kernels: Sequence[tuple[int, int]]) -> list[_S
     row, i, j, a, b = row[:-1][flip], col[:-1][flip], col[1:][flip], a[flip], b[flip]
     pos = np.where((j == i + 1) & (abs(a) < abs(b)), i, (i + j + 1) >> 1)
     derivative = 1 + (row & 1)
-    index = np.clip(pos + derivative - 1 - widest, 0, n)
+    index = np.minimum(np.maximum(pos + derivative - 1 - widest, 0), n)
     # kernel k's crossings, both derivatives, are the ones of rows 2k and 2k + 1
     cuts = np.searchsorted(row, np.arange(0, 2 * count + 1, 2)).tolist()
     index, change, span, derivative = (x.tolist() for x in (index, abs(b - a), j - i, derivative))

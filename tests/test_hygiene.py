@@ -1,7 +1,8 @@
 """Static checks over the package source: no unused imports, no private name taken from
 another module (a motifkit one, the standard library or any other library), no
 module-level name that only the tests read (the package's modules, the demos, the
-benchmark and the acceptance tests count; `__init__.py`'s re-exports do not), no
+benchmark and the acceptance tests count; `__init__.py` holds only the version), no
+numpy import that loads with a module other than analysis and classifiers, no
 function that calls itself without a stated bound on its depth, one copy of the rule
 that puts exact values on integers, one of the rule that keeps integral values as ints,
 one caller of the indenting JSON encoder, one function that asks for the smoothing
@@ -92,8 +93,8 @@ def test_no_private_name_from_another_module(module):
     assert not found, f"{module} takes the private names {found} from other modules"
 
 
-# Where a name counts as used: the package's modules (not `__init__.py`, whose imports
-# only re-export), the demos, the benchmark and the acceptance tests.
+# Where a name counts as used: the package's modules (not `__init__.py`, which holds
+# only the version), the demos, the benchmark and the acceptance tests.
 USERS = [
     *(PACKAGE / module for module in MODULES),
     *sorted((ROOT / "demos").glob("*.py")),
@@ -126,6 +127,42 @@ def test_every_module_level_name_is_referenced(module):
         if name not in referenced and not name.startswith("__")
     ]
     assert not dead, f"{module} defines {dead} and only the tests reference them"
+
+
+# The modules that load numpy when they are imported, directly or through another motifkit
+# module.  polling imports it in the functions that smooth, and cli imports analysis in
+# the commands that use it, so synth, discover and eval-boundaries never load numpy.
+NUMPY_AT_IMPORT = {"motifkit.analysis", "motifkit.classifiers"}
+
+
+def _imported_at_load(tree: ast.AST) -> set[str]:
+    """The modules that the imports outside every function of a module name, with each
+    motifkit module that `from motifkit import <module>` names."""
+    found, todo = set(), list(ast.iter_child_nodes(tree))
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            found |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            found.add(node.module)
+            if node.module == "motifkit":
+                found |= {f"motifkit.{alias.name}" for alias in node.names}
+        todo.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_numpy_loads_only_with_the_modules_that_use_it_at_import():
+    # every module loads the package, `__init__.py`, first
+    loads = {
+        f"motifkit.{name[:-3]}".removesuffix(".__init__"): _imported_at_load(tree) | {"motifkit"}
+        for name, tree in TREES.items()
+    }
+    numpy = {module for module, names in loads.items() if any(n.partition(".")[0] == "numpy" for n in names)}
+    for _ in loads:  # a chain of motifkit imports is at most as long as the package
+        numpy |= {module for module, names in loads.items() if names & numpy}
+    assert numpy == NUMPY_AT_IMPORT, f"{sorted(numpy)} load numpy when imported, not {sorted(NUMPY_AT_IMPORT)}"
 
 
 def _calls_itself(function: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:

@@ -137,9 +137,6 @@ class LabeledDataset:
         if not np.all(np.isfinite(X)):
             raise ValueError("features must be finite")
 
-    def classes(self) -> list[str]:
-        return sorted(set(self.labels))
-
 
 # ---------------------------------------------------------------------------
 # Random-excerpt baseline
@@ -277,32 +274,27 @@ class CvReport:
         }
 
 
-def _balance(dataset: LabeledDataset, seed: int) -> LabeledDataset:
-    """Seeded downsampling of every class to the minority count."""
-    labels = np.array(dataset.labels)
-    classes = dataset.classes()
-    minority = min(int(np.sum(labels == c)) for c in classes)
+def _class_rows(codes: np.ndarray, k: int) -> list[np.ndarray]:
+    """The rows of each of the k class codes, ascending."""
+    return [np.flatnonzero(codes == c) for c in range(k)]
+
+
+def _balance(codes: np.ndarray, k: int, seed: int) -> np.ndarray:
+    """Seeded downsampling of every class to the minority count: the rows kept, ascending."""
+    members = _class_rows(codes, k)
+    minority = min(map(len, members))
     rng = np.random.default_rng(subseed(seed, "balance"))
-    keep: list[int] = []
-    for c in classes:
-        idx = np.nonzero(labels == c)[0]
-        chosen = rng.choice(idx, size=minority, replace=False)
-        keep.extend(int(i) for i in chosen)
-    keep.sort()
-    return LabeledDataset(dataset.X[keep], tuple(str(c) for c in labels[keep]))
+    return np.sort(np.concatenate([rng.choice(rows, size=minority, replace=False) for rows in members]))
 
 
 def _stratified_folds(
-    labels: np.ndarray, folds: int, rng: np.random.Generator
+    codes: np.ndarray, k: int, folds: int, rng: np.random.Generator
 ) -> list[np.ndarray]:
-    """Deal each class's shuffled indices round-robin into `folds` buckets."""
-    buckets: list[list[int]] = [[] for _ in range(folds)]
-    for c in sorted(set(labels)):
-        idx = np.nonzero(labels == c)[0]
-        rng.shuffle(idx)
-        for slot, i in enumerate(idx):
-            buckets[slot % folds].append(int(i))
-    return [np.array(sorted(b)) for b in buckets]
+    """Deal each class's shuffled rows round-robin into `folds` buckets, each ascending."""
+    members = [rng.permutation(rows) for rows in _class_rows(codes, k)]
+    dealt = np.concatenate(members)
+    slots = np.concatenate([np.arange(len(rows)) % folds for rows in members])
+    return [np.sort(dealt[slots == f]) for f in range(folds)]
 
 
 def cross_validate(
@@ -319,7 +311,9 @@ def cross_validate(
     `classifiers` maps each kind (``rf``, ``nb``, ``lda``) to its
     `train_classifier` params.
 
-    Balancing downsamples every class to the minority count before
+    Each label gets one integer code, its rank among the sorted classes,
+    and balancing, folds, training and confusion counts all run on the
+    codes.  Balancing downsamples every class to the minority count before
     splitting.  The scaler/PCA preprocessing, when requested, is fit on
     each training fold only.  Confusion matrices are (classified row,
     original column): each column sums to that class's test count.
@@ -333,32 +327,32 @@ def cross_validate(
     spec = dict(classifiers)
     if not spec:
         raise ValueError("no classifiers to cross-validate")
-    if balance:
-        dataset = _balance(dataset, seed)
-    labels = np.array(dataset.labels)
-    classes = dataset.classes()
-    if len(classes) < 2:
-        raise ValueError("need at least 2 classes")
-    for c in classes:
-        size = int(np.sum(labels == c))
-        if size < folds:
-            raise ValueError(
-                f"class {str(c)!r} has {size} members after balancing, fewer than {folds} folds"
-            )
-    class_index = {c: i for i, c in enumerate(classes)}
+    classes, codes = np.unique(dataset.labels, return_inverse=True)
     k = len(classes)
+    if k < 2:
+        raise ValueError("need at least 2 classes")
+    X = dataset.X
+    if balance:
+        keep = _balance(codes, k, seed)
+        X, codes = X[keep], codes[keep]
+    sizes = np.bincount(codes, minlength=k)
+    short = np.flatnonzero(sizes < folds)
+    if short.size:
+        c = short[0]
+        raise ValueError(
+            f"class {str(classes[c])!r} has {sizes[c]} members after balancing, fewer than {folds} folds"
+        )
 
     accuracies: dict[str, list[float]] = {name: [] for name in spec}
     confusions: dict[str, list[np.ndarray]] = {name: [] for name in spec}
 
     for rep in range(repeats):
         rng = np.random.default_rng(subseed(seed, "folds", rep))
-        fold_indices = _stratified_folds(labels, folds, rng)
-        for fold_no, test_idx in enumerate(fold_indices):
-            mask = np.ones(len(labels), dtype=bool)
+        for fold_no, test_idx in enumerate(_stratified_folds(codes, k, folds, rng)):
+            mask = np.ones(len(codes), dtype=bool)
             mask[test_idx] = False
-            X_train, y_train = dataset.X[mask], labels[mask]
-            X_test, y_test = dataset.X[test_idx], labels[test_idx]
+            X_train, y_train = X[mask], codes[mask]
+            X_test, y_test = X[test_idx], codes[test_idx]
             if pca_components is not None:
                 model = fit_scaler_pca(X_train, pca_components)
                 X_train = model.transform(X_train)
@@ -367,26 +361,22 @@ def cross_validate(
                 params = dict(params)
                 if name == "rf":
                     params.setdefault("seed", subseed(seed, "rf", rep, fold_no))
-                clf = train_classifier(name, X_train, y_train, params)
-                pred = clf.predict(X_test)
+                pred = train_classifier(name, X_train, y_train, params).predict(X_test)
                 accuracies[name].append(float(np.mean(pred == y_test)))
-                cm = np.zeros((k, k))
-                for p, t in zip(pred, y_test):
-                    cm[class_index[p], class_index[t]] += 1
-                confusions[name].append(cm)
+                cells = np.bincount(pred * k + y_test, minlength=k * k)
+                confusions[name].append(cells.reshape(k, k))
 
     results = {}
     for name in spec:
         accs = np.array(accuracies[name])
         cms = np.stack(confusions[name])
-        ddof = 1 if len(accs) > 1 else 0
         results[name] = ClassifierCvResult(
             accuracies=accs,
             accuracy_mean=float(accs.mean()),
-            accuracy_variance=float(accs.var(ddof=ddof)),
+            accuracy_variance=float(accs.var(ddof=1)),
             confusion_mean=cms.mean(axis=0),
-            confusion_variance=cms.var(axis=0, ddof=ddof),
-            classes=tuple(classes),
+            confusion_variance=cms.var(axis=0, ddof=1),
+            classes=tuple(classes.tolist()),
         )
     return CvReport(results=results, folds=folds, repeats=repeats, seed=seed)
 

@@ -28,6 +28,12 @@ def _as_arrays(X, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return X, codes, classes
 
 
+def _by_class(X, y) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """X, the classes, and each class's rows of X, in class order."""
+    X, codes, classes = _as_arrays(X, y)
+    return X, classes, [X[codes == c] for c in range(len(classes))]
+
+
 # ---------------------------------------------------------------------------
 # Random forest
 
@@ -232,27 +238,17 @@ class GaussianNaiveBayes:
     classes_: np.ndarray = field(default=None, init=False, repr=False)
 
     def fit(self, X, y) -> "GaussianNaiveBayes":
-        X, codes, classes = _as_arrays(X, y)
-        self.classes_ = classes
-        k = len(classes)
-        self._mean = np.empty((k, X.shape[1]))
-        self._var = np.empty((k, X.shape[1]))
-        counts = np.bincount(codes, minlength=k).astype(float)
-        for c in range(k):
-            rows = X[codes == c]
-            self._mean[c] = rows.mean(axis=0)
-            self._var[c] = rows.var(axis=0) + 1e-9
-        self._log_prior = np.log((counts + 1) / (counts.sum() + k))
+        _, self.classes_, groups = _by_class(X, y)
+        self._mean = np.array([rows.mean(axis=0) for rows in groups])
+        self._var = np.array([rows.var(axis=0) for rows in groups]) + 1e-9
+        counts = np.array([len(rows) for rows in groups])
+        self._log_prior = np.log((counts + 1) / (counts.sum() + len(groups)))
         return self
 
     def predict(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        scores = np.empty((len(X), len(self.classes_)))
-        for c in range(len(self.classes_)):
-            ll = -0.5 * (
-                np.log(2 * np.pi * self._var[c]) + (X - self._mean[c]) ** 2 / self._var[c]
-            )
-            scores[:, c] = self._log_prior[c] + ll.sum(axis=1)
+        ll = -0.5 * (np.log(2 * np.pi * self._var) + (X[:, None] - self._mean) ** 2 / self._var)
+        scores = self._log_prior + ll.sum(axis=2)
         return self.classes_[np.argmax(scores, axis=1)]
 
 
@@ -271,25 +267,19 @@ class LinearDiscriminant:
     classes_: np.ndarray = field(default=None, init=False, repr=False)
 
     def fit(self, X, y) -> "LinearDiscriminant":
-        X, codes, classes = _as_arrays(X, y)
-        self.classes_ = classes
-        k = len(classes)
+        X, self.classes_, groups = _by_class(X, y)
         n, d = X.shape
-        means = np.empty((k, d))
+        means = np.array([rows.mean(axis=0) for rows in groups])
         pooled = np.zeros((d, d))
-        counts = np.bincount(codes, minlength=k).astype(float)
-        for c in range(k):
-            rows = X[codes == c]
-            means[c] = rows.mean(axis=0)
-            centered = rows - means[c]
+        for rows, mean in zip(groups, means):
+            centered = rows - mean
             pooled += centered.T @ centered
-        pooled /= max(n - k, 1)
+        pooled /= max(n - len(groups), 1)
         if np.linalg.matrix_rank(pooled) < d:
             pooled = pooled + 1e-6 * np.eye(d)
         self._coef = np.linalg.solve(pooled, means.T).T
-        self._intercept = -0.5 * np.einsum("ij,ij->i", means, self._coef) + np.log(
-            counts / n
-        )
+        counts = np.array([len(rows) for rows in groups])
+        self._intercept = -0.5 * np.einsum("ij,ij->i", means, self._coef) + np.log(counts / n)
         return self
 
     def predict(self, X) -> np.ndarray:

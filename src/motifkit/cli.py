@@ -658,8 +658,7 @@ _COMMANDS = {
         "window": dict(
             type=int, default=None,
             help="odd smoothing window in grid steps (default 3, or --params-file's); the cost"
-            " grows with the window: on a 103-point curve 2001 took 0.02 s of CPU time and 6001"
-            " took 0.04 s (Python 3.11, shared 2-CPU host)",
+            " grows with the window",
         ),
         "order": dict(type=int, default=None, help="(default 1, or --params-file's)"),
         "lambda": dict(dest="lam", default=None, help="steepness threshold (default 0, or --params-file's)"),

@@ -97,7 +97,8 @@ class PpParams:
 
     window/order control the smoothing polynomial fit, lam is the minimum
     steepness of a kept zero crossing, and use_first/use_second choose
-    which derivatives contribute crossings.
+    which derivatives contribute crossings; they must not both be false:
+    such params keep no crossing, so they find no boundary.
     """
 
     window: int = 3
@@ -108,6 +109,8 @@ class PpParams:
 
     def __post_init__(self):
         _check_smoothing(self.window, self.order)
+        if not (self.use_first or self.use_second):
+            raise ValueError("use_first and use_second are both false")
         lam = to_time(self.lam)
         if lam < 0:
             raise ValueError("lambda must be >= 0")
@@ -129,11 +132,8 @@ class PpParams:
 
     @classmethod
     def from_json_dict(cls, obj) -> "PpParams":
-        """Params from a `SHAPE` document; use_first and use_second must not both be
-        false: such params keep no crossing, so they find no boundary."""
+        """Params from a `SHAPE` document."""
         obj = {**cls().to_json_dict(), **check_shape(obj, cls.SHAPE)}
-        if not (obj["use_first"] or obj["use_second"]):
-            raise ValueError("use_first and use_second are both false")
         return cls(obj["window"], obj["order"], obj["lambda"], obj["use_first"], obj["use_second"])
 
 

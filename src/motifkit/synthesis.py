@@ -80,6 +80,10 @@ class SynthConfig:
             raise ValueError("random fraction cap must be in (0, 1)")
         if not self.templates:
             raise ValueError("at least one template required")
+        names = [t.name for t in self.templates]
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise ValueError(f"two templates are named {name!r}")
         lo, hi = self.pitch_range or (0, 0)
         if not 0 <= lo <= hi <= 127:
             raise ValueError(f"pitch range {self.pitch_range} must have 0 <= lo <= hi <= 127")

@@ -21,7 +21,11 @@ indent; the library writes that layout directly.  `quantize` is the
 library's earlier grid snapper, which `truth_boundaries`' half-down
 rounding must agree with.  `tec_occurrences` is the library's earlier
 occurrence rule, on exact (onset, pitch) pairs; discovery now builds each
-occurrence on its integer grid.
+occurrence on its integer grid.  `reference_cross_validate` is the library's
+earlier cross-validation, on string labels: it balances and stratifies by
+scanning the labels for each class in sorted order, counts confusions one
+prediction at a time, and trains the earlier per-class `ReferenceNaiveBayes`
+and `ReferenceLda` (and the library's forest, on the string labels).
 """
 
 import json
@@ -37,6 +41,8 @@ from typing import Sequence
 import numpy as np
 
 from motifkit import discovery, evaluation, polling
+from motifkit.analysis import ClassifierCvResult, CvReport, fit_scaler_pca
+from motifkit.classifiers import train_classifier
 from motifkit.core import (
     ParseError,
     PatternOccurrence,
@@ -46,6 +52,7 @@ from motifkit.core import (
     SchemaError,
     format_time,
     nearest_index,
+    subseed,
 )
 from motifkit.evaluation import PlantedResult, RecoveryReport
 
@@ -818,3 +825,132 @@ class _Tree:
                 node = node.left if row[node.feature] <= node.threshold else node.right
             out[i] = node.prediction
         return out
+
+
+class ReferenceNaiveBayes:
+    """Gaussian naive Bayes fit and scored one class at a time."""
+
+    def fit(self, X, y):
+        X = np.asarray(X, dtype=float)
+        y = np.asarray(y)
+        self.classes_ = np.unique(y)
+        k = len(self.classes_)
+        self._mean = np.empty((k, X.shape[1]))
+        self._var = np.empty((k, X.shape[1]))
+        counts = np.empty(k)
+        for c, label in enumerate(self.classes_):
+            rows = X[y == label]
+            counts[c] = len(rows)
+            self._mean[c] = rows.mean(axis=0)
+            self._var[c] = rows.var(axis=0) + 1e-9
+        self._log_prior = np.log((counts + 1) / (counts.sum() + k))
+        return self
+
+    def predict(self, X):
+        X = np.asarray(X, dtype=float)
+        scores = np.empty((len(X), len(self.classes_)))
+        for c in range(len(self.classes_)):
+            ll = -0.5 * (np.log(2 * np.pi * self._var[c]) + (X - self._mean[c]) ** 2 / self._var[c])
+            scores[:, c] = self._log_prior[c] + ll.sum(axis=1)
+        return self.classes_[np.argmax(scores, axis=1)]
+
+
+class ReferenceLda:
+    """Pooled-covariance LDA, its covariance summed one class at a time."""
+
+    def fit(self, X, y):
+        X = np.asarray(X, dtype=float)
+        y = np.asarray(y)
+        self.classes_ = np.unique(y)
+        k = len(self.classes_)
+        n, d = X.shape
+        means = np.empty((k, d))
+        pooled = np.zeros((d, d))
+        counts = np.empty(k)
+        for c, label in enumerate(self.classes_):
+            rows = X[y == label]
+            counts[c] = len(rows)
+            means[c] = rows.mean(axis=0)
+            centered = rows - means[c]
+            pooled += centered.T @ centered
+        pooled /= max(n - k, 1)
+        if np.linalg.matrix_rank(pooled) < d:
+            pooled = pooled + 1e-6 * np.eye(d)
+        self._coef = np.linalg.solve(pooled, means.T).T
+        self._intercept = -0.5 * np.einsum("ij,ij->i", means, self._coef) + np.log(counts / n)
+        return self
+
+    def predict(self, X):
+        scores = np.asarray(X, dtype=float) @ self._coef.T + self._intercept
+        return self.classes_[np.argmax(scores, axis=1)]
+
+
+def reference_balance(X, labels, seed):
+    """Every class downsampled to the minority count, classes drawn in sorted order."""
+    classes = sorted(set(labels))
+    minority = min(int(np.sum(labels == c)) for c in classes)
+    rng = np.random.default_rng(subseed(seed, "balance"))
+    keep = []
+    for c in classes:
+        idx = np.nonzero(labels == c)[0]
+        keep.extend(int(i) for i in rng.choice(idx, size=minority, replace=False))
+    keep.sort()
+    return X[keep], labels[keep]
+
+
+def reference_folds(labels, folds, rng):
+    """Each class's shuffled indices, classes in sorted order, dealt round-robin into folds."""
+    buckets = [[] for _ in range(folds)]
+    for c in sorted(set(labels)):
+        idx = np.nonzero(labels == c)[0]
+        rng.shuffle(idx)
+        for slot, i in enumerate(idx):
+            buckets[slot % folds].append(int(i))
+    return [np.array(sorted(b)) for b in buckets]
+
+
+def reference_cross_validate(dataset, classifiers, folds, repeats, balance, seed, pca_components):
+    """`analysis.cross_validate` on string labels, for datasets it accepts."""
+    X, labels = dataset.X, np.array(dataset.labels)
+    if balance:
+        X, labels = reference_balance(X, labels, seed)
+    classes = sorted(set(labels))
+    class_index = {c: i for i, c in enumerate(classes)}
+    k = len(classes)
+    accuracies = {name: [] for name in classifiers}
+    confusions = {name: [] for name in classifiers}
+    for rep in range(repeats):
+        rng = np.random.default_rng(subseed(seed, "folds", rep))
+        for fold_no, test_idx in enumerate(reference_folds(labels, folds, rng)):
+            mask = np.ones(len(labels), dtype=bool)
+            mask[test_idx] = False
+            X_train, y_train = X[mask], labels[mask]
+            X_test, y_test = X[test_idx], labels[test_idx]
+            if pca_components is not None:
+                model = fit_scaler_pca(X_train, pca_components)
+                X_train, X_test = model.transform(X_train), model.transform(X_test)
+            for name, params in classifiers.items():
+                if name == "rf":
+                    params = {"seed": subseed(seed, "rf", rep, fold_no), **params}
+                    clf = train_classifier("rf", X_train, y_train, params)
+                else:
+                    clf = {"nb": ReferenceNaiveBayes, "lda": ReferenceLda}[name]().fit(X_train, y_train)
+                pred = clf.predict(X_test)
+                accuracies[name].append(float(np.mean(pred == y_test)))
+                cm = np.zeros((k, k))
+                for p, t in zip(pred, y_test):
+                    cm[class_index[p], class_index[t]] += 1
+                confusions[name].append(cm)
+    results = {}
+    for name in classifiers:
+        accs = np.array(accuracies[name])
+        cms = np.stack(confusions[name])
+        results[name] = ClassifierCvResult(
+            accuracies=accs,
+            accuracy_mean=float(accs.mean()),
+            accuracy_variance=float(accs.var(ddof=1)),
+            confusion_mean=cms.mean(axis=0),
+            confusion_variance=cms.var(axis=0, ddof=1),
+            classes=tuple(str(c) for c in classes),
+        )
+    return CvReport(results=results, folds=folds, repeats=repeats, seed=seed)

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -499,6 +500,56 @@ class TestCrossValidate:
         r1 = cross_validate(ds, {"rf": {"trees": 10}}, folds=4, repeats=2, seed=9)
         r2 = cross_validate(ds, {"rf": {"trees": 10}}, folds=4, repeats=2, seed=9)
         assert np.array_equal(r1.results["rf"].accuracies, r2.results["rf"].accuracies)
+
+
+def _groups(labels, sizes, seed):
+    """Rows of 4 features for groups of the given sizes, each group's mean shifted by its
+    place in `labels`; the labels first appear in the order given, then shuffled."""
+    rng = np.random.default_rng(seed)
+    rest = [label for label, size in zip(labels, sizes) for _ in range(size - 1)]
+    y = list(labels) + [rest[i] for i in rng.permutation(len(rest))]
+    shift = np.array([labels.index(label) for label in y])[:, None]
+    X = rng.normal(size=(len(y), 4)) + shift * np.array([1.0, 0.5, 0.0, 0.0])
+    X[:, 3] = np.round(X[:, 3])  # a feature with ties
+    return LabeledDataset(X, tuple(y))
+
+
+class TestCrossValidateReference:
+    """cross_validate's report equals the earlier string-label cross-validation's, field by
+    field and float for float."""
+
+    @pytest.mark.parametrize("labels, sizes", [
+        (("random", "P2", "P1"), (14, 9, 11)),
+        (("random", "P1"), (16, 11)),
+    ])
+    @pytest.mark.parametrize("balance", [True, False])
+    @pytest.mark.parametrize("pca_components", [None, 3])
+    @pytest.mark.parametrize("repeats", [1, 2])
+    def test_report_equals_reference(self, labels, sizes, balance, pca_components, repeats):
+        ds = _groups(labels, sizes, seed=len(labels))
+        assert ds.labels[: len(labels)] == labels
+        spec = {"rf": {"trees": 6}, "nb": {}, "lda": {}}
+        args = dict(folds=3, repeats=repeats, balance=balance, seed=4, pca_components=pca_components)
+        report = cross_validate(ds, spec, **args)
+        reference = _oracles.reference_cross_validate(ds, spec, **args)
+        assert report.to_json_dict() == reference.to_json_dict()
+        assert json.dumps(report.to_json_dict()) == json.dumps(reference.to_json_dict())
+        for res in report.results.values():
+            assert res.classes == tuple(sorted(labels))
+            assert all(type(c) is str for c in res.classes)
+            assert 0 < res.accuracy_mean < 1
+
+    @pytest.mark.parametrize("cls, reference, fitted", [
+        (GaussianNaiveBayes, _oracles.ReferenceNaiveBayes, ("_mean", "_var", "_log_prior")),
+        (LinearDiscriminant, _oracles.ReferenceLda, ("_coef", "_intercept")),
+    ])
+    def test_fit_and_predict_equal_reference(self, cls, reference, fitted):
+        ds = _groups(("random", "P2", "P1"), (30, 25, 20), seed=5)
+        model, ref = cls().fit(ds.X, ds.labels), reference().fit(ds.X, ds.labels)
+        for name in fitted:
+            assert np.array_equal(getattr(model, name), getattr(ref, name)), name
+        X = np.random.default_rng(6).normal(0, 2, size=(200, 4))
+        assert list(model.predict(X)) == list(ref.predict(X))
 
 
 class TestFeatureImportance:

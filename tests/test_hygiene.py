@@ -7,7 +7,8 @@ function that calls itself without a stated bound on its depth, one copy of the 
 that puts exact values on integers, one of the rule that keeps integral values as ints,
 one caller of the indenting JSON encoder, one function that asks for the smoothing
 kernel and applies it, one that finds zero crossings, one count of a discovery grid's
-temporal window, one CLI reader that exits on pattern files of two pieces, no CLI
+temporal window, one CLI reader that exits on pattern files of two pieces, one coding
+of class labels in the classifiers and one in cross-validation, no CLI
 handler that tests an optional flag's value for truth, one CLI function that writes
 files and prints, and no default, of a parameter or of a dataclass or NamedTuple field,
 that only the tests override."""
@@ -370,6 +371,22 @@ def test_one_function_checks_piece_ids():
     }
     assert found == {PIECE_ID_CHECKER}, f"{sorted(found)} read EXIT_INCONSISTENT, not only {PIECE_ID_CHECKER}"
 
+
+
+# The functions that give class labels integer codes: the classifiers' one reader of X
+# and y, and cross-validation, whose balancing, folds and confusion counts run on its codes.
+LABEL_CODERS = ["analysis.cross_validate", "classifiers._as_arrays"]
+
+
+def test_labels_coded_once():
+    """A second coding of the labels, with its own class order, cannot come back."""
+    found = sorted(
+        name
+        for module in MODULES
+        for name, node in _scoped(TREES[module], module[:-3])
+        if _calls(node, "unique") and any(kw.arg == "return_inverse" for kw in node.keywords)
+    )
+    assert found == LABEL_CODERS, f"{found} code labels with np.unique, not only {LABEL_CODERS} once each"
 
 # The one function that writes the CLI's files and prints its lines: each handler
 # returns its outputs, so every target is checked before any file is written.

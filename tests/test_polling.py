@@ -387,6 +387,11 @@ class TestExtractBoundaries:
         with pytest.raises(ValueError):
             PpParams(window=3, order=1, lam=F(-1))
 
+    def test_no_derivative_rejected(self):
+        """Params that keep no crossing are refused where they are built, as from JSON."""
+        with pytest.raises(ValueError, match="use_first and use_second are both false"):
+            PpParams(use_first=False, use_second=False)
+
 
 def _as_tuples(trace):
     return [(c.index, c.steepness, c.derivative, c.fate, c.merged_into) for c in trace.crossings]
@@ -405,9 +410,11 @@ def _check_against_oracle(curve, params):
     assert extract_boundaries(curve, params) == boundaries
 
 
-_params = st.tuples(
-    st.sampled_from([3, 5, 7, 9]), st.integers(1, 4), st.booleans(), st.booleans()
-).map(lambda t: PpParams(window=t[0], order=min(t[1], t[0] - 1), use_first=t[2], use_second=t[3]))
+# use_first and use_second: PpParams needs at least one of them
+_derivative_flags = st.sampled_from([(True, True), (True, False), (False, True)])
+_params = st.tuples(st.sampled_from([3, 5, 7, 9]), st.integers(1, 4), _derivative_flags).map(
+    lambda t: PpParams(t[0], min(t[1], t[0] - 1), 0, *t[2])
+)
 
 
 class TestBoundaryOracle:
@@ -526,14 +533,12 @@ def _training_sets(draw):
         records = [rec(f"a{j % 2}", (s, s + d)) for j, (s, d) in enumerate(spans)]
         truth = sorted(draw(st.sets(st.integers(0, 20), max_size=5)))
         pieces.append((records, truth))
-    params = st.builds(
-        PpParams,
-        window=st.sampled_from([3, 5, 7]),
-        order=st.sampled_from([1, 2]),
-        lam=st.sampled_from([F(0), F(1, 2), F(1)]),
-        use_first=st.booleans(),
-        use_second=st.booleans(),
-    )
+    params = st.tuples(
+        st.sampled_from([3, 5, 7]),
+        st.sampled_from([1, 2]),
+        st.sampled_from([F(0), F(1, 2), F(1)]),
+        _derivative_flags,
+    ).map(lambda t: PpParams(*t[:3], *t[3]))
     return pieces, draw(st.lists(params, min_size=1, max_size=10))
 
 

@@ -168,6 +168,12 @@ class TestSynthesize:
         with pytest.raises(ValueError):
             SynthConfig(random_fraction_cap=F(1))
 
+    def test_template_names_unique(self):
+        """Ground truth is one record per template name, so two templates cannot share one."""
+        twin = PatternTemplate("P1", ((60, 1), (62, 1), (64, 1)))
+        with pytest.raises(ValueError, match="two templates are named 'P1'"):
+            SynthConfig(templates=(template_p1(), template_p2(), twin), seed=1)
+
     def test_monophonic_and_sorted(self):
         piece = synthesize(SynthConfig(seed=10)).piece
         onsets = [p.onset for p in piece.points]

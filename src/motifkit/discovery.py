@@ -20,8 +20,12 @@ arithmetic, with no floats or Fractions.  A COSIATEC round is one
 best-first queue: column groups and shapes, each at an exact upper bound on
 the ordering's leading figure, are taken greatest first while a bound can
 reach the best candidate so far; a column group builds its shapes, a shape
-is scored.  Ratio, coverage and size prune; compactness has no bound, so a
-compactness-led round builds and scores every shape.  The emitted TECs are
+has its translators searched and, if its bound from their count still
+reaches, is scored.  SIATECCompress walks its shapes best-first on one
+heap: a shape's translators are searched only when its first bound reaches
+the head, and its cover is built only when the tighter bound from their
+count does.  Ratio, coverage and size prune; compactness has no bound, so a
+compactness-led round or walk searches every shape.  The emitted TECs are
 those of scoring every shape.  One compact-segment rule (`_segments`, an
 integer compare per step) splits patterns for COSIATEC's candidates and
 SIARCT's alike.  Each occurrence is built once, on the grid, as the piece's
@@ -235,18 +239,21 @@ def siar(ps: PointSet, r: int) -> list[MTP]:
 class DiscoveryStats:
     """What a SIATEC, COSIATEC or SIATECCompress call did, for its caller to read.
 
-    `rounds` holds one entry per translator search: the points it ran on,
-    the vectors in their table, the distinct candidate shapes built and how
-    many were `scored` (translators searched and counted).  SIATEC and
-    SIATECCompress build and score every shape; COSIATEC builds a column's
-    shapes, and scores a shape, only while its bound can reach the best
-    candidate (`_best`), and adds that TEC (`chosen`) and whether it
+    `rounds` holds one entry per vector table: the points it was built on,
+    its vectors, the distinct candidate shapes built and how many were
+    `scored` (translators searched).  SIATEC builds and searches every shape;
+    SIATECCompress builds every shape and searches one only when its bound
+    reaches the head of its walk (`siatec_compress`); COSIATEC builds a
+    column's shapes, and searches a shape, only while its bound can reach the
+    best candidate (`_best`), and adds that TEC (`chosen`) and whether it
     compressed and so was emitted.  `seconds` holds each stage's wall time:
-    the grid and vector table, the translator search and counting (in
-    COSIATEC, the best-first queue that builds, bounds and scores shapes), the
-    ranking (in COSIATEC, grouping the columns by length), and building the
-    emitted TECs (in COSIATEC, also removing their points).  Counts come from
-    lengths at hand once per round, never per candidate.
+    the grid and vector table, the search (in COSIATEC, the best-first queue
+    that builds, bounds and scores shapes; in SIATECCompress, the best-first
+    walk that searches translators, builds covers and selects TECs), the
+    ranking (in COSIATEC, grouping the columns by length; in SIATECCompress,
+    building the shapes and queueing them at their first bounds), and building
+    the emitted TECs (in COSIATEC, also removing their points).  Counts come
+    from lengths at hand once per round, never per candidate.
     """
 
     def __init__(self):
@@ -318,32 +325,25 @@ def _translators(shape: Sequence[_Coord], grid: _Grid, table: _Table) -> tuple[_
     return tuple(out)
 
 
-def _siatec_pass(ps: PointSet, stats: DiscoveryStats) -> tuple[_Grid, list[_Candidate]]:
-    """SIATEC's one round, recorded in `stats`: the grid, and each MTP shape scored (`_score`).
+def siatec(ps: PointSet, stats: DiscoveryStats | None = None) -> list[TEC]:
+    """Translational equivalence classes of SIA's patterns.
 
-    Translationally equivalent MTPs share a shape, so they merge before the translator search.
+    Translationally equivalent MTPs share a shape, so they merge before the
+    translator search.  The representative pattern is the lexicographically
+    least occurrence, and each TEC's translators include the zero vector.
+    Output is sorted by pattern (on the grid, by least translator and shape).
+    `stats`, if given, records its one round.
     """
+    stats = _started(stats)
     grid = _Grid(ps)
     table = _mtp_table(grid)
     stats.lap("table")
     shapes = {_shape(o) for o in table.values()}
-    candidates = [_score(shape, grid, table) for shape in shapes]
+    translators = {s: _translators(s, grid, table) for s in shapes}
     stats.lap("search")
     stats.add_round(grid, table, shapes, len(shapes))
-    return grid, candidates
-
-
-def siatec(ps: PointSet, stats: DiscoveryStats | None = None) -> list[TEC]:
-    """Translational equivalence classes of SIA's patterns (`_siatec_pass`).
-
-    The representative pattern is the lexicographically least occurrence, and
-    each TEC's translators include the zero vector.  Output is sorted by pattern
-    (on the grid, by least translator and shape).  `stats`, if given, records it.
-    """
-    stats = _started(stats)
-    grid, candidates = _siatec_pass(ps, stats)
-    candidates.sort(key=lambda c: (c.translators[0], c.shape))
-    tecs = [grid.tec(c.shape, c.translators) for c in candidates]
+    ordered = sorted(shapes, key=lambda s: (translators[s][0], s))
+    tecs = [grid.tec(s, translators[s]) for s in ordered]
     stats.lap("emit")
     return tecs
 
@@ -419,12 +419,22 @@ class _Candidate(NamedTuple):
         return self.coverage > len(self.shape) + len(self.translators) - 1
 
 
-def _score(shape: tuple[_Coord, ...], grid: _Grid, table: _Table) -> _Candidate:
-    """The shape's TEC with the counts its quality is made of."""
+def _fit(shape: tuple[_Coord, ...], grid: _Grid, table: _Table, rest: int) -> _Candidate:
+    """The shape's TEC before its cover: coverage stands at its bound min(s*T, rest).
+
+    s*T counts the shape's s points at each of its T translators, `rest` the
+    set's points; the cover (`_cover`) gives the exact coverage.
+    """
     translators = _translators(shape, grid, table)
     least = translators[0]  # the least occurrence spans its first and last codes
     window = grid.window(least >> 8, (least + shape[-1]) >> 8)
-    return _Candidate(shape, translators, len(_cover(shape, translators)), window)
+    return _Candidate(shape, translators, min(len(shape) * len(translators), rest), window)
+
+
+def _covered(c: _Candidate) -> tuple[_Candidate, set[_Coord]]:
+    """A fitted candidate (`_fit`) at its exact coverage, and its cover."""
+    cover = _cover(c.shape, c.translators)
+    return _Candidate(c.shape, c.translators, len(cover), c.window), cover
 
 
 # Ratio a/b is keyed a*m//b, m = 4n^2 for n points.  Exact: denominators are
@@ -439,13 +449,16 @@ _FIGURES: dict[str, Callable[[_Candidate, int], int]] = {
 DEFAULT_ORDER = ("cr", "comp", "cov", "size")
 
 # Upper bounds on a leading figure, from a shape's size s, the length t of
-# the smallest table column among its points (each column holds every
-# translator), the remaining point count and m.  Coverage is at most s*t,
-# and s*t/(s+t-1) never falls as t grows.  Capping the ratio's coverage at
-# the point count would make it fall as t grows, and the bound fail.  None
-# falls as s or t grows, so `_best` queues the columns of k >= 2 origins,
-# whose shapes have at least 2 points, at s = k, t = the longest column; a
-# one-origin column's single point has every remaining point as a translator.
+# a table column among its points (each column holds every translator), the
+# remaining point count and m.  Coverage is at most s*t, and s*t/(s+t-1)
+# never falls as t grows.  Capping the ratio's coverage at the point count
+# would make it fall as t grows, and the bound fail.  None falls as s or t
+# grows, so `_best` queues the columns of k >= 2 origins, whose shapes have
+# at least 2 points, at s = k, t = the longest column; a one-origin column's
+# single point has every remaining point as a translator.  Once the exact
+# translator count T is known, the leading figure of `_fit`'s candidate, at
+# coverage min(s*T, rest), is the tighter bound: every figure is exact or
+# rises with coverage.
 _BOUNDS: dict[str, Callable[[int, int, int, int], int]] = {
     "cr": lambda s, t, rest, m: s * t * m // (s + t - 1),
     "cov": lambda s, t, rest, m: min(s * t, rest),
@@ -479,47 +492,61 @@ def _rank_key(order: Sequence[str], n: int) -> Callable[[_Candidate], tuple]:
     return key
 
 
-def _leading_bound(order: Sequence[str], n: int) -> Callable[[int, int, int], int | float]:
-    """`_BOUNDS` on the leading figure under `_rank_key(order, n)`, as ``bound(s, t, rest)``;
-    compactness has none that the table gives, so an infinite one."""
-    f = _BOUNDS.get((*order, *DEFAULT_ORDER)[0])
-    if f is None:
-        return lambda s, t, rest: math.inf
-    m = 4 * n * n
-    return lambda s, t, rest: f(s, t, rest, m)
+def _leading(
+    order: Sequence[str], n: int
+) -> tuple[Callable[[_Candidate], int], Callable[[int, int, int], int] | None]:
+    """The leading figure under `_rank_key(order, n)`, as ``figure(c)``, and its
+    `_BOUNDS` bound as ``bound(s, t, rest)``: None where compactness leads, which
+    the table gives no bound."""
+    name = (*order, *DEFAULT_ORDER)[0]
+    f, b, m = _figure(name), _BOUNDS.get(name), 4 * n * n
+    return (lambda c: f(c, m)), (b and (lambda s, t, rest: b(s, t, rest, m)))
 
 
 def _best(
-    groups: Mapping[int, list], grid: _Grid, table: _Table, key: Callable, bound: Callable
+    groups: Mapping[int, list], grid: _Grid, table: _Table, key: Callable, leading: tuple
 ) -> tuple[_Candidate, set, int]:
     """A round's least-keyed candidate, the distinct shapes built, and the count scored.
 
-    One heap holds the work, each item at its exact bound on the leading figure: the
-    columns of each length k >= 2 in `groups` (s = k, t = the longest column), one of
-    the one-origin columns, which share one shape, a single point (s = 1, t = rest),
-    and each shape built (t its smallest table column).  While the greatest bound
-    reaches the best leading figure `lead`, columns build their shapes and compact
-    segments, and a shape is scored.  Entries are (-bound, number, item), numbers
-    unique and the columns' first: items are never compared, and at an equal bound
-    every shape is built before any is scored.
+    One heap holds the work, each item at its exact bound on the leading figure
+    (`_leading`): the columns of each length k >= 2 in `groups` (s = k, t = the
+    longest column), one of the one-origin columns, which share one shape, a
+    single point (s = 1, t = rest), and each shape built (t its smallest table
+    column).  While the greatest bound reaches the best leading figure `lead`,
+    columns build their shapes and compact segments, and a shape is scored: its
+    translators are searched (`_fit`), and only if that tighter bound still
+    reaches `lead` is its cover built and its key taken.  Entries are (-bound,
+    number, item), numbers unique and the columns' first: items are never
+    compared, and at an equal bound every shape is built before any is scored.
+    Without a bound (compactness leads) every column is taken and each shape is
+    scored as it is built, with no heap entry of its own.
     """
+    figure, bound = leading
     rest = len(grid.coords)
     longest = max(groups, default=0)
+    top = bound or (lambda s, t, rest: math.inf)
     heap = [
-        (-bound(k, longest if k > 1 else rest, rest), i, cols if k > 1 else cols[:1])
+        (-top(k, longest if k > 1 else rest, rest), i, cols if k > 1 else cols[:1])
         for i, (k, cols) in enumerate(groups.items())
     ]
     heapq.heapify(heap)
     seq = count(len(heap))
     built, best, best_key, lead, scored = set(), None, None, -math.inf, 0
-    while heap and -heap[0][0] >= lead:
-        _, i, item = heapq.heappop(heap)
-        if i >= len(groups):  # a shape
-            c = _score(item, grid, table)
-            scored += 1
+
+    def score(shape):
+        nonlocal best, best_key, lead, scored
+        c = _fit(shape, grid, table, rest)
+        scored += 1
+        if figure(c) >= lead:
+            c = _covered(c)[0]
             c_key = key(c)
             if best_key is None or c_key < best_key:
                 best, best_key, lead = c, c_key, -c_key[0]
+
+    while heap and -heap[0][0] >= lead:
+        _, i, item = heapq.heappop(heap)
+        if i >= len(groups):  # a shape
+            score(item)
             continue
         for origins in item:
             shapes = [_shape(origins)]
@@ -528,6 +555,9 @@ def _best(
             for s in shapes:
                 if s not in built:
                     built.add(s)
+                    if not bound:
+                        score(s)
+                        continue
                     t = min(map(len, map(table.__getitem__, s[1:])), default=rest)
                     heapq.heappush(heap, (-bound(len(s), t, rest), next(seq), s))
     return best, built, scored
@@ -561,9 +591,11 @@ def cosiatec(
     every translator: s*t/(s+t-1) for compression ratio, min(s*t, remaining
     points) for coverage, s for size (`_BOUNDS`); the columns of k origins
     are queued at s = k, t = the longest column (the remaining points for a
-    single origin).  So ratio- and size-led orderings build and score few
-    shapes, coverage-led ones score few, compactness-led ones all.  The
-    chosen TEC is the one scoring every shape gives.
+    single origin).  A taken shape's translators are searched, and its cover
+    is built only if the bound at their count still reaches.  So ratio- and
+    size-led orderings build and search few shapes, coverage-led ones
+    search few, compactness-led ones all.  The chosen TEC is the one
+    scoring every shape gives.
 
     The best TEC maximizes the `tie_break` quality ordering (defaults to
     compression ratio, compactness, coverage, pattern size): each
@@ -575,7 +607,7 @@ def cosiatec(
     chosen TEC.
     """
     key = _rank_key(tie_break, len(ps))
-    bound = _leading_bound(tie_break, len(ps))
+    leading = _leading(tie_break, len(ps))
     stats = _started(stats)
     grid = _Grid(ps)
     out = []
@@ -586,7 +618,7 @@ def cosiatec(
         for origins in table.values():
             groups.setdefault(len(origins), []).append(origins)
         stats.lap("rank")
-        best, built, scored = _best(groups, grid, table, key, bound)
+        best, built, scored = _best(groups, grid, table, key, leading)
         stats.lap("search")
         stats.add_round(grid, table, built, scored, best)
         if not best.compresses():
@@ -603,29 +635,75 @@ def cosiatec(
 def siatec_compress(
     ps: PointSet, sort_key: str = "cr", stats: DiscoveryStats | None = None
 ) -> list[TEC]:
-    """Single SIATEC pass (`_siatec_pass`), then greedy selection of TECs that add coverage.
+    """Greedy selection, best first, of SIATEC's TECs that add coverage.
 
     TECs are ranked exactly by `sort_key` (``cr``, ``comp`` or ``cov``; ties
     fall back to the full quality ordering) and accepted whenever they
     cover at least one not-yet-covered point.  Any uncovered residue is
     appended as a final zero-translator TEC.  Covers may overlap, but their
-    union is the whole input.  `stats`, if given, records it.
+    union is the whole input.
+
+    The walk is one heap over the distinct MTP shapes, each at an exact upper
+    bound on the leading figure, taken greatest first until every point is
+    covered.  A shape of s points enters at its `_BOUNDS` bound, t being the
+    length of its last point's table column, which holds every translator
+    (the shapes of one s and t share an entry).  At the head its translators
+    are searched (`_fit`) and it is queued again at the tighter bound of
+    their count T: min(s*T, n)*m // (s+T-1) for ``cr``, min(s*T, n) for
+    ``cov``.  At the head once more its cover is built and it is queued at
+    its full rank key, to be walked on that cover.  At an equal bound the
+    unresolved come first, so TECs are walked in the order of ranking every
+    shape.  Compactness has no bound: every shape is searched as it is built
+    and queued at its exact compactness, and only those that reach the head
+    are covered.  `stats`, if given, records the round, ``scored`` counting
+    the translator searches; its ``rank`` seconds hold building the shapes
+    and queueing them (under ``comp``, every search), ``search`` the walk.
     """
     if sort_key not in ("cr", "comp", "cov"):
         raise ValueError(f"sort_key must be one of cr|comp|cov, got {sort_key!r}")
     stats = _started(stats)
-    grid, candidates = _siatec_pass(ps, stats)
-    candidates.sort(key=_rank_key((sort_key,), len(ps)))
+    grid = _Grid(ps)
+    table = _mtp_table(grid)
+    stats.lap("table")
+    n = len(grid.coords)
+    key = _rank_key((sort_key,), n)
+    figure, bound = _leading((sort_key,), n)
+
+    def ranked(c: _Candidate) -> tuple:
+        c, cover = _covered(c)
+        c_key = key(c)
+        return c_key[0], 2, (c_key, cover, c)
+
+    shapes = {_shape(o) for o in table.values()}
+    if bound:  # shapes of one size and column length share a bound and an entry
+        groups: dict[tuple[int, int], list] = {}
+        for s in shapes:
+            groups.setdefault((len(s), len(table[s[-1]]) if s[-1] else n), []).append(s)
+        heap = [(-bound(k, t, n), 0, group) for (k, t), group in groups.items()]
+        scored = 0
+    else:
+        heap = [(-figure(c), 1, c) for c in (_fit(s, grid, table, n) for s in shapes)]
+        scored = len(shapes)
+    heapq.heapify(heap)
     stats.lap("rank")
     covered: set[_Coord] = set()
-    out = []
-    for c in candidates:
-        if len(covered) == len(grid.coords):
-            break
-        cover = _cover(c.shape, c.translators)
-        if not cover <= covered:
-            out.append(grid.tec(c.shape, c.translators))
-            covered |= cover
+    chosen, up = [], None  # `up`: the entry just taken, a level up, unless it was walked
+    while (heap or up) and len(covered) < n:
+        _, level, item = heapq.heappushpop(heap, up) if up else heapq.heappop(heap)
+        up = None
+        if level == 0:  # shapes: search their translators
+            scored += len(item)
+            for s in item:
+                c = _fit(s, grid, table, n)
+                heapq.heappush(heap, (-figure(c), 1, c))
+        elif level == 1:  # a fitted shape: build its cover
+            up = ranked(item)
+        elif not item[1] <= covered:  # (key, cover, candidate): walk it
+            chosen.append(item[2])
+            covered |= item[1]
+    stats.lap("search")
+    stats.add_round(grid, table, shapes, scored)
+    out = [grid.tec(c.shape, c.translators) for c in chosen]
     rest = [c for c in grid.coords if c not in covered]
     if rest:
         out.append(_residue_tec(grid.points(rest)))

@@ -2,11 +2,13 @@
 
 These stay deliberately naive and independent of the library's code paths:
 plain set arithmetic over (onset, pitch) tuples and exhaustive searches.
-The one exception, `exhaustive_cosiatec`, shares the library's candidates
-and scores and differs only in how a round finds its best candidate, so
-that pieces too large for `brute_cosiatec` can still be checked; its
-rounds (`exhaustive_rounds`) and the exact bounds of `built_shapes` and
-`bounded_shapes` give the shapes a best-first round must build and score.
+The exceptions, `exhaustive_cosiatec` and `exhaustive_siatec_compress`,
+share the library's candidates and scores (`score`) and differ only in how
+they find the best candidates, scoring every shape, so that pieces too large
+for the brute-force oracles can still be checked.  With the exact bounds,
+their rounds (`exhaustive_rounds`) and walk (`exhaustive_walk`) give the
+shapes a best-first search must build and score: `built_shapes` and
+`bounded_shapes` for COSIATEC, `walk_scored` for SIATECCompress.
 `_Tree` is a naive CART that sorts each drawn feature at every node, one
 tree at a time, under the forest's draw rule; the forest, which grows all
 its trees together one depth at a time, must grow the same trees.
@@ -605,6 +607,11 @@ def grid_shapes(grid, table):
     return shapes
 
 
+def score(shape, grid, table):
+    """The shape's candidate at its exact coverage: translators, window and cover."""
+    return discovery._covered(discovery._fit(shape, grid, table, len(grid.coords)))[0]
+
+
 def exhaustive_rounds(ps, order=discovery.DEFAULT_ORDER):
     """Each COSIATEC round scoring every candidate shape: (grid, table, least-keyed candidate).
 
@@ -615,7 +622,7 @@ def exhaustive_rounds(ps, order=discovery.DEFAULT_ORDER):
     grid = discovery._Grid(ps)
     while len(grid.coords) >= 2:
         table = discovery._mtp_table(grid)
-        best = min((discovery._score(s, grid, table) for s in grid_shapes(grid, table)), key=key)
+        best = min((score(s, grid, table) for s in grid_shapes(grid, table)), key=key)
         yield grid, table, best
         if not best.compresses():
             return
@@ -688,6 +695,55 @@ def bounded_shapes(grid, table, order, figure):
     for shape in grid_shapes(grid, table):
         t = min((len(table[q]) for q in shape[1:]), default=rest)
         bound = _exact_bound(order, len(shape), t, rest)
+        if bound is None or bound >= figure:
+            out.add(shape)
+    return out
+
+
+def exhaustive_walk(ps, sort_key="cr"):
+    """SIATECCompress scoring every MTP shape, sorted best first by `_rank_key`:
+    (grid, table, the candidates it walks until every point is covered)."""
+    grid = discovery._Grid(ps)
+    table = discovery._mtp_table(grid)
+    shapes = {discovery._shape(o) for o in table.values()}
+    ranked = sorted(
+        (score(s, grid, table) for s in shapes), key=discovery._rank_key((sort_key,), len(ps))
+    )
+    covered, walked = set(), []
+    for c in ranked:
+        if len(covered) == len(grid.coords):
+            break
+        walked.append(c)
+        covered |= discovery._cover(c.shape, c.translators)
+    return grid, table, walked
+
+
+def exhaustive_siatec_compress(ps, sort_key="cr"):
+    """SIATECCompress that scores every shape, sorts, then walks (`exhaustive_walk`)."""
+    grid, _, walked = exhaustive_walk(ps, sort_key)
+    out, covered = [], set()
+    for c in walked:
+        cover = discovery._cover(c.shape, c.translators)
+        if not cover <= covered:
+            out.append(grid.tec(c.shape, c.translators))
+            covered |= cover
+    rest = [c for c in grid.coords if c not in covered]
+    if rest:
+        out.append(discovery._residue_tec(grid.points(rest)))
+    return out
+
+
+def walk_scored(ps, sort_key="cr"):
+    """The shapes whose translators SIATECCompress searches: those whose first bound,
+    t the column of their last point (every point for a single one), reaches the
+    leading figure of the TEC the exhaustive walk completes its cover with."""
+    grid, table, walked = exhaustive_walk(ps, sort_key)
+    rest = len(grid.coords)
+    figure = leading_figure(walked[-1], (sort_key,))
+    out = set()
+    for shape in {discovery._shape(o) for o in table.values()}:
+        t = len(table[shape[-1]]) if len(shape) > 1 else rest
+        bound = _exact_bound((sort_key,), len(shape), t, rest)
         if bound is None or bound >= figure:
             out.add(shape)
     return out

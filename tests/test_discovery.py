@@ -26,7 +26,6 @@ from motifkit.discovery import (
     _Grid,
     _mtp_table,
     _rank_key,
-    _score,
     _segments,
     _shape,
     _translators,
@@ -266,6 +265,27 @@ class TestSiatecCompress:
         with pytest.raises(ValueError):
             siatec_compress(FOUR, "f1")
 
+    @pytest.mark.parametrize(
+        "seed, occurrences", [*((seed, 2) for seed in range(10)), *((seed, 6) for seed in range(3))]
+    )
+    def test_best_first_equals_exhaustive_walk(self, seed, occurrences):
+        ps = synth_piece(seed, occurrences)
+        shapes = {_shape(o) for o in _mtp_table(_Grid(ps)).values()}
+        for key in ("cr", "comp", "cov"):
+            stats = DiscoveryStats()
+            assert siatec_compress(ps, key, stats) == _oracles.exhaustive_siatec_compress(ps, key)
+            [r] = stats.rounds
+            assert r["shapes"] == len(shapes), key
+            assert r["scored"] == len(_oracles.walk_scored(ps, key)), key
+
+    def test_ratio_first_searches_few_shapes(self):
+        # measured: translators searched for 3,351 (0.72) of 4,663 shapes
+        ps = synth_piece(0, 6)
+        stats = DiscoveryStats()
+        siatec_compress(ps, "cr", stats)
+        [r] = stats.rounds
+        assert r["scored"] <= 0.8 * r["shapes"]
+
 
 class TestCompactness:
     def test_full_set(self):
@@ -483,7 +503,7 @@ class TestGridRanking:
             table = _mtp_table(grid)
             for origins in table.values():
                 for shape in {_shape(origins)} | {_shape(s) for s in _segments(origins, grid, 1, 2)}:
-                    c = _score(shape, grid, table)
+                    c = _oracles.score(shape, grid, table)
                     size, count = len(c.shape), len(c.translators)
                     assert TecQuality(
                         compression_ratio=F(c.coverage, size + count - 1),
@@ -578,7 +598,7 @@ class TestIntegerRanking:
     def test_order_equals_fraction_order(self, ps):
         grid = _Grid(ps)
         table = _mtp_table(grid)
-        candidates = [_score(shape, grid, table) for shape in _oracles.grid_shapes(grid, table)]
+        candidates = [_oracles.score(s, grid, table) for s in _oracles.grid_shapes(grid, table)]
         coords = [p.coord for p in ps.points]
         for order in RANK_ORDERS:
             got = integer_order(grid, candidates, order, len(ps))
@@ -589,13 +609,13 @@ class TestIntegerRanking:
         ps = pset((0, 60), (1, 70), (2, 62), (10, 60), (11, 71), (12, 62))
         grid = _Grid(ps)
         table = _mtp_table(grid)
-        c = _score((0, 2 * 256 + 2), grid, table)  # the grid codes of (0, 0) and (2, 2)
+        c = _oracles.score((0, 2 * 256 + 2), grid, table)  # the grid codes of (0, 0) and (2, 2)
         assert F(len(c.shape), c.window) == F(2, 3)
         m = 4 * len(ps) ** 2
         assert _figure("comp>=2/3")(c, m) == 1
         assert _figure("comp>=0.6667")(c, m) == 0
         assert _figure("comp>=0.6666")(c, m) == 1
-        candidates = [_score(shape, grid, table) for shape in _oracles.grid_shapes(grid, table)]
+        candidates = [_oracles.score(s, grid, table) for s in _oracles.grid_shapes(grid, table)]
         coords = [p.coord for p in ps.points]
         for order in (("comp>=2/3", "cov"), ("comp>=0.6667", "cov"), ("comp", "cov")):
             got = integer_order(grid, candidates, order, len(ps))
@@ -772,10 +792,15 @@ class TestStats:
         assert stats.rounds[0]["chosen"]["ratio"] == "1"
 
     def test_one_round_for_single_passes(self):
-        for run in (lambda s: siatec(FOUR, s), lambda s: siatec_compress(FOUR, "cr", s)):
+        # SIATECCompress searches the translators of the shapes whose bound reaches
+        # the ratio 4/3 that completes its cover: both pairs, not the single point
+        assert len(_oracles.walk_scored(FOUR, "cr")) == 2
+        for run, scored in (
+            (lambda s: siatec(FOUR, s), 3), (lambda s: siatec_compress(FOUR, "cr", s), 2)
+        ):
             stats = DiscoveryStats()
             run(stats)
-            assert stats.rounds == [{"points": 4, "vectors": 4, "shapes": 3, "scored": 3}]
+            assert stats.rounds == [{"points": 4, "vectors": 4, "shapes": 3, "scored": scored}]
 
 
 class TestPlantedRepeat:

@@ -16,21 +16,13 @@ pitches in 0-127, so a vector, a difference of codes, decodes uniquely and
 int order is (onset, pitch) order: the hot loops add and hash plain ints.
 Translators are read off SIA's vector table (Meredith, Lemstrom & Wiggins
 2002), and COSIATEC and SIATECCompress rank candidate TECs in exact integer
-arithmetic, with no floats or Fractions.  A COSIATEC round is one
-best-first queue: column groups and shapes, each at an exact upper bound on
-the ordering's leading figure, are taken greatest first while a bound can
-reach the best candidate so far; a column group builds its shapes, a shape
-has its translators searched and, if its bound from their count still
-reaches, is scored.  SIATECCompress walks its shapes best-first on one
-heap: a shape's translators are searched only when its first bound reaches
-the head, and its cover is built only when the tighter bound from their
-count does.  Ratio, coverage and size prune; compactness has no bound, so a
-compactness-led round or walk searches every shape.  The emitted TECs are
-those of scoring every shape.  One compact-segment rule (`_segments`, an
-integer compare per step) splits patterns for COSIATEC's candidates and
-SIARCT's alike.  Each occurrence is built once, on the grid, as the piece's
-own notes (`_image`), durations included: a TEC holds its occurrences, and
-`_records` builds every pattern record.
+arithmetic, with no floats or Fractions, through one best-first walk
+(`_best_first`): it gives the TECs of scoring every shape, yet searches
+and covers only the shapes whose bounds reach.  One compact-segment rule
+(`_segments`, an integer compare per step) splits patterns for COSIATEC's
+candidates and SIARCT's alike.  Each occurrence is built once, on the grid,
+as the piece's own notes (`_image`), durations included: a TEC holds its
+occurrences, and `_records` builds every pattern record.
 """
 
 from __future__ import annotations
@@ -41,8 +33,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from motifkit.core import (
     PatternOccurrence,
@@ -51,6 +42,7 @@ from motifkit.core import (
     PointSet,
     as_time,
     over_common_denominator,
+    to_time,
 )
 
 
@@ -242,18 +234,16 @@ class DiscoveryStats:
     `rounds` holds one entry per vector table: the points it was built on,
     its vectors, the distinct candidate shapes built and how many were
     `scored` (translators searched).  SIATEC builds and searches every shape;
-    SIATECCompress builds every shape and searches one only when its bound
-    reaches the head of its walk (`siatec_compress`); COSIATEC builds a
-    column's shapes, and searches a shape, only while its bound can reach the
-    best candidate (`_best`), and adds that TEC (`chosen`) and whether it
-    compressed and so was emitted.  `seconds` holds each stage's wall time:
-    the grid and vector table, the search (in COSIATEC, the best-first queue
-    that builds, bounds and scores shapes; in SIATECCompress, the best-first
-    walk that searches translators, builds covers and selects TECs), the
-    ranking (in COSIATEC, grouping the columns by length; in SIATECCompress,
-    building the shapes and queueing them at their first bounds), and building
-    the emitted TECs (in COSIATEC, also removing their points).  Counts come
-    from lengths at hand once per round, never per candidate.
+    COSIATEC and SIATECCompress build and search only what their best-first
+    walk (`_best_first`) reaches, and COSIATEC adds the TEC it took (`chosen`)
+    and whether it compressed and so was emitted.  `seconds` holds each
+    stage's wall time: the grid and vector table; the search, which in
+    COSIATEC and SIATECCompress is the whole walk, every translator search
+    included; the ranking, which groups the work for the walk (in COSIATEC,
+    the columns by length; in SIATECCompress, every shape built, by size and
+    last column); and building the emitted TECs (in COSIATEC, also removing
+    their points).  Counts come from lengths at hand once per round, never
+    per candidate.
     """
 
     def __init__(self):
@@ -453,12 +443,12 @@ DEFAULT_ORDER = ("cr", "comp", "cov", "size")
 # remaining point count and m.  Coverage is at most s*t, and s*t/(s+t-1)
 # never falls as t grows.  Capping the ratio's coverage at the point count
 # would make it fall as t grows, and the bound fail.  None falls as s or t
-# grows, so `_best` queues the columns of k >= 2 origins, whose shapes have
-# at least 2 points, at s = k, t = the longest column; a one-origin column's
-# single point has every remaining point as a translator.  Once the exact
-# translator count T is known, the leading figure of `_fit`'s candidate, at
-# coverage min(s*T, rest), is the tighter bound: every figure is exact or
-# rises with coverage.
+# grows, so `_column_walk` queues the columns of k >= 2 origins, whose
+# shapes have at least 2 points, at s = k, t = the longest column; a
+# one-origin column's single point has every remaining point as a translator.  Once the
+# exact translator count T is known, the leading figure of `_fit`'s
+# candidate, at coverage min(s*T, rest), is the tighter bound: every figure
+# is exact or rises with coverage.
 _BOUNDS: dict[str, Callable[[int, int, int, int], int]] = {
     "cr": lambda s, t, rest, m: s * t * m // (s + t - 1),
     "cov": lambda s, t, rest, m: min(s * t, rest),
@@ -468,7 +458,7 @@ _BOUNDS: dict[str, Callable[[int, int, int, int], int]] = {
 
 def _figure(name: str) -> Callable[[_Candidate, int], int]:
     if name.startswith("comp>="):
-        t = Fraction(name[len("comp>=") :])
+        t = to_time(name[len("comp>=") :])
         # size / window >= t, cross-multiplied over positive denominators
         return lambda c, m: int(len(c.shape) * t.denominator >= t.numerator * c.window)
     try:
@@ -494,73 +484,120 @@ def _rank_key(order: Sequence[str], n: int) -> Callable[[_Candidate], tuple]:
 
 def _leading(
     order: Sequence[str], n: int
-) -> tuple[Callable[[_Candidate], int], Callable[[int, int, int], int] | None]:
+) -> tuple[Callable[[_Candidate], int], Callable[[int, int, int], float]]:
     """The leading figure under `_rank_key(order, n)`, as ``figure(c)``, and its
-    `_BOUNDS` bound as ``bound(s, t, rest)``: None where compactness leads, which
-    the table gives no bound."""
+    `_BOUNDS` bound as ``bound(s, t, rest)``: infinite where compactness leads,
+    which the table gives no bound."""
     name = (*order, *DEFAULT_ORDER)[0]
-    f, b, m = _figure(name), _BOUNDS.get(name), 4 * n * n
-    return (lambda c: f(c, m)), (b and (lambda s, t, rest: b(s, t, rest, m)))
+    f, b, m = _figure(name), _BOUNDS.get(name, lambda s, t, rest, m: math.inf), 4 * n * n
+    return (lambda c: f(c, m)), (lambda s, t, rest: b(s, t, rest, m))
 
 
-def _best(
-    groups: Mapping[int, list], grid: _Grid, table: _Table, key: Callable, leading: tuple
-) -> tuple[_Candidate, set, int]:
-    """A round's least-keyed candidate, the distinct shapes built, and the count scored.
+def _best_first(
+    heap: list,
+    grid: _Grid,
+    table: _Table,
+    key: Callable,
+    leading: tuple,
+    build: Callable | None = None,
+) -> Iterator[tuple[_Candidate, set[_Coord], int]]:
+    """The candidates `heap` leads to, least `key` first, each with its cover and the
+    number of shapes whose translators were searched so far.
 
-    One heap holds the work, each item at its exact bound on the leading figure
-    (`_leading`): the columns of each length k >= 2 in `groups` (s = k, t = the
-    longest column), one of the one-origin columns, which share one shape, a
-    single point (s = 1, t = rest), and each shape built (t its smallest table
-    column).  While the greatest bound reaches the best leading figure `lead`,
-    columns build their shapes and compact segments, and a shape is scored: its
-    translators are searched (`_fit`), and only if that tighter bound still
-    reaches `lead` is its cover built and its key taken.  Entries are (-bound,
-    number, item), numbers unique and the columns' first: items are never
-    compared, and at an equal bound every shape is built before any is scored.
-    Without a bound (compactness leads) every column is taken and each shape is
-    scored as it is built, with no heap entry of its own.
+    The walk is exact branch and bound (Land & Doig 1960).  An entry is (-bound,
+    level, item), the bound an exact upper bound on the leading figure
+    (`_leading`) of every candidate the item leads to; at an equal bound lower
+    levels pop first.  Level 0 is a group of table columns: `build` gives their
+    shapes not built before, each queued at its bound, s its size and t its
+    smallest table column, which holds every translator (the remaining points
+    for a single point); under an infinite bound (compactness leads) they share
+    the group's, and no column is looked up.  Level 1 is a group of shapes: each
+    has its translators searched (`_fit`) and is queued at its leading figure
+    with coverage at the bound min(s*T, rest), T their count, which is tighter:
+    every figure is exact or rises with coverage.  Level 2 is a fitted
+    candidate: its cover is built (`_covered`) and it is queued at its full key.
+    Level 3 is a ranked candidate, and it is yielded.  A candidate reaches the
+    head only once no entry left can lead to a better one, so the candidates
+    come in the order of scoring every shape and sorting, yet a shape whose
+    bound falls below the candidates taken is never searched, nor one whose
+    fitted figure does covered.  `_column_walk` (COSIATEC) and `_shape_walk`
+    (SIATECCompress) make the first entries.
     """
     figure, bound = leading
     rest = len(grid.coords)
-    longest = max(groups, default=0)
-    top = bound or (lambda s, t, rest: math.inf)
-    heap = [
-        (-top(k, longest if k > 1 else rest, rest), i, cols if k > 1 else cols[:1])
-        for i, (k, cols) in enumerate(groups.items())
-    ]
     heapq.heapify(heap)
-    seq = count(len(heap))
-    built, best, best_key, lead, scored = set(), None, None, -math.inf, 0
-
-    def score(shape):
-        nonlocal best, best_key, lead, scored
-        c = _fit(shape, grid, table, rest)
-        scored += 1
-        if figure(c) >= lead:
-            c = _covered(c)[0]
+    scored, up = 0, None  # `up`: the entry just ranked, which may well stay at the head
+    while heap or up:
+        top, level, item = heapq.heappushpop(heap, up) if up else heapq.heappop(heap)
+        up = None
+        if level == 3:  # (key, cover, candidate)
+            yield item[2], item[1], scored
+        elif level == 2:  # a fitted candidate: build its cover
+            c, cover = _covered(item)
             c_key = key(c)
-            if best_key is None or c_key < best_key:
-                best, best_key, lead = c, c_key, -c_key[0]
+            up = c_key[0], 3, (c_key, cover, c)
+        elif level == 1:  # shapes: search their translators
+            scored += len(item)
+            for s in item:
+                c = _fit(s, grid, table, rest)
+                heapq.heappush(heap, (-figure(c), 2, c))
+        elif top == -math.inf:  # table columns: their shapes share the unbounded entry
+            heapq.heappush(heap, (top, 1, build(item)))
+        else:  # table columns: each shape goes in at its smallest column's bound
+            for s in build(item):
+                t = min(map(len, map(table.__getitem__, s[1:])), default=rest)
+                heapq.heappush(heap, (-bound(len(s), t, rest), 1, (s,)))
 
-    while heap and -heap[0][0] >= lead:
-        _, i, item = heapq.heappop(heap)
-        if i >= len(groups):  # a shape
-            score(item)
-            continue
-        for origins in item:
+
+def _column_walk(grid: _Grid, table: _Table, key: Callable, leading: tuple) -> tuple[Iterator, set]:
+    """A COSIATEC round's walk (`_best_first`), and the shapes it has built so far:
+    its table columns' and their compact segments'.
+
+    The columns of k origins share an entry at the `_BOUNDS` bound of s = k points
+    and t = the longest column.  The one-origin columns all make one shape, a
+    single point, so one of them stands for all, at t = the remaining points.
+    """
+    groups: dict[int, list[list[_Coord]]] = {}
+    for origins in table.values():
+        groups.setdefault(len(origins), []).append(origins)
+    _, bound = leading
+    rest, longest = len(grid.coords), max(groups)
+    heap = [
+        (-bound(k, longest if k > 1 else rest, rest), 0, cols if k > 1 else cols[:1])
+        for k, cols in groups.items()
+    ]
+    built: set[tuple[_Coord, ...]] = set()
+
+    def build(columns: list[list[_Coord]]) -> list[tuple[_Coord, ...]]:
+        new = []
+        for origins in columns:
             shapes = [_shape(origins)]
             if len(origins) > 2:  # a 2-point MTP's only segment is itself
                 shapes += map(_shape, _segments(origins, grid, 1, 2))
             for s in shapes:
                 if s not in built:
                     built.add(s)
-                    if not bound:
-                        score(s)
-                        continue
-                    t = min(map(len, map(table.__getitem__, s[1:])), default=rest)
-                    heapq.heappush(heap, (-bound(len(s), t, rest), next(seq), s))
-    return best, built, scored
+                    new.append(s)
+        return new
+
+    return _best_first(heap, grid, table, key, leading, build), built
+
+
+def _shape_walk(grid: _Grid, table: _Table, sort_key: str) -> tuple[Iterator, set]:
+    """SIATECCompress's walk (`_best_first`) under `sort_key`, and its shapes: the MTPs'.
+
+    The shapes of one size s and one last point, whose table column's length t
+    bounds their translators (the point count for the single point), share an
+    entry at the `_BOUNDS` bound of s and t.
+    """
+    n = len(grid.coords)
+    shapes = {_shape(o) for o in table.values()}
+    groups: dict[tuple[int, int], list] = {}
+    for s in shapes:
+        groups.setdefault((len(s), len(table[s[-1]]) if s[-1] else n), []).append(s)
+    _, bound = leading = _leading((sort_key,), n)
+    heap = [(-bound(k, t, n), 1, group) for (k, t), group in groups.items()]
+    return _best_first(heap, grid, table, _rank_key((sort_key,), n), leading), shapes
 
 
 def _residue_tec(points: tuple[Point, ...]) -> TEC:
@@ -583,19 +620,10 @@ def cosiatec(
     give the occurrence a TEC of its own.  Each round reads every
     candidate's translators off one vector table (`_translators`).
 
-    A round is one best-first queue (`_best`) over the table's columns,
-    grouped by length, and the shapes they build, each at an exact upper
-    bound on the ordering's leading figure; it takes the greatest bound
-    until one is strictly below the best leading figure found.  The bound
-    takes a shape's size s and its smallest table column t, which holds
-    every translator: s*t/(s+t-1) for compression ratio, min(s*t, remaining
-    points) for coverage, s for size (`_BOUNDS`); the columns of k origins
-    are queued at s = k, t = the longest column (the remaining points for a
-    single origin).  A taken shape's translators are searched, and its cover
-    is built only if the bound at their count still reaches.  So ratio- and
-    size-led orderings build and search few shapes, coverage-led ones
-    search few, compactness-led ones all.  The chosen TEC is the one
-    scoring every shape gives.
+    A round takes the first candidate of its best-first walk over the
+    table's columns (`_column_walk`).  So ratio- and size-led orderings
+    build and search few shapes, coverage-led ones search few,
+    compactness-led ones all.
 
     The best TEC maximizes the `tie_break` quality ordering (defaults to
     compression ratio, compactness, coverage, pattern size): each
@@ -614,17 +642,15 @@ def cosiatec(
     while len(grid.coords) >= 2:
         table = _mtp_table(grid)
         stats.lap("table")
-        groups: dict[int, list[list[_Coord]]] = {}
-        for origins in table.values():
-            groups.setdefault(len(origins), []).append(origins)
+        walk, built = _column_walk(grid, table, key, leading)
         stats.lap("rank")
-        best, built, scored = _best(groups, grid, table, key, leading)
+        best, cover, scored = next(walk)
         stats.lap("search")
         stats.add_round(grid, table, built, scored, best)
         if not best.compresses():
             break
         out.append(grid.tec(best.shape, best.translators))
-        grid = grid.without(_cover(best.shape, best.translators))
+        grid = grid.without(cover)
         stats.lap("emit")
     if grid.coords:
         out.append(_residue_tec(grid.points(grid.coords)))
@@ -643,21 +669,9 @@ def siatec_compress(
     appended as a final zero-translator TEC.  Covers may overlap, but their
     union is the whole input.
 
-    The walk is one heap over the distinct MTP shapes, each at an exact upper
-    bound on the leading figure, taken greatest first until every point is
-    covered.  A shape of s points enters at its `_BOUNDS` bound, t being the
-    length of its last point's table column, which holds every translator
-    (the shapes of one s and t share an entry).  At the head its translators
-    are searched (`_fit`) and it is queued again at the tighter bound of
-    their count T: min(s*T, n)*m // (s+T-1) for ``cr``, min(s*T, n) for
-    ``cov``.  At the head once more its cover is built and it is queued at
-    its full rank key, to be walked on that cover.  At an equal bound the
-    unresolved come first, so TECs are walked in the order of ranking every
-    shape.  Compactness has no bound: every shape is searched as it is built
-    and queued at its exact compactness, and only those that reach the head
-    are covered.  `stats`, if given, records the round, ``scored`` counting
-    the translator searches; its ``rank`` seconds hold building the shapes
-    and queueing them (under ``comp``, every search), ``search`` the walk.
+    TECs are taken from a best-first walk over the MTP shapes
+    (`_shape_walk`) until every point is covered.  `stats`, if given,
+    records the round, ``scored`` counting the translator searches.
     """
     if sort_key not in ("cr", "comp", "cov"):
         raise ValueError(f"sort_key must be one of cr|comp|cov, got {sort_key!r}")
@@ -666,41 +680,16 @@ def siatec_compress(
     table = _mtp_table(grid)
     stats.lap("table")
     n = len(grid.coords)
-    key = _rank_key((sort_key,), n)
-    figure, bound = _leading((sort_key,), n)
-
-    def ranked(c: _Candidate) -> tuple:
-        c, cover = _covered(c)
-        c_key = key(c)
-        return c_key[0], 2, (c_key, cover, c)
-
-    shapes = {_shape(o) for o in table.values()}
-    if bound:  # shapes of one size and column length share a bound and an entry
-        groups: dict[tuple[int, int], list] = {}
-        for s in shapes:
-            groups.setdefault((len(s), len(table[s[-1]]) if s[-1] else n), []).append(s)
-        heap = [(-bound(k, t, n), 0, group) for (k, t), group in groups.items()]
-        scored = 0
-    else:
-        heap = [(-figure(c), 1, c) for c in (_fit(s, grid, table, n) for s in shapes)]
-        scored = len(shapes)
-    heapq.heapify(heap)
+    walk, shapes = _shape_walk(grid, table, sort_key)
     stats.lap("rank")
     covered: set[_Coord] = set()
-    chosen, up = [], None  # `up`: the entry just taken, a level up, unless it was walked
-    while (heap or up) and len(covered) < n:
-        _, level, item = heapq.heappushpop(heap, up) if up else heapq.heappop(heap)
-        up = None
-        if level == 0:  # shapes: search their translators
-            scored += len(item)
-            for s in item:
-                c = _fit(s, grid, table, n)
-                heapq.heappush(heap, (-figure(c), 1, c))
-        elif level == 1:  # a fitted shape: build its cover
-            up = ranked(item)
-        elif not item[1] <= covered:  # (key, cover, candidate): walk it
-            chosen.append(item[2])
-            covered |= item[1]
+    chosen, scored = [], 0
+    for c, cover, scored in walk:
+        if not cover <= covered:
+            chosen.append(c)
+            covered |= cover
+            if len(covered) == n:
+                break
     stats.lap("search")
     stats.add_round(grid, table, shapes, scored)
     out = [grid.tec(c.shape, c.translators) for c in chosen]
@@ -715,7 +704,7 @@ def siatec_compress(
 # SIARCT: SIA's patterns through the compactness trawler
 
 
-def _trawled(ps: PointSet, a: Fraction, b: int) -> tuple[_Grid, list]:
+def _trawled(ps: PointSet, a: int | Fraction, b: int) -> tuple[_Grid, list]:
     """SIARCT on the grid: the grid, and its sorted, distinct (vector, segment) pairs.
 
     Each MTP of the vector table is split into its compact segments (`_segments`).
@@ -783,7 +772,7 @@ def run_algorithm(
             return tecs_to_records(siatec_compress(ps, arg or "cr", stats), spec)
         if name == "siarct":
             a_s, _, b_s = arg.partition(",")
-            grid, found = _trawled(ps, Fraction(a_s), int(b_s))
+            grid, found = _trawled(ps, to_time(a_s), int(b_s))
             images = ((grid.points(seg), _image(seg, v, grid.by_coord)) for v, seg in found)
             return _records(spec, "seg", images)
     except (ValueError, ZeroDivisionError) as exc:

@@ -138,6 +138,22 @@ class TestDiscover:
         assert "compactness threshold must be in (0, 1]" in capsys.readouterr().err
         assert not out.exists()
 
+    # `Fraction` alone would spend minutes on these; a spec's rationals are read as
+    # input times are, by `core.to_time`, which guards the digit count
+    @pytest.mark.parametrize("alg", ["cosiatec:comp>=1e-99999999", "siarct:1e-99999999,2"])
+    def test_oversized_spec_rational_exit_3(self, synth_dir, alg):
+        out = synth_dir / "x.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "motifkit.cli", "discover", "--in", synth_dir / "piece.csv",
+             "--alg", alg, "--out", out],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), capture_output=True, text=True,
+            timeout=30,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith(f"error: invalid algorithm spec {alg!r}: time '1e-99999999' ")
+        assert proc.stderr.count("\n") == 1, proc.stderr
+        assert not out.exists()
+
     def test_stats_file(self, synth_dir):
         piece = synth_dir / "piece.csv"
         plain, traced, stats = synth_dir / "plain.json", synth_dir / "traced.json", synth_dir / "s.json"

@@ -22,12 +22,16 @@ from motifkit.discovery import (
     siatec_compress,
     tec_quality,
     DiscoveryStats,
+    _column_walk,
+    _cover,
     _figure,
     _Grid,
+    _leading,
     _mtp_table,
     _rank_key,
     _segments,
     _shape,
+    _shape_walk,
     _translators,
     _trawled,
 )
@@ -620,6 +624,45 @@ class TestIntegerRanking:
         for order in (("comp>=2/3", "cov"), ("comp>=0.6667", "cov"), ("comp", "cov")):
             got = integer_order(grid, candidates, order, len(ps))
             assert got == brute_order(grid, candidates, order, coords)
+
+
+def check_drained(walk, candidates, key, shapes):
+    """The whole walk gives every candidate, least `key` first, each with its cover, and by
+    its end has built `shapes` and searched the translators of all of them."""
+    drained = list(walk)
+    assert [c for c, _, _ in drained] == sorted(candidates, key=key)
+    assert all(cover == _cover(c.shape, c.translators) for c, cover, _ in drained)
+    assert drained[-1][2] == len(shapes) == len(candidates)
+
+
+def check_walks(ps):
+    """COSIATEC's first round under every ordering, and SIATECCompress under every
+    key, drained, equal sorting every candidate they rank (`_oracles.score`)."""
+    grid = _Grid(ps)
+    table = _mtp_table(grid)
+    candidates = [_oracles.score(s, grid, table) for s in _oracles.grid_shapes(grid, table)]
+    for order in dict.fromkeys((*ORDERS, *RANK_ORDERS)):
+        key = _rank_key(order, len(ps))
+        walk, built = _column_walk(grid, table, key, _leading(order, len(ps)))
+        check_drained(walk, candidates, key, built)
+    shapes = {_shape(o) for o in table.values()}
+    candidates = [_oracles.score(s, grid, table) for s in shapes]
+    for sort_key in ("cr", "comp", "cov"):
+        walk, walked = _shape_walk(grid, table, sort_key)
+        assert walked == shapes
+        check_drained(walk, candidates, _rank_key((sort_key,), len(ps)), shapes)
+
+
+class TestBestFirstWalk:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_synthetic_pieces(self, seed):
+        check_walks(synth_piece(seed, 2))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(fractional_pieces, dense_pieces))
+    def test_small_pieces(self, ps):
+        assume(len(ps) >= 2)
+        check_walks(ps)
 
 
 class TestTrawlOracle:

@@ -214,6 +214,8 @@ GOLDEN_STATS = {
         _round(15, 102, 4, 4, (1, 15, "1", "1", 15, False)),
     ],
     "siatec-compress:cr": [_round(97, 2354, 408, 244)],
+    "siatec-compress:comp": [_round(97, 2354, 408, 408)],
+    "siatec-compress:cov": [_round(97, 2354, 408, 48)],
 }
 
 

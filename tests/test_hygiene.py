@@ -7,11 +7,11 @@ function that calls itself without a stated bound on its depth, one copy of the 
 that puts exact values on integers, one of the rule that keeps integral values as ints,
 one caller of the indenting JSON encoder, one function that asks for the smoothing
 kernel and applies it, one that finds zero crossings, one count of a discovery grid's
-temporal window, one CLI reader that exits on pattern files of two pieces, one coding
-of class labels in the classifiers and one in cross-validation, no CLI
-handler that tests an optional flag's value for truth, one CLI function that writes
-files and prints, and no default, of a parameter or of a dataclass or NamedTuple field,
-that only the tests override."""
+temporal window, one heap in discovery (the best-first walk), one CLI reader that
+exits on pattern files of two pieces, one coding of class labels in the classifiers
+and one in cross-validation, no CLI handler that tests an optional flag's value for
+truth, one CLI function that writes files and prints, and no default, of a parameter
+or of a dataclass or NamedTuple field, that only the tests override."""
 
 import ast
 from pathlib import Path
@@ -356,6 +356,22 @@ def test_one_window_count():
         if isinstance(node, ast.Attribute) and node.attr in ("first", "stop")
     }
     assert found == WINDOW_READERS, f"{sorted(found)} read a grid's first or stop"
+
+
+# The one function in discovery that keeps a heap: the best-first walk through which
+# COSIATEC and SIATECCompress both rank their TECs.
+HEAP_KEEPERS = {"discovery._best_first"}
+
+
+def test_one_best_first_walk():
+    """TECs are ranked by one exact walk, so a second heap of candidates cannot come back."""
+    found = {
+        name
+        for name, node in _scoped(TREES["discovery.py"], "discovery")
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "heapq"
+        or isinstance(node, ast.ImportFrom) and node.module == "heapq"
+    }
+    assert found == HEAP_KEEPERS, f"{sorted(found)} call heapq, not only the walk"
 
 
 # The one function that exits 4 on pattern files naming two pieces: poll, train-pp,
